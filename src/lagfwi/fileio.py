@@ -1,10 +1,10 @@
-"""Plain-text file formats: models, fields, traces, matrices, and logs.
+"""Plain-text file formats: models, fields, traces, and logs.
 
 Every array file starts with one header line
 
     LAGFWI <kind> <ndim> <nx> <nz> <nt> <dx> <dz> <dt>
 
-with kind in {model, field, trace, matrix}, followed by whitespace-delimited
+with kind in {model, field, trace}, followed by whitespace-delimited
 decimal values that round-trip 64-bit floats (printed with %.17g).  Values
 are laid out space-fastest / time-slowest: one line per time level, each line
 holding all spatial nodes (z-major in 2D).  Specifics per kind:
@@ -15,8 +15,6 @@ holding all spatial nodes (z-major in 2D).  Specifics per kind:
     trace   nx is the receiver count, nz is 1; nt lines of nx values.
             Receiver node ids are not stored - they come from the experiment
             configuration.
-    matrix  debugging dumps: ndim 2, nx = n_cols, nz = n_rows, nt 1,
-            spacings 0; n_rows lines of n_cols values.
 
 Convergence logs are comma-separated with header
 "iter,misfit,constraint,model_error,v_norm,w_norm,seconds", preceded by
@@ -35,7 +33,7 @@ import numpy as np
 from .errors import FileFormatError
 from .grids import AcquisitionGeometry, GridSpec, ModelGrid, TraceData, Wavefield
 
-FILE_KINDS = ("model", "field", "trace", "matrix")
+FILE_KINDS = ("model", "field", "trace")
 LOG_HEADER = "iter,misfit,constraint,model_error,v_norm,w_norm,seconds"
 
 
@@ -94,8 +92,7 @@ def _read(path: str, expected_kind: str):
         values = np.array(tokens, dtype=float) if tokens else np.array([])
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed values") from exc
-    if not np.all(np.isfinite(values)) and expected_kind != "matrix":
-        # allow matrices to round-trip diagnostics; grids must stay finite
+    if not np.all(np.isfinite(values)):
         raise FileFormatError(f"{path}: non-finite values")
     return rest, values
 
@@ -163,22 +160,6 @@ def load_traces(path: str, spec: GridSpec, geometry: AcquisitionGeometry) -> Tra
         raise FileFormatError(f"{path}: trace grid disagrees with configured grid")
     _check_count(path, values, n_r * nt)
     return TraceData(spec, geometry, values.reshape(nt, n_r).T.copy())
-
-
-def save_matrix(path: str, matrix: np.ndarray) -> None:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise FileFormatError("matrix dumps must be 2-D")
-    n_rows, n_cols = a.shape
-    lines = [_header("matrix", 2, n_cols, n_rows, 1, 0.0, 0.0, 0.0)]
-    lines.extend(_format_line(row) for row in a)
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_matrix(path: str) -> np.ndarray:
-    (ndim, nx, nz, nt, dx, dz, dt), values = _read(path, "matrix")
-    _check_count(path, values, nx * nz)
-    return values.reshape(nz, nx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,168 +1,100 @@
-"""Inversion iterations: one family of schemes around a single saddle point.
+"""Inversion iterations: thirteen schemes around a single saddle point.
 
-Every scheme in this module alternates between (a) estimating a wavefield u
-and a multiplier-like field for each source and (b) applying the same
-preconditioned correlation update to the model.  They differ only in which
-linear system produces the fields and in which running quantities (Lagrange
-multiplier w, scattering estimate lam, accumulated constraint error eps)
-survive from one iteration to the next.
+Every scheme alternates between (a) estimating a wavefield u and a
+multiplier-like field for each source and (b) updating the model.  Eleven
+share the one pipeline of step_scheme,
 
-Scheme registry (name -> step semantics):
+    per source:  (u, v_like) = solve(m, b, d, cfg, cache, previous slots)
+    m_new = combined_model_update(m, [(v_like, u), ...], step)
+    mem   = mem + k (A(m_new) u - b)           (schemes with a memory only)
 
-  fwi                 classic reduced-space gradient descent: u solves the
-                      wave equation, v back-propagates the data residual.
-  penalty-wavefield   u from the data-augmented normal equations, v = mu*(Au-b).
-  penalty-multiplier  v from the damped trace system, u = A^-1(b + v/mu).
-  wri-scaled          like penalty-multiplier but iterates the scaled
-                      multiplier lam = v/mu with a unit model step.
-  al-wavefield        augmented-Lagrangian flavour of penalty-wavefield: a
-                      running multiplier w shifts the source and accumulates
-                      mu*(Au-b) after each model update.
-  al-multiplier       augmented-Lagrangian flavour of penalty-multiplier.
-  gauss-newton        damped least-squares on the assembled Born kernel.
-  gauss-seidel        gauss-newton with the background field refreshed by the
-                      previous model increment before linearizing.
-  split-gn            Born step split through the data-space system: solve for
-                      the scattering source lam, correlate, unit step.
-  split-gs            split-gn followed by a wavefield refresh u = A^-1(b+lam).
-  refined-direct      multiplier increment equation assembled term by term.
-  refined-rearranged  same iterates, right-hand side collected before solving.
-  refined-epsilon     same iterates, bookkeeping through the accumulated
-                      constraint error eps instead of (lam_prev, u_prev).
+and differ only in their row of _TABLE: the solve, whether the multiplier is
+scaled, and whether a memory is carried.  An unscaled scheme keeps v in
+`multipliers`, steps by cfg.step_length (1/mu unless alpha is pinned) and
+carries the Lagrange multiplier w (k = mu) in `running_multipliers`.  A
+scaled scheme keeps lam = v/mu in `scatter_sources`, takes a unit step and
+carries the accumulated constraint error eps = w/mu (k = 1) in
+`scatter_errors`.
+
+  scheme              solve                                   scaled  memory
+  fwi                 u = A^-1 b, v back-propagates P u - d     no      -
+  penalty-wavefield   CG on the data-augmented normal equations no      -
+  penalty-multiplier  damped trace system for v, companion u    no      -
+  wri-scaled          lam against the plain residual, refresh   yes     -
+                      u = A^-1 (b + lam)
+  al-wavefield        penalty-wavefield's solve, w passed       no      w
+  al-multiplier       penalty-multiplier's solve, w passed      no      w
+  split-gn            wri-scaled's solve without the refresh    yes     -
+  split-gs            wri-scaled's solve                        yes     -
+  refined-direct      multiplier increment, term by term        yes     -
+  refined-rearranged  same iterates, rhs collected first        yes     -
+  refined-epsilon     same iterates, bookkeeping through eps    yes     eps
+
+gauss-newton and gauss-seidel instead solve damped least squares on the
+stacked Born kernels for the model increment; gauss-seidel linearizes about
+a field refreshed by the previous increment.
 
 The penalty/al multiplier orientations and the split/refined family all call
 into saddle.damped_trace_multiplier, so their agreement is structural, not a
-numerical accident; tests pin the correspondences (split-gs tracks
-penalty-multiplier, refined-epsilon tracks al-multiplier, the three refined
-variants track each other) to round-off.
+numerical accident; tests pin the correspondences (split-gs and wri-scaled
+track penalty-multiplier, refined-epsilon tracks al-multiplier, the three
+refined variants track each other) to round-off.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import ExperimentConfig, build_acquisition, build_model_values, build_sources
+from .config import (
+    UPDATE_MODES, ExperimentConfig, build_acquisition, build_model_values, build_sources,
+)
 from .errors import ConfigurationError, DivergenceError
-from .grids import GridSpec, ModelGrid, SourceField, TraceData, Wavefield
+from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
-    HessianCache,
-    PenaltyConfig,
-    companion_wavefield,
-    damped_trace_multiplier,
-    solve_augmented_wavefield,
-    solve_ls_multiplier,
+    HessianCache, PenaltyConfig, companion_wavefield, damped_trace_multiplier,
+    solve_augmented_wavefield, solve_ls_multiplier,
 )
 from .wavecore import (
-    apply_wave_operator,
-    adjoint_solve,
-    correlation_terms,
-    forward_solve,
-    inject,
-    preconditioned_ratio,
-    sample,
-    scattering_source,
-    updated_model,
+    adjoint_solve, apply_wave_operator, correlation_terms, forward_solve, inject,
+    preconditioned_ratio, sample, scattering_source, updated_model,
 )
-
-SCHEMES = (
-    "fwi",
-    "penalty-wavefield",
-    "penalty-multiplier",
-    "wri-scaled",
-    "al-wavefield",
-    "al-multiplier",
-    "gauss-newton",
-    "gauss-seidel",
-    "split-gn",
-    "split-gs",
-    "refined-direct",
-    "refined-rearranged",
-    "refined-epsilon",
-)
-
-UPDATE_MODES = ("sum-terms", "sum-updates")
 
 
 @dataclass(frozen=True, eq=False)
 class IterationState:
     """Everything a scheme carries between iterations.
 
-    Per-source tuples all have one entry per source.  Fields a scheme does
-    not use stay identically zero, so states can be handed between schemes
-    (and logged) without special cases.
+    Per-source tuples have one entry per source.  initial_state zero-fills
+    every slot; a step leaves the slots its scheme does not write as None,
+    so a state is resumed by the scheme that produced it.
     """
 
     model: ModelGrid
     model_prev: ModelGrid
-    wavefields: tuple[Wavefield, ...]
-    multipliers: tuple[Wavefield, ...]          # v, the unscaled multiplier
-    running_multipliers: tuple[SourceField, ...]  # w, augmented-Lagrangian memory
-    scatter_sources: tuple[SourceField, ...]      # lam, scaled multiplier / Born source
-    scatter_errors: tuple[SourceField, ...]       # eps, accumulated constraint error
+    wavefields: tuple[Wavefield, ...] | None = None
+    multipliers: tuple[Wavefield, ...] | None = None            # v, unscaled multiplier
+    running_multipliers: tuple[SourceField, ...] | None = None  # w, AL memory
+    scatter_sources: tuple[SourceField, ...] | None = None      # lam, scaled multiplier
+    scatter_errors: tuple[SourceField, ...] | None = None       # eps, accumulated constraint error
     iteration: int = 0
-
-
-def _zero_field(spec: GridSpec) -> Wavefield:
-    return Wavefield(spec, np.zeros(spec.shape))
-
-
-def _zero_source(spec: GridSpec) -> SourceField:
-    return SourceField(spec, np.zeros(spec.shape))
 
 
 def initial_state(model: ModelGrid, n_sources: int) -> IterationState:
     spec = model.spec
-    zf = tuple(_zero_field(spec) for _ in range(n_sources))
-    zs = tuple(_zero_source(spec) for _ in range(n_sources))
-    return IterationState(
-        model=model,
-        model_prev=model,
-        wavefields=zf,
-        multipliers=zf,
-        running_multipliers=zs,
-        scatter_sources=zs,
-        scatter_errors=zs,
-        iteration=0,
-    )
+    zf = tuple(Wavefield(spec, np.zeros(spec.shape)) for _ in range(n_sources))
+    zs = tuple(SourceField(spec, np.zeros(spec.shape)) for _ in range(n_sources))
+    return IterationState(model, model, wavefields=zf, multipliers=zf, running_multipliers=zs,
+                          scatter_sources=zs, scatter_errors=zs)
 
 
-def _advance(
-    state: IterationState,
-    model: ModelGrid,
-    *,
-    wavefields=None,
-    multipliers=None,
-    running_multipliers=None,
-    scatter_sources=None,
-    scatter_errors=None,
-) -> IterationState:
-    """Build the next state, zeroing every per-source slot left unset."""
-    spec = model.spec
-    n = len(state.wavefields)
-    zf = tuple(_zero_field(spec) for _ in range(n))
-    zs = tuple(_zero_source(spec) for _ in range(n))
-    return IterationState(
-        model=model,
-        model_prev=state.model,
-        wavefields=tuple(wavefields) if wavefields is not None else zf,
-        multipliers=tuple(multipliers) if multipliers is not None else zf,
-        running_multipliers=tuple(running_multipliers) if running_multipliers is not None else zs,
-        scatter_sources=tuple(scatter_sources) if scatter_sources is not None else zs,
-        scatter_errors=tuple(scatter_errors) if scatter_errors is not None else zs,
-        iteration=state.iteration + 1,
-    )
-
-
-def combined_model_update(
-    m: ModelGrid,
-    pairs,
-    alpha: float,
-    update_mode: str = "sum-terms",
-) -> ModelGrid:
+def combined_model_update(m: ModelGrid, pairs, alpha: float,
+                          update_mode: str = "sum-terms") -> ModelGrid:
     """Multi-source correlation update.
 
     pairs is a sequence of (multiplier-like field, wavefield).  In
@@ -189,350 +121,181 @@ def combined_model_update(
     return updated_model(m, alpha, update)
 
 
-def _as_wavefield(spec: GridSpec, values: np.ndarray) -> Wavefield:
-    return Wavefield(spec, values)
-
-
 def _residual_traces(data: TraceData, u: Wavefield) -> TraceData:
     predicted = sample(u, data.geometry)
     return TraceData(data.spec, data.geometry, data.values - predicted.values)
 
 
 # ---------------------------------------------------------------------------
-# scheme steps
+# per-source solves: (m, b, d, cfg, cache, previous) -> (u, v_like)
 # ---------------------------------------------------------------------------
 
 
-def standard_fwi_step(
-    state: IterationState,
-    sources,
-    data,
-    alpha: float,
-    update_mode: str = "sum-terms",
-) -> IterationState:
-    """Reduced-space gradient step: adjoint field against the data residual."""
-    m = state.model
-    us, vs, pairs = [], [], []
-    for b, d in zip(sources, data):
-        u = forward_solve(m, b)
-        v = adjoint_solve(m, inject(_residual_traces(d, u)))
-        us.append(u)
-        vs.append(v)
-        pairs.append((v, u))
-    m_new = combined_model_update(m, pairs, alpha, update_mode)
-    return _advance(state, m_new, wavefields=us, multipliers=vs)
+class _Previous(NamedTuple):
+    """What one source's solve may read from the previous iterate."""
+
+    u: Wavefield               # previous wavefield
+    lam: SourceField | None    # previous scaled multiplier, None if unwritten
+    mem: SourceField | None    # w or eps; None for a scheme without memory
+    dm: np.ndarray             # last model increment m - m_prev
 
 
-def penalty_step(
-    state: IterationState,
-    sources,
-    data,
-    cfg: PenaltyConfig,
-    orientation: str = "multiplier",
-    cache: HessianCache | None = None,
-    update_mode: str = "sum-terms",
-) -> IterationState:
-    """One penalty iteration in either saddle orientation.
-
-    Both orientations solve the same KKT system; "wavefield" eliminates v and
-    runs CG on the data-augmented normal equations, "multiplier" eliminates u
-    through the damped trace system.  v = mu*(A u - b) in exact arithmetic
-    either way.
-    """
-    if orientation not in ("wavefield", "multiplier"):
-        raise ConfigurationError(f"unknown penalty orientation {orientation!r}")
-    m = state.model
-    us, vs, pairs = [], [], []
-    for b, d in zip(sources, data):
-        if orientation == "wavefield":
-            u, _ = solve_augmented_wavefield(m, b, d, cfg)
-            v = _as_wavefield(m.spec, cfg.mu * (apply_wave_operator(m, u).values - b.values))
-        else:
-            v = solve_ls_multiplier(m, b, d, cfg, cache=cache)
-            u = companion_wavefield(m, b, v, cfg)
-        us.append(u)
-        vs.append(v)
-        pairs.append((v, u))
-    m_new = combined_model_update(m, pairs, cfg.step_length, update_mode)
-    return _advance(state, m_new, wavefields=us, multipliers=vs)
+def _fwi(m, b, d, cfg, cache, prev):
+    """Reduced-space gradient: adjoint field against the data residual."""
+    u = forward_solve(m, b)
+    return u, adjoint_solve(m, inject(_residual_traces(d, u)))
 
 
-def wri_scaled_step(
-    state: IterationState,
-    sources,
-    data,
-    cfg: PenaltyConfig,
-    cache: HessianCache | None = None,
-    update_mode: str = "sum-terms",
-) -> IterationState:
-    """Penalty iteration in the scaled multiplier lam = v/mu, unit model step.
-
-    lam solves the damped data-space system directly against the residual of
-    the plain forward field, the wavefield is refreshed as A^-1(b + lam), and
-    the model update uses step length 1 (the 1/mu of the penalty scheme is
-    absorbed into lam).
-    """
-    m = state.model
-    us, lams, pairs = [], [], []
-    for b, d in zip(sources, data):
-        u0 = forward_solve(m, b)
-        lam = damped_trace_multiplier(
-            m, d.geometry, _residual_traces(d, u0).values, cfg.mu, cache=cache
-        )
-        u = forward_solve(m, SourceField(m.spec, b.values + lam.values))
-        us.append(u)
-        lams.append(SourceField(m.spec, lam.values))
-        pairs.append((lam, u))
-    m_new = combined_model_update(m, pairs, 1.0, update_mode)
-    return _advance(state, m_new, wavefields=us, scatter_sources=lams)
+def _wavefield_orientation(m, b, d, cfg, cache, prev):
+    """Eliminate v: CG on the data-augmented normal equations, then
+    v = w + mu (A u - b), the same v as the multiplier orientation in exact
+    arithmetic."""
+    w = prev.mem
+    u, _ = solve_augmented_wavefield(m, b, d, cfg, w=w)
+    v = cfg.mu * (apply_wave_operator(m, u).values - b.values)
+    return u, Wavefield(m.spec, v if w is None else w.values + v)
 
 
-def al_step(
-    state: IterationState,
-    sources,
-    data,
-    cfg: PenaltyConfig,
-    orientation: str = "multiplier",
-    cache: HessianCache | None = None,
-    update_mode: str = "sum-terms",
-) -> IterationState:
-    """Augmented-Lagrangian iteration (method of multipliers).
+def _multiplier_orientation(m, b, d, cfg, cache, prev):
+    """Eliminate u through the damped trace system, then the companion
+    wavefield A^-1 (b + (v - w)/mu)."""
+    v = solve_ls_multiplier(m, b, d, cfg, w=prev.mem, cache=cache)
+    return companion_wavefield(m, b, v, cfg, w=prev.mem), v
 
-    Identical to penalty_step except the running multiplier w shifts the
-    source term, and after the model update w accumulates the constraint
-    residual mu*(A(m_new) u - b) evaluated at the *updated* model.
-    """
-    if orientation not in ("wavefield", "multiplier"):
-        raise ConfigurationError(f"unknown al orientation {orientation!r}")
-    m = state.model
-    us, vs, pairs = [], [], []
-    for b, d, w in zip(sources, data, state.running_multipliers):
-        if orientation == "wavefield":
-            u, _ = solve_augmented_wavefield(m, b, d, cfg, w=w)
-            v = _as_wavefield(
-                m.spec, w.values + cfg.mu * (apply_wave_operator(m, u).values - b.values)
-            )
-        else:
-            v = solve_ls_multiplier(m, b, d, cfg, mode="al", w=w, cache=cache)
-            u = companion_wavefield(m, b, v, cfg, mode="al", w=w)
-        us.append(u)
-        vs.append(v)
-        pairs.append((v, u))
-    m_new = combined_model_update(m, pairs, cfg.step_length, update_mode)
-    ws_new = [
-        SourceField(
-            m.spec,
-            w.values + cfg.mu * (apply_wave_operator(m_new, u).values - b.values),
-        )
-        for b, u, w in zip(sources, us, state.running_multipliers)
-    ]
-    return _advance(
-        state, m_new, wavefields=us, multipliers=vs, running_multipliers=ws_new
+
+def _scaled_multiplier(m, d, rhs, cfg, cache) -> SourceField:
+    """lam = A^-T P^T (H + mu I)^-1 rhs, the damped scattering source."""
+    return SourceField(
+        m.spec, damped_trace_multiplier(m, d.geometry, rhs, cfg.mu, cache=cache).values
     )
 
 
-def gauss_newton_step(
-    state: IterationState,
-    sources,
-    data,
-    damping: float,
-) -> IterationState:
-    """Damped Gauss-Newton on the assembled Born kernel.
-
-    Stacks the per-source kernels and residuals into one damped least-squares
-    problem for the model increment.  Dense kernel assembly, so only sensible
-    at workbench scale.
-    """
-    m = state.model
-    us = []
-    blocks, rhs = [], []
-    for b, d in zip(sources, data):
-        u = forward_solve(m, b)
-        us.append(u)
-        blocks.append(assemble_born_kernel(m, u, d.geometry).matrix)
-        rhs.append(_residual_traces(d, u).values.ravel())
-    dm = damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping)
-    m_new = updated_model(m, -1.0, dm)
-    return _advance(state, m_new, wavefields=us)
+def _split(m, b, d, cfg, cache, prev, refresh=True):
+    """lam explains the plain forward residual; with refresh the wavefield
+    becomes A^-1 (b + lam), which makes the iterates those of
+    penalty-multiplier with lam = v/mu and step 1 vs 1/mu."""
+    u = forward_solve(m, b)
+    lam = _scaled_multiplier(m, d, _residual_traces(d, u).values, cfg, cache)
+    if refresh:
+        u = forward_solve(m, SourceField(m.spec, b.values + lam.values))
+    return u, lam
 
 
-def gauss_seidel_step(
-    state: IterationState,
-    sources,
-    data,
-    damping: float,
-) -> IterationState:
-    """Gauss-Newton with the linearization field refreshed before the solve.
+# The three refined assemblies damp the *updated* multiplier, not the bare
+# increment; that choice is what keeps their iterates identical.
 
-    The background field for the Born kernel is re-solved with the previous
-    model increment injected as a scattering source, so the kernel already
-    "feels" the last update.  On the first iteration (zero increment) this
-    coincides with gauss_newton_step.
-    """
+
+def _refined_direct(m, b, d, cfg, cache, prev):
+    """Solve for the increment dlam of S dlam = delta_d - S phi, the damping
+    centred on lam_prev + dlam; phi = scattering_source(u_prev, m - m_prev)."""
+    spec = m.spec
+    delta_d = _residual_traces(d, forward_solve(m, b)).values
+    phi = scattering_source(prev.u, prev.dm)
+    s_phi = sample(forward_solve(m, phi), d.geometry).values
+    s_lam = sample(forward_solve(m, prev.lam), d.geometry).values
+    increment_rhs = delta_d - s_phi
+    dlam = _scaled_multiplier(m, d, increment_rhs + s_lam, cfg, cache).values - prev.lam.values
+    lam = SourceField(spec, prev.lam.values + dlam)
+    u = forward_solve(m, SourceField(spec, b.values + phi.values + lam.values - prev.lam.values))
+    return u, lam
+
+
+def _refined_rearranged(m, b, d, cfg, cache, prev):
+    """Collect delta_d + S (lam_prev - phi) first, solve once for lam."""
+    spec = m.spec
+    delta_d = _residual_traces(d, forward_solve(m, b)).values
+    phi = scattering_source(prev.u, prev.dm)
+    shift = SourceField(spec, prev.lam.values - phi.values)
+    rhs = delta_d + sample(forward_solve(m, shift), d.geometry).values
+    lam = _scaled_multiplier(m, d, rhs, cfg, cache)
+    u = forward_solve(m, SourceField(spec, b.values + lam.values + phi.values - prev.lam.values))
+    return u, lam
+
+
+def _refined_epsilon(m, b, d, cfg, cache, prev):
+    """Track eps instead of (lam_prev, phi): rhs is delta_d + S eps and the
+    refresh subtracts eps, which also matches al-multiplier with lam = v/mu
+    and eps = w/mu."""
+    eps = prev.mem
+    delta_d = _residual_traces(d, forward_solve(m, b)).values
+    rhs = delta_d + sample(forward_solve(m, eps), d.geometry).values
+    lam = _scaled_multiplier(m, d, rhs, cfg, cache)
+    return forward_solve(m, SourceField(m.spec, b.values + lam.values - eps.values)), lam
+
+
+def _born_step(state: IterationState, sources, data, damping: float, lagged: bool):
+    """Damped Gauss-Newton on the stacked Born kernels (dense assembly, so
+    workbench scale only).  lagged (gauss-seidel) linearizes around the field
+    re-solved with the previous model increment injected as a scattering
+    source; on the first iteration that is the plain forward field."""
     m = state.model
     dm_prev = m.values - state.model_prev.values
-    us = []
-    blocks, rhs = [], []
+    us, blocks, rhs = [], [], []
     for b, d, u_prev in zip(sources, data, state.wavefields):
-        u_lin = forward_solve(
-            m,
-            SourceField(m.spec, b.values + scattering_source(u_prev, dm_prev).values),
-        )
         u0 = forward_solve(m, b)
-        us.append(u_lin)
-        blocks.append(assemble_born_kernel(m, u_lin, d.geometry).matrix)
+        u = u0
+        if lagged:
+            phi = scattering_source(u_prev, dm_prev)
+            u = forward_solve(m, SourceField(m.spec, b.values + phi.values))
+        us.append(u)
+        blocks.append(assemble_born_kernel(m, u, d.geometry).matrix)
         rhs.append(_residual_traces(d, u0).values.ravel())
     dm = damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping)
     m_new = updated_model(m, -1.0, dm)
-    return _advance(state, m_new, wavefields=us)
+    return IterationState(m_new, m, wavefields=tuple(us), iteration=state.iteration + 1)
 
 
-def split_gn_step(
-    state: IterationState,
-    sources,
-    data,
-    damping: float,
-    cache: HessianCache | None = None,
-    update_mode: str = "sum-terms",
-) -> IterationState:
-    """Born step split through the data-space system.
+# name -> (solve, scaled, memory); None marks the Born least-squares step
+_TABLE = {
+    "fwi": (_fwi, False, False),
+    "penalty-wavefield": (_wavefield_orientation, False, False),
+    "penalty-multiplier": (_multiplier_orientation, False, False),
+    "wri-scaled": (_split, True, False),
+    "al-wavefield": (_wavefield_orientation, False, True),
+    "al-multiplier": (_multiplier_orientation, False, True),
+    "gauss-newton": None,
+    "gauss-seidel": None,
+    "split-gn": (partial(_split, refresh=False), True, False),
+    "split-gs": (_split, True, False),
+    "refined-direct": (_refined_direct, True, False),
+    "refined-rearranged": (_refined_rearranged, True, False),
+    "refined-epsilon": (_refined_epsilon, True, True),
+}
 
-    Instead of assembling the Born kernel, solve the damped system for the
-    scattering source lam that explains the residual, then correlate lam
-    against the background field with a unit step.  The wavefield carried to
-    the next iteration is the plain background field.
-    """
+SCHEMES = tuple(_TABLE)
+
+
+def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyConfig,
+                cache: HessianCache | None = None,
+                update_mode: str = "sum-terms") -> IterationState:
+    """One iteration of the named scheme (see the module docstring)."""
+    if scheme not in _TABLE:
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    if _TABLE[scheme] is None:
+        return _born_step(state, sources, data, cfg.mu, lagged=scheme == "gauss-seidel")
+    solve, scaled, memory = _TABLE[scheme]
+    cache = HessianCache() if cache is None else cache  # shared by this step's sources
     m = state.model
-    us, lams, pairs = [], [], []
-    for b, d in zip(sources, data):
-        u0 = forward_solve(m, b)
-        lam = damped_trace_multiplier(
-            m, d.geometry, _residual_traces(d, u0).values, damping, cache=cache
-        )
-        us.append(u0)
-        lams.append(SourceField(m.spec, lam.values))
-        pairs.append((lam, u0))
-    m_new = combined_model_update(m, pairs, 1.0, update_mode)
-    return _advance(state, m_new, wavefields=us, scatter_sources=lams)
-
-
-def split_gs_step(
-    state: IterationState,
-    sources,
-    data,
-    damping: float,
-    cache: HessianCache | None = None,
-    update_mode: str = "sum-terms",
-) -> IterationState:
-    """split_gn_step plus an immediate wavefield refresh u = A^-1(b + lam).
-
-    The refreshed field both enters the correlation update and is carried to
-    the next iteration, which makes this scheme iterate-for-iterate identical
-    to penalty-multiplier with lam = v/mu and step 1 vs 1/mu.
-    """
-    m = state.model
-    us, lams, pairs = [], [], []
-    for b, d in zip(sources, data):
-        u0 = forward_solve(m, b)
-        lam = damped_trace_multiplier(
-            m, d.geometry, _residual_traces(d, u0).values, damping, cache=cache
-        )
-        u = forward_solve(m, SourceField(m.spec, b.values + lam.values))
+    n = len(sources)
+    dm = m.values - state.model_prev.values
+    mem_slot = "scatter_errors" if scaled else "running_multipliers"
+    mems = getattr(state, mem_slot) if memory else (None,) * n
+    lams = state.scatter_sources or (None,) * n
+    us, vs = [], []
+    for b, d, u_prev, lam, mem in zip(sources, data, state.wavefields, lams, mems):
+        u, v_like = solve(m, b, d, cfg, cache, _Previous(u_prev, lam, mem, dm))
         us.append(u)
-        lams.append(SourceField(m.spec, lam.values))
-        pairs.append((lam, u))
-    m_new = combined_model_update(m, pairs, 1.0, update_mode)
-    return _advance(state, m_new, wavefields=us, scatter_sources=lams)
-
-
-def refined_step(
-    state: IterationState,
-    sources,
-    data,
-    damping: float,
-    variant: str = "direct",
-    cache: HessianCache | None = None,
-    update_mode: str = "sum-terms",
-) -> IterationState:
-    """Refined scattering iteration, three algebraically equal assemblies.
-
-    All variants damp the *updated* multiplier, not the bare increment; that
-    choice is what keeps their iterates identical.
-
-      direct      solve for the increment dlam from the linearized data
-                  equation S dlam = delta_d - S phi, with the damping centred
-                  on lam_prev + dlam; phi = scattering_source(u_prev, m - m_prev).
-      rearranged  collect the right-hand side delta_d + S(lam_prev - phi)
-                  first, solve once for the full lam.
-      epsilon     track eps = accumulated constraint error instead of
-                  (lam_prev, phi); rhs is delta_d + S eps and the wavefield
-                  refresh subtracts eps.  eps then absorbs A(m_new) u - b,
-                  which also makes this variant match al-multiplier with
-                  lam = v/mu and eps = w/mu.
-    """
-    if variant not in ("direct", "rearranged", "epsilon"):
-        raise ConfigurationError(f"unknown refined variant {variant!r}")
-    m = state.model
-    spec = m.spec
-    dm_prev = m.values - state.model_prev.values
-    us, lams, pairs = [], [], []
-    eps_in = state.scatter_errors
-    for b, d, u_prev, lam_prev, eps in zip(
-        sources, data, state.wavefields, state.scatter_sources, eps_in
-    ):
-        u0 = forward_solve(m, b)
-        delta_d = _residual_traces(d, u0).values
-        if variant == "direct":
-            phi = scattering_source(u_prev, dm_prev)
-            s_phi = sample(forward_solve(m, phi), d.geometry).values
-            s_lam = sample(forward_solve(m, lam_prev), d.geometry).values
-            increment_rhs = delta_d - s_phi
-            dlam = (
-                damped_trace_multiplier(
-                    m, d.geometry, increment_rhs + s_lam, damping, cache=cache
-                ).values
-                - lam_prev.values
-            )
-            lam = SourceField(spec, lam_prev.values + dlam)
-            u = forward_solve(
-                m,
-                SourceField(spec, b.values + phi.values + lam.values - lam_prev.values),
-            )
-        elif variant == "rearranged":
-            phi = scattering_source(u_prev, dm_prev)
-            shift = SourceField(spec, lam_prev.values - phi.values)
-            rhs = delta_d + sample(forward_solve(m, shift), d.geometry).values
-            lam = SourceField(
-                spec, damped_trace_multiplier(m, d.geometry, rhs, damping, cache=cache).values
-            )
-            u = forward_solve(
-                m,
-                SourceField(spec, b.values + lam.values + phi.values - lam_prev.values),
-            )
-        else:
-            rhs = delta_d + sample(forward_solve(m, eps), d.geometry).values
-            lam = SourceField(
-                spec, damped_trace_multiplier(m, d.geometry, rhs, damping, cache=cache).values
-            )
-            u = forward_solve(m, SourceField(spec, b.values + lam.values - eps.values))
-        us.append(u)
-        lams.append(lam)
-        pairs.append((Wavefield(spec, lam.values), u))
-    m_new = combined_model_update(m, pairs, 1.0, update_mode)
-    if variant == "epsilon":
-        eps_new = [
-            SourceField(spec, eps.values + apply_wave_operator(m_new, u).values - b.values)
-            for b, u, eps in zip(sources, us, eps_in)
-        ]
-    else:
-        eps_new = None
-    return _advance(
-        state,
-        m_new,
-        wavefields=us,
-        scatter_sources=lams,
-        scatter_errors=eps_new,
-    )
+        vs.append(v_like)
+    step = 1.0 if scaled else cfg.step_length
+    m_new = combined_model_update(m, list(zip(vs, us)), step, update_mode)
+    slots = {"wavefields": tuple(us), "scatter_sources" if scaled else "multipliers": tuple(vs)}
+    if memory:
+        k = 1.0 if scaled else cfg.mu
+        slots[mem_slot] = tuple(
+            SourceField(m.spec, mem.values + k * (apply_wave_operator(m_new, u).values - b.values))
+            for b, u, mem in zip(sources, us, mems)
+        )
+    return IterationState(m_new, m, iteration=state.iteration + 1, **slots)
 
 
 def reduced_objective_and_gradient(m: ModelGrid, sources, data):
@@ -566,8 +329,10 @@ class Diagnostics:
     """One row of the convergence log.
 
     model_error is relative (||m - m_true|| / ||m_true||), NaN when no true
-    model is available.  seconds is wall time for the iteration and is
-    excluded from any determinism or regression comparison.
+    model is available.  seconds is the wall time of the step alone (row 0:
+    the warm-start forward solves), taken before this row's diagnostics and
+    the stopping-rule re-solve; it is excluded from any determinism or
+    regression comparison.
     """
 
     iteration: int
@@ -579,26 +344,10 @@ class Diagnostics:
     seconds: float
 
     def as_row(self) -> tuple:
-        return (
-            self.iteration,
-            self.misfit,
-            self.constraint,
-            self.model_error,
-            self.v_norm,
-            self.w_norm,
-            self.seconds,
-        )
+        return astuple(self)
 
 
-DIAGNOSTIC_FIELDS = (
-    "iter",
-    "misfit",
-    "constraint",
-    "model_error",
-    "v_norm",
-    "w_norm",
-    "seconds",
-)
+DIAGNOSTIC_FIELDS = ("iter", "misfit", "constraint", "model_error", "v_norm", "w_norm", "seconds")
 
 
 @dataclass(frozen=True)
@@ -610,24 +359,18 @@ class InversionResult:
 
 
 def _norm_sq(fields) -> float:
-    return float(sum(np.sum(f.values**2) for f in fields))
+    """Squared norm over a per-source slot; an unwritten (None) slot is zero."""
+    return float(sum(np.sum(f.values**2) for f in fields or ()))
 
 
-def _diagnostics(
-    state: IterationState,
-    sources,
-    data,
-    true_model: ModelGrid | None,
-    seconds: float,
-) -> Diagnostics:
+def _diagnostics(state: IterationState, sources, data, true_model: ModelGrid | None,
+                 seconds: float) -> Diagnostics:
     m = state.model
     misfit = 0.0
     constraint = 0.0
     for b, d, u in zip(sources, data, state.wavefields):
         misfit += 0.5 * float(np.sum(_residual_traces(d, u).values ** 2))
-        constraint += float(
-            np.sum((apply_wave_operator(m, u).values - b.values) ** 2)
-        )
+        constraint += float(np.sum((apply_wave_operator(m, u).values - b.values) ** 2))
     if true_model is None:
         model_error = float("nan")
     else:
@@ -644,42 +387,6 @@ def _diagnostics(
         w_norm=float(w_norm),
         seconds=seconds,
     )
-
-
-def step_scheme(
-    scheme: str,
-    state: IterationState,
-    sources,
-    data,
-    cfg: PenaltyConfig,
-    cache: HessianCache | None = None,
-    update_mode: str = "sum-terms",
-) -> IterationState:
-    """Dispatch a single iteration of the named scheme."""
-    if scheme == "fwi":
-        return standard_fwi_step(state, sources, data, cfg.step_length, update_mode)
-    if scheme == "penalty-wavefield":
-        return penalty_step(state, sources, data, cfg, "wavefield", cache, update_mode)
-    if scheme == "penalty-multiplier":
-        return penalty_step(state, sources, data, cfg, "multiplier", cache, update_mode)
-    if scheme == "wri-scaled":
-        return wri_scaled_step(state, sources, data, cfg, cache, update_mode)
-    if scheme == "al-wavefield":
-        return al_step(state, sources, data, cfg, "wavefield", cache, update_mode)
-    if scheme == "al-multiplier":
-        return al_step(state, sources, data, cfg, "multiplier", cache, update_mode)
-    if scheme == "gauss-newton":
-        return gauss_newton_step(state, sources, data, cfg.mu)
-    if scheme == "gauss-seidel":
-        return gauss_seidel_step(state, sources, data, cfg.mu)
-    if scheme == "split-gn":
-        return split_gn_step(state, sources, data, cfg.mu, cache, update_mode)
-    if scheme == "split-gs":
-        return split_gs_step(state, sources, data, cfg.mu, cache, update_mode)
-    if scheme.startswith("refined-"):
-        variant = scheme.split("-", 1)[1]
-        return refined_step(state, sources, data, cfg.mu, variant, cache, update_mode)
-    raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 
 def run_inversion(
@@ -709,8 +416,6 @@ def run_inversion(
     """
     if config.scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {config.scheme!r}")
-    if config.update_mode not in UPDATE_MODES:
-        raise ConfigurationError(f"unknown update_mode {config.update_mode!r}")
     spec = config.grid
     geometry = build_acquisition(config)
     sources = build_sources(config)

@@ -55,7 +55,6 @@ __all__ = [
     "SolveInfo",
     "DataSpaceHessian",
     "HessianCache",
-    "default_cache",
     "solve_augmented_wavefield",
     "assemble_data_space_hessian",
     "solve_ls_multiplier",
@@ -118,11 +117,13 @@ def _cg(apply_op, rhs, x0, tol, maxiter, recompute_every=50):
         return best_x, SolveInfo(True, 0, best_res / rhs_norm)
     p = r.copy()
     rs = float(r @ r)
+    it = 0
     for it in range(1, maxiter + 1):
         ap = apply_op(p)
         denom = float(p @ ap)
         if denom <= 0.0:
-            break  # loss of positive definiteness in finite precision
+            it -= 1  # loss of positive definiteness: this iteration made no step
+            break
         step = rs / denom
         x += step * p
         if it % recompute_every == 0:
@@ -138,7 +139,7 @@ def _cg(apply_op, rhs, x0, tol, maxiter, recompute_every=50):
             return best_x, SolveInfo(True, it, best_res / rhs_norm)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return best_x, SolveInfo(False, maxiter, best_res / rhs_norm)
+    return best_x, SolveInfo(False, it, best_res / rhs_norm)
 
 
 def solve_augmented_wavefield(
@@ -275,13 +276,6 @@ class HessianCache:
         self._entries.clear()
 
 
-_DEFAULT_CACHE = HessianCache()
-
-
-def default_cache() -> HessianCache:
-    return _DEFAULT_CACHE
-
-
 def damped_trace_multiplier(
     m: ModelGrid,
     geometry: AcquisitionGeometry,
@@ -294,9 +288,9 @@ def damped_trace_multiplier(
     This is the damped least-squares solution of P A^-1 lam = rhs with
     damping mu, restricted to the range of A^-T P^T (the push-through
     identity moves the damped normal solve into data space, where H is
-    small and dense).
+    small and dense).  Without a cache, H is assembled for this call alone.
     """
-    cache = cache or _DEFAULT_CACHE
+    cache = HessianCache() if cache is None else cache
     spec = m.spec
     factor = cache.shifted_factor(m, geometry, mu)
     y = scipy.linalg.cho_solve(factor, np.asarray(rhs_traces, dtype=float).ravel())
@@ -313,24 +307,17 @@ def solve_ls_multiplier(
     b: SourceField,
     d: TraceData,
     cfg: PenaltyConfig,
-    mode: str = "penalty",
     w: SourceField | None = None,
     cache: HessianCache | None = None,
 ) -> Wavefield:
     """Multiplier-oriented saddle solve through the data-space Hessian.
 
-    penalty mode:  v = A^-T P^T (I + H/mu)^-1 (d - P A^-1 b)
-    al mode:       same with b replaced by b - w/mu on the right-hand side,
-                   which is exactly adding (1/mu) P A^-1 w to the residual.
+    penalty (no w):  v = A^-T P^T (I + H/mu)^-1 (d - P A^-1 b)
+    AL (w given):    same with b replaced by b - w/mu on the right-hand side,
+                     which is exactly adding (1/mu) P A^-1 w to the residual.
     """
-    if mode not in ("penalty", "al"):
-        raise ValueError(f"unknown multiplier mode: {mode!r}")
-    if mode == "al" and w is None:
-        raise ValueError("al mode needs the running multiplier estimate w")
-    if mode == "penalty" and w is not None:
-        raise ValueError("penalty mode does not take a running multiplier")
     spec = m.spec
-    shift = b.values if mode == "penalty" else b.values - w.values / cfg.mu
+    shift = b.values if w is None else b.values - w.values / cfg.mu
     u0 = _forward_sweep(spec, m.values, shift)
     residual = d.values - u0[list(d.geometry.receiver_nodes), :]
     # (I + H/mu)^-1 r  ==  mu (H + mu I)^-1 r
@@ -343,19 +330,15 @@ def companion_wavefield(
     b: SourceField,
     v: Wavefield,
     cfg: PenaltyConfig,
-    mode: str = "penalty",
     w: SourceField | None = None,
 ) -> Wavefield:
     """Wavefield consistent with a computed multiplier.
 
     Satisfies the first saddle block row A u - v/mu = b [- w/mu], i.e. the
-    multiplier acts as a secondary volume source (and w as a tertiary one).
+    multiplier acts as a secondary volume source (and w, when given, as a
+    tertiary one).
     """
-    if mode not in ("penalty", "al"):
-        raise ValueError(f"unknown multiplier mode: {mode!r}")
     vals = b.values + v.values / cfg.mu
-    if mode == "al":
-        if w is None:
-            raise ValueError("al mode needs the running multiplier estimate w")
+    if w is not None:
         vals = vals - w.values / cfg.mu
     return forward_solve(m, SourceField(m.spec, vals))

@@ -179,17 +179,13 @@ def _check_saddle_orientations(mode: str):
         b, d = sources[0], data[0]
         w = SourceField(spec, 0.1 * rng.standard_normal(spec.shape)) if mode == "al" else None
         worst = 0.0
+        cache = HessianCache()
         for mu in (1.0, 1e2, 1e4):
             cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
             u_ref, v_ref = dense_saddle_solve(m0, b, d, mu, w=w)
-            if mode == "al":
-                u1, _ = solve_augmented_wavefield(m0, b, d, cfg, w=w)
-                v2 = solve_ls_multiplier(m0, b, d, cfg, mode="al", w=w)
-                u2 = companion_wavefield(m0, b, v2, cfg, mode="al", w=w)
-            else:
-                u1, _ = solve_augmented_wavefield(m0, b, d, cfg)
-                v2 = solve_ls_multiplier(m0, b, d, cfg)
-                u2 = companion_wavefield(m0, b, v2, cfg)
+            u1, _ = solve_augmented_wavefield(m0, b, d, cfg, w=w)
+            v2 = solve_ls_multiplier(m0, b, d, cfg, w=w, cache=cache)
+            u2 = companion_wavefield(m0, b, v2, cfg, w=w)
             worst = max(worst, _rel(u1.values, u_ref.values))
             worst = max(worst, _rel(u2.values, u_ref.values))
             worst = max(worst, _rel(v2.values, v_ref.values))
@@ -230,7 +226,7 @@ def _check_wri_oracle(faults) -> CheckResult:
     m_ref = m0
     worst = 0.0
     for _ in range(3):
-        state = iterations.penalty_step(state, sources[:1], data[:1], cfg, "wavefield")
+        state = iterations.step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
         u_ref, _ = solve_augmented_wavefield(m_ref, sources[0], data[0], cfg)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
         worst = max(worst, _rel(state.model.values, m_ref.values))

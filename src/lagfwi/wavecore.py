@@ -12,19 +12,13 @@ level n - 1 but is stored at row n, which makes A block lower triangular in
 time. A forward solve is then a single explicit time-stepping sweep and a
 transposed solve is the same sweep run backwards.
 
-Two discrete second time derivatives appear below and they are not the same
-thing:
-
-* ``second_time_derivative`` is the centered stencil evaluated at its own
-  time level, with the endpoint levels copied from the nearest interior
-  level. It is the plain diagnostic derivative of a field.
-* ``operator_time_curvature`` is d/dm of A(m) u contracted row by row: zero
-  at the two initial-condition rows and the lagged difference
-  (u[:, n] - 2 u[:, n-1] + u[:, n-2]) / dt**2 at rows n >= 2. Every
-  scattering source, gradient correlation, and model update in the package
-  uses this one, so the update formulas invert the scattering relation
-  exactly and the adjoint-state gradient is the exact gradient of the
-  discrete misfit (not an O(dt) approximation of it).
+The time derivative used throughout is ``operator_time_curvature``, d/dm of
+A(m) u contracted row by row: zero at the two initial-condition rows and the
+lagged difference (u[:, n] - 2 u[:, n-1] + u[:, n-2]) / dt**2 at rows n >= 2.
+Every scattering source, gradient correlation, and model update in the
+package uses it, so the update formulas invert the scattering relation
+exactly and the adjoint-state gradient is the exact gradient of the discrete
+misfit (not an O(dt) approximation of it).
 """
 
 from __future__ import annotations
@@ -50,11 +44,9 @@ __all__ = [
     "adjoint_solve",
     "sample",
     "inject",
-    "second_time_derivative",
     "operator_time_curvature",
     "scattering_source",
     "correlation_terms",
-    "model_update_correlation",
     "DENOMINATOR_FLOOR_REL",
 ]
 
@@ -211,16 +203,6 @@ def inject(d: TraceData, geometry: AcquisitionGeometry | None = None) -> SourceF
     return SourceField(d.spec, out)
 
 
-def second_time_derivative(u: Wavefield) -> Wavefield:
-    """Centered second time derivative; endpoints copy the nearest interior level."""
-    vals = u.values
-    out = np.empty_like(vals)
-    out[:, 1:-1] = (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]) / u.spec.dt**2
-    out[:, 0] = out[:, 1]
-    out[:, -1] = out[:, -2]
-    return Wavefield(u.spec, out)
-
-
 def operator_time_curvature(u: Wavefield) -> np.ndarray:
     """Row-aligned time curvature of a field, i.e. d(A(m) u)/dm per node.
 
@@ -293,16 +275,3 @@ def updated_model(m: ModelGrid, alpha: float, update: np.ndarray) -> ModelGrid:
         raise DivergenceError("model update produced non-positive squared slowness")
     return ModelGrid(m.spec, new_values)
 
-
-def model_update_correlation(
-    v: Wavefield, u: Wavefield, alpha: float, m: ModelGrid
-) -> ModelGrid:
-    """Preconditioned correlation update of the model.
-
-    m_new(x) = m(x) - alpha * <v, ddu>_t(x) / <ddu, ddu>_t(x), the damped
-    inverse of the scattering relation: feeding it v = scattering_source(u, dm)
-    with alpha = 1 returns exactly m + dm wherever the denominator clears
-    its floor.
-    """
-    numerator, denominator = correlation_terms(v, u)
-    return updated_model(m, alpha, preconditioned_ratio(numerator, denominator))

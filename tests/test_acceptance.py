@@ -177,7 +177,7 @@ def test_criterion_05_scheme_equivalences():
     state = initial_state(m0, 1)
     m_ref, w_ref = m0, SourceField(spec, np.zeros(spec.shape))
     for _ in range(5):
-        state = it.al_step(state, sources[:1], data[:1], cfg, "wavefield")
+        state = step_scheme("al-wavefield", state, sources[:1], data[:1], cfg)
         u_ref, _ = solve_augmented_wavefield(m_ref, sources[0], data[0], cfg, w=w_ref)
         m_ref = ModelGrid(
             spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=cfg.mu, w=w_ref)

@@ -7,12 +7,10 @@ from lagfwi.errors import FileFormatError
 from lagfwi.fileio import (
     LOG_HEADER,
     load_field,
-    load_matrix,
     load_model,
     load_traces,
     read_log,
     save_field,
-    save_matrix,
     save_model,
     save_traces,
     write_log,
@@ -59,13 +57,6 @@ def test_trace_round_trip_is_exact(tmp_path, spec, rng):
     save_traces(path, d)
     back = load_traces(path, spec, geom)
     assert np.array_equal(back.values, d.values)
-
-
-def test_matrix_round_trip_is_exact(tmp_path, rng):
-    a = rng.standard_normal((5, 8))
-    path = str(tmp_path / "k.dat")
-    save_matrix(path, a)
-    assert np.array_equal(load_matrix(path), a)
 
 
 def test_kind_mismatch_raises(tmp_path, spec, rng):

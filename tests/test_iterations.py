@@ -33,7 +33,6 @@ from lagfwi.wavecore import (
     operator_time_curvature,
     sample,
 )
-from lagfwi import iterations as it
 from lagfwi.iterations import (
     DIAGNOSTIC_FIELDS,
     SCHEMES,
@@ -154,7 +153,7 @@ def test_penalty_wavefield_matches_alternation_oracle():
     state = initial_state(m0, 1)
     m_ref = m0
     for _ in range(4):
-        state = it.penalty_step(state, sources[:1], data[:1], cfg, "wavefield")
+        state = step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
         u_ref, _ = solve_augmented_wavefield(m_ref, sources[0], data[0], cfg)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
         assert rel(state.model.values, m_ref.values) <= 1e-8
@@ -171,7 +170,7 @@ def test_al_wavefield_matches_admm_oracle():
     m_ref = m0
     w_ref = SourceField(spec, np.zeros(spec.shape))
     for _ in range(4):
-        state = it.al_step(state, sources[:1], data[:1], cfg, "wavefield")
+        state = step_scheme("al-wavefield", state, sources[:1], data[:1], cfg)
         u_ref, _ = solve_augmented_wavefield(m_ref, sources[0], data[0], cfg, w=w_ref)
         m_ref = ModelGrid(
             spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu, w=w_ref)

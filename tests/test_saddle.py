@@ -19,6 +19,7 @@ from lagfwi.oracle import (
 from lagfwi.saddle import (
     HessianCache,
     PenaltyConfig,
+    _cg,
     assemble_data_space_hessian,
     companion_wavefield,
     damped_trace_multiplier,
@@ -53,6 +54,17 @@ def test_wavefield_orientation_matches_dense(setup, mu):
     )
 
 
+def test_cg_breakdown_reports_completed_iterations():
+    """On an operator that is not positive definite CG stops at the first
+    non-positive curvature and reports the steps it actually took."""
+    rhs = np.ones(2)
+    _, info = _cg(lambda x: -x, rhs, np.zeros(2), 1e-10, 50)
+    assert not info.converged and info.iterations == 0
+    # diag(3, -1): one step with p.Ap = 2 > 0, then p.Ap = -24
+    _, info = _cg(lambda x: np.array([3.0, -1.0]) * x, rhs, np.zeros(2), 1e-10, 50)
+    assert not info.converged and info.iterations == 1
+
+
 @pytest.mark.parametrize("mu", [1.0, 1e2, 1e4])
 def test_multiplier_orientation_matches_dense(setup, mu):
     spec, m, geom, b, d, _ = setup
@@ -69,23 +81,12 @@ def test_al_mode_matches_shifted_dense(setup, mu):
     spec, m, geom, b, d, rng = setup
     w = random_source(spec, rng)
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    v = solve_ls_multiplier(m, b, d, cfg, mode="al", w=w)
+    v = solve_ls_multiplier(m, b, d, cfg, w=w)
     u, info = solve_augmented_wavefield(m, b, d, cfg, w=w)
     u_ref, v_ref = dense_saddle_solve(m, b, d, mu, w=w)
     scale = max(np.abs(v_ref.values).max(), np.abs(u_ref.values).max(), 1.0)
     assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * scale
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * scale
-
-
-def test_multiplier_mode_argument_validation(setup):
-    spec, m, geom, b, d, rng = setup
-    cfg = PenaltyConfig(mu=10.0)
-    with pytest.raises(ValueError):
-        solve_ls_multiplier(m, b, d, cfg, mode="al")
-    with pytest.raises(ValueError):
-        solve_ls_multiplier(m, b, d, cfg, mode="penalty", w=random_source(spec, rng))
-    with pytest.raises(ValueError):
-        solve_ls_multiplier(m, b, d, cfg, mode="dual")
 
 
 def test_companion_wavefield_satisfies_first_block_row(setup):
