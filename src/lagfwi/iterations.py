@@ -7,6 +7,7 @@ share the one pipeline of step_scheme,
     per source:  (u, v_like) = solve(m, b, d, cfg, cache, previous slots)
     m_new = combined_model_update(m, [(v_like, u), ...], step)
     mem   = mem + k (A(m_new) u - b)           (schemes with a memory only)
+    u0    = A(m_new)^-1 b                      (forward_fields of the new state)
 
 and differ only in their row of _TABLE: the solve, whether the multiplier is
 scaled, and whether a memory is carried.  An unscaled scheme keeps v in
@@ -33,6 +34,10 @@ carries the accumulated constraint error eps = w/mu (k = 1) in
 gauss-newton and gauss-seidel instead solve damped least squares on the
 stacked Born kernels for the model increment; gauss-seidel linearizes about
 a field refreshed by the previous increment.
+
+The plain forward field u0 depends on the model alone, so it is solved once
+per model, by initial_state and at the end of each step, and kept in the
+state's forward_fields for the next step's solve and the stopping rule.
 
 The penalty/al multiplier orientations and the split/refined family all call
 into saddle.damped_trace_multiplier, so their agreement is structural, not a
@@ -70,13 +75,16 @@ from .wavecore import (
 class IterationState:
     """Everything a scheme carries between iterations.
 
-    Per-source tuples have one entry per source.  initial_state zero-fills
-    every slot; a step leaves the slots its scheme does not write as None,
-    so a state is resumed by the scheme that produced it.
+    Per-source tuples have one entry per source.  forward_fields holds the
+    plain forward fields A(model)^-1 b, always set.  initial_state sets the
+    wavefields to them and zero-fills every other slot; a step leaves the
+    slots its scheme does not write as None, so a state is resumed by the
+    scheme that produced it.
     """
 
     model: ModelGrid
     model_prev: ModelGrid
+    forward_fields: tuple[Wavefield, ...]                       # u0 = A(model)^-1 b
     wavefields: tuple[Wavefield, ...] | None = None
     multipliers: tuple[Wavefield, ...] | None = None            # v, unscaled multiplier
     running_multipliers: tuple[SourceField, ...] | None = None  # w, AL memory
@@ -85,12 +93,20 @@ class IterationState:
     iteration: int = 0
 
 
-def initial_state(model: ModelGrid, n_sources: int) -> IterationState:
+def _forward_fields(m: ModelGrid, sources) -> tuple[Wavefield, ...]:
+    return tuple(forward_solve(m, b) for b in sources)
+
+
+def initial_state(model: ModelGrid, sources) -> IterationState:
+    """State at the starting model: forward_fields, also used as the
+    wavefields, and zeros elsewhere.  The first step scatters dm = 0, so its
+    iterates do not depend on the starting wavefields."""
     spec = model.spec
-    zf = tuple(Wavefield(spec, np.zeros(spec.shape)) for _ in range(n_sources))
-    zs = tuple(SourceField(spec, np.zeros(spec.shape)) for _ in range(n_sources))
-    return IterationState(model, model, wavefields=zf, multipliers=zf, running_multipliers=zs,
-                          scatter_sources=zs, scatter_errors=zs)
+    u0 = _forward_fields(model, sources)
+    zf = tuple(Wavefield(spec, np.zeros(spec.shape)) for _ in sources)
+    zs = tuple(SourceField(spec, np.zeros(spec.shape)) for _ in sources)
+    return IterationState(model, model, u0, wavefields=u0, multipliers=zf,
+                          running_multipliers=zs, scatter_sources=zs, scatter_errors=zs)
 
 
 def combined_model_update(m: ModelGrid, pairs, alpha: float,
@@ -134,6 +150,7 @@ def _residual_traces(data: TraceData, u: Wavefield) -> TraceData:
 class _Previous(NamedTuple):
     """What one source's solve may read from the previous iterate."""
 
+    u0: Wavefield              # A(m)^-1 b at the current model
     u: Wavefield               # previous wavefield
     lam: SourceField | None    # previous scaled multiplier, None if unwritten
     mem: SourceField | None    # w or eps; None for a scheme without memory
@@ -142,8 +159,7 @@ class _Previous(NamedTuple):
 
 def _fwi(m, b, d, cfg, cache, prev):
     """Reduced-space gradient: adjoint field against the data residual."""
-    u = forward_solve(m, b)
-    return u, adjoint_solve(m, inject(_residual_traces(d, u)))
+    return prev.u0, adjoint_solve(m, inject(_residual_traces(d, prev.u0)))
 
 
 def _wavefield_orientation(m, b, d, cfg, cache, prev):
@@ -174,10 +190,8 @@ def _split(m, b, d, cfg, cache, prev, refresh=True):
     """lam explains the plain forward residual; with refresh the wavefield
     becomes A^-1 (b + lam), which makes the iterates those of
     penalty-multiplier with lam = v/mu and step 1 vs 1/mu."""
-    u = forward_solve(m, b)
-    lam = _scaled_multiplier(m, d, _residual_traces(d, u).values, cfg, cache)
-    if refresh:
-        u = forward_solve(m, SourceField(m.spec, b.values + lam.values))
+    lam = _scaled_multiplier(m, d, _residual_traces(d, prev.u0).values, cfg, cache)
+    u = forward_solve(m, SourceField(m.spec, b.values + lam.values)) if refresh else prev.u0
     return u, lam
 
 
@@ -189,7 +203,7 @@ def _refined_direct(m, b, d, cfg, cache, prev):
     """Solve for the increment dlam of S dlam = delta_d - S phi, the damping
     centred on lam_prev + dlam; phi = scattering_source(u_prev, m - m_prev)."""
     spec = m.spec
-    delta_d = _residual_traces(d, forward_solve(m, b)).values
+    delta_d = _residual_traces(d, prev.u0).values
     phi = scattering_source(prev.u, prev.dm)
     s_phi = sample(forward_solve(m, phi), d.geometry).values
     s_lam = sample(forward_solve(m, prev.lam), d.geometry).values
@@ -203,7 +217,7 @@ def _refined_direct(m, b, d, cfg, cache, prev):
 def _refined_rearranged(m, b, d, cfg, cache, prev):
     """Collect delta_d + S (lam_prev - phi) first, solve once for lam."""
     spec = m.spec
-    delta_d = _residual_traces(d, forward_solve(m, b)).values
+    delta_d = _residual_traces(d, prev.u0).values
     phi = scattering_source(prev.u, prev.dm)
     shift = SourceField(spec, prev.lam.values - phi.values)
     rhs = delta_d + sample(forward_solve(m, shift), d.geometry).values
@@ -217,7 +231,7 @@ def _refined_epsilon(m, b, d, cfg, cache, prev):
     refresh subtracts eps, which also matches al-multiplier with lam = v/mu
     and eps = w/mu."""
     eps = prev.mem
-    delta_d = _residual_traces(d, forward_solve(m, b)).values
+    delta_d = _residual_traces(d, prev.u0).values
     rhs = delta_d + sample(forward_solve(m, eps), d.geometry).values
     lam = _scaled_multiplier(m, d, rhs, cfg, cache)
     return forward_solve(m, SourceField(m.spec, b.values + lam.values - eps.values)), lam
@@ -231,8 +245,7 @@ def _born_step(state: IterationState, sources, data, damping: float, lagged: boo
     m = state.model
     dm_prev = m.values - state.model_prev.values
     us, blocks, rhs = [], [], []
-    for b, d, u_prev in zip(sources, data, state.wavefields):
-        u0 = forward_solve(m, b)
+    for b, d, u0, u_prev in zip(sources, data, state.forward_fields, state.wavefields):
         u = u0
         if lagged:
             phi = scattering_source(u_prev, dm_prev)
@@ -242,7 +255,8 @@ def _born_step(state: IterationState, sources, data, damping: float, lagged: boo
         rhs.append(_residual_traces(d, u0).values.ravel())
     dm = damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping)
     m_new = updated_model(m, -1.0, dm)
-    return IterationState(m_new, m, wavefields=tuple(us), iteration=state.iteration + 1)
+    return IterationState(m_new, m, _forward_fields(m_new, sources), wavefields=tuple(us),
+                          iteration=state.iteration + 1)
 
 
 # name -> (solve, scaled, memory); None marks the Born least-squares step
@@ -282,8 +296,9 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
     mems = getattr(state, mem_slot) if memory else (None,) * n
     lams = state.scatter_sources or (None,) * n
     us, vs = [], []
-    for b, d, u_prev, lam, mem in zip(sources, data, state.wavefields, lams, mems):
-        u, v_like = solve(m, b, d, cfg, cache, _Previous(u_prev, lam, mem, dm))
+    for b, d, u0, u_prev, lam, mem in zip(sources, data, state.forward_fields,
+                                          state.wavefields, lams, mems):
+        u, v_like = solve(m, b, d, cfg, cache, _Previous(u0, u_prev, lam, mem, dm))
         us.append(u)
         vs.append(v_like)
     step = 1.0 if scaled else cfg.step_length
@@ -295,7 +310,8 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
             SourceField(m.spec, mem.values + k * (apply_wave_operator(m_new, u).values - b.values))
             for b, u, mem in zip(sources, us, mems)
         )
-    return IterationState(m_new, m, iteration=state.iteration + 1, **slots)
+    return IterationState(m_new, m, _forward_fields(m_new, sources),
+                          iteration=state.iteration + 1, **slots)
 
 
 def reduced_objective_and_gradient(m: ModelGrid, sources, data):
@@ -329,9 +345,9 @@ class Diagnostics:
     """One row of the convergence log.
 
     model_error is relative (||m - m_true|| / ||m_true||), NaN when no true
-    model is available.  seconds is the wall time of the step alone (row 0:
-    the warm-start forward solves), taken before this row's diagnostics and
-    the stopping-rule re-solve; it is excluded from any determinism or
+    model is available.  seconds is the wall time of the step, including
+    its forward solves at the new model (row 0: initial_state), taken before
+    this row's diagnostics; it is excluded from any determinism or
     regression comparison.
     """
 
@@ -355,7 +371,7 @@ class InversionResult:
     model: ModelGrid
     history: tuple[Diagnostics, ...]
     status: str
-    state: IterationState | None = None
+    state: IterationState
 
 
 def _norm_sq(fields) -> float:
@@ -363,30 +379,28 @@ def _norm_sq(fields) -> float:
     return float(sum(np.sum(f.values**2) for f in fields or ()))
 
 
+def _misfit(fields, data) -> float:
+    """Data misfit 0.5 * sum_s ||P u_s - d_s||^2 of per-source fields."""
+    misfit = 0.0
+    for u, d in zip(fields, data):
+        misfit += 0.5 * float(np.sum(_residual_traces(d, u).values ** 2))
+    return misfit
+
+
 def _diagnostics(state: IterationState, sources, data, true_model: ModelGrid | None,
                  seconds: float) -> Diagnostics:
     m = state.model
-    misfit = 0.0
     constraint = 0.0
-    for b, d, u in zip(sources, data, state.wavefields):
-        misfit += 0.5 * float(np.sum(_residual_traces(d, u).values ** 2))
+    for b, u in zip(sources, state.wavefields):
         constraint += float(np.sum((apply_wave_operator(m, u).values - b.values) ** 2))
-    if true_model is None:
-        model_error = float("nan")
-    else:
-        denom = float(np.linalg.norm(true_model.values))
-        model_error = float(np.linalg.norm(m.values - true_model.values)) / denom
+    model_error = float("nan") if true_model is None else (
+        float(np.linalg.norm(m.values - true_model.values))
+        / float(np.linalg.norm(true_model.values)))
     v_norm = np.sqrt(_norm_sq(state.multipliers) + _norm_sq(state.scatter_sources))
     w_norm = np.sqrt(_norm_sq(state.running_multipliers) + _norm_sq(state.scatter_errors))
-    return Diagnostics(
-        iteration=state.iteration,
-        misfit=misfit,
-        constraint=np.sqrt(constraint),
-        model_error=model_error,
-        v_norm=float(v_norm),
-        w_norm=float(w_norm),
-        seconds=seconds,
-    )
+    return Diagnostics(iteration=state.iteration, misfit=_misfit(state.wavefields, data),
+                       constraint=np.sqrt(constraint), model_error=model_error,
+                       v_norm=float(v_norm), w_norm=float(w_norm), seconds=seconds)
 
 
 def run_inversion(
@@ -400,14 +414,16 @@ def run_inversion(
     them.  true_model (when given, e.g. from build_model_values on the
     config's true-model descriptor) only feeds the model_error column.
 
-    History always has an iteration-0 row evaluated at the initial model
-    with plain forward fields, before any stepping.  Stopping rules:
+    History always has an iteration-0 row evaluated at initial_state, whose
+    wavefields are the plain forward fields, before any stepping.  Stopping
+    rules:
 
       * reduced data misfit 0.5*||P A(m)^-1 b - d||^2 at the current model
         falls to stop.misfit_tol times the data energy 0.5*||d||^2.  The
-        reduced misfit is recomputed from exact solves because the relaxed
-        wavefields of the penalty/AL family fit the data by construction
-        and say nothing about model convergence.
+        reduced misfit is read from the state's forward_fields, not from its
+        wavefields, because the relaxed wavefields of the penalty/AL family
+        fit the data by construction and say nothing about model
+        convergence.
       * relative constraint norm (against ||b||) <= stop.constraint_tol,
         checked from iteration 1 on (iteration 0 has exact-solve fields)
       * iteration count reaching stop.max_iter
@@ -420,57 +436,39 @@ def run_inversion(
     geometry = build_acquisition(config)
     sources = build_sources(config)
     if len(data) != len(sources):
-        raise ConfigurationError(
-            f"got {len(data)} data records for {len(sources)} sources"
-        )
+        raise ConfigurationError(f"got {len(data)} data records for {len(sources)} sources")
     for d in data:
         if d.geometry.receiver_nodes != geometry.receiver_nodes:
             raise ConfigurationError("data receivers disagree with configured geometry")
     m0 = ModelGrid(spec, build_model_values(spec, config.initial_model))
-    state = initial_state(m0, len(sources))
-
     cfg = config.penalty
     cache = HessianCache()
     t0 = time.perf_counter()
-    warm = replace(
-        state,
-        wavefields=tuple(forward_solve(m0, b) for b in sources),
-    )
-    history = [_diagnostics(warm, sources, data, true_model, time.perf_counter() - t0)]
+    state = initial_state(m0, sources)
+    history = [_diagnostics(state, sources, data, true_model, time.perf_counter() - t0)]
     data_energy = 0.5 * sum(float(np.sum(d.values**2)) for d in data)
     source_scale = np.sqrt(sum(float(np.sum(b.values**2)) for b in sources))
-
-    def reduced_misfit(model: ModelGrid) -> float:
-        total = 0.0
-        for b, d in zip(sources, data):
-            predicted = sample(forward_solve(model, b), d.geometry)
-            total += 0.5 * float(np.sum((predicted.values - d.values) ** 2))
-        return total
 
     status = "max_iter"
     if history[0].misfit <= config.stop.misfit_tol * data_energy:
         # initial model already explains the data
-        return InversionResult(m0, tuple(history), "misfit_tol", warm)
+        return InversionResult(m0, tuple(history), "misfit_tol", state)
 
     for _ in range(config.stop.max_iter):
         t_iter = time.perf_counter()
         try:
-            new_state = step_scheme(
-                config.scheme, state, sources, data, cfg,
-                cache=cache, update_mode=config.update_mode,
-            )
+            new_state = step_scheme(config.scheme, state, sources, data, cfg, cache=cache,
+                                    update_mode=config.update_mode)
         except DivergenceError:
             status = "diverged"
             break
-        diag = _diagnostics(
-            new_state, sources, data, true_model, time.perf_counter() - t_iter
-        )
+        diag = _diagnostics(new_state, sources, data, true_model, time.perf_counter() - t_iter)
         if not np.isfinite(diag.misfit) or not np.isfinite(diag.constraint):
             status = "diverged"
             break
         state = new_state
         history.append(diag)
-        if reduced_misfit(state.model) <= config.stop.misfit_tol * data_energy:
+        if _misfit(state.forward_fields, data) <= config.stop.misfit_tol * data_energy:
             status = "misfit_tol"
             break
         if source_scale > 0 and diag.constraint / source_scale <= config.stop.constraint_tol:

@@ -27,7 +27,6 @@ scattering-type iterations consume the same machinery.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +99,11 @@ class SolveInfo:
     relative_residual: float
 
 
-def _cg(apply_op, rhs, x0, tol, maxiter, recompute_every=50):
+# CG replaces its recursive residual by the true one every this many iterations.
+_CG_RECOMPUTE_EVERY = 50
+
+
+def _cg(apply_op, rhs, x0, tol, maxiter):
     """Plain conjugate gradients on an SPD operator, flat arrays.
 
     Returns the best iterate seen (by residual norm) plus a SolveInfo; the
@@ -126,7 +129,7 @@ def _cg(apply_op, rhs, x0, tol, maxiter, recompute_every=50):
             break
         step = rs / denom
         x += step * p
-        if it % recompute_every == 0:
+        if it % _CG_RECOMPUTE_EVERY == 0:
             r = rhs - apply_op(x)
         else:
             r -= step * ap
@@ -186,7 +189,6 @@ class DataSpaceHessian:
     spec: GridSpec
     geometry: AcquisitionGeometry
     matrix: np.ndarray
-    model_digest: str
 
     def __post_init__(self):
         h = self.matrix
@@ -201,10 +203,6 @@ class DataSpaceHessian:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-
-def _model_digest(m: ModelGrid) -> str:
-    return hashlib.sha1(m.values.tobytes()).hexdigest()
 
 
 def assemble_data_space_hessian(
@@ -229,38 +227,38 @@ def assemble_data_space_hessian(
         g = _adjoint_sweep(spec, m.values, rhs)
         y = _forward_sweep(spec, m.values, g)
         h[:, list(cols)] = y[rec].reshape(n_cols, len(cols))
-    return DataSpaceHessian(spec, geometry, h, _model_digest(m))
+    return DataSpaceHessian(spec, geometry, h)
 
 
 class HessianCache:
-    """Keeps the most recent Hessians and their shifted Cholesky factors.
+    """Holds H for the latest (model, geometry) and its shifted Cholesky
+    factors, one per damping value.
 
     H depends only on the model and the acquisition geometry, so inside one
     outer iteration every source and every multiplier solve shares a single
-    assembly and a single factorization per damping value.
+    assembly and a single factorization per damping value.  An iteration
+    never returns to an older model, so a new (model, geometry) replaces the
+    entry.
     """
 
-    def __init__(self, maxsize: int = 4):
-        self._maxsize = maxsize
-        self._entries: OrderedDict[tuple, tuple[DataSpaceHessian, dict]] = OrderedDict()
+    def __init__(self):
+        self._key = None
+        self._hessian: DataSpaceHessian | None = None
+        self._factors: dict[float, tuple] = {}
 
     def hessian(self, m: ModelGrid, geometry: AcquisitionGeometry) -> DataSpaceHessian:
-        key = (_model_digest(m), m.spec, geometry)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = (assemble_data_space_hessian(m, geometry), {})
-            self._entries[key] = entry
-            while len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-        self._entries.move_to_end(key)
-        return entry[0]
+        key = (hashlib.sha1(m.values.tobytes()).hexdigest(), m.spec, geometry)
+        if key != self._key:
+            # release the old entry before the new assembly allocates
+            self._key, self._hessian, self._factors = None, None, {}
+            self._hessian = assemble_data_space_hessian(m, geometry)
+            self._key = key
+        return self._hessian
 
     def shifted_factor(self, m: ModelGrid, geometry: AcquisitionGeometry, mu: float):
         """Cholesky factor of H + mu I."""
-        key = (_model_digest(m), m.spec, geometry)
         hess = self.hessian(m, geometry)
-        factors = self._entries[key][1]
-        factor = factors.get(mu)
+        factor = self._factors.get(mu)
         if factor is None:
             shifted = hess.matrix + mu * np.eye(hess.n)
             try:
@@ -269,11 +267,8 @@ class HessianCache:
                 raise SingularSystemError(
                     f"H + mu I failed to factorize at mu={mu}: {exc}"
                 ) from exc
-            factors[mu] = factor
+            self._factors[mu] = factor
         return factor
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 def damped_trace_multiplier(

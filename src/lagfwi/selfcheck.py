@@ -197,7 +197,7 @@ def _check_saddle_orientations(mode: str):
 
 
 def _run_iterates(scheme: str, m0, sources, data, cfg, n):
-    state = iterations.initial_state(m0, len(sources))
+    state = iterations.initial_state(m0, sources)
     cache = HessianCache()
     out = []
     for _ in range(n):
@@ -222,7 +222,7 @@ def _check_wri_oracle(faults) -> CheckResult:
     rng, spec, geom, m_true, m0, sources, data = _tiny_setup(109)
     mu = 50.0
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    state = iterations.initial_state(m0, 1)
+    state = iterations.initial_state(m0, sources[:1])
     m_ref = m0
     worst = 0.0
     for _ in range(3):
@@ -246,7 +246,7 @@ def _check_fixed_points(faults) -> CheckResult:
     rng, spec, geom, m_true, m0, sources, data = _tiny_setup(111)
     cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
     cache = HessianCache()
-    state = iterations.initial_state(m_true, len(sources))
+    state = iterations.initial_state(m_true, sources)
     worst, worst_name = 0.0, ""
     for scheme in iterations.SCHEMES:
         stepped = iterations.step_scheme(scheme, state, sources, data, cfg, cache=cache)

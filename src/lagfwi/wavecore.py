@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import ConfigurationError, DivergenceError
 from .grids import (
     AcquisitionGeometry,
     GridSpec,
@@ -194,12 +194,11 @@ def sample(u: Wavefield, geometry: AcquisitionGeometry) -> TraceData:
     return TraceData(u.spec, geometry, values.copy())
 
 
-def inject(d: TraceData, geometry: AcquisitionGeometry | None = None) -> SourceField:
+def inject(d: TraceData) -> SourceField:
     """Spread traces back onto their receiver nodes (the operator P^T)."""
-    geom = d.geometry if geometry is None else geometry
-    geom.validate_for(d.spec)
+    d.geometry.validate_for(d.spec)
     out = np.zeros(d.spec.shape)
-    out[list(geom.receiver_nodes), :] = d.values
+    out[list(d.geometry.receiver_nodes), :] = d.values
     return SourceField(d.spec, out)
 
 
@@ -267,11 +266,16 @@ def preconditioned_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.n
 
 
 def updated_model(m: ModelGrid, alpha: float, update: np.ndarray) -> ModelGrid:
-    """Apply m - alpha * update with divergence guards."""
+    """Apply m - alpha * update; a non-finite, non-positive or unstable
+    (CFL-breaking) result raises DivergenceError."""
     new_values = m.values - alpha * update
     if not np.all(np.isfinite(new_values)):
         raise DivergenceError("model update produced non-finite values")
     if np.any(new_values <= 0.0):
         raise DivergenceError("model update produced non-positive squared slowness")
+    try:
+        check_cfl(m.spec, new_values)
+    except ConfigurationError as exc:
+        raise DivergenceError(f"model update broke the stability bound: {exc}") from exc
     return ModelGrid(m.spec, new_values)
 

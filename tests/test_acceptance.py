@@ -174,7 +174,7 @@ def test_criterion_05_scheme_equivalences():
         if gap > worst:
             worst, worst_pair = gap, f"{scheme_a} vs {scheme_b}"
     # the two alternation oracles close the loop to the textbook updates
-    state = initial_state(m0, 1)
+    state = initial_state(m0, sources[:1])
     m_ref, w_ref = m0, SourceField(spec, np.zeros(spec.shape))
     for _ in range(5):
         state = step_scheme("al-wavefield", state, sources[:1], data[:1], cfg)
@@ -195,7 +195,7 @@ def test_criterion_06_true_model_is_a_fixed_point():
     spec, geom, m_true, m0, sources, data = tiny_problem(111)
     cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
     cache = HessianCache()
-    state = initial_state(m_true, len(sources))
+    state = initial_state(m_true, sources)
     worst, worst_scheme = 0.0, "n/a"
     for scheme in SCHEMES:
         stepped = step_scheme(scheme, state, sources, data, cfg, cache=cache)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import lagfwi
 from lagfwi.cli import LOG_FILE, MODEL_FILE, main
 from lagfwi.fileio import read_log
 
@@ -104,15 +105,29 @@ def test_bad_flags_exit_two(config_path):
     assert info.value.code == 2
 
 
-def test_divergent_inversion_exits_one(config_path, tmp_path, capsys):
-    main(["forward", "--config", config_path])
+FWI = CONFIG.replace("scheme = al-multiplier", "scheme = fwi")
+# a stronger scatterer seen by a full receiver line: the first update leaves the CFL bound
+CFL_BREAKING = (
+    FWI.replace("10:11:2020.0", "10:11:2200.0")
+    .replace("penalty.mu = 1000.0", "penalty.mu = 1.0e4")
+    .replace("acquisition.receivers = 5, 15",
+             "acquisition.receivers = " + ", ".join(str(node) for node in range(1, 20)))
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [FWI + "penalty.alpha = 1.0e9\n", CFL_BREAKING + "penalty.alpha = 1.0e-5\n"],
+    ids=["non-positive", "cfl"],
+)
+def test_divergent_inversion_exits_one(tmp_path, capsys, text):
     diverging = tmp_path / "diverge.cfg"
-    diverging.write_text(
-        CONFIG.replace("scheme = al-multiplier", "scheme = fwi")
-        + "penalty.alpha = 1.0e9\n"
-    )
+    diverging.write_text(text)
+    main(["forward", "--config", str(diverging)])
     assert main(["invert", "--config", str(diverging)]) == 1
     assert "diverged" in capsys.readouterr().out
+    assert os.path.exists(tmp_path / "out" / MODEL_FILE)
+    assert os.path.exists(tmp_path / "out" / LOG_FILE)
 
 
 def test_selfcheck_passes_and_prints_battery(capsys):
@@ -131,10 +146,14 @@ def test_selfcheck_catches_injected_fault(capsys):
 
 
 def test_module_entry_point(config_path):
+    # the child needs the package on its path however this process found it
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(lagfwi.__file__)))
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lagfwi", "forward", "--config", config_path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "trace files" in proc.stdout

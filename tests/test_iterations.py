@@ -59,7 +59,7 @@ def tiny_problem(seed=108, n_sources=2):
 
 
 def iterate(scheme, m0, sources, data, cfg, n, update_mode="sum-terms"):
-    state = initial_state(m0, len(sources))
+    state = initial_state(m0, sources)
     cache = HessianCache()
     out = []
     for _ in range(n):
@@ -98,7 +98,7 @@ def test_all_schemes_fix_the_true_model():
     spec, geom, m_true, m0, sources, data = tiny_problem()
     cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
     cache = HessianCache()
-    state = initial_state(m_true, len(sources))
+    state = initial_state(m_true, sources)
     for scheme in SCHEMES:
         stepped = step_scheme(scheme, state, sources, data, cfg, cache=cache)
         assert rel(stepped.model.values, m_true.values) <= 1e-10, scheme
@@ -150,7 +150,7 @@ def test_penalty_wavefield_matches_alternation_oracle():
     spec, geom, m_true, m0, sources, data = tiny_problem(109)
     mu = 50.0
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    state = initial_state(m0, 1)
+    state = initial_state(m0, sources[:1])
     m_ref = m0
     for _ in range(4):
         state = step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
@@ -166,7 +166,7 @@ def test_al_wavefield_matches_admm_oracle():
     spec, geom, m_true, m0, sources, data = tiny_problem(109)
     mu = 50.0
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    state = initial_state(m0, 1)
+    state = initial_state(m0, sources[:1])
     m_ref = m0
     w_ref = SourceField(spec, np.zeros(spec.shape))
     for _ in range(4):
@@ -345,9 +345,17 @@ def test_identical_start_stops_immediately():
     assert result.history[0].misfit == 0.0
 
 
-def test_divergent_step_aborts_with_last_state():
-    config = born_config("fwi", mu=1e4, max_iter=10)
-    object.__setattr__(config, "penalty", PenaltyConfig(mu=1e4, alpha=1e3))
+@pytest.mark.parametrize(
+    "velocity,max_iter,alpha",
+    [
+        (2010.0, 10, 1e3),  # the update makes the model non-positive
+        (2200.0, 3, 1e-5),  # the update leaves the CFL bound
+    ],
+    ids=["non-positive", "cfl"],
+)
+def test_divergent_step_aborts_with_last_state(velocity, max_iter, alpha):
+    config = born_config("fwi", mu=1e4, max_iter=max_iter, velocity=velocity)
+    object.__setattr__(config, "penalty", PenaltyConfig(mu=1e4, alpha=alpha))
     data = make_observed_data(config)
     result = run_inversion(config, data)
     assert result.status == "diverged"
@@ -355,11 +363,27 @@ def test_divergent_step_aborts_with_last_state():
     assert np.all(np.isfinite(result.model.values))
 
 
+def test_driver_solves_each_model_once(monkeypatch):
+    """Two fwi iterations visit three models, and each model's forward field
+    is solved once: the steps and the stopping rule share it."""
+    calls = []
+
+    def counting(m, b):
+        calls.append(m)
+        return forward_solve(m, b)
+
+    monkeypatch.setattr("lagfwi.iterations.forward_solve", counting)
+    config = born_config("fwi", mu=1e4, max_iter=2)
+    result = run_inversion(config, make_observed_data(config))
+    assert result.status == "max_iter" and len(result.history) == 3
+    assert len(calls) == 3
+
+
 def test_unknown_scheme_and_update_mode_are_rejected():
     spec, geom, m_true, m0, sources, data = tiny_problem()
     cfg = PenaltyConfig(mu=10.0)
     with pytest.raises(ConfigurationError):
-        step_scheme("downhill", initial_state(m0, 2), sources, data, cfg)
+        step_scheme("downhill", initial_state(m0, sources), sources, data, cfg)
     config = born_config("fwi", mu=1e4, max_iter=2)
     object.__setattr__(config, "scheme", "downhill")
     with pytest.raises(ConfigurationError):

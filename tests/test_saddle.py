@@ -131,7 +131,7 @@ def test_hessian_matches_dense_and_is_spd(setup):
 
 def test_cache_reuses_hessian_and_factors(setup):
     spec, m, geom, b, d, _ = setup
-    cache = HessianCache(maxsize=2)
+    cache = HessianCache()
     h1 = cache.hessian(m, geom)
     h2 = cache.hessian(m, geom)
     assert h1 is h2
@@ -144,14 +144,14 @@ def test_cache_reuses_hessian_and_factors(setup):
     assert cache.hessian(m, geom) is h1
 
 
-def test_cache_evicts_least_recent(setup):
+def test_cache_new_model_replaces_entry(setup):
     spec, m, geom, *_ = setup
     rng = np.random.default_rng(5)
-    cache = HessianCache(maxsize=2)
+    cache = HessianCache()
     models = [random_model(spec, rng) for _ in range(3)]
     first = cache.hessian(models[0], geom)
     cache.hessian(models[1], geom)
-    cache.hessian(models[2], geom)  # evicts models[0]
+    cache.hessian(models[2], geom)  # each new model replaces the entry
     assert cache.hessian(models[0], geom) is not first
 
 

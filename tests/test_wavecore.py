@@ -240,6 +240,9 @@ def test_updated_model_guards(spec1d, model1d):
     with pytest.raises(DivergenceError):
         # stepping past zero squared slowness is a divergence, not a model
         updated_model(model1d, 1.0, np.full(spec1d.n_space, model1d.values.max()))
+    with pytest.raises(DivergenceError):
+        # a tenth of the squared slowness is ~3.2x the velocity, past the CFL bound
+        updated_model(model1d, 1.0, 0.9 * model1d.values)
 
 
 def test_structural_multiplier_inverts_update(spec1d, model1d, rng):
