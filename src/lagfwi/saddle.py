@@ -17,11 +17,11 @@ the solve into data space,
     v = A^-T P^T (I + (1/mu) H)^-1 (d - P A^-1 (b - w/mu)),
     H = P A^-1 A^-T P^T,
 
-where H is a small dense receiver-sample Gram matrix, assembled column by
-column (one adjoint and one forward sweep per column) and factorized once
-per model. The scaled multiplier lam = v / mu is the damped least-squares
-solution of P A^-1 lam = d - P A^-1 b with damping mu, which is how the
-scattering-type iterations consume the same machinery.
+where H is a small dense receiver-sample Gram matrix, assembled from one
+Green's function per receiver (a single batched forward sweep) and
+factorized once per model. The scaled multiplier lam = v / mu is the damped
+least-squares solution of P A^-1 lam = d - P A^-1 b with damping mu, which
+is how the scattering-type iterations consume the same machinery.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from .wavecore import (
     _apply,
     _apply_transpose,
     _forward_sweep,
+    _laplacian,
+    _scales,
     forward_solve,
 )
 
@@ -208,25 +210,53 @@ class DataSpaceHessian:
 def assemble_data_space_hessian(
     m: ModelGrid,
     geometry: AcquisitionGeometry,
-    chunk: int = 256,
 ) -> DataSpaceHessian:
-    """Assemble H column by column, batching unit traces through one
-    adjoint and one forward sweep per column."""
+    """Assemble H = G G^T, G = P A^-1, from one Green's function per receiver.
+
+    With c = m / dt**2 and L the Laplacian, let F[(r, t), x] be the response
+    at receiver r and time t to a unit impulse at node x in row 2 of A.
+
+    Reciprocity: the field at time t of a row-2 impulse at x is
+    p_t(S L) S e_x with S = diag(1/c) and p_t a polynomial, and p_t(S L) S
+    is symmetric because S and L are.  So F[(r, t), x] is also the response
+    at node x to a row-2 impulse at receiver node r, and one batched forward
+    sweep with an impulse per receiver gives all of F.
+
+    Toeplitz: rows n >= 2 of A do not depend on n, so the column of G for an
+    impulse at (x, n >= 2) is F shifted n - 2 samples later in time.  Their
+    share K of G G^T is the diagonal cumulative sum of C = F F^T,
+    K(t, t') = K(t-1, t'-1) + C(t, t').
+
+    Initial conditions: a row-0 impulse at x is the identity entry at t = 0
+    plus the row-2 source -c e_x, so B0 = e_{t=0} - F c.  A row-1 impulse is
+    the identity entry at t = 1 plus (2c + L) e_x at row 2 and -c e_x at
+    row 3, so B1 = e_{t=1} + F (2c + L) - (F c delayed one sample).
+
+    Hence H = K + B0 B0^T + B1 B1^T.
+    """
     spec = m.spec
     geometry.validate_for(spec)
     rec = list(geometry.receiver_nodes)
+    receivers = range(len(rec))
     nt = spec.nt
-    n_cols = geometry.n_receivers * nt
-    h = np.empty((n_cols, n_cols))
-    for start in range(0, n_cols, chunk):
-        cols = range(start, min(start + chunk, n_cols))
-        rhs = np.zeros((spec.n_space, nt, len(cols)))
-        for j, col in enumerate(cols):
-            r, tl = divmod(col, nt)
-            rhs[rec[r], tl, j] = 1.0
-        g = _adjoint_sweep(spec, m.values, rhs)
-        y = _forward_sweep(spec, m.values, g)
-        h[:, list(cols)] = y[rec].reshape(n_cols, len(cols))
+    n = len(rec) * nt
+    impulses = np.zeros((spec.n_space, nt, len(rec)))
+    impulses[rec, 2, receivers] = 1.0
+    green = _forward_sweep(spec, m.values, impulses)  # green[x, t, r] = F[(r, t), x]
+    c, _ = _scales(spec, m.values, 2)
+    b0 = -c * green
+    b0[rec, 0, receivers] = 1.0
+    b1 = 2.0 * c * green + _laplacian(spec, green)
+    b1[:, 1:] -= c * green[:, :-1]
+    b1[rec, 1, receivers] = 1.0
+
+    f = green.transpose(2, 1, 0).reshape(n, spec.n_space)
+    h = f @ f.T
+    k = h.reshape(len(rec), nt, len(rec), nt)
+    for t in range(1, nt):
+        k[:, t, :, 1:] += k[:, t - 1, :, :-1]
+    b = np.concatenate([b0, b1]).transpose(2, 1, 0).reshape(n, 2 * spec.n_space)
+    h += b @ b.T
     return DataSpaceHessian(spec, geometry, h)
 
 
@@ -260,9 +290,10 @@ class HessianCache:
         hess = self.hessian(m, geometry)
         factor = self._factors.get(mu)
         if factor is None:
-            shifted = hess.matrix + mu * np.eye(hess.n)
+            shifted = hess.matrix.copy()
+            shifted.flat[:: hess.n + 1] += mu
             try:
-                factor = scipy.linalg.cho_factor(shifted)
+                factor = scipy.linalg.cho_factor(shifted, overwrite_a=True)
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(
                     f"H + mu I failed to factorize at mu={mu}: {exc}"

@@ -8,8 +8,10 @@ finite-difference gradient, fixed points, and the file formats.
 
 Fault injection: run_battery accepts a set of fault names that deliberately
 break an internal computation so callers can confirm the battery actually
-detects defects.  "perturb-adjoint" scales the adjoint solve's output inside
-the wave-operator dot test, which must make exactly that named check fail.
+detects defects, and each hook must make exactly its named check fail.
+"perturb-adjoint" scales the adjoint solve's output inside the wave-operator
+dot test; "perturb-hessian" scales one off-diagonal receiver block of the
+assembled data-space Hessian inside its dense-oracle comparison.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .oracle import (
 from .saddle import (
     HessianCache,
     PenaltyConfig,
+    assemble_data_space_hessian,
     companion_wavefield,
     solve_augmented_wavefield,
     solve_ls_multiplier,
@@ -58,7 +61,7 @@ from .wavecore import (
 )
 from . import fileio, iterations
 
-KNOWN_FAULTS = ("perturb-adjoint",)
+KNOWN_FAULTS = ("perturb-adjoint", "perturb-hessian")
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,26 @@ def _check_dense_agreement(faults) -> CheckResult:
     u_dense = dense.solve(b)
     err = _rel(u_sweep.values, u_dense.values)
     return CheckResult("dense-operator-agreement", err <= 1e-10, f"rel {err:.3e} (tol 1e-10)")
+
+
+def _check_hessian_dense(faults) -> CheckResult:
+    rng = np.random.default_rng(113)
+    grids = (
+        (GridSpec(ndim=1, nx=9, nz=1, dx=10.0, dz=10.0, nt=12, dt=0.002), (0, 4)),
+        (GridSpec(ndim=2, nx=5, nz=4, dx=10.0, dz=10.0, nt=10, dt=0.002), (2, 12)),
+    )
+    worst = 0.0
+    for spec, receivers in grids:
+        geom = AcquisitionGeometry((receivers[0],), receivers)
+        m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
+        h = assemble_data_space_hessian(m, geom).matrix
+        if "perturb-hessian" in faults:
+            h[: spec.nt, spec.nt :] *= 1.0 + 1e-6
+        a = assemble_dense_operator(m).matrix
+        p = dense_sampling_operator(spec, geom)
+        ref = p @ np.linalg.solve(a, np.linalg.solve(a.T, p.T))
+        worst = max(worst, float(np.max(np.abs(h - ref)) / np.max(np.abs(ref))))
+    return CheckResult("hessian-vs-dense", worst <= 1e-11, f"rel {worst:.3e} (tol 1e-11)")
 
 
 def _check_splitting_identity(faults) -> CheckResult:
@@ -293,6 +316,7 @@ _CHECKS = (
     _check_operator_dot,
     _check_sampling_adjoint,
     _check_dense_agreement,
+    _check_hessian_dense,
     _check_splitting_identity,
     _check_guttman,
     _check_saddle_orientations("penalty"),

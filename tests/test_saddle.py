@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lagfwi.config import build_acquisition, build_model_values, two_scatterer_benchmark
 from lagfwi.grids import (
     AcquisitionGeometry,
     GridSpec,
+    ModelGrid,
     SourceField,
     TraceData,
     build_model,
@@ -14,6 +18,7 @@ from lagfwi.oracle import (
     assemble_dense_operator,
     dense_multiplier_data_space,
     dense_multiplier_source_space,
+    dense_sampling_operator,
     dense_saddle_solve,
 )
 from lagfwi.saddle import (
@@ -26,7 +31,7 @@ from lagfwi.saddle import (
     solve_augmented_wavefield,
     solve_ls_multiplier,
 )
-from lagfwi.wavecore import forward_solve, sample
+from lagfwi.wavecore import _adjoint_sweep, _forward_sweep, forward_solve, sample
 
 from conftest import random_model, random_source
 
@@ -116,17 +121,71 @@ def test_guttman_identity_at_spec_size():
         assert np.max(np.abs(v_src.values - v_dat.values)) <= 1e-10 * scale
 
 
+def _dense_hessian(m, geom):
+    a = assemble_dense_operator(m).matrix
+    p = dense_sampling_operator(m.spec, geom)
+    return p @ np.linalg.solve(a, np.linalg.solve(a.T, p.T))
+
+
 def test_hessian_matches_dense_and_is_spd(setup):
     spec, m, geom, b, d, _ = setup
     hess = assemble_data_space_hessian(m, geom)
-    a = assemble_dense_operator(m).matrix
-    from lagfwi.oracle import dense_sampling_operator
-
-    p = dense_sampling_operator(spec, geom)
-    ref = p @ np.linalg.solve(a, np.linalg.solve(a.T, p.T))
+    ref = _dense_hessian(m, geom)
     assert np.max(np.abs(hess.matrix - ref)) < 1e-8 * np.abs(ref).max()
     eigs = np.linalg.eigvalsh(hess.matrix)
     assert eigs.min() > 0
+
+
+@st.composite
+def _hessian_problems(draw):
+    ndim = draw(st.sampled_from([1, 2]))
+    nx = draw(st.integers(min_value=3, max_value=12 if ndim == 1 else 6))
+    nz = 1 if ndim == 1 else draw(st.integers(min_value=3, max_value=6))
+    nt = draw(st.integers(min_value=3, max_value=16))
+    spec = GridSpec(ndim=ndim, nx=nx, nz=nz, dx=10.0, dz=10.0, nt=nt, dt=0.002)
+    last = spec.n_space - 1
+    node = st.one_of(st.just(0), st.just(last), st.integers(min_value=0, max_value=last))
+    receivers = draw(st.lists(node, min_size=1, max_size=3, unique=True))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    m = random_model(spec, np.random.default_rng(seed), jitter=0.2)  # CFL <= 0.68
+    return m, AcquisitionGeometry(source_nodes=(0,), receiver_nodes=tuple(receivers))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=_hessian_problems())
+def test_hessian_matches_dense_property(problem):
+    """Green's-function assembly equals P A^-1 A^-T P^T on random 1D/2D grids,
+    models and receiver sets (boundary nodes included), to 1e-11."""
+    m, geom = problem
+    h = assemble_data_space_hessian(m, geom).matrix
+    ref = _dense_hessian(m, geom)
+    assert np.max(np.abs(h - ref)) <= 1e-11 * np.abs(ref).max()
+
+
+def _column_hessian(m, geom):
+    """Reference H, one unit trace per column through an adjoint and a
+    forward sweep, one receiver's columns per batch."""
+    spec = m.spec
+    rec = list(geom.receiver_nodes)
+    blocks = []
+    for node in rec:
+        units = np.zeros((spec.n_space, spec.nt, spec.nt))
+        units[node, range(spec.nt), range(spec.nt)] = 1.0
+        y = _forward_sweep(spec, m.values, _adjoint_sweep(spec, m.values, units))
+        blocks.append(y[rec].reshape(-1, spec.nt))
+    return np.hstack(blocks)
+
+
+@pytest.mark.parametrize("which", ["initial", "true"])
+def test_hessian_matches_column_assembly_on_benchmark(which):
+    config = two_scatterer_benchmark()
+    desc = config.initial_model if which == "initial" else config.true_model
+    m = ModelGrid(config.grid, build_model_values(config.grid, desc))
+    geom = build_acquisition(config)
+    h = assemble_data_space_hessian(m, geom).matrix
+    ref = _column_hessian(m, geom)
+    assert np.array_equal(h, h.T)
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.abs(ref).max()
 
 
 def test_cache_reuses_hessian_and_factors(setup):
@@ -165,8 +224,6 @@ def test_damped_multiplier_defining_equation(setup):
     hess = assemble_data_space_hessian(m, geom)
     y = np.linalg.solve(hess.matrix + mu * np.eye(hess.n), rhs.ravel())
     a = assemble_dense_operator(m).matrix
-    from lagfwi.oracle import dense_sampling_operator
-
     p = dense_sampling_operator(spec, geom)
     ref = np.linalg.solve(a.T, p.T @ y).reshape(spec.shape)
     assert np.max(np.abs(lam.values - ref)) < 1e-8 * max(np.abs(ref).max(), 1.0)
