@@ -10,8 +10,10 @@ scheme, and writes model_final.dat plus convergence.csv (log header records
 the scheme and, when noise is configured, the seed).  selfcheck runs the
 identity battery and prints one PASS/FAIL line per named check.
 
-Exit status: 0 success, 1 runtime failure (divergence, failed checks),
-2 usage error (bad flags, malformed config, unknown scheme).
+Exit status: 0 success, 1 runtime failure (divergence, a solve that did not
+converge, failed checks), 2 usage error (bad flags, malformed config, unknown
+scheme).  An invert run that ends "diverged" or "solver_not_converged"
+still writes the last good model and the history up to it.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def main(argv=None) -> int:
                 f"{result.status} after {last.iteration} iterations; "
                 f"misfit {last.misfit:.6e}; wrote {model_path} and {log_path}"
             )
-            return 1 if result.status == "diverged" else 0
+            return 1 if result.status in ("diverged", "solver_not_converged") else 0
         if args.command == "selfcheck":
             faults = frozenset() if args.inject_fault is None else frozenset({args.inject_fault})
             return 0 if cmd_selfcheck(faults) else 1

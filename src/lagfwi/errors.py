@@ -13,6 +13,10 @@ class DivergenceError(LagfwiError):
     """A solve or update produced non-finite or non-physical values."""
 
 
+class SolverNotConvergedError(LagfwiError):
+    """An iterative solve stopped before reaching its tolerance."""
+
+
 class FileFormatError(LagfwiError):
     """A data file is malformed or disagrees with the expected grid."""
 

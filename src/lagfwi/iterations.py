@@ -19,7 +19,7 @@ carries the accumulated constraint error eps = w/mu (k = 1) in
 
   scheme              solve                                   scaled  memory
   fwi                 u = A^-1 b, v back-propagates P u - d     no      -
-  penalty-wavefield   CG on the data-augmented normal equations no      -
+  penalty-wavefield   u = A^-1 z, CG on (I + G^T G/mu) z        no      -
   penalty-multiplier  damped trace system for v, companion u    no      -
   wri-scaled          lam against the plain residual, refresh   yes     -
                       u = A^-1 (b + lam)
@@ -30,6 +30,9 @@ carries the accumulated constraint error eps = w/mu (k = 1) in
   refined-direct      multiplier increment, term by term        yes     -
   refined-rearranged  same iterates, rhs collected first        yes     -
   refined-epsilon     same iterates, bookkeeping through eps    yes     eps
+
+G = P A^-1 maps sources to receiver traces (see
+saddle.solve_augmented_wavefield).
 
 gauss-newton and gauss-seidel instead solve damped least squares on the
 stacked Born kernels for the model increment; gauss-seidel linearizes about
@@ -58,7 +61,7 @@ import numpy as np
 from .config import (
     UPDATE_MODES, ExperimentConfig, build_acquisition, build_model_values, build_sources,
 )
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, SolverNotConvergedError
 from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
@@ -163,11 +166,16 @@ def _fwi(m, b, d, cfg, cache, prev):
 
 
 def _wavefield_orientation(m, b, d, cfg, cache, prev):
-    """Eliminate v: CG on the data-augmented normal equations, then
+    """Eliminate v: wave-equation-preconditioned CG for u, then
     v = w + mu (A u - b), the same v as the multiplier orientation in exact
-    arithmetic."""
+    arithmetic.  A solve that misses cfg.cg_tol raises
+    SolverNotConvergedError, so its field never reaches the model update."""
     w = prev.mem
-    u, _ = solve_augmented_wavefield(m, b, d, cfg, w=w)
+    u, info = solve_augmented_wavefield(m, b, d, cfg, w=w)
+    if not info.converged:
+        raise SolverNotConvergedError(
+            f"wavefield CG stopped after {info.iterations} iterations at relative "
+            f"residual {info.relative_residual:.3e} (cg_tol {cfg.cg_tol:g})")
     v = cfg.mu * (apply_wave_operator(m, u).values - b.values)
     return u, Wavefield(m.spec, v if w is None else w.values + v)
 
@@ -429,6 +437,8 @@ def run_inversion(
       * iteration count reaching stop.max_iter
       * divergence (non-finite diagnostics or a failed update) aborts with
         the last valid state and status "diverged"
+      * an iterative solve that misses its tolerance aborts the same way
+        with status "solver_not_converged"
     """
     if config.scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {config.scheme!r}")
@@ -461,6 +471,9 @@ def run_inversion(
                                     update_mode=config.update_mode)
         except DivergenceError:
             status = "diverged"
+            break
+        except SolverNotConvergedError:
+            status = "solver_not_converged"
             break
         diag = _diagnostics(new_state, sources, data, true_model, time.perf_counter() - t_iter)
         if not np.isfinite(diag.misfit) or not np.isfinite(diag.constraint):

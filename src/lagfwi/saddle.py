@@ -8,11 +8,13 @@ The saddle system for penalty weight mu is
 with w = 0 in the plain penalty variant. Eliminating v gives the
 wavefield-oriented normal equations
 
-    (P^T P + mu A^T A) u = P^T d + mu A^T b - A^T w,
+    (P^T P + mu A^T A) u = P^T d + mu A^T b - A^T w.
 
-solved matrix-free by conjugate gradients (each product costs one operator
-application and one transposed application). Eliminating u instead pushes
-the solve into data space,
+The wave equation preconditions them: with u = A^-1 z and G = P A^-1 they
+become (I + G^T G / mu) z = b - w/mu + G^T d / mu, solved matrix-free by
+conjugate gradients (each product costs one forward sweep and one adjoint
+sweep; the spectrum lies in [1, 1 + lambda_max(H)/mu], with H = G G^T as
+below). Eliminating u instead pushes the solve into data space,
 
     v = A^-T P^T (I + (1/mu) H)^-1 (d - P A^-1 (b - w/mu)),
     H = P A^-1 A^-T P^T,
@@ -43,8 +45,6 @@ from .grids import (
 )
 from .wavecore import (
     _adjoint_sweep,
-    _apply,
-    _apply_transpose,
     _forward_sweep,
     _laplacian,
     _scales,
@@ -70,8 +70,10 @@ class PenaltyConfig:
 
     ``alpha`` is the model step length; None means 1/mu, which is the value
     every equivalence between the penalty/AL family and the scattering
-    family is stated at. ``cg_tol`` is a relative residual; 1e-10 is
-    oracle-grade, 1e-6 is plenty for production inversion runs.
+    family is stated at. ``cg_tol`` and ``cg_maxiter`` drive the CG of
+    solve_augmented_wavefield: ``cg_tol`` is the residual of its
+    preconditioned system relative to that system's right-hand side; 1e-10
+    is oracle-grade, 1e-6 is plenty for production inversion runs.
     """
 
     mu: float
@@ -154,12 +156,20 @@ def solve_augmented_wavefield(
     cfg: PenaltyConfig,
     w: SourceField | None = None,
 ) -> tuple[Wavefield, SolveInfo]:
-    """Wavefield-oriented saddle solve via matrix-free CG.
+    """Wavefield-oriented saddle solve, CG preconditioned by the wave equation.
 
-    Solves (P^T P + mu A^T A) u = P^T d + mu A^T b - mu^0 A^T w, scaled by
-    1/mu for better floating-point behaviour at large mu. Warm-started at
-    the constraint solution A^-1 (b - w/mu), which is exact whenever the
-    data are consistent, so consistent problems converge immediately.
+    With u = A^-1 z and G = P A^-1 the normal equations
+    (P^T P / mu + A^T A) u = P^T d / mu + A^T (b - w/mu) become
+
+        (I + G^T G / mu) z = (b - w/mu) + G^T d / mu,
+
+    the identity plus a part of rank at most n_rec * nt, so the spectrum
+    lies in [1, 1 + lambda_max(H)/mu].  Each product costs one forward sweep
+    of z, a sample at the receivers and one adjoint sweep of the injected
+    traces.  CG starts at z0 = b - w/mu (u0 = A^-1 (b - w/mu)), which is
+    exact whenever the data are consistent, and cg_tol is relative to the
+    norm of the right-hand side.  u = A^-1 z costs one more forward sweep;
+    the returned SolveInfo describes the z system.
     """
     spec = m.spec
     geom = d.geometry
@@ -168,20 +178,20 @@ def solve_augmented_wavefield(
     mvals = m.values
     inv_mu = 1.0 / cfg.mu
 
-    def apply_op(xflat: np.ndarray) -> np.ndarray:
-        x = xflat.reshape(spec.shape)
-        out = _apply_transpose(spec, mvals, _apply(spec, mvals, x))
-        out[rec, :] += inv_mu * x[rec, :]
-        return out.ravel()
+    def back_project(traces: np.ndarray) -> np.ndarray:
+        """G^T traces / mu."""
+        field = np.zeros(spec.shape)
+        field[rec, :] = inv_mu * traces
+        return _adjoint_sweep(spec, mvals, field)
 
-    rhs = np.zeros(spec.shape)
-    rhs[rec, :] = inv_mu * d.values
+    def apply_op(zflat: np.ndarray) -> np.ndarray:
+        z = zflat.reshape(spec.shape)
+        return (z + back_project(_forward_sweep(spec, mvals, z)[rec, :])).ravel()
+
     shift = b.values if w is None else b.values - inv_mu * w.values
-    rhs += _apply_transpose(spec, mvals, shift)
-
-    x0 = _forward_sweep(spec, mvals, shift)
-    x, info = _cg(apply_op, rhs.ravel(), x0.ravel(), cfg.cg_tol, cfg.cg_maxiter)
-    return Wavefield(spec, x.reshape(spec.shape)), info
+    rhs = shift + back_project(d.values)
+    z, info = _cg(apply_op, rhs.ravel(), shift.ravel(), cfg.cg_tol, cfg.cg_maxiter)
+    return Wavefield(spec, _forward_sweep(spec, mvals, z.reshape(spec.shape))), info
 
 
 @dataclass(frozen=True, eq=False)

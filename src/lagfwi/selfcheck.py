@@ -11,7 +11,9 @@ break an internal computation so callers can confirm the battery actually
 detects defects, and each hook must make exactly its named check fail.
 "perturb-adjoint" scales the adjoint solve's output inside the wave-operator
 dot test; "perturb-hessian" scales one off-diagonal receiver block of the
-assembled data-space Hessian inside its dense-oracle comparison.
+assembled data-space Hessian inside its dense-oracle comparison;
+"perturb-wavefield-solve" scales the CG wavefield inside both saddle
+orientation checks.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .wavecore import (
 )
 from . import fileio, iterations
 
-KNOWN_FAULTS = ("perturb-adjoint", "perturb-hessian")
+KNOWN_FAULTS = ("perturb-adjoint", "perturb-hessian", "perturb-wavefield-solve")
 
 
 @dataclass(frozen=True)
@@ -207,6 +209,8 @@ def _check_saddle_orientations(mode: str):
             cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
             u_ref, v_ref = dense_saddle_solve(m0, b, d, mu, w=w)
             u1, _ = solve_augmented_wavefield(m0, b, d, cfg, w=w)
+            if "perturb-wavefield-solve" in faults:
+                u1 = Wavefield(spec, u1.values * (1.0 + 1e-6))
             v2 = solve_ls_multiplier(m0, b, d, cfg, w=w, cache=cache)
             u2 = companion_wavefield(m0, b, v2, cfg, w=w)
             worst = max(worst, _rel(u1.values, u_ref.values))

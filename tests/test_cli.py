@@ -9,7 +9,7 @@ import pytest
 
 import lagfwi
 from lagfwi.cli import LOG_FILE, MODEL_FILE, main
-from lagfwi.fileio import read_log
+from lagfwi.fileio import load_model, read_log
 
 
 CONFIG = """
@@ -130,6 +130,23 @@ def test_divergent_inversion_exits_one(tmp_path, capsys, text):
     assert os.path.exists(tmp_path / "out" / LOG_FILE)
 
 
+def test_unconverged_solve_exits_one(tmp_path, capsys):
+    """A wavefield CG that misses its tolerance stops the run with status
+    solver_not_converged: exit 1, the starting model and row 0 written."""
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG.replace("scheme = al-multiplier", "scheme = penalty-wavefield")
+                    + "penalty.cg_maxiter = 1\n")
+    assert main(["forward", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["invert", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.split(" ", 1)[0] == "solver_not_converged"
+    rows, meta = read_log(str(tmp_path / "out" / LOG_FILE))
+    assert meta["scheme"] == "penalty-wavefield"
+    assert [r.iteration for r in rows] == [0]
+    model = load_model(str(tmp_path / "out" / MODEL_FILE))
+    assert np.allclose(model.values, 2000.0**-2, rtol=1e-15, atol=0.0)  # model.init
+
+
 def test_selfcheck_passes_and_prints_battery(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
@@ -150,6 +167,13 @@ def test_selfcheck_catches_injected_hessian_fault(capsys):
     out = capsys.readouterr().out
     failing = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
     assert failing == ["FAIL hessian-vs-dense"]
+
+
+def test_selfcheck_catches_injected_wavefield_solve_fault(capsys):
+    assert main(["selfcheck", "--inject-fault", "perturb-wavefield-solve"]) == 1
+    out = capsys.readouterr().out
+    failing = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failing == ["FAIL saddle-orientations-penalty", "FAIL saddle-orientations-al"]
 
 
 def test_module_entry_point(config_path):

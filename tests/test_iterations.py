@@ -16,7 +16,7 @@ from lagfwi.config import (
     make_observed_data,
     true_model_grid,
 )
-from lagfwi.errors import ConfigurationError
+from lagfwi.errors import ConfigurationError, SolverNotConvergedError
 from lagfwi.grids import (
     AcquisitionGeometry,
     GridSpec,
@@ -361,6 +361,15 @@ def test_divergent_step_aborts_with_last_state(velocity, max_iter, alpha):
     assert result.status == "diverged"
     assert len(result.history) >= 1
     assert np.all(np.isfinite(result.model.values))
+
+
+@pytest.mark.parametrize("scheme", ["penalty-wavefield", "al-wavefield"])
+def test_unconverged_wavefield_solve_raises(scheme):
+    """A CG solve cut off before cg_tol never reaches the model update."""
+    spec, geom, m_true, m0, sources, data = tiny_problem()
+    cfg = PenaltyConfig(mu=50.0, cg_maxiter=1)
+    with pytest.raises(SolverNotConvergedError, match=r"after 1 iterations at relative residual"):
+        step_scheme(scheme, initial_state(m0, sources), sources, data, cfg)
 
 
 def test_driver_solves_each_model_once(monkeypatch):

@@ -71,6 +71,19 @@ def test_iterates_match_pinned(scheme, update_mode):
         assert err <= 1e-12, f"{scheme} ({update_mode}) step {step}: rel {err:.2e}"
 
 
+@pytest.mark.parametrize("orientation", ["penalty", "al"])
+def test_pinned_orientations_agree(orientation):
+    """The wavefield and multiplier orientations solve the same saddle
+    system, so their pinned iterates must agree to 1e-12; a re-pin cannot
+    drift away from the exact saddle solution."""
+    pinned = read_pinned()
+    wavefield = pinned[(f"{orientation}-wavefield", "sum-terms")]
+    multiplier = pinned[(f"{orientation}-multiplier", "sum-terms")]
+    for step, (a, b) in enumerate(zip(wavefield, multiplier), start=1):
+        err = float(np.linalg.norm(a - b) / np.linalg.norm(b))
+        assert err <= 1e-12, f"{orientation} step {step}: rel {err:.2e}"
+
+
 def main():
     lines = ["# scheme update_mode step model values (squared slowness), %.17g"]
     for scheme, mode in CASES:

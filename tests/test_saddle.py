@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagfwi.config import build_acquisition, build_model_values, two_scatterer_benchmark
+from lagfwi.config import (
+    build_acquisition,
+    build_model_values,
+    build_sources,
+    make_observed_data,
+    two_scatterer_benchmark,
+)
 from lagfwi.grids import (
     AcquisitionGeometry,
     GridSpec,
@@ -57,6 +63,21 @@ def test_wavefield_orientation_matches_dense(setup, mu):
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
         np.abs(u_ref.values).max(), 1.0
     )
+
+
+def test_wavefield_orientation_converges_on_benchmark():
+    """At the benchmark's mu = 3e6 every source's preconditioned CG meets
+    cg_tol = 1e-10 within 200 iterations and matches the multiplier
+    orientation's companion wavefield."""
+    config = two_scatterer_benchmark()
+    m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
+    cfg = PenaltyConfig(mu=3e6, cg_maxiter=200)
+    cache = HessianCache()
+    for b, d in zip(build_sources(config), make_observed_data(config)):
+        u, info = solve_augmented_wavefield(m, b, d, cfg)
+        assert info.converged and info.relative_residual <= cfg.cg_tol
+        u_ref = companion_wavefield(m, b, solve_ls_multiplier(m, b, d, cfg, cache=cache), cfg)
+        assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * np.abs(u_ref.values).max()
 
 
 def test_cg_breakdown_reports_completed_iterations():
@@ -160,6 +181,34 @@ def test_hessian_matches_dense_property(problem):
     h = assemble_data_space_hessian(m, geom).matrix
     ref = _dense_hessian(m, geom)
     assert np.max(np.abs(h - ref)) <= 1e-11 * np.abs(ref).max()
+
+
+@st.composite
+def _saddle_problems(draw):
+    m, geom = draw(_hessian_problems())
+    mu = 10.0 ** draw(st.floats(min_value=0.0, max_value=6.0))
+    with_w = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    spec = m.spec
+    b = random_source(spec, rng)
+    d = TraceData(spec, geom, rng.standard_normal((geom.n_receivers, spec.nt)))
+    w = random_source(spec, rng) if with_w else None
+    return m, b, d, mu, w
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=_saddle_problems())
+def test_wavefield_orientation_matches_dense_property(problem):
+    """The wave-equation-preconditioned CG converges and equals the dense
+    2N x 2N saddle solve on random 1D/2D grids, receiver sets (boundary
+    nodes included), mu in [1, 1e6] and with or without w."""
+    m, b, d, mu, w = problem
+    u, info = solve_augmented_wavefield(m, b, d, PenaltyConfig(mu=mu, cg_tol=1e-13), w=w)
+    assert info.converged
+    u_ref, _ = dense_saddle_solve(m, b, d, mu, w=w)
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
+        np.abs(u_ref.values).max(), 1.0
+    )
 
 
 def _column_hessian(m, geom):
