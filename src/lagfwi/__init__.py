@@ -13,6 +13,7 @@ from .errors import (
     LagfwiError,
     OracleSizeError,
     SingularSystemError,
+    SolverNotConvergedError,
 )
 from .grids import (
     AcquisitionGeometry,
@@ -35,6 +36,7 @@ __all__ = [
     "ModelGrid",
     "OracleSizeError",
     "SingularSystemError",
+    "SolverNotConvergedError",
     "SourceField",
     "TraceData",
     "Wavefield",

@@ -5,6 +5,9 @@ LAPACK factorizations, so it is only usable on very small problems (the
 size guard enforces that). The dense operator is assembled entry by entry
 from the stencil definition, deliberately not sharing code with the
 vectorized sweeps in wavecore, so the two paths cross-validate each other.
+The Born kernel and the finite-difference gradient step through time with
+``_reference_sweep``, a plain per-level loop written here from the same
+stencil rows.
 
 Space-time vectors are flattened with ``index = node * nt + n`` (time
 fastest), matching ``values.ravel()`` of the field containers; receiver
@@ -20,7 +23,7 @@ import scipy.linalg
 
 from .errors import OracleSizeError, SingularSystemError
 from .grids import AcquisitionGeometry, GridSpec, ModelGrid, SourceField, TraceData, Wavefield
-from .wavecore import operator_time_curvature, scattering_source, _forward_sweep
+from .wavecore import operator_time_curvature, scattering_source
 
 __all__ = [
     "SIZE_GUARD",
@@ -71,6 +74,32 @@ def dense_laplacian(spec: GridSpec) -> np.ndarray:
                 if iz < spec.nz - 1:
                     lap[row, row + spec.nx] += wz
     return lap
+
+
+def _reference_sweep(spec: GridSpec, m_values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A(m) u = rhs one time level at a time, from the stencil rows.
+
+    u[:, n] = dt^2/m (rhs[:, n] + L u[:, n-1]) + 2 u[:, n-1] - u[:, n-2] for
+    n >= 2, with the zero-Dirichlet Laplacian L summing its x terms before
+    its z terms.  Accepts a trailing batch axis on rhs.
+    """
+    s = (spec.dt**2 / m_values).reshape((-1,) + (1,) * (rhs.ndim - 2))
+    wx = 1.0 / spec.dx**2
+    wz = 1.0 / spec.dz**2
+    u = np.empty(rhs.shape)
+    u[:, :2] = rhs[:, :2]
+    for n in range(2, spec.nt):
+        g = u[:, n - 1].reshape(spec.nz, spec.nx, -1)
+        lap = -2.0 * wx * g
+        lap[:, 1:] += wx * g[:, :-1]
+        lap[:, :-1] += wx * g[:, 1:]
+        if spec.ndim == 2:
+            lap -= 2.0 * wz * g
+            lap[1:] += wz * g[:-1]
+            lap[:-1] += wz * g[1:]
+        lap = lap.reshape(u[:, n].shape)
+        u[:, n] = s * (rhs[:, n] + lap) + 2.0 * u[:, n - 1] - u[:, n - 2]
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +259,7 @@ def assemble_born_kernel(
     rhs = np.zeros((ns, spec.nt, ns))
     for node in range(ns):
         rhs[node, :, node] = -ddu[node]
-    fields = _forward_sweep(spec, m.values, rhs)
+    fields = _reference_sweep(spec, m.values, rhs)
     traces = fields[list(geometry.receiver_nodes)]  # (n_rec, nt, ns)
     matrix = traces.reshape(geometry.n_receivers * spec.nt, ns)
     return BornKernel(spec, geometry, matrix.copy())
@@ -264,10 +293,9 @@ def damped_ls_solve(matrix: np.ndarray, rhs: np.ndarray, damping: float) -> np.n
 
 
 def _misfit(m: ModelGrid, sources, data) -> float:
-    # plain forward modelling, kept free of wavecore's typed wrappers
     total = 0.0
     for b, d in zip(sources, data):
-        u = _forward_sweep(m.spec, m.values, b.values)
+        u = _reference_sweep(m.spec, m.values, b.values)
         resid = u[list(d.geometry.receiver_nodes), :] - d.values
         total += 0.5 * float(np.sum(resid * resid))
     return total

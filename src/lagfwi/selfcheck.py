@@ -13,7 +13,9 @@ detects defects, and each hook must make exactly its named check fail.
 dot test; "perturb-hessian" scales one off-diagonal receiver block of the
 assembled data-space Hessian inside its dense-oracle comparison;
 "perturb-wavefield-solve" scales the CG wavefield inside both saddle
-orientation checks.
+orientation checks; "perturb-sweep" scales the swept fields at the first
+level of the sweep kernel's second working block inside its dense-oracle
+comparison.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ from .saddle import (
     solve_ls_multiplier,
 )
 from .wavecore import (
+    _BLOCK,
+    _adjoint_sweep,
+    _forward_sweep,
     adjoint_solve,
     apply_wave_operator,
     apply_wave_operator_transpose,
@@ -63,7 +68,12 @@ from .wavecore import (
 )
 from . import fileio, iterations
 
-KNOWN_FAULTS = ("perturb-adjoint", "perturb-hessian", "perturb-wavefield-solve")
+KNOWN_FAULTS = (
+    "perturb-adjoint",
+    "perturb-hessian",
+    "perturb-wavefield-solve",
+    "perturb-sweep",
+)
 
 
 @dataclass(frozen=True)
@@ -147,6 +157,34 @@ def _check_dense_agreement(faults) -> CheckResult:
     u_dense = dense.solve(b)
     err = _rel(u_sweep.values, u_dense.values)
     return CheckResult("dense-operator-agreement", err <= 1e-10, f"rel {err:.3e} (tol 1e-10)")
+
+
+def _check_sweep_dense(faults) -> CheckResult:
+    # Both sweeps cross a working-block boundary at nt = _BLOCK + 4, with two
+    # batch columns. The grids are kept tiny: larger dense matrices would set
+    # the battery's peak memory.
+    rng = np.random.default_rng(114)
+    nt = _BLOCK + 4
+    worst = 0.0
+    for spec in (
+        GridSpec(ndim=1, nx=5, nz=1, dx=10.0, dz=10.0, nt=nt, dt=0.002),
+        GridSpec(ndim=2, nx=3, nz=3, dx=10.0, dz=10.0, nt=nt, dt=0.002),
+    ):
+        m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
+        dense = assemble_dense_operator(m)
+        rhs = rng.standard_normal(spec.shape + (2,))
+        u = _forward_sweep(spec, m.values, rhs)
+        v = _adjoint_sweep(spec, m.values, rhs)
+        if "perturb-sweep" in faults:
+            u[:, 2 + _BLOCK] *= 1.0 + 1e-6
+            v[:, nt - 2 - _BLOCK] *= 1.0 + 1e-6
+        for col in range(rhs.shape[2]):
+            b = SourceField(spec, rhs[..., col])
+            worst = max(worst, _rel(u[..., col], dense.solve(b).values))
+            worst = max(worst, _rel(v[..., col], dense.solve_transpose(b).values))
+            w = Wavefield(spec, rhs[..., col])
+            worst = max(worst, _rel(apply_wave_operator(m, w).values, dense.apply(w).values))
+    return CheckResult("sweep-vs-dense", worst <= 1e-10, f"rel {worst:.3e} (tol 1e-10)")
 
 
 def _check_hessian_dense(faults) -> CheckResult:
@@ -320,6 +358,7 @@ _CHECKS = (
     _check_operator_dot,
     _check_sampling_adjoint,
     _check_dense_agreement,
+    _check_sweep_dense,
     _check_hessian_dense,
     _check_splitting_identity,
     _check_guttman,

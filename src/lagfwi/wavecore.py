@@ -12,6 +12,18 @@ level n - 1 but is stored at row n, which makes A block lower triangular in
 time. A forward solve is then a single explicit time-stepping sweep and a
 transposed solve is the same sweep run backwards.
 
+Fields are stored [node, n], so one time level is a strided column.  Both
+sweeps run one recurrence, ``_recurrence``, over time-major working blocks
+of _BLOCK levels: a block of the right-hand side is copied transposed into
+a contiguous buffer, stepped there with in-place operations on reused
+scratch, and copied back, so each step reads and writes contiguous memory
+while the stored layout stays [node, n].  ``_apply`` works one z row of
+nodes at a time, so its scratch is two rows instead of four full-size
+temporaries.  Each kernel performs the same IEEE operations in the same
+order for every element as the plain per-level loop it replaces (the
+Laplacian's x terms, then its z terms: row above, then row below), so its
+results are bitwise identical to that loop's.
+
 The time derivative used throughout is ``operator_time_curvature``, d/dm of
 A(m) u contracted row by row: zero at the two initial-condition rows and the
 lagged difference (u[:, n] - 2 u[:, n-1] + u[:, n-2]) / dt**2 at rows n >= 2.
@@ -22,6 +34,8 @@ misfit (not an O(dt) approximation of it).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,7 +51,6 @@ from .grids import (
 )
 
 __all__ = [
-    "laplacian",
     "apply_wave_operator",
     "apply_wave_operator_transpose",
     "forward_solve",
@@ -52,6 +65,16 @@ __all__ = [
 
 # Relative floor applied to the preconditioner denominator in model updates.
 DENOMINATOR_FLOOR_REL = 1e-10
+
+# Time levels per working block of the sweeps.  On a 101 x 101 grid a block
+# is 2.6 MB, small enough to stay in cache between its copy in, its steps
+# and its copy out.
+_BLOCK = 32
+
+# Nodes per piece of a block's transposed copy.  Stored rows are nt values
+# apart, so a piece must span few enough pages for the copy not to thrash
+# the TLB; on 101 x 101 x 400 this halves the copy-in time.
+_COPY_NODES = 1024
 
 
 def _laplacian(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
@@ -72,9 +95,37 @@ def _laplacian(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-def laplacian(u: Wavefield) -> Wavefield:
-    """Spatial Laplacian applied to every time slice of a field."""
-    return Wavefield(u.spec, _laplacian(u.spec, u.values))
+def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
+    """Return ``lap(g)``, which writes L g into ``out``, in ``_laplacian``'s order.
+
+    g has out's shape (rows, nx, ...) and ``tmp`` is scratch of that shape.
+    Every element sees the same IEEE operations as in ``_laplacian``: the
+    centre x term, the left and right neighbours, then the centre z term and
+    the neighbours in the rows above and below that lie inside g.  A
+    neighbour product w * g[i] is formed once into ``tmp`` and added to both
+    neighbours; it is the same rounded value.  The views of ``out`` and
+    ``tmp`` are made here once, because the sweeps call ``lap`` every step.
+    """
+    wx = 1.0 / spec.dx**2
+    wz = 1.0 / spec.dz**2
+    x_terms = ((out[:, 1:], tmp[:, :-1]), (out[:, :-1], tmp[:, 1:]))
+    z_terms = ((out[1:], tmp[:-1]), (out[:-1], tmp[1:])) if len(out) > 1 else ()
+    two_d = spec.ndim == 2
+
+    def lap(g: np.ndarray) -> None:
+        np.multiply(g, -2.0 * wx, out=out)
+        np.multiply(g, wx, out=tmp)
+        for target, term in x_terms:
+            np.add(target, term, out=target)
+        if two_d:
+            np.multiply(g, 2.0 * wz, out=tmp)
+            np.subtract(out, tmp, out=out)
+            if z_terms:
+                np.multiply(g, wz, out=tmp)
+                for target, term in z_terms:
+                    np.add(target, term, out=target)
+
+    return lap
 
 
 def _scales(spec: GridSpec, m_values: np.ndarray, trailing_axes: int):
@@ -87,12 +138,31 @@ def _scales(spec: GridSpec, m_values: np.ndarray, trailing_axes: int):
 
 
 def _apply(spec: GridSpec, m_values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A(m) u, one z row of nodes at a time, so the scratch is two rows."""
     c, _ = _scales(spec, m_values, u.ndim - 1)
-    out = np.empty_like(u)
+    nx, nz = spec.nx, spec.nz
+    wz = 1.0 / spec.dz**2
+    out = np.empty(u.shape)
     out[:, :2] = u[:, :2]
-    out[:, 2:] = c * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) - _laplacian(
-        spec, u[:, 1:-1]
-    )
+    lap = np.empty((1, nx, spec.nt - 2) + u.shape[2:])
+    tmp = np.empty_like(lap)
+    row_laplacian = _laplacian_into(spec, lap, tmp)
+    for iz in range(nz):
+        rows = slice(iz * nx, (iz + 1) * nx)
+        row_laplacian(u[None, rows, 1:-1])
+        # the one-row halo, in _laplacian's order: the row above, then below
+        if iz > 0:
+            np.multiply(u[rows.start - nx : rows.start, 1:-1], wz, out=tmp[0])
+            np.add(lap[0], tmp[0], out=lap[0])
+        if iz < nz - 1:
+            np.multiply(u[rows.stop : rows.stop + nx, 1:-1], wz, out=tmp[0])
+            np.add(lap[0], tmp[0], out=lap[0])
+        # c (u[n] - 2 u[n-1] + u[n-2]) - L u[n-1], in contiguous scratch
+        np.multiply(u[rows, 1:-1], 2.0, out=tmp[0])
+        np.subtract(u[rows, 2:], tmp[0], out=tmp[0])
+        np.add(tmp[0], u[rows, :-2], out=tmp[0])
+        np.multiply(tmp[0], c[rows], out=tmp[0])
+        np.subtract(tmp[0], lap[0], out=out[rows, 2:])
     return out
 
 
@@ -108,18 +178,64 @@ def _apply_transpose(spec: GridSpec, m_values: np.ndarray, v: np.ndarray) -> np.
     return out
 
 
+def _recurrence(
+    spec: GridSpec,
+    s: np.ndarray,
+    rhs: np.ndarray,
+    out: np.ndarray,
+    levels: range,
+    prev2: np.ndarray,
+    prev1: np.ndarray,
+) -> None:
+    """Write out[:, n] = s (rhs[:, n] + L p1) + 2 p1 - p2 for n in ``levels``.
+
+    ``levels`` runs forward or backward in time; p1 and p2 are the one and
+    two levels before n in that direction, and ``prev2``/``prev1`` are the
+    two before the first.  ``out`` must be C-contiguous.  The levels are
+    stepped in time-major blocks of at most _BLOCK levels: each block of rhs
+    is copied transposed into a contiguous buffer, stepped there in place,
+    written back, and its last two levels carried into the next block.
+    """
+    if not levels:
+        return
+    nz, nx, nt, n_space = spec.nz, spec.nx, spec.nt, spec.n_space
+    k = math.prod(rhs.shape[2:])
+    src = rhs.reshape(n_space, nt, k)
+    dst = out.reshape(n_space, nt, k)
+    size = min(_BLOCK, len(levels))
+    buf = np.empty((size + 2, n_space, k))
+    buf[0] = prev2.reshape(n_space, k)
+    buf[1] = prev1.reshape(n_space, k)
+    work = np.empty((nz, nx, k))
+    laplacian = _laplacian_into(spec, work, np.empty_like(work))
+    s = s.reshape(nz, nx, 1)
+    views = list(buf.reshape(size + 2, nz, nx, k))
+    pieces = [slice(i, i + _COPY_NODES) for i in range(0, n_space, _COPY_NODES)]
+    for first in range(0, len(levels), size):
+        part = levels[first : first + size]
+        count = len(part)
+        lo = min(part[0], part[-1])
+        block = buf[2 : 2 + count][:: levels.step]
+        for nodes in pieces:
+            block[:, nodes] = src[nodes, lo : lo + count].swapaxes(0, 1)
+        for p2, p1, level in zip(views, views[1:], views[2 : 2 + count]):
+            laplacian(p1)
+            np.add(level, work, out=work)
+            np.multiply(work, s, out=work)
+            np.multiply(p1, 2.0, out=level)
+            np.add(work, level, out=level)
+            np.subtract(level, p2, out=level)
+        for nodes in pieces:
+            dst[nodes, lo : lo + count] = block[:, nodes].swapaxes(0, 1)
+        buf[:2] = buf[count : count + 2]
+
+
 def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Explicit time stepping, solves A(m) u = rhs. Supports batched rhs."""
-    _, s = _scales(spec, m_values, rhs.ndim - 2)
-    u = np.empty_like(rhs)
-    u[:, 0] = rhs[:, 0]
-    u[:, 1] = rhs[:, 1]
-    for n in range(2, spec.nt):
-        u[:, n] = (
-            s * (rhs[:, n] + _laplacian(spec, u[:, n - 1]))
-            + 2.0 * u[:, n - 1]
-            - u[:, n - 2]
-        )
+    _, s = _scales(spec, m_values, 0)
+    u = np.empty(rhs.shape)
+    u[:, :2] = rhs[:, :2]
+    _recurrence(spec, s, rhs, u, range(2, spec.nt), rhs[:, 0], rhs[:, 1])
     return u
 
 
@@ -127,16 +243,12 @@ def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs: np.ndarray) -> np.
     """Reverse time stepping, solves A(m)^T v = rhs. Supports batched rhs."""
     nt = spec.nt
     c, s = _scales(spec, m_values, rhs.ndim - 2)
-    v = np.zeros_like(rhs)
+    v = np.empty(rhs.shape)
     v[:, nt - 1] = s * rhs[:, nt - 1]
-    for n in range(nt - 2, 1, -1):
-        term = (
-            s * (rhs[:, n] + _laplacian(spec, v[:, n + 1]))
-            + 2.0 * v[:, n + 1]
-        )
-        if n + 2 <= nt - 1:
-            term = term - v[:, n + 2]
-        v[:, n] = term
+    # the level after nt - 1 is zero, and x - 0.0 == x, so the first step
+    # matches the stencil row that has no v[:, n + 2] term
+    zero = np.zeros(rhs[:, 0].shape)
+    _recurrence(spec, s, rhs, v, range(nt - 2, 1, -1), zero, v[:, nt - 1])
     # columns 0 and 1 meet the identity rows, so no 1/c scaling there
     t1 = rhs[:, 1] + 2.0 * c * v[:, 2] + _laplacian(spec, v[:, 2])
     if nt >= 4:

@@ -176,6 +176,13 @@ def test_selfcheck_catches_injected_wavefield_solve_fault(capsys):
     assert failing == ["FAIL saddle-orientations-penalty", "FAIL saddle-orientations-al"]
 
 
+def test_selfcheck_catches_injected_sweep_fault(capsys):
+    assert main(["selfcheck", "--inject-fault", "perturb-sweep"]) == 1
+    out = capsys.readouterr().out
+    failing = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failing == ["FAIL sweep-vs-dense"]
+
+
 def test_module_entry_point(config_path):
     # the child needs the package on its path however this process found it
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(lagfwi.__file__)))

@@ -7,6 +7,8 @@ vectorized implementation is compared against an independent construction,
 not against itself.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from lagfwi.errors import DivergenceError
 from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield, build_model
 from lagfwi.iterations import combined_model_update
+from lagfwi.oracle import _reference_sweep
 from lagfwi.wavecore import (
     DENOMINATOR_FLOOR_REL,
     adjoint_solve,
@@ -23,12 +26,17 @@ from lagfwi.wavecore import (
     correlation_terms,
     forward_solve,
     inject,
-    laplacian,
     operator_time_curvature,
     preconditioned_ratio,
     sample,
     scattering_source,
     updated_model,
+    _BLOCK,
+    _adjoint_sweep,
+    _apply,
+    _forward_sweep,
+    _laplacian,
+    _scales,
 )
 
 from conftest import random_model, random_source, random_wavefield
@@ -162,8 +170,8 @@ def test_sampling_injection_adjoint_pair(spec1d, geom1d, rng):
 def test_laplacian_is_symmetric(spec2d, rng):
     u = random_wavefield(spec2d, rng)
     w = random_wavefield(spec2d, rng)
-    lhs = float(np.vdot(laplacian(u).values, w.values))
-    rhs = float(np.vdot(u.values, laplacian(w).values))
+    lhs = float(np.vdot(_laplacian(spec2d, u.values), w.values))
+    rhs = float(np.vdot(u.values, _laplacian(spec2d, w.values)))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
@@ -287,3 +295,69 @@ def test_operator_is_linear_in_field(seed):
     left = apply_wave_operator(m, combo).values
     right = a * apply_wave_operator(m, u).values + b * apply_wave_operator(m, w).values
     assert np.allclose(left, right, rtol=1e-12, atol=1e-9)
+
+
+def _stepped_adjoint(spec, m_values, rhs):
+    """A(m)^T v = rhs by a plain reverse loop, one level per step."""
+    nt = spec.nt
+    c, s = _scales(spec, m_values, rhs.ndim - 2)
+    v = np.zeros_like(rhs)
+    v[:, nt - 1] = s * rhs[:, nt - 1]
+    for n in range(nt - 2, 1, -1):
+        v[:, n] = s * (rhs[:, n] + _laplacian(spec, v[:, n + 1])) + 2.0 * v[:, n + 1]
+        if n + 2 <= nt - 1:
+            v[:, n] = v[:, n] - v[:, n + 2]
+    t1 = rhs[:, 1] + 2.0 * c * v[:, 2] + _laplacian(spec, v[:, 2])
+    v[:, 1] = t1 - c * v[:, 3] if nt >= 4 else t1
+    v[:, 0] = rhs[:, 0] - c * v[:, 2]
+    return v
+
+
+def _whole_array_apply(spec, m_values, u):
+    """A(m) u on the whole array at once."""
+    c, _ = _scales(spec, m_values, u.ndim - 1)
+    out = np.empty_like(u)
+    out[:, :2] = u[:, :2]
+    lap = _laplacian(spec, u[:, 1:-1])
+    out[:, 2:] = c * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) - lap
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ndim=st.sampled_from([1, 2]),
+    nx=st.integers(min_value=3, max_value=8),
+    nz=st.integers(min_value=3, max_value=5),
+    nt=st.integers(min_value=3, max_value=2 * _BLOCK + 3),
+    columns=st.sampled_from([None, 1, 3]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, seed):
+    """The blocked sweeps and the row-blocked A(m) do the references'
+    floating-point operations in the same order, so they agree exactly."""
+    gen = np.random.default_rng(seed)
+    dx, dz = gen.uniform(5.0, 20.0, 2)
+    spec = GridSpec(
+        ndim=ndim, nx=nx, nz=nz if ndim == 2 else 1, dx=dx, dz=dz, nt=nt,
+        dt=0.2 * min(dx, dz) / 2400.0,
+    )
+    m = random_model(spec, gen).values
+    shape = spec.shape if columns is None else spec.shape + (columns,)
+    field = gen.standard_normal(shape)
+    assert np.array_equal(_forward_sweep(spec, m, field), _reference_sweep(spec, m, field))
+    assert np.array_equal(_adjoint_sweep(spec, m, field), _stepped_adjoint(spec, m, field))
+    assert np.array_equal(_apply(spec, m, field), _whole_array_apply(spec, m, field))
+
+
+@pytest.mark.parametrize("kernel", [_apply, _forward_sweep, _adjoint_sweep])
+def test_kernel_peak_memory_is_its_output(kernel, rng):
+    spec = GridSpec(ndim=2, nx=41, nz=41, dx=10.0, dz=10.0, nt=200, dt=0.002)
+    m = random_model(spec, rng).values
+    field = rng.standard_normal(spec.shape)
+    tracemalloc.start()
+    try:
+        out = kernel(spec, m, field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes
