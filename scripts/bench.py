@@ -6,7 +6,7 @@
 Times ``wavecore._forward_sweep``, ``wavecore._adjoint_sweep`` and
 ``wavecore._apply`` on fixed grid shapes, in this one process with
 BLAS/OpenMP pinned to one thread.  Each kernel is called once untimed, then
-``--repeats`` times under ``time.perf_counter``; the file holds the minimum
+REPEATS times under ``time.perf_counter``; the file holds the minimum
 and the median of those repeats and the throughput in space-time points
 per second (n_space * nt * columns / seconds).  It also records the
 environment and the git revision of the checkout the ``lagfwi`` package was
@@ -44,6 +44,7 @@ SHAPES = (
     ("1D 21x80", 1, 21, 1, 80, None),
     ("2D 7x5x9", 2, 7, 5, 9, None),
 )
+REPEATS = 7
 KERNELS = {
     "forward_sweep": wavecore._forward_sweep,
     "adjoint_sweep": wavecore._adjoint_sweep,
@@ -73,10 +74,10 @@ def _revision(package_dir: str) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def time_kernel(kernel, spec: GridSpec, m: np.ndarray, field: np.ndarray, repeats: int):
+def time_kernel(kernel, spec: GridSpec, m: np.ndarray, field: np.ndarray):
     kernel(spec, m, field)
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         kernel(spec, m, field)
         times.append(time.perf_counter() - t0)
@@ -86,10 +87,7 @@ def time_kernel(kernel, spec: GridSpec, m: np.ndarray, field: np.ndarray, repeat
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
-    if args.repeats < 5:
-        parser.error("--repeats must be at least 5")
 
     rng = np.random.default_rng(0)
     rows = []
@@ -100,10 +98,10 @@ def main(argv=None) -> int:
         field = rng.standard_normal(shape)
         points = spec.n_space * nt * (columns or 1)
         for name, kernel in KERNELS.items():
-            best, median = time_kernel(kernel, spec, m, field, args.repeats)
+            best, median = time_kernel(kernel, spec, m, field)
             rows.append({
                 "kernel": name, "shape": label, "points": points,
-                "repeats": args.repeats, "min_s": best, "median_s": median,
+                "repeats": REPEATS, "min_s": best, "median_s": median,
                 "mpts_per_s_at_min": points / best / 1e6,
                 "mpts_per_s_at_median": points / median / 1e6,
             })

@@ -71,11 +71,6 @@ DENOMINATOR_FLOOR_REL = 1e-10
 # and its copy out.
 _BLOCK = 32
 
-# Nodes per piece of a block's transposed copy.  Stored rows are nt values
-# apart, so a piece must span few enough pages for the copy not to thrash
-# the TLB; on 101 x 101 x 400 this halves the copy-in time.
-_COPY_NODES = 1024
-
 
 def _laplacian(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
     """Zero-Dirichlet Laplacian on the leading (flattened space) axis.
@@ -210,14 +205,12 @@ def _recurrence(
     laplacian = _laplacian_into(spec, work, np.empty_like(work))
     s = s.reshape(nz, nx, 1)
     views = list(buf.reshape(size + 2, nz, nx, k))
-    pieces = [slice(i, i + _COPY_NODES) for i in range(0, n_space, _COPY_NODES)]
     for first in range(0, len(levels), size):
         part = levels[first : first + size]
         count = len(part)
         lo = min(part[0], part[-1])
         block = buf[2 : 2 + count][:: levels.step]
-        for nodes in pieces:
-            block[:, nodes] = src[nodes, lo : lo + count].swapaxes(0, 1)
+        block[...] = src[:, lo : lo + count].swapaxes(0, 1)
         for p2, p1, level in zip(views, views[1:], views[2 : 2 + count]):
             laplacian(p1)
             np.add(level, work, out=work)
@@ -225,8 +218,7 @@ def _recurrence(
             np.multiply(p1, 2.0, out=level)
             np.add(work, level, out=level)
             np.subtract(level, p2, out=level)
-        for nodes in pieces:
-            dst[nodes, lo : lo + count] = block[:, nodes].swapaxes(0, 1)
+        dst[:, lo : lo + count] = block.swapaxes(0, 1)
         buf[:2] = buf[count : count + 2]
 
 
