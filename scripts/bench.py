@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Time the sweep-layer kernels and write the result as JSON.
+"""Time the sweep kernels and the wavefield CG, and write the result as JSON.
 
     PYTHONPATH=src python3 scripts/bench.py --out bench.json
 
 Times ``wavecore._forward_sweep``, ``wavecore._adjoint_sweep`` and
-``wavecore._apply`` on fixed grid shapes, in this one process with
-BLAS/OpenMP pinned to one thread.  Each kernel is called once untimed, then
-REPEATS times under ``time.perf_counter``; the file holds the minimum
-and the median of those repeats and the throughput in space-time points
-per second (n_space * nt * columns / seconds).  It also records the
-environment and the git revision of the checkout the ``lagfwi`` package was
-imported from, so that two checkouts can be compared with the same script
-by pointing ``PYTHONPATH`` at each one's ``src/``.
+``wavecore._apply`` on fixed grid shapes, the sweeps also on a sequence of
+three fields swept as one batch, and the wavefield CG layer of the
+two-scatterer benchmark's first penalty-wavefield step (its three sources at
+the initial model): one ``saddle.solve_augmented_wavefield`` per source
+against one lock-step ``saddle.solve_augmented_wavefields``.  Everything
+runs in this one process with BLAS/OpenMP pinned to one thread.  Each case
+is run once untimed, then REPEATS times under ``time.perf_counter``; the
+file holds the minimum and the median of those repeats, the throughput of
+the kernels in space-time points per second (n_space * nt * columns /
+seconds) and the CG iterations.  It also records the environment and the
+git revision of the checkout the ``lagfwi`` package was imported from, so
+that two checkouts can be compared with the same script by pointing
+``PYTHONPATH`` at each one's ``src/``.
 """
 
 from __future__ import annotations
@@ -34,15 +39,22 @@ import scipy
 
 import lagfwi
 from lagfwi import wavecore
-from lagfwi.grids import GridSpec
+from lagfwi.config import (
+    build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
+)
+from lagfwi.grids import GridSpec, ModelGrid
+from lagfwi.saddle import solve_augmented_wavefield, solve_augmented_wavefields
 
-# (label, ndim, nx, nz, nt, columns); columns None is an unbatched (n_space, nt) field
+# (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
+# (n_space, nt) field, and sequence marks a list of `columns` separate fields
+# in place of one array with a trailing batch axis
 SHAPES = (
-    ("2D 101x101x400", 2, 101, 101, 400, None),
-    ("1D 61x256", 1, 61, 1, 256, None),
-    ("1D 61x256 k=4", 1, 61, 1, 256, 4),
-    ("1D 21x80", 1, 21, 1, 80, None),
-    ("2D 7x5x9", 2, 7, 5, 9, None),
+    ("2D 101x101x400", 2, 101, 101, 400, None, False),
+    ("1D 61x256", 1, 61, 1, 256, None, False),
+    ("1D 61x256 k=4", 1, 61, 1, 256, 4, False),
+    ("1D 61x256 sequence k=3", 1, 61, 1, 256, 3, True),
+    ("1D 21x80", 1, 21, 1, 80, None, False),
+    ("2D 7x5x9", 2, 7, 5, 9, None, False),
 )
 REPEATS = 7
 KERNELS = {
@@ -74,14 +86,63 @@ def _revision(package_dir: str) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def time_kernel(kernel, spec: GridSpec, m: np.ndarray, field: np.ndarray):
-    kernel(spec, m, field)
+def time_call(call):
+    call()
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        kernel(spec, m, field)
+        call()
         times.append(time.perf_counter() - t0)
     return min(times), statistics.median(times)
+
+
+def kernel_rows(rng) -> list[dict]:
+    rows = []
+    for label, ndim, nx, nz, nt, columns, sequence in SHAPES:
+        spec = GridSpec(ndim=ndim, nx=nx, nz=nz, dx=10.0, dz=10.0, nt=nt, dt=0.002)
+        m = 1.0 / (1500.0 + 900.0 * rng.random(spec.n_space)) ** 2
+        if sequence:
+            field = [rng.standard_normal(spec.shape) for _ in range(columns)]
+        else:
+            field = rng.standard_normal(spec.shape if columns is None else spec.shape + (columns,))
+        points = spec.n_space * nt * (columns or 1)
+        for name, kernel in KERNELS.items():
+            if sequence and kernel is wavecore._apply:
+                continue
+            best, median = time_call(lambda: kernel(spec, m, field))
+            rows.append({
+                "kernel": name, "shape": label, "points": points,
+                "repeats": REPEATS, "min_s": best, "median_s": median,
+                "mpts_per_s_at_min": points / best / 1e6,
+                "mpts_per_s_at_median": points / median / 1e6,
+            })
+            print(f"{name:14s} {label:24s} min {best * 1e3:9.3f} ms  "
+                  f"median {median * 1e3:9.3f} ms  {points / best / 1e6:7.2f} Mpt/s")
+    return rows
+
+
+def cg_rows() -> list[dict]:
+    """The pw-1d CG layer: each source's solve in turn, then all in lock step."""
+    config = two_scatterer_benchmark()
+    m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
+    sources, data, cfg = build_sources(config), make_observed_data(config), config.penalty
+    modes = {
+        "serial": lambda: [solve_augmented_wavefield(m, b, d, cfg) for b, d in zip(sources, data)],
+        "lock-step": lambda: solve_augmented_wavefields(m, sources, data, cfg),
+    }
+    rows = []
+    for mode, solve in modes.items():
+        infos = [info for _, info in solve()]
+        best, median = time_call(solve)
+        rows.append({
+            "layer": "wavefield CG", "mode": mode, "sources": len(sources),
+            "iterations": [info.iterations for info in infos],
+            "converged": all(info.converged for info in infos),
+            "repeats": REPEATS, "min_s": best, "median_s": median,
+        })
+        print(f"wavefield CG   {mode:24s} min {best * 1e3:9.3f} ms  "
+              f"median {median * 1e3:9.3f} ms  iterations {rows[-1]['iterations']}")
+    return rows
 
 
 def main(argv=None) -> int:
@@ -89,28 +150,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    rng = np.random.default_rng(0)
-    rows = []
-    for label, ndim, nx, nz, nt, columns in SHAPES:
-        spec = GridSpec(ndim=ndim, nx=nx, nz=nz, dx=10.0, dz=10.0, nt=nt, dt=0.002)
-        m = 1.0 / (1500.0 + 900.0 * rng.random(spec.n_space)) ** 2
-        shape = spec.shape if columns is None else spec.shape + (columns,)
-        field = rng.standard_normal(shape)
-        points = spec.n_space * nt * (columns or 1)
-        for name, kernel in KERNELS.items():
-            best, median = time_kernel(kernel, spec, m, field)
-            rows.append({
-                "kernel": name, "shape": label, "points": points,
-                "repeats": REPEATS, "min_s": best, "median_s": median,
-                "mpts_per_s_at_min": points / best / 1e6,
-                "mpts_per_s_at_median": points / median / 1e6,
-            })
-            print(f"{name:14s} {label:16s} min {best * 1e3:9.3f} ms  "
-                  f"median {median * 1e3:9.3f} ms  {points / best / 1e6:7.2f} Mpt/s")
+    rows = kernel_rows(np.random.default_rng(0)) + cg_rows()
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
-        "layer": "wavecore sweep kernels",
+        "layer": "wavecore sweep kernels and the wavefield CG",
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

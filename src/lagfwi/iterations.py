@@ -4,32 +4,40 @@ Every scheme alternates between (a) estimating a wavefield u and a
 multiplier-like field for each source and (b) updating the model.  Eleven
 share the one pipeline of step_scheme,
 
-    per source:  (u, v_like) = solve(m, b, d, cfg, cache, previous slots)
+    (us, v_likes) = solve(m, sources, data, cfg, cache, previous slots)
     m_new = combined_model_update(m, [(v_like, u), ...], step)
-    mem   = mem + k (A(m_new) u - b)           (schemes with a memory only)
-    u0    = A(m_new)^-1 b                      (forward_fields of the new state)
+    mem   = mem + k (A(m_new) u - b)           (per source; schemes with a memory only)
+    u0s   = A(m_new)^-1 b, all sources         (forward_fields of the new state)
 
 and differ only in their row of _TABLE: the solve, whether the multiplier is
-scaled, and whether a memory is carried.  An unscaled scheme keeps v in
-`multipliers`, steps by cfg.step_length (1/mu unless alpha is pinned) and
-carries the Lagrange multiplier w (k = mu) in `running_multipliers`.  A
-scaled scheme keeps lam = v/mu in `scatter_sources`, takes a unit step and
-carries the accumulated constraint error eps = w/mu (k = 1) in
-`scatter_errors`.
+scaled, and whether a memory is carried.  A solve takes all of the step's
+sources at once.  The batched solves sweep them together: every sweep of
+theirs is one batched sweep over the step's sources, and the wavefield
+orientation runs the sources' CGs in lock step.  The others still solve
+source by source, through the one adapter _each_source.  An unscaled
+scheme keeps v in `multipliers`, steps by cfg.step_length (1/mu unless
+alpha is pinned) and carries the Lagrange multiplier w (k = mu) in
+`running_multipliers`.  A scaled scheme keeps lam = v/mu in
+`scatter_sources`, takes a unit step and carries the accumulated
+constraint error eps = w/mu (k = 1) in `scatter_errors`.
 
-  scheme              solve                                   scaled  memory
-  fwi                 u = A^-1 b, v back-propagates P u - d     no      -
-  penalty-wavefield   u = A^-1 z, CG on (I + G^T G/mu) z        no      -
-  penalty-multiplier  damped trace system for v, companion u    no      -
-  wri-scaled          lam against the plain residual, refresh   yes     -
+  scheme              solve                                   batch  scaled  memory
+  fwi                 u = A^-1 b, v back-propagates P u - d   yes    no      -
+  penalty-wavefield   u = A^-1 z, CG on (I + G^T G/mu) z      yes    no      -
+  penalty-multiplier  damped trace system for v, companion u  yes    no      -
+  wri-scaled          lam against the plain residual, refresh no     yes     -
                       u = A^-1 (b + lam)
-  al-wavefield        penalty-wavefield's solve, w passed       no      w
-  al-multiplier       penalty-multiplier's solve, w passed      no      w
-  split-gn            wri-scaled's solve without the refresh    yes     -
-  split-gs            wri-scaled's solve                        yes     -
-  refined-direct      multiplier increment, term by term        yes     -
-  refined-rearranged  same iterates, rhs collected first        yes     -
-  refined-epsilon     same iterates, bookkeeping through eps    yes     eps
+  al-wavefield        penalty-wavefield's solve, w passed     yes    no      w
+  al-multiplier       penalty-multiplier's solve, w passed    yes    no      w
+  split-gn            wri-scaled's solve without the refresh  no     yes     -
+  split-gs            wri-scaled's solve                      no     yes     -
+  refined-direct      multiplier increment, term by term      no     yes     -
+  refined-rearranged  same iterates, rhs collected first      no     yes     -
+  refined-epsilon     same iterates, bookkeeping through eps  no     yes     eps
+
+Batching does not change an iterate: each column of a batched sweep or of
+the lock-step CG does the same floating-point operations as a solve of its
+own source.
 
 G = P A^-1 maps sources to receiver traces (see
 saddle.solve_augmented_wavefield).
@@ -39,8 +47,9 @@ stacked Born kernels for the model increment; gauss-seidel linearizes about
 a field refreshed by the previous increment.
 
 The plain forward field u0 depends on the model alone, so it is solved once
-per model, by initial_state and at the end of each step, and kept in the
-state's forward_fields for the next step's solve and the stopping rule.
+per model, all sources in one batched sweep, by initial_state and at the end
+of each step, and kept in the state's forward_fields for the next step's
+solve and the stopping rule.
 
 The penalty/al multiplier orientations and the split/refined family all call
 into saddle.damped_trace_multiplier, so their agreement is structural, not a
@@ -65,12 +74,12 @@ from .errors import ConfigurationError, DivergenceError, SolverNotConvergedError
 from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
-    HessianCache, PenaltyConfig, companion_wavefield, damped_trace_multiplier,
-    solve_augmented_wavefield, solve_ls_multiplier,
+    HessianCache, PenaltyConfig, companion_wavefields, damped_trace_multiplier,
+    solve_augmented_wavefields, solve_ls_multipliers,
 )
 from .wavecore import (
-    adjoint_solve, apply_wave_operator, correlation_terms, forward_solve, inject,
-    preconditioned_ratio, sample, scattering_source, updated_model,
+    adjoint_solve, adjoint_solves, apply_wave_operator, correlation_terms, forward_solve,
+    forward_solves, inject, preconditioned_ratio, sample, scattering_source, updated_model,
 )
 
 
@@ -96,16 +105,12 @@ class IterationState:
     iteration: int = 0
 
 
-def _forward_fields(m: ModelGrid, sources) -> tuple[Wavefield, ...]:
-    return tuple(forward_solve(m, b) for b in sources)
-
-
 def initial_state(model: ModelGrid, sources) -> IterationState:
     """State at the starting model: forward_fields, also used as the
     wavefields, and zeros elsewhere.  The first step scatters dm = 0, so its
     iterates do not depend on the starting wavefields."""
     spec = model.spec
-    u0 = _forward_fields(model, sources)
+    u0 = forward_solves(model, sources)
     zf = tuple(Wavefield(spec, np.zeros(spec.shape)) for _ in sources)
     zs = tuple(SourceField(spec, np.zeros(spec.shape)) for _ in sources)
     return IterationState(model, model, u0, wavefields=u0, multipliers=zf,
@@ -146,7 +151,7 @@ def _residual_traces(data: TraceData, u: Wavefield) -> TraceData:
 
 
 # ---------------------------------------------------------------------------
-# per-source solves: (m, b, d, cfg, cache, previous) -> (u, v_like)
+# per-step solves: (m, sources, data, cfg, cache, previous) -> (us, v_likes)
 # ---------------------------------------------------------------------------
 
 
@@ -160,31 +165,48 @@ class _Previous(NamedTuple):
     dm: np.ndarray             # last model increment m - m_prev
 
 
-def _fwi(m, b, d, cfg, cache, prev):
-    """Reduced-space gradient: adjoint field against the data residual."""
-    return prev.u0, adjoint_solve(m, inject(_residual_traces(d, prev.u0)))
+def _each_source(solve):
+    """Adapter for a per-source solve (m, b, d, cfg, cache, previous) ->
+    (u, v_like) that does not batch its sources yet: one call per source."""
+
+    def solve_step(m, sources, data, cfg, cache, prevs):
+        pairs = [solve(m, b, d, cfg, cache, prev) for b, d, prev in zip(sources, data, prevs)]
+        return [u for u, _ in pairs], [v for _, v in pairs]
+
+    return solve_step
 
 
-def _wavefield_orientation(m, b, d, cfg, cache, prev):
-    """Eliminate v: wave-equation-preconditioned CG for u, then
-    v = w + mu (A u - b), the same v as the multiplier orientation in exact
-    arithmetic.  A solve that misses cfg.cg_tol raises
-    SolverNotConvergedError, so its field never reaches the model update."""
-    w = prev.mem
-    u, info = solve_augmented_wavefield(m, b, d, cfg, w=w)
-    if not info.converged:
-        raise SolverNotConvergedError(
-            f"wavefield CG stopped after {info.iterations} iterations at relative "
-            f"residual {info.relative_residual:.3e} (cg_tol {cfg.cg_tol:g})")
-    v = cfg.mu * (apply_wave_operator(m, u).values - b.values)
-    return u, Wavefield(m.spec, v if w is None else w.values + v)
+def _fwi(m, sources, data, cfg, cache, prevs):
+    """Reduced-space gradient: adjoint fields against the data residuals."""
+    us = [prev.u0 for prev in prevs]
+    return us, adjoint_solves(m, [inject(_residual_traces(d, u)) for d, u in zip(data, us)])
 
 
-def _multiplier_orientation(m, b, d, cfg, cache, prev):
+def _wavefield_orientation(m, sources, data, cfg, cache, prevs):
+    """Eliminate v: wave-equation-preconditioned CG for u, the sources'
+    solves in lock step, then v = w + mu (A u - b), the same v as the
+    multiplier orientation in exact arithmetic.  A solve that misses
+    cfg.cg_tol raises SolverNotConvergedError, so its field never reaches
+    the model update."""
+    ws = [prev.mem for prev in prevs]
+    us, vs = [], []
+    for b, w, (u, info) in zip(sources, ws, solve_augmented_wavefields(m, sources, data, cfg, ws)):
+        if not info.converged:
+            raise SolverNotConvergedError(
+                f"wavefield CG stopped after {info.iterations} iterations at relative "
+                f"residual {info.relative_residual:.3e} (cg_tol {cfg.cg_tol:g})")
+        v = cfg.mu * (apply_wave_operator(m, u).values - b.values)
+        us.append(u)
+        vs.append(Wavefield(m.spec, v if w is None else w.values + v))
+    return us, vs
+
+
+def _multiplier_orientation(m, sources, data, cfg, cache, prevs):
     """Eliminate u through the damped trace system, then the companion
-    wavefield A^-1 (b + (v - w)/mu)."""
-    v = solve_ls_multiplier(m, b, d, cfg, w=prev.mem, cache=cache)
-    return companion_wavefield(m, b, v, cfg, w=prev.mem), v
+    wavefields A^-1 (b + (v - w)/mu); one batched sweep each."""
+    ws = [prev.mem for prev in prevs]
+    vs = solve_ls_multipliers(m, sources, data, cfg, ws=ws, cache=cache)
+    return companion_wavefields(m, sources, vs, cfg, ws=ws), vs
 
 
 def _scaled_multiplier(m, d, rhs, cfg, cache) -> SourceField:
@@ -263,7 +285,7 @@ def _born_step(state: IterationState, sources, data, damping: float, lagged: boo
         rhs.append(_residual_traces(d, u0).values.ravel())
     dm = damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping)
     m_new = updated_model(m, -1.0, dm)
-    return IterationState(m_new, m, _forward_fields(m_new, sources), wavefields=tuple(us),
+    return IterationState(m_new, m, forward_solves(m_new, sources), wavefields=tuple(us),
                           iteration=state.iteration + 1)
 
 
@@ -272,16 +294,16 @@ _TABLE = {
     "fwi": (_fwi, False, False),
     "penalty-wavefield": (_wavefield_orientation, False, False),
     "penalty-multiplier": (_multiplier_orientation, False, False),
-    "wri-scaled": (_split, True, False),
+    "wri-scaled": (_each_source(_split), True, False),
     "al-wavefield": (_wavefield_orientation, False, True),
     "al-multiplier": (_multiplier_orientation, False, True),
     "gauss-newton": None,
     "gauss-seidel": None,
-    "split-gn": (partial(_split, refresh=False), True, False),
-    "split-gs": (_split, True, False),
-    "refined-direct": (_refined_direct, True, False),
-    "refined-rearranged": (_refined_rearranged, True, False),
-    "refined-epsilon": (_refined_epsilon, True, True),
+    "split-gn": (_each_source(partial(_split, refresh=False)), True, False),
+    "split-gs": (_each_source(_split), True, False),
+    "refined-direct": (_each_source(_refined_direct), True, False),
+    "refined-rearranged": (_each_source(_refined_rearranged), True, False),
+    "refined-epsilon": (_each_source(_refined_epsilon), True, True),
 }
 
 SCHEMES = tuple(_TABLE)
@@ -303,12 +325,9 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
     mem_slot = "scatter_errors" if scaled else "running_multipliers"
     mems = getattr(state, mem_slot) if memory else (None,) * n
     lams = state.scatter_sources or (None,) * n
-    us, vs = [], []
-    for b, d, u0, u_prev, lam, mem in zip(sources, data, state.forward_fields,
-                                          state.wavefields, lams, mems):
-        u, v_like = solve(m, b, d, cfg, cache, _Previous(u0, u_prev, lam, mem, dm))
-        us.append(u)
-        vs.append(v_like)
+    prevs = [_Previous(u0, u_prev, lam, mem, dm) for u0, u_prev, lam, mem
+             in zip(state.forward_fields, state.wavefields, lams, mems)]
+    us, vs = solve(m, sources, data, cfg, cache, prevs)
     step = 1.0 if scaled else cfg.step_length
     m_new = combined_model_update(m, list(zip(vs, us)), step, update_mode)
     slots = {"wavefields": tuple(us), "scatter_sources" if scaled else "multipliers": tuple(vs)}
@@ -318,7 +337,7 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
             SourceField(m.spec, mem.values + k * (apply_wave_operator(m_new, u).values - b.values))
             for b, u, mem in zip(sources, us, mems)
         )
-    return IterationState(m_new, m, _forward_fields(m_new, sources),
+    return IterationState(m_new, m, forward_solves(m_new, sources),
                           iteration=state.iteration + 1, **slots)
 
 

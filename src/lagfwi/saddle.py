@@ -24,6 +24,15 @@ Green's function per receiver (a single batched forward sweep) and
 factorized once per model. The scaled multiplier lam = v / mu is the damped
 least-squares solution of P A^-1 lam = d - P A^-1 b with damping mu, which
 is how the scattering-type iterations consume the same machinery.
+
+Each solve has a batched form for the sources of one step, which share the
+model and the receivers: solve_augmented_wavefields runs the sources' CGs
+in lock step, so each iteration is one batched forward sweep and one
+batched adjoint sweep, and solve_ls_multipliers and companion_wavefields
+make one batched sweep where the single solve makes one sweep (the
+Cholesky solves stay one per source).  Every column does the same
+floating-point operations as its single solve, so the batched forms return
+the single solves' results bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from .wavecore import (
     _forward_sweep,
     _laplacian,
     _scales,
-    forward_solve,
+    forward_solves,
 )
 
 __all__ = [
@@ -57,9 +66,12 @@ __all__ = [
     "DataSpaceHessian",
     "HessianCache",
     "solve_augmented_wavefield",
+    "solve_augmented_wavefields",
     "assemble_data_space_hessian",
     "solve_ls_multiplier",
+    "solve_ls_multipliers",
     "companion_wavefield",
+    "companion_wavefields",
     "damped_trace_multiplier",
 ]
 
@@ -107,46 +119,104 @@ class SolveInfo:
 _CG_RECOMPUTE_EVERY = 50
 
 
-def _cg(apply_op, rhs, x0, tol, maxiter):
-    """Plain conjugate gradients on an SPD operator, flat arrays.
+class _Column:
+    """One right-hand side's CG state: its iterate, residual, direction and
+    scalars.  ``x`` is replaced, never written in place, so the best
+    iterate is kept by reference."""
 
-    Returns the best iterate seen (by residual norm) plus a SolveInfo; the
-    true residual is recomputed periodically so the recursion cannot drift.
+    def __init__(self, index: int, rhs: np.ndarray, x0: np.ndarray):
+        self.index = index
+        self.rhs = rhs
+        self.rhs_norm = float(np.linalg.norm(rhs))
+        self.x = x0.copy()
+
+    def start(self, ax: np.ndarray, tol: float) -> bool:
+        """Take the residual of x0; True if x0 already meets tol."""
+        self.r = self.rhs - ax
+        self.best_x = self.x
+        self.best_res = float(np.linalg.norm(self.r))
+        if self.best_res / self.rhs_norm <= tol:
+            return True
+        self.p = self.r.copy()
+        self.rs = float(self.r @ self.r)
+        return False
+
+    def info(self, converged: bool, iterations: int) -> SolveInfo:
+        return SolveInfo(converged, iterations, self.best_res / self.rhs_norm)
+
+
+def _cg(apply_op, rhs, x0, tol, maxiter):
+    """Conjugate gradients on an SPD operator, k right-hand sides in lock step.
+
+    rhs and x0 are sequences of k flat arrays, and apply_op maps a list of
+    flat arrays to the list of their products.  This is the column-wise form
+    of block CG (O'Leary, Linear Algebra Appl. 29, 1980): every column keeps
+    its own scalars, best iterate (by residual norm), convergence test and
+    exit on loss of positive definiteness, and does the same floating-point
+    operations as a solve of its own.  A column that has finished leaves the
+    batch, so each iteration applies the operator once to the columns still
+    in it.  The true residual is recomputed periodically so the recursion
+    cannot drift.  Returns one (best iterate, SolveInfo) per column.
     """
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs), SolveInfo(True, 0, 0.0)
-    x = x0.copy()
-    r = rhs - apply_op(x)
-    best_x = x.copy()
-    best_res = float(np.linalg.norm(r))
-    if best_res / rhs_norm <= tol:
-        return best_x, SolveInfo(True, 0, best_res / rhs_norm)
-    p = r.copy()
-    rs = float(r @ r)
+    results = [None] * len(rhs)
+    live = []
+    for j, (b, x) in enumerate(zip(rhs, x0)):
+        column = _Column(j, b, x)
+        if column.rhs_norm == 0.0:
+            results[j] = (np.zeros_like(b), SolveInfo(True, 0, 0.0))
+        else:
+            live.append(column)
+
+    def finish(column, converged, iterations):
+        results[column.index] = (column.best_x, column.info(converged, iterations))
+
+    if live:
+        started = []
+        for column, ax in zip(live, apply_op([c.x for c in live])):
+            if column.start(ax, tol):
+                finish(column, True, 0)
+            else:
+                started.append(column)
+        live = started
     it = 0
     for it in range(1, maxiter + 1):
-        ap = apply_op(p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            it -= 1  # loss of positive definiteness: this iteration made no step
+        if not live:
             break
-        step = rs / denom
-        x += step * p
-        if it % _CG_RECOMPUTE_EVERY == 0:
-            r = rhs - apply_op(x)
+        stepped, steps = [], []
+        for column, ap in zip(live, apply_op([c.p for c in live])):
+            denom = float(column.p @ ap)
+            if denom <= 0.0:
+                # loss of positive definiteness: this iteration made no step
+                finish(column, False, it - 1)
+                continue
+            step = column.rs / denom
+            column.x = column.x + step * column.p
+            stepped.append(column)
+            steps.append((step, ap))
+        if it % _CG_RECOMPUTE_EVERY == 0 and stepped:
+            for column, ax in zip(stepped, apply_op([c.x for c in stepped])):
+                column.r = column.rhs - ax
         else:
-            r -= step * ap
-        rs_new = float(r @ r)
-        res = np.sqrt(rs_new)
-        if res < best_res:
-            best_res = res
-            best_x = x.copy()
-        if res / rhs_norm <= tol:
-            return best_x, SolveInfo(True, it, best_res / rhs_norm)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return best_x, SolveInfo(False, it, best_res / rhs_norm)
+            for column, (step, ap) in zip(stepped, steps):
+                column.r -= step * ap
+        steps = None
+        live = []
+        for column in stepped:
+            rs_new = float(column.r @ column.r)
+            res = np.sqrt(rs_new)
+            if res < column.best_res:
+                column.best_res = res
+                column.best_x = column.x
+            if res / column.rhs_norm <= tol:
+                finish(column, True, it)
+                continue
+            np.multiply(column.p, rs_new / column.rs, out=column.p)
+            np.add(column.r, column.p, out=column.p)
+            column.rs = rs_new
+            live.append(column)
+    for column in live:
+        finish(column, False, it)
+    return results
 
 
 def solve_augmented_wavefield(
@@ -171,32 +241,78 @@ def solve_augmented_wavefield(
     norm of the right-hand side.  u = A^-1 z costs one more forward sweep;
     the returned SolveInfo describes the z system.
     """
+    (result,) = solve_augmented_wavefields(m, [b], [d], cfg, [w])
+    return result
+
+
+def solve_augmented_wavefields(
+    m: ModelGrid,
+    sources,
+    data,
+    cfg: PenaltyConfig,
+    ws=None,
+) -> list[tuple[Wavefield, SolveInfo]]:
+    """solve_augmented_wavefield for every source, their CGs in lock step.
+
+    ws holds one w (or None) per source; ws=None means no w anywhere.  The
+    sources must share their receivers.  Each CG iteration is one batched
+    forward sweep and one batched adjoint sweep over the columns that have
+    not finished, and each column's iterates and SolveInfo are bitwise
+    those of its own solve.
+    """
     spec = m.spec
-    geom = d.geometry
+    geom = _shared_geometry(data)
     geom.validate_for(spec)
     rec = list(geom.receiver_nodes)
     mvals = m.values
     inv_mu = 1.0 / cfg.mu
+    ws = [None] * len(sources) if ws is None else ws
 
-    def back_project(traces: np.ndarray) -> np.ndarray:
-        """G^T traces / mu."""
-        field = np.zeros(spec.shape)
-        field[rec, :] = inv_mu * traces
-        return _adjoint_sweep(spec, mvals, field)
+    def back_project(traces) -> list[np.ndarray]:
+        """G^T t / mu for each set of traces t."""
+        fields = []
+        for t in traces:
+            field = np.zeros(spec.shape)
+            field[rec, :] = inv_mu * t
+            fields.append(field)
+        return _adjoint_sweep(spec, mvals, fields)
 
-    def apply_op(zflat: np.ndarray) -> np.ndarray:
-        z = zflat.reshape(spec.shape)
-        return (z + back_project(_forward_sweep(spec, mvals, z)[rec, :])).ravel()
+    def apply_op(zflats):
+        zs = [z.reshape(spec.shape) for z in zflats]
+        out = back_project([u[rec, :] for u in _forward_sweep(spec, mvals, zs)])
+        for g, z in zip(out, zs):
+            np.add(g, z, out=g)  # z + G^T G z / mu; addition commutes exactly
+        return [g.ravel() for g in out]
 
-    shift = b.values if w is None else b.values - inv_mu * w.values
-    rhs = shift + back_project(d.values)
-    z, info = _cg(apply_op, rhs.ravel(), shift.ravel(), cfg.cg_tol, cfg.cg_maxiter)
-    return Wavefield(spec, _forward_sweep(spec, mvals, z.reshape(spec.shape))), info
+    shifts = [b.values if w is None else b.values - inv_mu * w.values
+              for b, w in zip(sources, ws)]
+    rhs = back_project([d.values for d in data])
+    for g, shift in zip(rhs, shifts):
+        np.add(g, shift, out=g)
+    results = _cg(apply_op, [g.ravel() for g in rhs], [shift.ravel() for shift in shifts],
+                  cfg.cg_tol, cfg.cg_maxiter)
+    us = _forward_sweep(spec, mvals, [z.reshape(spec.shape) for z, _ in results])
+    return [(Wavefield(spec, u), info) for u, (_, info) in zip(us, results)]
+
+
+def _shared_geometry(data) -> AcquisitionGeometry:
+    """The acquisition geometry of a batch of traces, which must share their
+    receivers."""
+    geometry = data[0].geometry
+    if any(d.geometry.receiver_nodes != geometry.receiver_nodes for d in data):
+        raise ValueError("the traces of one batch must share their receivers")
+    return geometry
 
 
 @dataclass(frozen=True, eq=False)
 class DataSpaceHessian:
-    """Dense receiver-sample Gram matrix H = P A^-1 A^-T P^T."""
+    """Dense receiver-sample Gram matrix H = P A^-1 A^-T P^T.
+
+    Only the shape is checked here.  The assembly is symmetric by
+    construction, and its values are guarded elsewhere: cho_factor rejects
+    non-finite entries, and the tests and selfcheck compare H with the
+    dense oracle.
+    """
 
     spec: GridSpec
     geometry: AcquisitionGeometry
@@ -206,11 +322,6 @@ class DataSpaceHessian:
         h = self.matrix
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("Hessian must be square")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("Hessian has non-finite entries")
-        scale = float(np.linalg.norm(h))
-        if scale > 0 and float(np.linalg.norm(h - h.T)) > 1e-10 * scale:
-            raise ValueError("Hessian asymmetry above tolerance")
 
     @property
     def n(self) -> int:
@@ -326,16 +437,30 @@ def damped_trace_multiplier(
     identity moves the damped normal solve into data space, where H is
     small and dense).  Without a cache, H is assembled for this call alone.
     """
+    (lam,) = _damped_trace_multipliers(m, geometry, [rhs_traces], mu, cache)
+    return lam
+
+
+def _damped_trace_multipliers(
+    m: ModelGrid,
+    geometry: AcquisitionGeometry,
+    rhs_traces,
+    mu: float,
+    cache: HessianCache | None = None,
+) -> list[Wavefield]:
+    """damped_trace_multiplier for every set of traces in rhs_traces: one
+    Cholesky solve per set against a single factorization, then one batched
+    adjoint sweep."""
     cache = HessianCache() if cache is None else cache
     spec = m.spec
     factor = cache.shifted_factor(m, geometry, mu)
-    y = scipy.linalg.cho_solve(factor, np.asarray(rhs_traces, dtype=float).ravel())
-    rhs_field = np.zeros(spec.shape)
-    rhs_field[list(geometry.receiver_nodes), :] = y.reshape(
-        geometry.n_receivers, spec.nt
-    )
-    lam = _adjoint_sweep(spec, m.values, rhs_field)
-    return Wavefield(spec, lam)
+    fields = []
+    for traces in rhs_traces:
+        y = scipy.linalg.cho_solve(factor, np.asarray(traces, dtype=float).ravel())
+        field = np.zeros(spec.shape)
+        field[list(geometry.receiver_nodes), :] = y.reshape(geometry.n_receivers, spec.nt)
+        fields.append(field)
+    return [Wavefield(spec, lam) for lam in _adjoint_sweep(spec, m.values, fields)]
 
 
 def solve_ls_multiplier(
@@ -352,13 +477,31 @@ def solve_ls_multiplier(
     AL (w given):    same with b replaced by b - w/mu on the right-hand side,
                      which is exactly adding (1/mu) P A^-1 w to the residual.
     """
+    (v,) = solve_ls_multipliers(m, [b], [d], cfg, [w], cache)
+    return v
+
+
+def solve_ls_multipliers(
+    m: ModelGrid,
+    sources,
+    data,
+    cfg: PenaltyConfig,
+    ws=None,
+    cache: HessianCache | None = None,
+) -> list[Wavefield]:
+    """solve_ls_multiplier for every source, with one batched forward sweep
+    and one batched adjoint sweep; ws as in solve_augmented_wavefields."""
     spec = m.spec
-    shift = b.values if w is None else b.values - w.values / cfg.mu
-    u0 = _forward_sweep(spec, m.values, shift)
-    residual = d.values - u0[list(d.geometry.receiver_nodes), :]
+    geometry = _shared_geometry(data)
+    ws = [None] * len(sources) if ws is None else ws
+    shifts = [b.values if w is None else b.values - w.values / cfg.mu
+              for b, w in zip(sources, ws)]
+    rec = list(geometry.receiver_nodes)
+    residuals = [d.values - u0[rec, :]
+                 for d, u0 in zip(data, _forward_sweep(spec, m.values, shifts))]
     # (I + H/mu)^-1 r  ==  mu (H + mu I)^-1 r
-    lam = damped_trace_multiplier(m, d.geometry, residual, cfg.mu, cache)
-    return Wavefield(spec, cfg.mu * lam.values)
+    lams = _damped_trace_multipliers(m, geometry, residuals, cfg.mu, cache)
+    return [Wavefield(spec, cfg.mu * lam.values) for lam in lams]
 
 
 def companion_wavefield(
@@ -374,7 +517,18 @@ def companion_wavefield(
     multiplier acts as a secondary volume source (and w, when given, as a
     tertiary one).
     """
-    vals = b.values + v.values / cfg.mu
-    if w is not None:
-        vals = vals - w.values / cfg.mu
-    return forward_solve(m, SourceField(m.spec, vals))
+    (u,) = companion_wavefields(m, [b], [v], cfg, [w])
+    return u
+
+
+def companion_wavefields(m: ModelGrid, sources, vs, cfg: PenaltyConfig,
+                         ws=None) -> tuple[Wavefield, ...]:
+    """companion_wavefield for every source, as one batched forward solve."""
+    ws = [None] * len(sources) if ws is None else ws
+    rhs = []
+    for b, v, w in zip(sources, vs, ws):
+        vals = b.values + v.values / cfg.mu
+        if w is not None:
+            vals = vals - w.values / cfg.mu
+        rhs.append(SourceField(m.spec, vals))
+    return forward_solves(m, rhs)

@@ -15,7 +15,8 @@ assembled data-space Hessian inside its dense-oracle comparison;
 "perturb-wavefield-solve" scales the CG wavefield inside both saddle
 orientation checks; "perturb-sweep" scales the swept fields at the first
 level of the sweep kernel's second working block inside its dense-oracle
-comparison.
+comparison; "perturb-batch-column" scales only the second column of a
+lock-step batched wavefield solve inside its dense-oracle comparison.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .saddle import (
     assemble_data_space_hessian,
     companion_wavefield,
     solve_augmented_wavefield,
+    solve_augmented_wavefields,
     solve_ls_multiplier,
 )
 from .wavecore import (
@@ -73,6 +75,7 @@ KNOWN_FAULTS = (
     "perturb-hessian",
     "perturb-wavefield-solve",
     "perturb-sweep",
+    "perturb-batch-column",
 )
 
 
@@ -261,6 +264,23 @@ def _check_saddle_orientations(mode: str):
     return check
 
 
+def _check_batched_wavefield(faults) -> CheckResult:
+    # Two sources in one lock-step CG, the second with an AL shift w, each
+    # against its own dense saddle solve, so a mix-up between columns fails.
+    rng, spec, geom, m_true, m0, sources, data = _tiny_setup(115)
+    cfg = PenaltyConfig(mu=1e2, cg_tol=1e-13)
+    ws = [None, SourceField(spec, 0.1 * rng.standard_normal(spec.shape))]
+    worst = 0.0
+    batch = solve_augmented_wavefields(m0, sources, data, cfg, ws)
+    for column, ((u, info), b, d, w) in enumerate(zip(batch, sources, data, ws)):
+        values = u.values
+        if "perturb-batch-column" in faults and column == 1:
+            values = values * (1.0 + 1e-6)
+        u_ref, _ = dense_saddle_solve(m0, b, d, cfg.mu, w=w)
+        worst = max(worst, _rel(values, u_ref.values) if info.converged else math.inf)
+    return CheckResult("batched-wavefield-vs-dense", worst <= 1e-8, f"rel {worst:.3e} (tol 1e-8)")
+
+
 def _run_iterates(scheme: str, m0, sources, data, cfg, n):
     state = iterations.initial_state(m0, sources)
     cache = HessianCache()
@@ -364,6 +384,7 @@ _CHECKS = (
     _check_guttman,
     _check_saddle_orientations("penalty"),
     _check_saddle_orientations("al"),
+    _check_batched_wavefield,
     _check_scheme_pair("equivalence-split-gs-penalty", "split-gs", "penalty-multiplier"),
     _check_scheme_pair("equivalence-refined-eps-al", "refined-epsilon", "al-multiplier"),
     _check_scheme_pair("equivalence-refined-variants", "refined-direct", "refined-epsilon"),

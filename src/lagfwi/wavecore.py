@@ -17,12 +17,19 @@ sweeps run one recurrence, ``_recurrence``, over time-major working blocks
 of _BLOCK levels: a block of the right-hand side is copied transposed into
 a contiguous buffer, stepped there with in-place operations on reused
 scratch, and copied back, so each step reads and writes contiguous memory
-while the stored layout stays [node, n].  ``_apply`` works one z row of
-nodes at a time, so its scratch is two rows instead of four full-size
-temporaries.  Each kernel performs the same IEEE operations in the same
+while the stored layout stays [node, n].  A sweep takes k right-hand sides
+at once, either as the trailing batch axis of one array or as a sequence
+of k separate fields (``forward_solves``/``adjoint_solves``, the batched
+solves of a step's sources); the k columns share only the working block,
+(level, node, column), and each sequence column gets its own contiguous
+[node, n] result, so no stacked copy of the fields exists.  Small grids
+are bound by the Python cost of each time step, not by flops, so one sweep
+of k columns costs little more than one of a single column.  ``_apply``
+works one z row of nodes at a time, so its scratch is two rows instead of
+four full-size temporaries.  Each kernel performs the same IEEE operations in the same
 order for every element as the plain per-level loop it replaces (the
 Laplacian's x terms, then its z terms: row above, then row below), so its
-results are bitwise identical to that loop's.
+results are bitwise identical to that loop's, batched or not.
 
 The time derivative used throughout is ``operator_time_curvature``, d/dm of
 A(m) u contracted row by row: zero at the two initial-condition rows and the
@@ -34,8 +41,6 @@ misfit (not an O(dt) approximation of it).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -54,7 +59,9 @@ __all__ = [
     "apply_wave_operator",
     "apply_wave_operator_transpose",
     "forward_solve",
+    "forward_solves",
     "adjoint_solve",
+    "adjoint_solves",
     "sample",
     "inject",
     "operator_time_curvature",
@@ -176,41 +183,46 @@ def _apply_transpose(spec: GridSpec, m_values: np.ndarray, v: np.ndarray) -> np.
 def _recurrence(
     spec: GridSpec,
     s: np.ndarray,
-    rhs: np.ndarray,
-    out: np.ndarray,
+    rhs: list[np.ndarray],
+    out: list[np.ndarray],
     levels: range,
-    prev2: np.ndarray,
-    prev1: np.ndarray,
+    prev2: list[np.ndarray],
+    prev1: list[np.ndarray],
 ) -> None:
-    """Write out[:, n] = s (rhs[:, n] + L p1) + 2 p1 - p2 for n in ``levels``.
+    """Write out[j][:, n] = s (rhs[j][:, n] + L p1) + 2 p1 - p2 for every
+    column j and every n in ``levels``.
 
-    ``levels`` runs forward or backward in time; p1 and p2 are the one and
-    two levels before n in that direction, and ``prev2``/``prev1`` are the
-    two before the first.  ``out`` must be C-contiguous.  The levels are
-    stepped in time-major blocks of at most _BLOCK levels: each block of rhs
-    is copied transposed into a contiguous buffer, stepped there in place,
-    written back, and its last two levels carried into the next block.
+    rhs and out hold k (n_space, nt) fields each, and prev2/prev1 their
+    starting levels.  ``levels`` runs forward or backward in time; p1 and p2
+    are the one and two levels before n in that direction, and prev2/prev1
+    are the two before the first.  The levels are stepped in time-major
+    blocks of at most _BLOCK levels: each column's block of rhs is copied
+    transposed into one contiguous (level, node, column) buffer, stepped
+    there in place, written back into its own output, and the last two
+    levels are carried into the next block.  The columns meet only inside
+    the buffer, and the stencil scale is expanded to the buffer's full
+    (nz, nx, k) shape, so every ufunc runs one flat loop.
     """
     if not levels:
         return
-    nz, nx, nt, n_space = spec.nz, spec.nx, spec.nt, spec.n_space
-    k = math.prod(rhs.shape[2:])
-    src = rhs.reshape(n_space, nt, k)
-    dst = out.reshape(n_space, nt, k)
+    nz, nx, n_space = spec.nz, spec.nx, spec.n_space
+    k = len(rhs)
     size = min(_BLOCK, len(levels))
     buf = np.empty((size + 2, n_space, k))
-    buf[0] = prev2.reshape(n_space, k)
-    buf[1] = prev1.reshape(n_space, k)
+    for j in range(k):
+        buf[0, :, j] = prev2[j]
+        buf[1, :, j] = prev1[j]
     work = np.empty((nz, nx, k))
     laplacian = _laplacian_into(spec, work, np.empty_like(work))
-    s = s.reshape(nz, nx, 1)
+    s = np.repeat(s.reshape(nz, nx, 1), k, axis=2)
     views = list(buf.reshape(size + 2, nz, nx, k))
     for first in range(0, len(levels), size):
         part = levels[first : first + size]
         count = len(part)
         lo = min(part[0], part[-1])
         block = buf[2 : 2 + count][:: levels.step]
-        block[...] = src[:, lo : lo + count].swapaxes(0, 1)
+        for j in range(k):
+            block[..., j] = rhs[j][:, lo : lo + count].T
         for p2, p1, level in zip(views, views[1:], views[2 : 2 + count]):
             laplacian(p1)
             np.add(level, work, out=work)
@@ -218,35 +230,64 @@ def _recurrence(
             np.multiply(p1, 2.0, out=level)
             np.add(work, level, out=level)
             np.subtract(level, p2, out=level)
-        dst[:, lo : lo + count] = block.swapaxes(0, 1)
+        for j in range(k):
+            out[j][:, lo : lo + count] = block[..., j].T
         buf[:2] = buf[count : count + 2]
 
 
-def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Explicit time stepping, solves A(m) u = rhs. Supports batched rhs."""
+def _batch(spec: GridSpec, rhs):
+    """(rhs columns, result, result columns) of a sweep's right-hand side.
+
+    An array (n_space, nt, ...) has its trailing axes as batch columns, and
+    its result is one array of the same shape; a sequence of k (n_space, nt)
+    arrays is its own list of columns, and its result is a list of k
+    separate arrays.  Columns are (n_space, nt) views.
+    """
+    if isinstance(rhs, np.ndarray):
+        out = np.empty(rhs.shape)
+        return _columns(spec, rhs), out, _columns(spec, out)
+    out = [np.empty(spec.shape) for _ in rhs]
+    return list(rhs), out, out
+
+
+def _columns(spec: GridSpec, field: np.ndarray) -> list[np.ndarray]:
+    return list(np.moveaxis(field.reshape(spec.n_space, spec.nt, -1), 2, 0))
+
+
+def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
+    """Explicit time stepping, solves A(m) u = rhs.
+
+    rhs is an array with optional trailing batch axes, or a sequence of k
+    (n_space, nt) arrays swept as one batch; the result takes rhs's form.
+    """
     _, s = _scales(spec, m_values, 0)
-    u = np.empty(rhs.shape)
-    u[:, :2] = rhs[:, :2]
-    _recurrence(spec, s, rhs, u, range(2, spec.nt), rhs[:, 0], rhs[:, 1])
+    rhs_cols, u, u_cols = _batch(spec, rhs)
+    for r, uc in zip(rhs_cols, u_cols):
+        uc[:, :2] = r[:, :2]
+    _recurrence(spec, s, rhs_cols, u_cols, range(2, spec.nt),
+                [r[:, 0] for r in rhs_cols], [r[:, 1] for r in rhs_cols])
     return u
 
 
-def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Reverse time stepping, solves A(m)^T v = rhs. Supports batched rhs."""
+def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
+    """Reverse time stepping, solves A(m)^T v = rhs; rhs as in _forward_sweep."""
     nt = spec.nt
-    c, s = _scales(spec, m_values, rhs.ndim - 2)
-    v = np.empty(rhs.shape)
-    v[:, nt - 1] = s * rhs[:, nt - 1]
+    c, s = _scales(spec, m_values, 0)
+    rhs_cols, v, v_cols = _batch(spec, rhs)
+    for r, vc in zip(rhs_cols, v_cols):
+        vc[:, nt - 1] = s * r[:, nt - 1]
     # the level after nt - 1 is zero, and x - 0.0 == x, so the first step
     # matches the stencil row that has no v[:, n + 2] term
-    zero = np.zeros(rhs[:, 0].shape)
-    _recurrence(spec, s, rhs, v, range(nt - 2, 1, -1), zero, v[:, nt - 1])
+    zero = np.zeros(spec.n_space)
+    _recurrence(spec, s, rhs_cols, v_cols, range(nt - 2, 1, -1),
+                [zero] * len(rhs_cols), [vc[:, nt - 1] for vc in v_cols])
     # columns 0 and 1 meet the identity rows, so no 1/c scaling there
-    t1 = rhs[:, 1] + 2.0 * c * v[:, 2] + _laplacian(spec, v[:, 2])
-    if nt >= 4:
-        t1 = t1 - c * v[:, 3]
-    v[:, 1] = t1
-    v[:, 0] = rhs[:, 0] - c * v[:, 2]
+    for r, vc in zip(rhs_cols, v_cols):
+        t1 = r[:, 1] + 2.0 * c * vc[:, 2] + _laplacian(spec, vc[:, 2])
+        if nt >= 4:
+            t1 = t1 - c * vc[:, 3]
+        vc[:, 1] = t1
+        vc[:, 0] = r[:, 0] - c * vc[:, 2]
     return v
 
 
@@ -267,28 +308,42 @@ def apply_wave_operator_transpose(m: ModelGrid, f: SourceField) -> Wavefield:
     return Wavefield(f.spec, _apply_transpose(f.spec, m.values, f.values))
 
 
-def forward_solve(m: ModelGrid, b: SourceField) -> Wavefield:
-    """Solve A(m) u = b by explicit time stepping.
+def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
+    """Sweep a batch of fields on m's grid, one batched sweep for all.
 
     The CFL bound is re-checked here because inversion loops update the
     model between solves; a non-finite result raises DivergenceError.
     """
-    _check_pair(m, b)
-    check_cfl(b.spec, m.values)
-    u = _forward_sweep(b.spec, m.values, b.values)
-    if not np.all(np.isfinite(u)):
-        raise DivergenceError("forward solve produced non-finite values")
-    return Wavefield(b.spec, u)
+    for f in fields:
+        _check_pair(m, f)
+    check_cfl(m.spec, m.values)
+    out = sweep(m.spec, m.values, [f.values for f in fields])
+    for values in out:
+        if not np.all(np.isfinite(values)):
+            raise DivergenceError(f"{name} solve produced non-finite values")
+    return tuple(Wavefield(m.spec, values) for values in out)
+
+
+def forward_solve(m: ModelGrid, b: SourceField) -> Wavefield:
+    """Solve A(m) u = b by explicit time stepping."""
+    (u,) = _solve(_forward_sweep, "forward", m, [b])
+    return u
+
+
+def forward_solves(m: ModelGrid, sources) -> tuple[Wavefield, ...]:
+    """forward_solve for every source, as one batched sweep."""
+    return _solve(_forward_sweep, "forward", m, sources)
 
 
 def adjoint_solve(m: ModelGrid, r: SourceField) -> Wavefield:
     """Solve A(m)^T v = r by reverse time stepping."""
-    _check_pair(m, r)
-    check_cfl(r.spec, m.values)
-    v = _adjoint_sweep(r.spec, m.values, r.values)
-    if not np.all(np.isfinite(v)):
-        raise DivergenceError("adjoint solve produced non-finite values")
-    return Wavefield(r.spec, v)
+    (v,) = _solve(_adjoint_sweep, "adjoint", m, [r])
+    return v
+
+
+def adjoint_solves(m: ModelGrid, rhs) -> tuple[Wavefield, ...]:
+    """adjoint_solve for every right-hand side, as one batched sweep."""
+    return _solve(_adjoint_sweep, "adjoint", m, rhs)
 
 
 def sample(u: Wavefield, geometry: AcquisitionGeometry) -> TraceData:

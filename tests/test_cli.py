@@ -183,6 +183,13 @@ def test_selfcheck_catches_injected_sweep_fault(capsys):
     assert failing == ["FAIL sweep-vs-dense"]
 
 
+def test_selfcheck_catches_injected_batch_column_fault(capsys):
+    assert main(["selfcheck", "--inject-fault", "perturb-batch-column"]) == 1
+    out = capsys.readouterr().out
+    failing = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failing == ["FAIL batched-wavefield-vs-dense"]
+
+
 def test_module_entry_point(config_path):
     # the child needs the package on its path however this process found it
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(lagfwi.__file__)))

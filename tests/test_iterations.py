@@ -30,6 +30,7 @@ from lagfwi.wavecore import (
     apply_wave_operator,
     correlation_terms,
     forward_solve,
+    forward_solves,
     operator_time_curvature,
     sample,
 )
@@ -373,19 +374,26 @@ def test_unconverged_wavefield_solve_raises(scheme):
 
 
 def test_driver_solves_each_model_once(monkeypatch):
-    """Two fwi iterations visit three models, and each model's forward field
-    is solved once: the steps and the stopping rule share it."""
-    calls = []
+    """Two fwi iterations visit three models, and each model's forward fields
+    are solved once, all sources in one batch: the steps and the stopping
+    rule share them."""
+    calls, single = [], []
 
-    def counting(m, b):
+    def counting(m, sources):
         calls.append(m)
+        return forward_solves(m, sources)
+
+    def counting_single(m, b):
+        single.append(m)
         return forward_solve(m, b)
 
-    monkeypatch.setattr("lagfwi.iterations.forward_solve", counting)
+    monkeypatch.setattr("lagfwi.iterations.forward_solves", counting)
+    monkeypatch.setattr("lagfwi.iterations.forward_solve", counting_single)
     config = born_config("fwi", mu=1e4, max_iter=2)
     result = run_inversion(config, make_observed_data(config))
     assert result.status == "max_iter" and len(result.history) == 3
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(set(map(id, calls))) == 3
+    assert single == []
 
 
 def test_unknown_scheme_and_update_mode_are_rejected():

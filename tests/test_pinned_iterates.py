@@ -9,11 +9,15 @@ scattering schemes run on ``tiny_problem`` at mu = 50, fwi needs a small
 pinned step (alpha = 1e-6), and gauss-newton/gauss-seidel run on the weak
 single scatterer of ``born_config`` with damping 1e-4.
 
-Regenerate (only for a deliberate numerical change) with
+Regenerate (only for a deliberate numerical change) the rows of the named
+schemes, in every update mode pinned for them, with
 
-    PYTHONPATH=src python tests/test_pinned_iterates.py
+    PYTHONPATH=src python tests/test_pinned_iterates.py SCHEME [SCHEME ...]
+
+Rows of schemes not named are copied from the file unchanged.
 """
 
+import argparse
 import os
 
 import numpy as np
@@ -84,14 +88,26 @@ def test_pinned_orientations_agree(orientation):
         assert err <= 1e-12, f"{orientation} step {step}: rel {err:.2e}"
 
 
-def main():
-    lines = ["# scheme update_mode step model values (squared slowness), %.17g"]
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="re-pin the named schemes' rows")
+    parser.add_argument("schemes", nargs="+", choices=SCHEMES, metavar="SCHEME")
+    names = set(parser.parse_args(argv).schemes)
+    kept = {}
+    with open(PINNED_FILE) as handle:
+        header = handle.readline().rstrip("\n")
+        for line in handle:
+            scheme, mode = line.split()[:2]
+            kept.setdefault((scheme, mode), []).append(line.rstrip("\n"))
+    lines = [header]
     for scheme, mode in CASES:
+        if scheme not in names:
+            lines.extend(kept[(scheme, mode)])
+            continue
         for step, values in enumerate(case_iterates(scheme, mode), start=1):
             lines.append(f"{scheme} {mode} {step} " + " ".join("%.17g" % v for v in values))
     with open(PINNED_FILE, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-    print(f"wrote {len(CASES)} cases to {PINNED_FILE}")
+    print(f"re-pinned {', '.join(sorted(names))} in {PINNED_FILE}")
 
 
 if __name__ == "__main__":

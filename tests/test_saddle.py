@@ -33,9 +33,12 @@ from lagfwi.saddle import (
     _cg,
     assemble_data_space_hessian,
     companion_wavefield,
+    companion_wavefields,
     damped_trace_multiplier,
     solve_augmented_wavefield,
+    solve_augmented_wavefields,
     solve_ls_multiplier,
+    solve_ls_multipliers,
 )
 from lagfwi.wavecore import _adjoint_sweep, _forward_sweep, forward_solve, sample
 
@@ -84,11 +87,53 @@ def test_cg_breakdown_reports_completed_iterations():
     """On an operator that is not positive definite CG stops at the first
     non-positive curvature and reports the steps it actually took."""
     rhs = np.ones(2)
-    _, info = _cg(lambda x: -x, rhs, np.zeros(2), 1e-10, 50)
+    [(_, info)] = _cg(lambda xs: [-x for x in xs], [rhs], [np.zeros(2)], 1e-10, 50)
     assert not info.converged and info.iterations == 0
     # diag(3, -1): one step with p.Ap = 2 > 0, then p.Ap = -24
-    _, info = _cg(lambda x: np.array([3.0, -1.0]) * x, rhs, np.zeros(2), 1e-10, 50)
+    diag = np.array([3.0, -1.0])
+    [(_, info)] = _cg(lambda xs: [diag * x for x in xs], [rhs], [np.zeros(2)], 1e-10, 50)
     assert not info.converged and info.iterations == 1
+
+
+def test_lock_step_cg_columns_finish_on_their_own():
+    """Five columns share diag(1..8, -1): a zero rhs, one exact at x0, one
+    converging in one step, one breaking down after one step and one cut
+    off at maxiter.  Each column reports its own count and equals its own
+    solve bitwise, and a finished column leaves the batch."""
+    diag = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, -1.0])
+    e = np.eye(9)
+    cases = [  # (rhs, x0)
+        (np.zeros(9), np.zeros(9)),
+        (4.0 * e[3], e[3]),
+        (2.0 * e[1], np.zeros(9)),
+        (e[2] + e[8], np.zeros(9)),   # p.Ap = 2, then -24
+        (np.r_[np.ones(8), 0.0], np.zeros(9)),
+    ]
+    batch_sizes = []
+
+    def apply_op(xs):
+        batch_sizes.append(len(xs))
+        return [diag * x for x in xs]
+
+    rhs, x0 = [b for b, _ in cases], [x for _, x in cases]
+    results = _cg(apply_op, rhs, x0, 1e-10, 3)
+    infos = [info for _, info in results]
+    assert [(i.converged, i.iterations) for i in infos] == [
+        (True, 0), (True, 0), (True, 1), (False, 1), (False, 3)]
+    assert infos[0].relative_residual == infos[1].relative_residual == 0.0
+    assert infos[4].relative_residual > 1e-10
+    assert batch_sizes == [4, 3, 2, 1]
+    for (x, info), b, start in zip(results, rhs, x0):
+        [(x_alone, info_alone)] = _cg(lambda xs: [diag * x for x in xs], [b], [start], 1e-10, 3)
+        assert x.tobytes() == x_alone.tobytes() and info == info_alone
+
+
+def test_batched_wavefield_solve_needs_shared_receivers(setup):
+    spec, m, geom, b, d, rng = setup
+    other = AcquisitionGeometry(source_nodes=(5,), receiver_nodes=(3, 8))
+    d2 = TraceData(spec, other, rng.standard_normal((2, spec.nt)))
+    with pytest.raises(ValueError, match="share their receivers"):
+        solve_augmented_wavefields(m, [b, b], [d, d2], PenaltyConfig(mu=1.0))
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e2, 1e4])
@@ -209,6 +254,53 @@ def test_wavefield_orientation_matches_dense_property(problem):
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
         np.abs(u_ref.values).max(), 1.0
     )
+
+
+@st.composite
+def _batched_problems(draw):
+    m, geom = draw(_hessian_problems())
+    spec = m.spec
+    k = draw(st.integers(min_value=1, max_value=4))
+    mu = 10.0 ** draw(st.floats(min_value=0.0, max_value=6.0))
+    with_w = draw(st.booleans())
+    consistent = draw(st.integers(min_value=0, max_value=k - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    sources = [random_source(spec, rng) for _ in range(k)]
+    ws = [random_source(spec, rng) for _ in range(k)] if with_w else None
+    data = [TraceData(spec, geom, rng.standard_normal((geom.n_receivers, spec.nt)))
+            for _ in range(k)]
+    # data explained by b - w/mu itself: CG starts at the solution
+    shift = sources[consistent].values
+    if with_w:
+        shift = shift - (1.0 / mu) * ws[consistent].values
+    data[consistent] = TraceData(spec, geom, _forward_sweep(spec, m.values, shift)[
+        list(geom.receiver_nodes)])
+    return m, sources, data, mu, ws, consistent
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=_batched_problems())
+def test_batched_saddle_solves_equal_single_solves_bitwise(problem):
+    """The lock-step CG of 1-4 sources returns, column by column, the bytes
+    and the SolveInfo of each source's own solve, on random 1D/2D grids,
+    with and without w, including a column that converges at iteration 0.
+    The batched multiplier orientation matches its single solves too."""
+    m, sources, data, mu, ws, consistent = problem
+    cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
+    batch = solve_augmented_wavefields(m, sources, data, cfg, ws)
+    assert batch[consistent][1].iterations == 0 and batch[consistent][1].converged
+    cache = HessianCache()
+    vs = solve_ls_multipliers(m, sources, data, cfg, ws, cache)
+    companions = companion_wavefields(m, sources, vs, cfg, ws)
+    for j, (u, info) in enumerate(batch):
+        w = None if ws is None else ws[j]
+        u_alone, info_alone = solve_augmented_wavefield(m, sources[j], data[j], cfg, w=w)
+        assert u.values.tobytes() == u_alone.values.tobytes()
+        assert info == info_alone
+        v_alone = solve_ls_multiplier(m, sources[j], data[j], cfg, w=w, cache=cache)
+        assert vs[j].values.tobytes() == v_alone.values.tobytes()
+        u2_alone = companion_wavefield(m, sources[j], v_alone, cfg, w=w)
+        assert companions[j].values.tobytes() == u2_alone.values.tobytes()
 
 
 def _column_hessian(m, geom):

@@ -334,7 +334,9 @@ def _whole_array_apply(spec, m_values, u):
 )
 def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, seed):
     """The blocked sweeps and the row-blocked A(m) do the references'
-    floating-point operations in the same order, so they agree exactly."""
+    floating-point operations in the same order, so they agree exactly.  A
+    sequence of k fields is swept as one batch into k separate contiguous
+    results, each equal to its column's reference."""
     gen = np.random.default_rng(seed)
     dx, dz = gen.uniform(5.0, 20.0, 2)
     spec = GridSpec(
@@ -347,6 +349,15 @@ def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, see
     assert np.array_equal(_forward_sweep(spec, m, field), _reference_sweep(spec, m, field))
     assert np.array_equal(_adjoint_sweep(spec, m, field), _stepped_adjoint(spec, m, field))
     assert np.array_equal(_apply(spec, m, field), _whole_array_apply(spec, m, field))
+    if columns is not None:
+        sequence = [field[..., j].copy() for j in range(columns)]
+        for sweep, reference in ((_forward_sweep, _reference_sweep),
+                                 (_adjoint_sweep, _stepped_adjoint)):
+            out = sweep(spec, m, sequence)
+            assert len(out) == columns
+            for got, rhs in zip(out, sequence):
+                assert got.shape == spec.shape and got.flags.c_contiguous
+                assert np.array_equal(got, reference(spec, m, rhs))
 
 
 @pytest.mark.parametrize("kernel", [_apply, _forward_sweep, _adjoint_sweep])
