@@ -199,7 +199,6 @@ def _cg(apply_op, rhs, x0, tol, maxiter):
         else:
             for column, (step, ap) in zip(stepped, steps):
                 column.r -= step * ap
-        steps = None
         live = []
         for column in stepped:
             rs_new = float(column.r @ column.r)

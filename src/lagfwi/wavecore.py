@@ -245,13 +245,11 @@ def _batch(spec: GridSpec, rhs):
     """
     if isinstance(rhs, np.ndarray):
         out = np.empty(rhs.shape)
-        return _columns(spec, rhs), out, _columns(spec, out)
+        rhs_cols, out_cols = (list(np.moveaxis(a.reshape(spec.n_space, spec.nt, -1), 2, 0))
+                              for a in (rhs, out))
+        return rhs_cols, out, out_cols
     out = [np.empty(spec.shape) for _ in rhs]
     return list(rhs), out, out
-
-
-def _columns(spec: GridSpec, field: np.ndarray) -> list[np.ndarray]:
-    return list(np.moveaxis(field.reshape(spec.n_space, spec.nt, -1), 2, 0))
 
 
 def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
