@@ -307,11 +307,7 @@ def apply_wave_operator_transpose(m: ModelGrid, f: SourceField) -> Wavefield:
 
 
 def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
-    """Sweep a batch of fields on m's grid, one batched sweep for all.
-
-    The CFL bound is re-checked here because inversion loops update the
-    model between solves; a non-finite result raises DivergenceError.
-    """
+    """Sweep a batch of fields on m's grid, one batched sweep for all."""
     for f in fields:
         _check_pair(m, f)
     check_cfl(m.spec, m.values)
@@ -323,7 +319,11 @@ def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
 
 
 def forward_solve(m: ModelGrid, b: SourceField) -> Wavefield:
-    """Solve A(m) u = b by explicit time stepping."""
+    """Solve A(m) u = b by explicit time stepping.
+
+    The CFL bound is re-checked here because inversion loops update the
+    model between solves; a non-finite result raises DivergenceError.
+    """
     (u,) = _solve(_forward_sweep, "forward", m, [b])
     return u
 
@@ -334,7 +334,7 @@ def forward_solves(m: ModelGrid, sources) -> tuple[Wavefield, ...]:
 
 
 def adjoint_solve(m: ModelGrid, r: SourceField) -> Wavefield:
-    """Solve A(m)^T v = r by reverse time stepping."""
+    """Solve A(m)^T v = r by reverse time stepping, checked as forward_solve."""
     (v,) = _solve(_adjoint_sweep, "adjoint", m, [r])
     return v
 
