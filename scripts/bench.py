@@ -7,16 +7,16 @@ Times ``wavecore._forward_sweep``, ``wavecore._adjoint_sweep`` and
 ``wavecore._apply`` on fixed grid shapes, the sweeps also on a sequence of
 three fields swept as one batch, and the wavefield CG layer of the
 two-scatterer benchmark's first penalty-wavefield step (its three sources at
-the initial model): one ``saddle.solve_augmented_wavefield`` per source
-against one lock-step ``saddle.solve_augmented_wavefields``.  Everything
-runs in this one process with BLAS/OpenMP pinned to one thread.  Each case
-is run once untimed, then REPEATS times under ``time.perf_counter``; the
-file holds the minimum and the median of those repeats, the throughput of
-the kernels in space-time points per second (n_space * nt * columns /
-seconds) and the CG iterations.  It also records the environment and the
-git revision of the checkout the ``lagfwi`` package was imported from, so
-that two checkouts can be compared with the same script by pointing
-``PYTHONPATH`` at each one's ``src/``.
+the initial model): ``saddle.solve_augmented_wavefields`` called once per
+source with a one-source batch (serial) against one call with all three
+sources (lock step).  Everything runs in this one process with BLAS/OpenMP
+pinned to one thread.  Each case is run once untimed, then REPEATS times
+under ``time.perf_counter``; the file holds the minimum and the median of
+those repeats, the throughput of the kernels in space-time points per
+second (n_space * nt * columns / seconds) and the CG iterations.  It also
+records the environment and the git revision of the checkout the ``lagfwi``
+package was imported from, so that two checkouts can be compared with the
+same script by pointing ``PYTHONPATH`` at each one's ``src/``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from lagfwi.config import (
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
 from lagfwi.grids import GridSpec, ModelGrid
-from lagfwi.saddle import solve_augmented_wavefield, solve_augmented_wavefields
+from lagfwi.saddle import solve_augmented_wavefields
 
 # (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
 # (n_space, nt) field, and sequence marks a list of `columns` separate fields
@@ -127,7 +127,8 @@ def cg_rows() -> list[dict]:
     m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
     sources, data, cfg = build_sources(config), make_observed_data(config), config.penalty
     modes = {
-        "serial": lambda: [solve_augmented_wavefield(m, b, d, cfg) for b, d in zip(sources, data)],
+        "serial": lambda: [solve_augmented_wavefields(m, [b], [d], cfg)[0]
+                           for b, d in zip(sources, data)],
         "lock-step": lambda: solve_augmented_wavefields(m, sources, data, cfg),
     }
     rows = []

@@ -11,36 +11,36 @@ share the one pipeline of step_scheme,
 
 and differ only in their row of _TABLE: the solve, whether the multiplier is
 scaled, and whether a memory is carried.  A solve takes all of the step's
-sources at once.  The batched solves sweep them together: every sweep of
-theirs is one batched sweep over the step's sources, and the wavefield
-orientation runs the sources' CGs in lock step.  The others still solve
-source by source, through the one adapter _each_source.  An unscaled
-scheme keeps v in `multipliers`, steps by cfg.step_length (1/mu unless
-alpha is pinned) and carries the Lagrange multiplier w (k = mu) in
+sources at once: each of its sweeps is one batched sweep over the step's
+sources, the multiplier-type solves share one factorization of H + mu I,
+and the wavefield orientation runs the sources' CGs in lock step.  An
+unscaled scheme keeps v in `multipliers`, steps by cfg.step_length (1/mu
+unless alpha is pinned) and carries the Lagrange multiplier w (k = mu) in
 `running_multipliers`.  A scaled scheme keeps lam = v/mu in
 `scatter_sources`, takes a unit step and carries the accumulated
 constraint error eps = w/mu (k = 1) in `scatter_errors`.
 
-  scheme              solve                                   batch  scaled  memory
-  fwi                 u = A^-1 b, v back-propagates P u - d   yes    no      -
-  penalty-wavefield   u = A^-1 z, CG on (I + G^T G/mu) z      yes    no      -
-  penalty-multiplier  damped trace system for v, companion u  yes    no      -
-  wri-scaled          lam against the plain residual, refresh no     yes     -
+  scheme              solve                                   scaled  memory
+  fwi                 u = A^-1 b, v back-propagates P u - d   no      -
+  penalty-wavefield   u = A^-1 z, CG on (I + G^T G/mu) z      no      -
+  penalty-multiplier  damped trace system for v, companion u  no      -
+  wri-scaled          lam against the plain residual, refresh yes     -
                       u = A^-1 (b + lam)
-  al-wavefield        penalty-wavefield's solve, w passed     yes    no      w
-  al-multiplier       penalty-multiplier's solve, w passed    yes    no      w
-  split-gn            wri-scaled's solve without the refresh  no     yes     -
-  split-gs            wri-scaled's solve                      no     yes     -
-  refined-direct      multiplier increment, term by term      no     yes     -
-  refined-rearranged  same iterates, rhs collected first      no     yes     -
-  refined-epsilon     same iterates, bookkeeping through eps  no     yes     eps
+  al-wavefield        penalty-wavefield's solve, w passed     no      w
+  al-multiplier       penalty-multiplier's solve, w passed    no      w
+  split-gn            wri-scaled's solve without the refresh  yes     -
+  split-gs            wri-scaled's solve                      yes     -
+  refined-direct      multiplier increment, term by term      yes     -
+  refined-rearranged  same iterates, rhs collected first      yes     -
+  refined-epsilon     same iterates, bookkeeping through eps  yes     eps
 
 Batching does not change an iterate: each column of a batched sweep or of
-the lock-step CG does the same floating-point operations as a solve of its
-own source.
+the lock-step CG does the same floating-point operations as a step of its
+own source alone.  The sources of a step that builds H or runs the CG must
+share their receivers.
 
 G = P A^-1 maps sources to receiver traces (see
-saddle.solve_augmented_wavefield).
+saddle.solve_augmented_wavefields).
 
 gauss-newton and gauss-seidel instead solve damped least squares on the
 stacked Born kernels for the model increment; gauss-seidel linearizes about
@@ -52,7 +52,7 @@ of each step, and kept in the state's forward_fields for the next step's
 solve and the stopping rule.
 
 The penalty/al multiplier orientations and the split/refined family all call
-into saddle.damped_trace_multiplier, so their agreement is structural, not a
+into saddle.damped_trace_multipliers, so their agreement is structural, not a
 numerical accident; tests pin the correspondences (split-gs and wri-scaled
 track penalty-multiplier, refined-epsilon tracks al-multiplier, the three
 refined variants track each other) to round-off.
@@ -74,12 +74,12 @@ from .errors import ConfigurationError, DivergenceError, SolverNotConvergedError
 from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
-    HessianCache, PenaltyConfig, companion_wavefields, damped_trace_multiplier,
-    solve_augmented_wavefields, solve_ls_multipliers,
+    HessianCache, PenaltyConfig, _shared_geometry, companion_wavefields,
+    damped_trace_multipliers, solve_augmented_wavefields, solve_ls_multipliers,
 )
 from .wavecore import (
-    adjoint_solve, adjoint_solves, apply_wave_operator, correlation_terms, forward_solve,
-    forward_solves, inject, preconditioned_ratio, sample, scattering_source, updated_model,
+    adjoint_solves, apply_wave_operator, correlation_terms, forward_solves, inject,
+    preconditioned_ratio, sample, scattering_source, updated_model,
 )
 
 
@@ -156,24 +156,13 @@ def _residual_traces(data: TraceData, u: Wavefield) -> TraceData:
 
 
 class _Previous(NamedTuple):
-    """What one source's solve may read from the previous iterate."""
+    """What a step's solve may read from the previous iterate, for one source."""
 
     u0: Wavefield              # A(m)^-1 b at the current model
     u: Wavefield               # previous wavefield
     lam: SourceField | None    # previous scaled multiplier, None if unwritten
     mem: SourceField | None    # w or eps; None for a scheme without memory
     dm: np.ndarray             # last model increment m - m_prev
-
-
-def _each_source(solve):
-    """Adapter for a per-source solve (m, b, d, cfg, cache, previous) ->
-    (u, v_like) that does not batch its sources yet: one call per source."""
-
-    def solve_step(m, sources, data, cfg, cache, prevs):
-        pairs = [solve(m, b, d, cfg, cache, prev) for b, d, prev in zip(sources, data, prevs)]
-        return [u for u, _ in pairs], [v for _, v in pairs]
-
-    return solve_step
 
 
 def _fwi(m, sources, data, cfg, cache, prevs):
@@ -209,80 +198,94 @@ def _multiplier_orientation(m, sources, data, cfg, cache, prevs):
     return companion_wavefields(m, sources, vs, cfg, ws=ws), vs
 
 
-def _scaled_multiplier(m, d, rhs, cfg, cache) -> SourceField:
-    """lam = A^-T P^T (H + mu I)^-1 rhs, the damped scattering source."""
-    return SourceField(
-        m.spec, damped_trace_multiplier(m, d.geometry, rhs, cfg.mu, cache=cache).values
-    )
+def _forward_residuals(data, prevs) -> list[np.ndarray]:
+    """delta_d = d - P A^-1 b, the plain forward residual, per source."""
+    return [_residual_traces(d, prev.u0).values for d, prev in zip(data, prevs)]
 
 
-def _split(m, b, d, cfg, cache, prev, refresh=True):
+def _sampled(m, geometry, fields) -> list[np.ndarray]:
+    """S f = P A^-1 f for each field f, one batched sweep."""
+    return [sample(u, geometry).values for u in forward_solves(m, fields)]
+
+
+def _split(m, sources, data, cfg, cache, prevs, refresh=True):
     """lam explains the plain forward residual; with refresh the wavefield
     becomes A^-1 (b + lam), which makes the iterates those of
     penalty-multiplier with lam = v/mu and step 1 vs 1/mu."""
-    lam = _scaled_multiplier(m, d, _residual_traces(d, prev.u0).values, cfg, cache)
-    u = forward_solve(m, SourceField(m.spec, b.values + lam.values)) if refresh else prev.u0
-    return u, lam
+    rhs = _forward_residuals(data, prevs)
+    lams = damped_trace_multipliers(m, _shared_geometry(data), rhs, cfg.mu, cache)
+    if not refresh:
+        return [prev.u0 for prev in prevs], lams
+    return forward_solves(m, [SourceField(m.spec, b.values + lam.values)
+                              for b, lam in zip(sources, lams)]), lams
 
 
 # The three refined assemblies damp the *updated* multiplier, not the bare
 # increment; that choice is what keeps their iterates identical.
 
 
-def _refined_direct(m, b, d, cfg, cache, prev):
+def _refined_direct(m, sources, data, cfg, cache, prevs):
     """Solve for the increment dlam of S dlam = delta_d - S phi, the damping
-    centred on lam_prev + dlam; phi = scattering_source(u_prev, m - m_prev)."""
+    centred on lam_prev + dlam; phi = scattering_source(u_prev, m - m_prev).
+    S phi and S lam_prev are one sweep of 2k columns."""
     spec = m.spec
-    delta_d = _residual_traces(d, prev.u0).values
-    phi = scattering_source(prev.u, prev.dm)
-    s_phi = sample(forward_solve(m, phi), d.geometry).values
-    s_lam = sample(forward_solve(m, prev.lam), d.geometry).values
-    increment_rhs = delta_d - s_phi
-    dlam = _scaled_multiplier(m, d, increment_rhs + s_lam, cfg, cache).values - prev.lam.values
-    lam = SourceField(spec, prev.lam.values + dlam)
-    u = forward_solve(m, SourceField(spec, b.values + phi.values + lam.values - prev.lam.values))
-    return u, lam
+    geometry = _shared_geometry(data)
+    phis = [scattering_source(prev.u, prev.dm) for prev in prevs]
+    sampled = _sampled(m, geometry, phis + [prev.lam for prev in prevs])
+    rhs = [delta_d - s_phi + s_lam for delta_d, s_phi, s_lam
+           in zip(_forward_residuals(data, prevs), sampled, sampled[len(prevs):])]
+    lams = [SourceField(spec, prev.lam.values + (lam.values - prev.lam.values))
+            for prev, lam in zip(prevs, damped_trace_multipliers(m, geometry, rhs, cfg.mu, cache))]
+    us = forward_solves(m, [
+        SourceField(spec, b.values + phi.values + lam.values - prev.lam.values)
+        for b, phi, lam, prev in zip(sources, phis, lams, prevs)])
+    return us, lams
 
 
-def _refined_rearranged(m, b, d, cfg, cache, prev):
+def _refined_rearranged(m, sources, data, cfg, cache, prevs):
     """Collect delta_d + S (lam_prev - phi) first, solve once for lam."""
     spec = m.spec
-    delta_d = _residual_traces(d, prev.u0).values
-    phi = scattering_source(prev.u, prev.dm)
-    shift = SourceField(spec, prev.lam.values - phi.values)
-    rhs = delta_d + sample(forward_solve(m, shift), d.geometry).values
-    lam = _scaled_multiplier(m, d, rhs, cfg, cache)
-    u = forward_solve(m, SourceField(spec, b.values + lam.values + phi.values - prev.lam.values))
-    return u, lam
+    geometry = _shared_geometry(data)
+    phis = [scattering_source(prev.u, prev.dm) for prev in prevs]
+    shifts = [SourceField(spec, prev.lam.values - phi.values) for prev, phi in zip(prevs, phis)]
+    rhs = [delta_d + s for delta_d, s
+           in zip(_forward_residuals(data, prevs), _sampled(m, geometry, shifts))]
+    lams = damped_trace_multipliers(m, geometry, rhs, cfg.mu, cache)
+    us = forward_solves(m, [
+        SourceField(spec, b.values + lam.values + phi.values - prev.lam.values)
+        for b, lam, phi, prev in zip(sources, lams, phis, prevs)])
+    return us, lams
 
 
-def _refined_epsilon(m, b, d, cfg, cache, prev):
+def _refined_epsilon(m, sources, data, cfg, cache, prevs):
     """Track eps instead of (lam_prev, phi): rhs is delta_d + S eps and the
     refresh subtracts eps, which also matches al-multiplier with lam = v/mu
     and eps = w/mu."""
-    eps = prev.mem
-    delta_d = _residual_traces(d, prev.u0).values
-    rhs = delta_d + sample(forward_solve(m, eps), d.geometry).values
-    lam = _scaled_multiplier(m, d, rhs, cfg, cache)
-    return forward_solve(m, SourceField(m.spec, b.values + lam.values - eps.values)), lam
+    geometry = _shared_geometry(data)
+    epss = [prev.mem for prev in prevs]
+    rhs = [delta_d + s for delta_d, s
+           in zip(_forward_residuals(data, prevs), _sampled(m, geometry, epss))]
+    lams = damped_trace_multipliers(m, geometry, rhs, cfg.mu, cache)
+    us = forward_solves(m, [SourceField(m.spec, b.values + lam.values - eps.values)
+                            for b, lam, eps in zip(sources, lams, epss)])
+    return us, lams
 
 
 def _born_step(state: IterationState, sources, data, damping: float, lagged: bool):
     """Damped Gauss-Newton on the stacked Born kernels (dense assembly, so
-    workbench scale only).  lagged (gauss-seidel) linearizes around the field
+    workbench scale only).  lagged (gauss-seidel) linearizes around the fields
     re-solved with the previous model increment injected as a scattering
-    source; on the first iteration that is the plain forward field."""
+    source, one batched sweep; on the first iteration those are the plain
+    forward fields."""
     m = state.model
-    dm_prev = m.values - state.model_prev.values
-    us, blocks, rhs = [], [], []
-    for b, d, u0, u_prev in zip(sources, data, state.forward_fields, state.wavefields):
-        u = u0
-        if lagged:
-            phi = scattering_source(u_prev, dm_prev)
-            u = forward_solve(m, SourceField(m.spec, b.values + phi.values))
-        us.append(u)
-        blocks.append(assemble_born_kernel(m, u, d.geometry).matrix)
-        rhs.append(_residual_traces(d, u0).values.ravel())
+    us = state.forward_fields
+    if lagged:
+        dm_prev = m.values - state.model_prev.values
+        us = forward_solves(m, [
+            SourceField(m.spec, b.values + scattering_source(u_prev, dm_prev).values)
+            for b, u_prev in zip(sources, state.wavefields)])
+    blocks = [assemble_born_kernel(m, u, d.geometry).matrix for u, d in zip(us, data)]
+    rhs = [_residual_traces(d, u0).values.ravel() for d, u0 in zip(data, state.forward_fields)]
     dm = damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping)
     m_new = updated_model(m, -1.0, dm)
     return IterationState(m_new, m, forward_solves(m_new, sources), wavefields=tuple(us),
@@ -294,16 +297,16 @@ _TABLE = {
     "fwi": (_fwi, False, False),
     "penalty-wavefield": (_wavefield_orientation, False, False),
     "penalty-multiplier": (_multiplier_orientation, False, False),
-    "wri-scaled": (_each_source(_split), True, False),
+    "wri-scaled": (_split, True, False),
     "al-wavefield": (_wavefield_orientation, False, True),
     "al-multiplier": (_multiplier_orientation, False, True),
     "gauss-newton": None,
     "gauss-seidel": None,
-    "split-gn": (_each_source(partial(_split, refresh=False)), True, False),
-    "split-gs": (_each_source(_split), True, False),
-    "refined-direct": (_each_source(_refined_direct), True, False),
-    "refined-rearranged": (_each_source(_refined_rearranged), True, False),
-    "refined-epsilon": (_each_source(_refined_epsilon), True, True),
+    "split-gn": (partial(_split, refresh=False), True, False),
+    "split-gs": (_split, True, False),
+    "refined-direct": (_refined_direct, True, False),
+    "refined-rearranged": (_refined_rearranged, True, False),
+    "refined-epsilon": (_refined_epsilon, True, True),
 }
 
 SCHEMES = tuple(_TABLE)
@@ -350,16 +353,13 @@ def reduced_objective_and_gradient(m: ModelGrid, sources, data):
     differences of the misfit because the correlation uses the same lagged
     curvature that the operator derivative d(Au)/dm produces.
     """
-    misfit = 0.0
+    us = forward_solves(m, sources)
+    vs = adjoint_solves(m, [inject(_residual_traces(d, u)) for d, u in zip(data, us)])
     gradient = np.zeros(m.spec.n_space)
-    for b, d in zip(sources, data):
-        u = forward_solve(m, b)
-        residual = _residual_traces(d, u)
-        misfit += 0.5 * float(np.sum(residual.values**2))
-        v = adjoint_solve(m, inject(residual))
+    for u, v in zip(us, vs):
         num, _ = correlation_terms(v, u)
         gradient += num
-    return misfit, gradient
+    return _misfit(us, data), gradient
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,15 @@ factorized once per model. The scaled multiplier lam = v / mu is the damped
 least-squares solution of P A^-1 lam = d - P A^-1 b with damping mu, which
 is how the scattering-type iterations consume the same machinery.
 
-Each solve has a batched form for the sources of one step, which share the
-model and the receivers: solve_augmented_wavefields runs the sources' CGs
-in lock step, so each iteration is one batched forward sweep and one
-batched adjoint sweep, and solve_ls_multipliers and companion_wavefields
-make one batched sweep where the single solve makes one sweep (the
-Cholesky solves stay one per source).  Every column does the same
-floating-point operations as its single solve, so the batched forms return
-the single solves' results bit for bit.
+Every solve takes the sources of one step, which share the model and the
+receivers (traces that disagree on receivers raise ValueError); a caller
+with one source passes one-element lists.  solve_augmented_wavefields runs
+the sources' CGs in lock step, so each iteration is one batched forward
+sweep and one batched adjoint sweep, and solve_ls_multipliers,
+damped_trace_multipliers and companion_wavefields make one batched sweep
+per stage (the Cholesky solves stay one per source).  Every column does the
+same floating-point operations as a batch of its source alone, so a
+source's result does not depend on the batch it is solved in, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .grids import (
     GridSpec,
     ModelGrid,
     SourceField,
-    TraceData,
     Wavefield,
 )
 from .wavecore import (
@@ -65,14 +65,11 @@ __all__ = [
     "SolveInfo",
     "DataSpaceHessian",
     "HessianCache",
-    "solve_augmented_wavefield",
     "solve_augmented_wavefields",
     "assemble_data_space_hessian",
-    "solve_ls_multiplier",
+    "damped_trace_multipliers",
     "solve_ls_multipliers",
-    "companion_wavefield",
     "companion_wavefields",
-    "damped_trace_multiplier",
 ]
 
 
@@ -83,7 +80,7 @@ class PenaltyConfig:
     ``alpha`` is the model step length; None means 1/mu, which is the value
     every equivalence between the penalty/AL family and the scattering
     family is stated at. ``cg_tol`` and ``cg_maxiter`` drive the CG of
-    solve_augmented_wavefield: ``cg_tol`` is the residual of its
+    solve_augmented_wavefields: ``cg_tol`` is the residual of its
     preconditioned system relative to that system's right-hand side; 1e-10
     is oracle-grade, 1e-6 is plenty for production inversion runs.
     """
@@ -218,14 +215,15 @@ def _cg(apply_op, rhs, x0, tol, maxiter):
     return results
 
 
-def solve_augmented_wavefield(
+def solve_augmented_wavefields(
     m: ModelGrid,
-    b: SourceField,
-    d: TraceData,
+    sources,
+    data,
     cfg: PenaltyConfig,
-    w: SourceField | None = None,
-) -> tuple[Wavefield, SolveInfo]:
-    """Wavefield-oriented saddle solve, CG preconditioned by the wave equation.
+    ws=None,
+) -> list[tuple[Wavefield, SolveInfo]]:
+    """Wavefield-oriented saddle solve for every source, CG preconditioned
+    by the wave equation, the sources' CGs in lock step.
 
     With u = A^-1 z and G = P A^-1 the normal equations
     (P^T P / mu + A^T A) u = P^T d / mu + A^T (b - w/mu) become
@@ -238,26 +236,13 @@ def solve_augmented_wavefield(
     traces.  CG starts at z0 = b - w/mu (u0 = A^-1 (b - w/mu)), which is
     exact whenever the data are consistent, and cg_tol is relative to the
     norm of the right-hand side.  u = A^-1 z costs one more forward sweep;
-    the returned SolveInfo describes the z system.
-    """
-    (result,) = solve_augmented_wavefields(m, [b], [d], cfg, [w])
-    return result
-
-
-def solve_augmented_wavefields(
-    m: ModelGrid,
-    sources,
-    data,
-    cfg: PenaltyConfig,
-    ws=None,
-) -> list[tuple[Wavefield, SolveInfo]]:
-    """solve_augmented_wavefield for every source, their CGs in lock step.
+    each returned SolveInfo describes its source's z system.
 
     ws holds one w (or None) per source; ws=None means no w anywhere.  The
     sources must share their receivers.  Each CG iteration is one batched
     forward sweep and one batched adjoint sweep over the columns that have
     not finished, and each column's iterates and SolveInfo are bitwise
-    those of its own solve.
+    those of a batch of its source alone.
     """
     spec = m.spec
     geom = _shared_geometry(data)
@@ -422,34 +407,24 @@ class HessianCache:
         return factor
 
 
-def damped_trace_multiplier(
-    m: ModelGrid,
-    geometry: AcquisitionGeometry,
-    rhs_traces: np.ndarray,
-    mu: float,
-    cache: HessianCache | None = None,
-) -> Wavefield:
-    """Scaled multiplier lam = A^-T P^T (H + mu I)^-1 rhs.
-
-    This is the damped least-squares solution of P A^-1 lam = rhs with
-    damping mu, restricted to the range of A^-T P^T (the push-through
-    identity moves the damped normal solve into data space, where H is
-    small and dense).  Without a cache, H is assembled for this call alone.
-    """
-    (lam,) = _damped_trace_multipliers(m, geometry, [rhs_traces], mu, cache)
-    return lam
-
-
-def _damped_trace_multipliers(
+def damped_trace_multipliers(
     m: ModelGrid,
     geometry: AcquisitionGeometry,
     rhs_traces,
     mu: float,
     cache: HessianCache | None = None,
-) -> list[Wavefield]:
-    """damped_trace_multiplier for every set of traces in rhs_traces: one
-    Cholesky solve per set against a single factorization, then one batched
-    adjoint sweep."""
+) -> list[SourceField]:
+    """Scaled multiplier lam = A^-T P^T (H + mu I)^-1 rhs for every set of
+    receiver traces rhs in rhs_traces.
+
+    This is the damped least-squares solution of P A^-1 lam = rhs with
+    damping mu, restricted to the range of A^-T P^T: the push-through
+    identity (G^T G + mu I)^-1 G^T = G^T (G G^T + mu I)^-1, G = P A^-1,
+    moves the damped normal solve into data space, where H is small and
+    dense.  One factorization serves every set: one Cholesky solve per set,
+    then one batched adjoint sweep.  Without a cache, H is assembled for
+    this call alone.
+    """
     cache = HessianCache() if cache is None else cache
     spec = m.spec
     factor = cache.shifted_factor(m, geometry, mu)
@@ -459,25 +434,7 @@ def _damped_trace_multipliers(
         field = np.zeros(spec.shape)
         field[list(geometry.receiver_nodes), :] = y.reshape(geometry.n_receivers, spec.nt)
         fields.append(field)
-    return [Wavefield(spec, lam) for lam in _adjoint_sweep(spec, m.values, fields)]
-
-
-def solve_ls_multiplier(
-    m: ModelGrid,
-    b: SourceField,
-    d: TraceData,
-    cfg: PenaltyConfig,
-    w: SourceField | None = None,
-    cache: HessianCache | None = None,
-) -> Wavefield:
-    """Multiplier-oriented saddle solve through the data-space Hessian.
-
-    penalty (no w):  v = A^-T P^T (I + H/mu)^-1 (d - P A^-1 b)
-    AL (w given):    same with b replaced by b - w/mu on the right-hand side,
-                     which is exactly adding (1/mu) P A^-1 w to the residual.
-    """
-    (v,) = solve_ls_multipliers(m, [b], [d], cfg, [w], cache)
-    return v
+    return [SourceField(spec, lam) for lam in _adjoint_sweep(spec, m.values, fields)]
 
 
 def solve_ls_multipliers(
@@ -488,8 +445,16 @@ def solve_ls_multipliers(
     ws=None,
     cache: HessianCache | None = None,
 ) -> list[Wavefield]:
-    """solve_ls_multiplier for every source, with one batched forward sweep
-    and one batched adjoint sweep; ws as in solve_augmented_wavefields."""
+    """Multiplier-oriented saddle solve for every source through the
+    data-space Hessian.
+
+    penalty (no w):  v = A^-T P^T (I + H/mu)^-1 (d - P A^-1 b)
+    AL (w given):    same with b replaced by b - w/mu on the right-hand side,
+                     which is exactly adding (1/mu) P A^-1 w to the residual.
+
+    ws as in solve_augmented_wavefields.  One batched forward sweep, one
+    Cholesky solve per source and one batched adjoint sweep.
+    """
     spec = m.spec
     geometry = _shared_geometry(data)
     ws = [None] * len(sources) if ws is None else ws
@@ -499,30 +464,19 @@ def solve_ls_multipliers(
     residuals = [d.values - u0[rec, :]
                  for d, u0 in zip(data, _forward_sweep(spec, m.values, shifts))]
     # (I + H/mu)^-1 r  ==  mu (H + mu I)^-1 r
-    lams = _damped_trace_multipliers(m, geometry, residuals, cfg.mu, cache)
+    lams = damped_trace_multipliers(m, geometry, residuals, cfg.mu, cache)
     return [Wavefield(spec, cfg.mu * lam.values) for lam in lams]
-
-
-def companion_wavefield(
-    m: ModelGrid,
-    b: SourceField,
-    v: Wavefield,
-    cfg: PenaltyConfig,
-    w: SourceField | None = None,
-) -> Wavefield:
-    """Wavefield consistent with a computed multiplier.
-
-    Satisfies the first saddle block row A u - v/mu = b [- w/mu], i.e. the
-    multiplier acts as a secondary volume source (and w, when given, as a
-    tertiary one).
-    """
-    (u,) = companion_wavefields(m, [b], [v], cfg, [w])
-    return u
 
 
 def companion_wavefields(m: ModelGrid, sources, vs, cfg: PenaltyConfig,
                          ws=None) -> tuple[Wavefield, ...]:
-    """companion_wavefield for every source, as one batched forward solve."""
+    """Wavefields consistent with computed multipliers, one batched forward
+    solve.
+
+    Each satisfies the first saddle block row A u - v/mu = b [- w/mu], i.e.
+    the multiplier acts as a secondary volume source (and w, when given, as
+    a tertiary one).  ws as in solve_augmented_wavefields.
+    """
     ws = [None] * len(sources) if ws is None else ws
     rhs = []
     for b, v, w in zip(sources, vs, ws):

@@ -51,10 +51,9 @@ from .saddle import (
     HessianCache,
     PenaltyConfig,
     assemble_data_space_hessian,
-    companion_wavefield,
-    solve_augmented_wavefield,
+    companion_wavefields,
     solve_augmented_wavefields,
-    solve_ls_multiplier,
+    solve_ls_multipliers,
 )
 from .wavecore import (
     _BLOCK,
@@ -249,11 +248,11 @@ def _check_saddle_orientations(mode: str):
         for mu in (1.0, 1e2, 1e4):
             cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
             u_ref, v_ref = dense_saddle_solve(m0, b, d, mu, w=w)
-            u1, _ = solve_augmented_wavefield(m0, b, d, cfg, w=w)
+            [(u1, _)] = solve_augmented_wavefields(m0, [b], [d], cfg, [w])
             if "perturb-wavefield-solve" in faults:
                 u1 = Wavefield(spec, u1.values * (1.0 + 1e-6))
-            v2 = solve_ls_multiplier(m0, b, d, cfg, w=w, cache=cache)
-            u2 = companion_wavefield(m0, b, v2, cfg, w=w)
+            [v2] = solve_ls_multipliers(m0, [b], [d], cfg, [w], cache)
+            [u2] = companion_wavefields(m0, [b], [v2], cfg, [w])
             worst = max(worst, _rel(u1.values, u_ref.values))
             worst = max(worst, _rel(u2.values, u_ref.values))
             worst = max(worst, _rel(v2.values, v_ref.values))
@@ -312,7 +311,7 @@ def _check_wri_oracle(faults) -> CheckResult:
     worst = 0.0
     for _ in range(3):
         state = iterations.step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
-        u_ref, _ = solve_augmented_wavefield(m_ref, sources[0], data[0], cfg)
+        [(u_ref, _)] = solve_augmented_wavefields(m_ref, sources[:1], data[:1], cfg)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
         worst = max(worst, _rel(state.model.values, m_ref.values))
     return CheckResult("wri-alternation-oracle", worst <= 1e-8, f"rel {worst:.3e} (tol 1e-8)")

@@ -6,6 +6,8 @@ tolerance, so the 1e-8 bound is generous (measured agreement is ~1e-14 on
 these grids).
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,11 @@ from lagfwi.grids import (
     GridSpec,
     ModelGrid,
     SourceField,
+    TraceData,
     build_model,
 )
 from lagfwi.oracle import quadratic_model_minimizer
-from lagfwi.saddle import HessianCache, PenaltyConfig, solve_augmented_wavefield
+from lagfwi.saddle import HessianCache, PenaltyConfig, solve_augmented_wavefields
 from lagfwi.wavecore import (
     apply_wave_operator,
     correlation_terms,
@@ -37,6 +40,7 @@ from lagfwi.wavecore import (
 from lagfwi.iterations import (
     DIAGNOSTIC_FIELDS,
     SCHEMES,
+    IterationState,
     initial_state,
     run_inversion,
     step_scheme,
@@ -129,6 +133,53 @@ def test_scheme_pairs_agree_for_five_iterations(scheme_a, scheme_b):
         assert rel(a.model.values, b.model.values) <= 1e-8
 
 
+# ---------------------------------------------------------------- batched steps
+
+
+def source_slice(state, j):
+    """The state of source j alone: every per-source slot cut to its entry."""
+    slots = {f.name: getattr(state, f.name)[j:j + 1] for f in fields(IterationState)
+             if isinstance(getattr(state, f.name), tuple)}
+    return replace(state, **slots)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_step_solves_each_source_as_if_alone(scheme):
+    """Each source's solve outputs in a step of two sources are, byte for
+    byte, those of a step given that source alone.  The step starts one
+    iteration in, so dm, lam and the memories are nonzero, and a field
+    paired with another source's inputs would show."""
+    spec, geom, m_true, m0, sources, data = tiny_problem()
+    if scheme.startswith("gauss-"):
+        cfg = PenaltyConfig(mu=1e14)  # Born damping that keeps both steps' models positive
+    else:
+        cfg = PenaltyConfig(mu=50.0, alpha=1e-6 if scheme == "fwi" else None, cg_tol=1e-13)
+    state = step_scheme(scheme, initial_state(m0, sources), sources, data, cfg)
+    batch = step_scheme(scheme, state, sources, data, cfg)
+    for j in range(len(sources)):
+        alone = step_scheme(scheme, source_slice(state, j), sources[j:j + 1], data[j:j + 1], cfg)
+        for slot in ("wavefields", "multipliers", "scatter_sources"):
+            if getattr(batch, slot) is None:
+                assert getattr(alone, slot) is None
+                continue
+            got = getattr(alone, slot)[0].values.tobytes()
+            assert got == getattr(batch, slot)[j].values.tobytes(), (slot, j)
+
+
+# fwi back-propagates its residuals and gauss-* assemble one Born kernel per
+# source, so only these schemes share one H or one lock-step CG
+SHARED_RECEIVER_SCHEMES = [s for s in SCHEMES if s not in ("fwi", "gauss-newton", "gauss-seidel")]
+
+
+@pytest.mark.parametrize("scheme", SHARED_RECEIVER_SCHEMES)
+def test_step_needs_shared_receivers(scheme):
+    spec, geom, m_true, m0, sources, data = tiny_problem()
+    other = AcquisitionGeometry(geom.source_nodes, (2, 7))
+    data = [data[0], TraceData(spec, other, data[1].values)]
+    with pytest.raises(ValueError, match="share their receivers"):
+        step_scheme(scheme, initial_state(m0, sources), sources, data, PenaltyConfig(mu=50.0))
+
+
 def test_scaled_and_unscaled_multipliers_track_each_other():
     """The accumulated constraint error eps and the scaled multiplier lam of
     the refined iteration are w/mu and v/mu of the augmented-Lagrangian one,
@@ -155,7 +206,7 @@ def test_penalty_wavefield_matches_alternation_oracle():
     m_ref = m0
     for _ in range(4):
         state = step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
-        u_ref, _ = solve_augmented_wavefield(m_ref, sources[0], data[0], cfg)
+        [(u_ref, _)] = solve_augmented_wavefields(m_ref, sources[:1], data[:1], cfg)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
         assert rel(state.model.values, m_ref.values) <= 1e-8
 
@@ -172,7 +223,7 @@ def test_al_wavefield_matches_admm_oracle():
     w_ref = SourceField(spec, np.zeros(spec.shape))
     for _ in range(4):
         state = step_scheme("al-wavefield", state, sources[:1], data[:1], cfg)
-        u_ref, _ = solve_augmented_wavefield(m_ref, sources[0], data[0], cfg, w=w_ref)
+        [(u_ref, _)] = solve_augmented_wavefields(m_ref, sources[:1], data[:1], cfg, [w_ref])
         m_ref = ModelGrid(
             spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu, w=w_ref)
         )
@@ -377,23 +428,17 @@ def test_driver_solves_each_model_once(monkeypatch):
     """Two fwi iterations visit three models, and each model's forward fields
     are solved once, all sources in one batch: the steps and the stopping
     rule share them."""
-    calls, single = [], []
+    calls = []
 
     def counting(m, sources):
         calls.append(m)
         return forward_solves(m, sources)
 
-    def counting_single(m, b):
-        single.append(m)
-        return forward_solve(m, b)
-
     monkeypatch.setattr("lagfwi.iterations.forward_solves", counting)
-    monkeypatch.setattr("lagfwi.iterations.forward_solve", counting_single)
     config = born_config("fwi", mu=1e4, max_iter=2)
     result = run_inversion(config, make_observed_data(config))
     assert result.status == "max_iter" and len(result.history) == 3
     assert len(calls) == 3 and len(set(map(id, calls))) == 3
-    assert single == []
 
 
 def test_unknown_scheme_and_update_mode_are_rejected():

@@ -39,8 +39,8 @@ CASES = tuple((scheme, "sum-terms") for scheme in SCHEMES) + (
 )
 
 
-def case_iterates(scheme, update_mode):
-    """Model values after each of the first N_STEPS steps, one row per step."""
+def case_states(scheme, update_mode):
+    """The first N_STEPS iteration states of a scheme on its pinned inputs."""
     if scheme.startswith("gauss-"):
         config = born_config(scheme, mu=1e-4, max_iter=N_STEPS)
         m0 = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
@@ -50,8 +50,12 @@ def case_iterates(scheme, update_mode):
         _, _, _, m0, sources, data = tiny_problem()
         alpha = 1e-6 if scheme == "fwi" else None
         cfg = PenaltyConfig(mu=50.0, alpha=alpha, cg_tol=1e-13)
-    states = iterate(scheme, m0, sources, data, cfg, N_STEPS, update_mode)
-    return np.array([s.model.values for s in states])
+    return iterate(scheme, m0, sources, data, cfg, N_STEPS, update_mode)
+
+
+def case_iterates(scheme, update_mode):
+    """Model values after each of the first N_STEPS steps, one row per step."""
+    return np.array([s.model.values for s in case_states(scheme, update_mode)])
 
 
 def read_pinned(path=PINNED_FILE):

@@ -32,12 +32,9 @@ from lagfwi.saddle import (
     PenaltyConfig,
     _cg,
     assemble_data_space_hessian,
-    companion_wavefield,
     companion_wavefields,
-    damped_trace_multiplier,
-    solve_augmented_wavefield,
+    damped_trace_multipliers,
     solve_augmented_wavefields,
-    solve_ls_multiplier,
     solve_ls_multipliers,
 )
 from lagfwi.wavecore import _adjoint_sweep, _forward_sweep, forward_solve, sample
@@ -60,7 +57,7 @@ def setup():
 def test_wavefield_orientation_matches_dense(setup, mu):
     spec, m, geom, b, d, _ = setup
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    u, info = solve_augmented_wavefield(m, b, d, cfg)
+    [(u, info)] = solve_augmented_wavefields(m, [b], [d], cfg)
     assert info.converged
     u_ref, _ = dense_saddle_solve(m, b, d, mu)
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
@@ -77,9 +74,10 @@ def test_wavefield_orientation_converges_on_benchmark():
     cfg = PenaltyConfig(mu=3e6, cg_maxiter=200)
     cache = HessianCache()
     for b, d in zip(build_sources(config), make_observed_data(config)):
-        u, info = solve_augmented_wavefield(m, b, d, cfg)
+        [(u, info)] = solve_augmented_wavefields(m, [b], [d], cfg)
         assert info.converged and info.relative_residual <= cfg.cg_tol
-        u_ref = companion_wavefield(m, b, solve_ls_multiplier(m, b, d, cfg, cache=cache), cfg)
+        [u_ref] = companion_wavefields(m, [b], solve_ls_multipliers(m, [b], [d], cfg, cache=cache),
+                                       cfg)
         assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * np.abs(u_ref.values).max()
 
 
@@ -140,7 +138,7 @@ def test_batched_wavefield_solve_needs_shared_receivers(setup):
 def test_multiplier_orientation_matches_dense(setup, mu):
     spec, m, geom, b, d, _ = setup
     cfg = PenaltyConfig(mu=mu)
-    v = solve_ls_multiplier(m, b, d, cfg)
+    [v] = solve_ls_multipliers(m, [b], [d], cfg)
     _, v_ref = dense_saddle_solve(m, b, d, mu)
     assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * max(
         np.abs(v_ref.values).max(), 1.0
@@ -152,8 +150,8 @@ def test_al_mode_matches_shifted_dense(setup, mu):
     spec, m, geom, b, d, rng = setup
     w = random_source(spec, rng)
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    v = solve_ls_multiplier(m, b, d, cfg, w=w)
-    u, info = solve_augmented_wavefield(m, b, d, cfg, w=w)
+    [v] = solve_ls_multipliers(m, [b], [d], cfg, [w])
+    [(u, info)] = solve_augmented_wavefields(m, [b], [d], cfg, [w])
     u_ref, v_ref = dense_saddle_solve(m, b, d, mu, w=w)
     scale = max(np.abs(v_ref.values).max(), np.abs(u_ref.values).max(), 1.0)
     assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * scale
@@ -163,8 +161,8 @@ def test_al_mode_matches_shifted_dense(setup, mu):
 def test_companion_wavefield_satisfies_first_block_row(setup):
     spec, m, geom, b, d, _ = setup
     cfg = PenaltyConfig(mu=25.0)
-    v = solve_ls_multiplier(m, b, d, cfg)
-    u = companion_wavefield(m, b, v, cfg)
+    [v] = solve_ls_multipliers(m, [b], [d], cfg)
+    [u] = companion_wavefields(m, [b], [v], cfg)
     from lagfwi.wavecore import apply_wave_operator
 
     resid = apply_wave_operator(m, u).values - v.values / cfg.mu - b.values
@@ -248,7 +246,8 @@ def test_wavefield_orientation_matches_dense_property(problem):
     2N x 2N saddle solve on random 1D/2D grids, receiver sets (boundary
     nodes included), mu in [1, 1e6] and with or without w."""
     m, b, d, mu, w = problem
-    u, info = solve_augmented_wavefield(m, b, d, PenaltyConfig(mu=mu, cg_tol=1e-13), w=w)
+    [(u, info)] = solve_augmented_wavefields(m, [b], [d], PenaltyConfig(mu=mu, cg_tol=1e-13),
+                                             [w])
     assert info.converged
     u_ref, _ = dense_saddle_solve(m, b, d, mu, w=w)
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
@@ -294,12 +293,12 @@ def test_batched_saddle_solves_equal_single_solves_bitwise(problem):
     companions = companion_wavefields(m, sources, vs, cfg, ws)
     for j, (u, info) in enumerate(batch):
         w = None if ws is None else ws[j]
-        u_alone, info_alone = solve_augmented_wavefield(m, sources[j], data[j], cfg, w=w)
+        [(u_alone, info_alone)] = solve_augmented_wavefields(m, [sources[j]], [data[j]], cfg, [w])
         assert u.values.tobytes() == u_alone.values.tobytes()
         assert info == info_alone
-        v_alone = solve_ls_multiplier(m, sources[j], data[j], cfg, w=w, cache=cache)
+        [v_alone] = solve_ls_multipliers(m, [sources[j]], [data[j]], cfg, [w], cache)
         assert vs[j].values.tobytes() == v_alone.values.tobytes()
-        u2_alone = companion_wavefield(m, sources[j], v_alone, cfg, w=w)
+        [u2_alone] = companion_wavefields(m, [sources[j]], [v_alone], cfg, [w])
         assert companions[j].values.tobytes() == u2_alone.values.tobytes()
 
 
@@ -361,7 +360,7 @@ def test_damped_multiplier_defining_equation(setup):
     rng = np.random.default_rng(99)
     rhs = rng.standard_normal((2, spec.nt))
     mu = 7.0
-    lam = damped_trace_multiplier(m, geom, rhs, mu)
+    [lam] = damped_trace_multipliers(m, geom, [rhs], mu)
     hess = assemble_data_space_hessian(m, geom)
     y = np.linalg.solve(hess.matrix + mu * np.eye(hess.n), rhs.ravel())
     a = assemble_dense_operator(m).matrix
@@ -376,9 +375,9 @@ def test_consistent_data_gives_zero_multiplier(setup):
     d = sample(u_true, geom)
     for mu in (1.0, 1e3):
         cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-        v = solve_ls_multiplier(m, b, d, cfg)
+        [v] = solve_ls_multipliers(m, [b], [d], cfg)
         assert np.abs(v.values).max() < 1e-8 * max(np.abs(u_true.values).max(), 1.0)
-        u, _ = solve_augmented_wavefield(m, b, d, cfg)
+        [(u, _)] = solve_augmented_wavefields(m, [b], [d], cfg)
         assert np.max(np.abs(u.values - u_true.values)) < 1e-8 * np.abs(u_true.values).max()
 
 
