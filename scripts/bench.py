@@ -5,11 +5,17 @@
 
 Times ``wavecore._forward_sweep``, ``wavecore._adjoint_sweep`` and
 ``wavecore._apply`` on fixed grid shapes, the sweeps also on a sequence of
-three fields swept as one batch, and the wavefield CG layer of the
-two-scatterer benchmark's first penalty-wavefield step (its three sources at
-the initial model): ``saddle.solve_augmented_wavefields`` called once per
-source with a one-source batch (serial) against one call with all three
-sources (lock step).  Everything runs in this one process with BLAS/OpenMP
+three fields swept as one batch; the two streamed passes of a 2D step at
+``fwi-2d``'s field size (101 x 101 x 400): ``wavecore.correlation_terms`` and
+the diagnostics' constraint norm ||A(m) u - b||^2; and the wavefield CG
+layer of the two-scatterer benchmark's first penalty-wavefield step (its
+three sources at the initial model): ``saddle.solve_augmented_wavefields``
+called once per source with a one-source batch (serial) against one call
+with all three sources (lock step).  On a checkout whose sweeps step column
+groups and copy node tiles, the 2D three-field sequence sweeps are also
+timed with other values of the group budget ``wavecore._GROUP_BYTES`` and
+the copy tile width ``wavecore._TILE`` (the "variants" rows), which is what
+their values rest on.  Everything runs in this one process with BLAS/OpenMP
 pinned to one thread.  Each case is run once untimed, then REPEATS times
 under ``time.perf_counter``; the file holds the minimum and the median of
 those repeats, the throughput of the kernels in space-time points per
@@ -42,7 +48,7 @@ from lagfwi import wavecore
 from lagfwi.config import (
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
-from lagfwi.grids import GridSpec, ModelGrid
+from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield
 from lagfwi.saddle import solve_augmented_wavefields
 
 # (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
@@ -50,6 +56,7 @@ from lagfwi.saddle import solve_augmented_wavefields
 # in place of one array with a trailing batch axis
 SHAPES = (
     ("2D 101x101x400", 2, 101, 101, 400, None, False),
+    ("2D 101x101x400 sequence k=3", 2, 101, 101, 400, 3, True),
     ("1D 61x256", 1, 61, 1, 256, None, False),
     ("1D 61x256 k=4", 1, 61, 1, 256, 4, False),
     ("1D 61x256 sequence k=3", 1, 61, 1, 256, 3, True),
@@ -121,6 +128,65 @@ def kernel_rows(rng) -> list[dict]:
     return rows
 
 
+def _fwi_2d_fields(rng, count):
+    spec = GridSpec(ndim=2, nx=101, nz=101, dx=10.0, dz=10.0, nt=400, dt=0.0028)
+    m = ModelGrid(spec, 1.0 / (1800.0 + 400.0 * rng.random(spec.n_space)) ** 2)
+    return spec, m, [rng.standard_normal(spec.shape) for _ in range(count)]
+
+
+def _constraint_sq(m, u, b) -> float:
+    """||A(m) u - b||^2 as the diagnostics compute it: streamed where the
+    checkout has the streamed reduction, else through the full A(m) u."""
+    streamed = getattr(wavecore, "residual_sum_of_squares", None)
+    if streamed is not None:
+        return streamed(m, u, b)
+    return float(np.sum((wavecore.apply_wave_operator(m, u).values - b.values) ** 2))
+
+
+def pass_rows(rng) -> list[dict]:
+    """The streamed full-field passes of a 2D step, at fwi-2d's field size."""
+    spec, m, (u, v, b) = _fwi_2d_fields(rng, 3)
+    u, v, b = Wavefield(spec, u), Wavefield(spec, v), SourceField(spec, b)
+    cases = {
+        "correlation_terms": lambda: wavecore.correlation_terms(v, u),
+        "constraint_norm": lambda: _constraint_sq(m, u, b),
+    }
+    rows = []
+    for name, call in cases.items():
+        best, median = time_call(call)
+        rows.append({"layer": name, "shape": "2D 101x101x400", "repeats": REPEATS,
+                     "min_s": best, "median_s": median})
+        print(f"{name:18s} 2D 101x101x400          min {best * 1e3:9.3f} ms  "
+              f"median {median * 1e3:9.3f} ms")
+    return rows
+
+
+def variant_rows(rng) -> list[dict]:
+    """The 2D three-field sequence sweeps under other group budgets and copy
+    tile widths; empty on a checkout without them."""
+    if not hasattr(wavecore, "_GROUP_BYTES"):
+        return []
+    spec, m, fields = _fwi_2d_fields(rng, 3)
+    slab = 8 * spec.n_space  # bytes of one column's time level
+    chosen = (wavecore._GROUP_BYTES, wavecore._TILE)
+    variants = [(group, tile) for group in (slab, 3 * slab)
+                for tile in (128, 256, 512, spec.n_space)]
+    rows = []
+    try:
+        for group, tile in variants:
+            wavecore._GROUP_BYTES, wavecore._TILE = group, tile
+            for name in ("forward_sweep", "adjoint_sweep"):
+                best, median = time_call(lambda: KERNELS[name](spec, m.values, fields))
+                rows.append({"variant": {"columns_per_group": group // slab, "tile": tile},
+                             "kernel": name, "shape": "2D 101x101x400 sequence k=3",
+                             "repeats": REPEATS, "min_s": best, "median_s": median})
+                print(f"{name:14s} group {group // slab} tile {tile:5d}         "
+                      f"min {best * 1e3:9.3f} ms  median {median * 1e3:9.3f} ms")
+    finally:
+        wavecore._GROUP_BYTES, wavecore._TILE = chosen
+    return rows
+
+
 def cg_rows() -> list[dict]:
     """The pw-1d CG layer: each source's solve in turn, then all in lock step."""
     config = two_scatterer_benchmark()
@@ -151,11 +217,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    rows = kernel_rows(np.random.default_rng(0)) + cg_rows()
+    rows = (kernel_rows(np.random.default_rng(0)) + pass_rows(np.random.default_rng(1))
+            + variant_rows(np.random.default_rng(2)) + cg_rows())
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
-        "layer": "wavecore sweep kernels and the wavefield CG",
+        "layer": "wavecore sweep kernels, the streamed 2D passes and the wavefield CG",
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

@@ -79,7 +79,8 @@ from .saddle import (
 )
 from .wavecore import (
     adjoint_solves, apply_wave_operator, correlation_terms, forward_solves, inject,
-    preconditioned_ratio, sample, scattering_source, updated_model,
+    preconditioned_ratio, residual_sum_of_squares, sample, scattering_source, sum_of_squares,
+    updated_model,
 )
 
 
@@ -375,7 +376,10 @@ class Diagnostics:
     model is available.  seconds is the wall time of the step, including
     its forward solves at the new model (row 0: initial_state), taken before
     this row's diagnostics; it is excluded from any determinism or
-    regression comparison.
+    regression comparison.  constraint, v_norm and w_norm are sums of
+    squares streamed through row-sized pieces of each field, never whole
+    temporaries; their pieces add up in another order than one whole-array
+    sum, so they may differ from it at round-off.
     """
 
     iteration: int
@@ -403,7 +407,7 @@ class InversionResult:
 
 def _norm_sq(fields) -> float:
     """Squared norm over a per-source slot; an unwritten (None) slot is zero."""
-    return float(sum(np.sum(f.values**2) for f in fields or ()))
+    return float(sum(sum_of_squares(f.values) for f in fields or ()))
 
 
 def _misfit(fields, data) -> float:
@@ -417,9 +421,7 @@ def _misfit(fields, data) -> float:
 def _diagnostics(state: IterationState, sources, data, true_model: ModelGrid | None,
                  seconds: float) -> Diagnostics:
     m = state.model
-    constraint = 0.0
-    for b, u in zip(sources, state.wavefields):
-        constraint += float(np.sum((apply_wave_operator(m, u).values - b.values) ** 2))
+    constraint = sum(residual_sum_of_squares(m, u, b) for b, u in zip(sources, state.wavefields))
     model_error = float("nan") if true_model is None else (
         float(np.linalg.norm(m.values - true_model.values))
         / float(np.linalg.norm(true_model.values)))

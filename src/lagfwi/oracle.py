@@ -7,7 +7,9 @@ from the stencil definition, deliberately not sharing code with the
 vectorized sweeps in wavecore, so the two paths cross-validate each other.
 The Born kernel and the finite-difference gradient step through time with
 ``_reference_sweep``, a plain per-level loop written here from the same
-stencil rows.
+stencil rows; the Born kernel's time curvature and the quadratic model
+minimizer's A(m) u are whole-array formulas written here too, so nothing in
+this module runs a wavecore kernel.
 
 Space-time vectors are flattened with ``index = node * nt + n`` (time
 fastest), matching ``values.ravel()`` of the field containers; receiver
@@ -23,7 +25,6 @@ import scipy.linalg
 
 from .errors import OracleSizeError, SingularSystemError
 from .grids import AcquisitionGeometry, GridSpec, ModelGrid, SourceField, TraceData, Wavefield
-from .wavecore import operator_time_curvature, scattering_source
 
 __all__ = [
     "SIZE_GUARD",
@@ -84,22 +85,47 @@ def _reference_sweep(spec: GridSpec, m_values: np.ndarray, rhs: np.ndarray) -> n
     its z terms.  Accepts a trailing batch axis on rhs.
     """
     s = (spec.dt**2 / m_values).reshape((-1,) + (1,) * (rhs.ndim - 2))
-    wx = 1.0 / spec.dx**2
-    wz = 1.0 / spec.dz**2
     u = np.empty(rhs.shape)
     u[:, :2] = rhs[:, :2]
     for n in range(2, spec.nt):
-        g = u[:, n - 1].reshape(spec.nz, spec.nx, -1)
-        lap = -2.0 * wx * g
-        lap[:, 1:] += wx * g[:, :-1]
-        lap[:, :-1] += wx * g[:, 1:]
-        if spec.ndim == 2:
-            lap -= 2.0 * wz * g
-            lap[1:] += wz * g[:-1]
-            lap[:-1] += wz * g[1:]
-        lap = lap.reshape(u[:, n].shape)
+        lap = _reference_laplacian(spec, u[:, n - 1])
         u[:, n] = s * (rhs[:, n] + lap) + 2.0 * u[:, n - 1] - u[:, n - 2]
     return u
+
+
+def _reference_laplacian(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Zero-Dirichlet Laplacian over the leading (node) axis of values,
+    x terms before z terms; trailing axes are carried along."""
+    wx = 1.0 / spec.dx**2
+    wz = 1.0 / spec.dz**2
+    g = values.reshape(spec.nz, spec.nx, -1)
+    lap = -2.0 * wx * g
+    lap[:, 1:] += wx * g[:, :-1]
+    lap[:, :-1] += wx * g[:, 1:]
+    if spec.ndim == 2:
+        lap -= 2.0 * wz * g
+        lap[1:] += wz * g[:-1]
+        lap[:-1] += wz * g[1:]
+    return lap.reshape(values.shape)
+
+
+def _reference_curvature(spec: GridSpec, u: np.ndarray) -> np.ndarray:
+    """d(A(m) u)/dm per node: zero at rows 0 and 1, then the lagged second
+    difference (u[:, n] - 2 u[:, n-1] + u[:, n-2]) / dt^2."""
+    out = np.zeros(u.shape)
+    out[:, 2:] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / spec.dt**2
+    return out
+
+
+def _reference_apply(spec: GridSpec, m_values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A(m) u from the stencil rows: u at rows 0 and 1, then
+    m/dt^2 (u[:, n] - 2 u[:, n-1] + u[:, n-2]) - L u[:, n-1]."""
+    c = (m_values / spec.dt**2)[:, None]
+    out = np.empty(u.shape)
+    out[:, :2] = u[:, :2]
+    lap = _reference_laplacian(spec, u[:, 1:-1])
+    out[:, 2:] = c * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) - lap
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +279,7 @@ def assemble_born_kernel(
     spec = m.spec
     _guard(spec)
     geometry.validate_for(spec)
-    ddu = operator_time_curvature(u)
+    ddu = _reference_curvature(spec, u.values)
     ns = spec.n_space
     # one scattering source per node, batched over the trailing axis
     rhs = np.zeros((ns, spec.nt, ns))
@@ -343,12 +369,10 @@ def quadratic_model_minimizer(
     of the wavefield-reconstruction family, independent of any correlation
     formula. Nodes with zero curvature keep their current value.
     """
-    from .wavecore import apply_wave_operator  # local import to avoid cycles
-
     spec = m.spec
 
     def node_objectives(values: np.ndarray) -> np.ndarray:
-        r = apply_wave_operator(ModelGrid(spec, values), u).values - b.values
+        r = _reference_apply(spec, values, u.values) - b.values
         per_node = 0.5 * mu * np.sum(r * r, axis=1)
         if w is not None:
             per_node += np.sum(w.values * r, axis=1)

@@ -15,7 +15,8 @@ assembled data-space Hessian inside its dense-oracle comparison;
 "perturb-wavefield-solve" scales the CG wavefield inside both saddle
 orientation checks; "perturb-sweep" scales the swept fields at the first
 level of the sweep kernel's second working block inside its dense-oracle
-comparison; "perturb-batch-column" scales only the second column of a
+comparison, and the second copy tile of its first stepped level on a grid
+wider than one tile; "perturb-batch-column" scales only the second column of a
 lock-step batched wavefield solve inside its dense-oracle comparison.
 """
 
@@ -39,6 +40,7 @@ from .grids import (
     build_model,
 )
 from .oracle import (
+    _reference_sweep,
     assemble_dense_operator,
     dense_multiplier_data_space,
     dense_multiplier_source_space,
@@ -57,6 +59,7 @@ from .saddle import (
 )
 from .wavecore import (
     _BLOCK,
+    _TILE,
     _adjoint_sweep,
     _forward_sweep,
     adjoint_solve,
@@ -186,6 +189,15 @@ def _check_sweep_dense(faults) -> CheckResult:
             worst = max(worst, _rel(v[..., col], dense.solve_transpose(b).values))
             w = Wavefield(spec, rhs[..., col])
             worst = max(worst, _rel(apply_wave_operator(m, w).values, dense.apply(w).values))
+    # A 2D grid wider than one copy tile, against the oracle's stepped sweep:
+    # its dense matrix would cost more memory than the rest of the battery.
+    spec = GridSpec(ndim=2, nx=20, nz=_TILE // 20 + 1, dx=10.0, dz=10.0, nt=6, dt=0.002)
+    m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
+    rhs = rng.standard_normal(spec.shape + (2,))
+    u = _forward_sweep(spec, m.values, rhs)
+    if "perturb-sweep" in faults:
+        u[_TILE:, 2] *= 1.0 + 1e-6
+    worst = max(worst, _rel(u, _reference_sweep(spec, m.values, rhs)))
     return CheckResult("sweep-vs-dense", worst <= 1e-10, f"rel {worst:.3e} (tol 1e-10)")
 
 

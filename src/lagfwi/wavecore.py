@@ -12,24 +12,45 @@ level n - 1 but is stored at row n, which makes A block lower triangular in
 time. A forward solve is then a single explicit time-stepping sweep and a
 transposed solve is the same sweep run backwards.
 
-Fields are stored [node, n], so one time level is a strided column.  Both
-sweeps run one recurrence, ``_recurrence``, over time-major working blocks
-of _BLOCK levels: a block of the right-hand side is copied transposed into
-a contiguous buffer, stepped there with in-place operations on reused
-scratch, and copied back, so each step reads and writes contiguous memory
-while the stored layout stays [node, n].  A sweep takes k right-hand sides
-at once, either as the trailing batch axis of one array or as a sequence
-of k separate fields (``forward_solves``/``adjoint_solves``, the batched
-solves of a step's sources); the k columns share only the working block,
-(level, node, column), and each sequence column gets its own contiguous
-[node, n] result, so no stacked copy of the fields exists.  Small grids
-are bound by the Python cost of each time step, not by flops, so one sweep
-of k columns costs little more than one of a single column.  ``_apply``
-works one z row of nodes at a time, so its scratch is two rows instead of
-four full-size temporaries.  Each kernel performs the same IEEE operations in the same
-order for every element as the plain per-level loop it replaces (the
-Laplacian's x terms, then its z terms: row above, then row below), so its
-results are bitwise identical to that loop's, batched or not.
+Fields are stored [node, n], so one time level is a strided column.  Every
+pass over a full space-time field works through cache-sized pieces and
+makes no full-size temporary:
+
+* Both sweeps run one recurrence, ``_recurrence``, over time-major working
+  blocks of _BLOCK levels: a block of the right-hand side is copied
+  transposed into a contiguous buffer, stepped there with in-place
+  operations on reused scratch, and copied back, so each step reads and
+  writes contiguous memory while the stored layout stays [node, n].  The
+  copy in goes _TILE nodes at a time, so the rows it reads stay in cache
+  until every level of them is used.
+* A sweep takes k right-hand sides at once, either as the trailing batch
+  axis of one array or as a sequence of k separate fields
+  (``forward_solves``/``adjoint_solves``, the batched solves of a step's
+  sources).  The columns are stepped in groups whose time level, (node,
+  column), fits _GROUP_BYTES: on a 101 x 101 grid that is one column per
+  group, on the 1D grids all of them.  The columns of a group share only
+  its working block, (level, node, column), and each sequence column gets
+  its own contiguous [node, n] result, so no stacked copy of the fields
+  exists.  Small grids are bound by the Python cost of each time step, not
+  by flops, so one sweep of k columns costs little more than one of a
+  single column.
+* ``_stencil_rows`` computes the stencil rows of A(m) u one z row of nodes
+  at a time, with two rows of scratch.  It has two consumers:
+  ``_apply`` (``apply_wave_operator``) writes the rows into its output, and
+  ``residual_sum_of_squares`` reduces ||A(m) u - b||^2 row by row without
+  forming A(m) u.
+* ``_curvature_into`` computes the time curvature of a chunk of rows of at
+  most _CHUNK_BYTES; ``operator_time_curvature`` writes the chunks into its
+  output and ``correlation_terms`` reduces each chunk to its per-node sums.
+  ``sum_of_squares`` squares a field in the same chunks.
+
+Each sweep, ``_apply``, the curvature and the correlation sums perform the
+same IEEE operations in the same order for every element (and every
+per-node sum) as the plain whole-array or per-level code they replace (the
+Laplacian's x terms, then its z terms: row above, then row below), so
+their results are bitwise identical to it, batched, grouped and tiled or
+not.  The two sums of squares add their pieces in another order than a
+whole-array ``np.sum``, so they agree with it to round-off only.
 
 The time derivative used throughout is ``operator_time_curvature``, d/dm of
 A(m) u contracted row by row: zero at the two initial-condition rows and the
@@ -67,6 +88,8 @@ __all__ = [
     "operator_time_curvature",
     "scattering_source",
     "correlation_terms",
+    "sum_of_squares",
+    "residual_sum_of_squares",
     "DENOMINATOR_FLOOR_REL",
 ]
 
@@ -77,6 +100,21 @@ DENOMINATOR_FLOOR_REL = 1e-10
 # is 2.6 MB, small enough to stay in cache between its copy in, its steps
 # and its copy out.
 _BLOCK = 32
+
+# Bytes of one time level of a sweep's column group.  A step touches six
+# such slabs (three levels, the Laplacian, its scratch and the scale), so
+# 128 KB keeps them well inside a 2 MB L2 cache: one column of a 101 x 101
+# grid (81.6 KB) per group.  Three columns in one group are 1.2-1.3x slower
+# per column there (scripts/bench.py, BENCH_9.json).
+_GROUP_BYTES = 128 * 1024
+
+# Nodes per tile of a working block's transposed copy in.  A tile reads 256
+# rows of _BLOCK levels (64 KB); 128 to 512 time the same, and the whole
+# block at once is 1.2-1.3x slower (BENCH_9.json).
+_TILE = 256
+
+# Bytes of the row chunks of the curvature and the sums of squares.
+_CHUNK_BYTES = 256 * 1024
 
 
 def _laplacian(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
@@ -139,13 +177,17 @@ def _scales(spec: GridSpec, m_values: np.ndarray, trailing_axes: int):
     return c, s
 
 
-def _apply(spec: GridSpec, m_values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """A(m) u, one z row of nodes at a time, so the scratch is two rows."""
+def _stencil_rows(spec: GridSpec, m_values: np.ndarray, u: np.ndarray, out=None):
+    """Yield (rows, block) for each z row of nodes, where block holds the
+    stencil rows n >= 2 of A(m) u at those nodes.
+
+    The block is written into out[rows, 2:] when ``out`` is given, else
+    into scratch that the next row overwrites, so a consumer may reduce or
+    modify it in place.  The scratch is two rows of nodes.
+    """
     c, _ = _scales(spec, m_values, u.ndim - 1)
     nx, nz = spec.nx, spec.nz
     wz = 1.0 / spec.dz**2
-    out = np.empty(u.shape)
-    out[:, :2] = u[:, :2]
     lap = np.empty((1, nx, spec.nt - 2) + u.shape[2:])
     tmp = np.empty_like(lap)
     row_laplacian = _laplacian_into(spec, lap, tmp)
@@ -164,7 +206,17 @@ def _apply(spec: GridSpec, m_values: np.ndarray, u: np.ndarray) -> np.ndarray:
         np.subtract(u[rows, 2:], tmp[0], out=tmp[0])
         np.add(tmp[0], u[rows, :-2], out=tmp[0])
         np.multiply(tmp[0], c[rows], out=tmp[0])
-        np.subtract(tmp[0], lap[0], out=out[rows, 2:])
+        block = tmp[0] if out is None else out[rows, 2:]
+        np.subtract(tmp[0], lap[0], out=block)
+        yield rows, block
+
+
+def _apply(spec: GridSpec, m_values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A(m) u, one z row of nodes at a time."""
+    out = np.empty(u.shape)
+    out[:, :2] = u[:, :2]
+    for _ in _stencil_rows(spec, m_values, u, out):
+        pass
     return out
 
 
@@ -195,16 +247,27 @@ def _recurrence(
     rhs and out hold k (n_space, nt) fields each, and prev2/prev1 their
     starting levels.  ``levels`` runs forward or backward in time; p1 and p2
     are the one and two levels before n in that direction, and prev2/prev1
-    are the two before the first.  The levels are stepped in time-major
-    blocks of at most _BLOCK levels: each column's block of rhs is copied
-    transposed into one contiguous (level, node, column) buffer, stepped
-    there in place, written back into its own output, and the last two
-    levels are carried into the next block.  The columns meet only inside
-    the buffer, and the stencil scale is expanded to the buffer's full
-    (nz, nx, k) shape, so every ufunc runs one flat loop.
+    are the two before the first.  The columns are stepped in groups whose
+    time level fits _GROUP_BYTES, one group after the other; the columns are
+    independent, so grouping changes no result.  Within a group the levels
+    are stepped in time-major blocks of at most _BLOCK levels: each column's
+    block of rhs is copied transposed, _TILE nodes at a time, into one
+    contiguous (level, node, column) buffer, stepped there in place, written
+    back into its own output, and the last two levels are carried into the
+    next block.  The columns meet only inside the buffer, and the stencil
+    scale is expanded to the buffer's full (nz, nx, k) shape, so every ufunc
+    runs one flat loop.
     """
     if not levels:
         return
+    width = max(1, _GROUP_BYTES // (8 * spec.n_space))
+    for first in range(0, len(rhs), width):
+        group = slice(first, first + width)
+        _recurrence_group(spec, s, rhs[group], out[group], levels, prev2[group], prev1[group])
+
+
+def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
+    """_recurrence for the columns of one group."""
     nz, nx, n_space = spec.nz, spec.nx, spec.n_space
     k = len(rhs)
     size = min(_BLOCK, len(levels))
@@ -216,13 +279,15 @@ def _recurrence(
     laplacian = _laplacian_into(spec, work, np.empty_like(work))
     s = np.repeat(s.reshape(nz, nx, 1), k, axis=2)
     views = list(buf.reshape(size + 2, nz, nx, k))
+    tiles = [slice(a, a + _TILE) for a in range(0, n_space, _TILE)]
     for first in range(0, len(levels), size):
         part = levels[first : first + size]
         count = len(part)
         lo = min(part[0], part[-1])
         block = buf[2 : 2 + count][:: levels.step]
         for j in range(k):
-            block[..., j] = rhs[j][:, lo : lo + count].T
+            for t in tiles:
+                block[:, t, j] = rhs[j][t, lo : lo + count].T
         for p2, p1, level in zip(views, views[1:], views[2 : 2 + count]):
             laplacian(p1)
             np.add(level, work, out=work)
@@ -312,10 +377,10 @@ def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
         _check_pair(m, f)
     check_cfl(m.spec, m.values)
     out = sweep(m.spec, m.values, [f.values for f in fields])
-    for values in out:
-        if not np.all(np.isfinite(values)):
-            raise DivergenceError(f"{name} solve produced non-finite values")
-    return tuple(Wavefield(m.spec, values) for values in out)
+    try:
+        return tuple(Wavefield(m.spec, values) for values in out)
+    except ValueError as exc:  # Wavefield's finiteness check, one scan per field
+        raise DivergenceError(f"{name} solve produced non-finite values") from exc
 
 
 def forward_solve(m: ModelGrid, b: SourceField) -> Wavefield:
@@ -359,6 +424,12 @@ def inject(d: TraceData) -> SourceField:
     return SourceField(d.spec, out)
 
 
+def _row_chunks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Slices of at most _CHUNK_BYTES worth of rows each, covering n_rows."""
+    size = max(1, _CHUNK_BYTES // row_bytes)
+    return [slice(a, min(a + size, n_rows)) for a in range(0, n_rows, size)]
+
+
 def operator_time_curvature(u: Wavefield) -> np.ndarray:
     """Row-aligned time curvature of a field, i.e. d(A(m) u)/dm per node.
 
@@ -367,9 +438,24 @@ def operator_time_curvature(u: Wavefield) -> np.ndarray:
     internal stencil placement exactly.
     """
     vals = u.values
-    out = np.zeros_like(vals)
-    out[:, 2:] = (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]) / u.spec.dt**2
+    out = np.empty(vals.shape)
+    for rows in _row_chunks(len(vals), vals[0].nbytes):
+        _curvature_into(u.spec.dt, vals[rows], out[rows])
     return out
+
+
+def _curvature_into(dt: float, u: np.ndarray, out: np.ndarray) -> None:
+    """Write the curvature of the field rows u (rows, nt) into out.
+
+    (u[:, n] - 2 u[:, n-1] + u[:, n-2]) / dt**2 at n >= 2, zero before,
+    evaluated left to right like the whole-array expression.
+    """
+    out[:, :2] = 0.0
+    d = out[:, 2:]
+    np.multiply(u[:, 1:-1], 2.0, out=d)
+    np.subtract(u[:, 2:], d, out=d)
+    np.add(d, u[:, :-2], out=d)
+    np.divide(d, dt**2, out=d)
 
 
 def _perturbation_values(dm, n_space: int) -> np.ndarray:
@@ -401,10 +487,49 @@ def correlation_terms(v: Wavefield, u: Wavefield) -> tuple[np.ndarray, np.ndarra
     """
     if v.spec != u.spec:
         raise ValueError("fields live on different grids")
-    ddu = operator_time_curvature(u)
-    numerator = np.sum(v.values * ddu, axis=1)
-    denominator = np.sum(ddu * ddu, axis=1)
+    n_space = u.spec.n_space
+    chunks = _row_chunks(n_space, u.values[0].nbytes)
+    ddu = np.empty((chunks[0].stop, u.spec.nt))
+    product = np.empty_like(ddu)
+    numerator = np.empty(n_space)
+    denominator = np.empty(n_space)
+    for rows in chunks:
+        n = rows.stop - rows.start
+        d, p = ddu[:n], product[:n]
+        _curvature_into(u.spec.dt, u.values[rows], d)
+        np.multiply(v.values[rows], d, out=p)
+        np.sum(p, axis=1, out=numerator[rows])
+        np.multiply(d, d, out=p)
+        np.sum(p, axis=1, out=denominator[rows])
     return numerator, denominator
+
+
+def sum_of_squares(values: np.ndarray) -> float:
+    """np.sum(values**2) over a field, in row chunks, without a full-size
+    temporary; it may differ from the whole-array sum at round-off."""
+    chunks = _row_chunks(len(values), values[0].nbytes)
+    scratch = np.empty((chunks[0].stop,) + values.shape[1:])
+    total = 0.0
+    for rows in chunks:
+        part = scratch[: rows.stop - rows.start]
+        np.multiply(values[rows], values[rows], out=part)
+        total += float(np.sum(part))
+    return total
+
+
+def residual_sum_of_squares(m: ModelGrid, u: Wavefield, b: SourceField) -> float:
+    """||A(m) u - b||^2 without forming A(m) u: the stencil rows are reduced
+    one row of nodes at a time, so it may differ from the whole-array sum at
+    round-off."""
+    _check_pair(m, u)
+    _check_pair(m, b)
+    head = u.values[:, :2] - b.values[:, :2]
+    total = float(np.sum(head * head))
+    for rows, block in _stencil_rows(u.spec, m.values, u.values):
+        np.subtract(block, b.values[rows, 2:], out=block)
+        np.multiply(block, block, out=block)
+        total += float(np.sum(block))
+    return total
 
 
 def preconditioned_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ tolerance, so the 1e-8 bound is generous (measured agreement is ~1e-14 on
 these grids).
 """
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from lagfwi.grids import (
     ModelGrid,
     SourceField,
     TraceData,
+    Wavefield,
     build_model,
 )
 from lagfwi.oracle import quadratic_model_minimizer
@@ -38,6 +40,7 @@ from lagfwi.wavecore import (
     sample,
 )
 from lagfwi.iterations import (
+    _diagnostics,
     DIAGNOSTIC_FIELDS,
     SCHEMES,
     IterationState,
@@ -480,3 +483,50 @@ def test_penalty_continuation_tightens_the_constraint():
     r_fixed = run_inversion(fixed, data)
     r_grown = run_inversion(grown, data)
     assert r_grown.history[-1].constraint < r_fixed.history[-1].constraint
+
+
+def _full_slot_state(seed=5):
+    """A 2D state whose every slot holds random fields, two sources."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(ndim=2, nx=61, nz=61, dx=10.0, dz=10.0, nt=300, dt=0.002)
+    geom = AcquisitionGeometry((100,), (70, 90, 110))
+    m = build_model(spec, 2000.0 + 100.0 * rng.random(spec.n_space))
+
+    def fields_of(cls):
+        return tuple(cls(spec, rng.standard_normal(spec.shape)) for _ in range(2))
+
+    state = IterationState(
+        m, m, fields_of(Wavefield), wavefields=fields_of(Wavefield),
+        multipliers=fields_of(Wavefield), running_multipliers=fields_of(SourceField),
+        scatter_sources=fields_of(SourceField), scatter_errors=fields_of(SourceField))
+    sources = fields_of(SourceField)
+    data = [TraceData(spec, geom, rng.standard_normal((3, spec.nt))) for _ in range(2)]
+    return state, sources, data
+
+
+def test_streamed_diagnostics_match_whole_array_sums():
+    state, sources, data = _full_slot_state()
+    diag = _diagnostics(state, sources, data, None, 0.0)
+    m = state.model
+    constraint = sum(np.sum((apply_wave_operator(m, u).values - b.values) ** 2)
+                     for b, u in zip(sources, state.wavefields))
+
+    def norm_sq(*slots):
+        return sum(np.sum(f.values**2) for slot in slots for f in slot)
+
+    assert diag.constraint == pytest.approx(np.sqrt(constraint), rel=1e-13)
+    assert diag.v_norm == pytest.approx(
+        np.sqrt(norm_sq(state.multipliers, state.scatter_sources)), rel=1e-13)
+    assert diag.w_norm == pytest.approx(
+        np.sqrt(norm_sq(state.running_multipliers, state.scatter_errors)), rel=1e-13)
+
+
+def test_diagnostics_peak_well_below_one_field():
+    state, sources, data = _full_slot_state()
+    tracemalloc.start()
+    try:
+        _diagnostics(state, sources, data, None, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * state.model.spec.n_space * state.model.spec.nt * 8

@@ -21,10 +21,12 @@ from lagfwi.oracle import _reference_sweep
 from lagfwi.wavecore import (
     DENOMINATOR_FLOOR_REL,
     adjoint_solve,
+    adjoint_solves,
     apply_wave_operator,
     apply_wave_operator_transpose,
     correlation_terms,
     forward_solve,
+    forward_solves,
     inject,
     operator_time_curvature,
     preconditioned_ratio,
@@ -32,11 +34,16 @@ from lagfwi.wavecore import (
     scattering_source,
     updated_model,
     _BLOCK,
+    _CHUNK_BYTES,
+    _GROUP_BYTES,
+    _TILE,
     _adjoint_sweep,
     _apply,
     _forward_sweep,
     _laplacian,
     _scales,
+    residual_sum_of_squares,
+    sum_of_squares,
 )
 
 from conftest import random_model, random_source, random_wavefield
@@ -242,6 +249,28 @@ def test_preconditioned_ratio_floors_weak_nodes():
     assert ratio[3] == 0.0
 
 
+def test_solves_scan_each_field_once_and_reject_non_finite(spec1d, model1d, rng, monkeypatch):
+    sources = [random_source(spec1d, rng) for _ in range(2)]
+    scanned = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x) == spec1d.shape:
+            scanned.append(x)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    fields = forward_solves(model1d, sources)
+    assert len(scanned) == 2
+    assert all(a is f.values for a, f in zip(scanned, fields))
+    monkeypatch.undo()
+    huge = [SourceField(spec1d, np.full(spec1d.shape, 1e307))]
+    for solves, name in ((forward_solves, "forward"), (adjoint_solves, "adjoint")):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=f"{name} solve produced non-finite values"):
+            solves(model1d, huge)
+
+
 def test_updated_model_guards(spec1d, model1d):
     with pytest.raises(DivergenceError):
         updated_model(model1d, 1.0, np.full(spec1d.n_space, np.inf))
@@ -372,3 +401,72 @@ def test_kernel_peak_memory_is_its_output(kernel, rng):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * out.nbytes
+
+
+def test_grouped_tiled_sweeps_match_stepped_references_bitwise():
+    """On a 2D grid wider than one copy tile, three columns span three
+    column groups; the array and the sequence form of every kernel still
+    equal the stepped references exactly, across block boundaries."""
+    gen = np.random.default_rng(91)
+    spec = GridSpec(ndim=2, nx=91, nz=91, dx=10.0, dz=10.0, nt=_BLOCK + 3, dt=0.0008)
+    assert spec.n_space > _TILE
+    assert 2 * 8 * spec.n_space > _GROUP_BYTES  # one column per group
+    m = random_model(spec, gen).values
+    field = gen.standard_normal(spec.shape + (3,))
+    sequence = [field[..., j].copy() for j in range(3)]
+    for sweep, reference in ((_forward_sweep, _reference_sweep),
+                             (_adjoint_sweep, _stepped_adjoint)):
+        expected = reference(spec, m, field)
+        assert np.array_equal(sweep(spec, m, field), expected)
+        for j, got in enumerate(sweep(spec, m, sequence)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, expected[..., j])
+    assert np.array_equal(_apply(spec, m, field), _whole_array_apply(spec, m, field))
+
+
+def _chunked_spec():
+    """A 2D grid whose fields span several row chunks of the streamed passes."""
+    spec = GridSpec(ndim=2, nx=20, nz=15, dx=10.0, dz=10.0, nt=400, dt=0.002)
+    assert spec.n_space * spec.nt * 8 > 3 * _CHUNK_BYTES
+    return spec
+
+
+def test_streamed_curvature_and_correlation_equal_whole_array_bitwise(rng):
+    spec = _chunked_spec()
+    u = random_wavefield(spec, rng)
+    v = random_wavefield(spec, rng)
+    vals = u.values
+    ddu = np.zeros(spec.shape)
+    ddu[:, 2:] = (vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]) / spec.dt**2
+    assert np.array_equal(operator_time_curvature(u), ddu)
+    num, den = correlation_terms(v, u)
+    assert np.array_equal(num, np.sum(v.values * ddu, axis=1))
+    assert np.array_equal(den, np.sum(ddu * ddu, axis=1))
+
+
+def test_streamed_sums_of_squares_match_whole_array_sums(rng):
+    spec = _chunked_spec()
+    m = random_model(spec, rng)
+    u = random_wavefield(spec, rng)
+    b = random_source(spec, rng)
+    expected = np.sum((_whole_array_apply(spec, m.values, u.values) - b.values) ** 2)
+    assert residual_sum_of_squares(m, u, b) == pytest.approx(expected, rel=1e-13)
+    assert sum_of_squares(u.values) == pytest.approx(np.sum(u.values**2), rel=1e-13)
+
+
+def test_streamed_passes_peak_well_below_one_field(rng):
+    spec = GridSpec(ndim=2, nx=61, nz=61, dx=10.0, dz=10.0, nt=300, dt=0.002)
+    m = random_model(spec, rng)
+    u = random_wavefield(spec, rng)
+    v = random_wavefield(spec, rng)
+    b = random_source(spec, rng)
+    for call in (lambda: correlation_terms(v, u),
+                 lambda: residual_sum_of_squares(m, u, b),
+                 lambda: sum_of_squares(u.values)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * u.values.nbytes
