@@ -104,13 +104,13 @@ _BLOCK = 32
 # Bytes of one time level of a sweep's column group.  A step touches six
 # such slabs (three levels, the Laplacian, its scratch and the scale), so
 # 128 KB keeps them well inside a 2 MB L2 cache: one column of a 101 x 101
-# grid (81.6 KB) per group.  Three columns in one group are 1.2-1.3x slower
+# grid (81.6 KB) per group.  Three columns in one group are 1.1-1.4x slower
 # per column there (scripts/bench.py, BENCH_9.json).
 _GROUP_BYTES = 128 * 1024
 
 # Nodes per tile of a working block's transposed copy in.  A tile reads 256
-# rows of _BLOCK levels (64 KB); 128 to 512 time the same, and the whole
-# block at once is 1.2-1.3x slower (BENCH_9.json).
+# rows of _BLOCK levels (64 KB); 128 and 512 are within 7% of it, and the
+# whole block at once is 1.1-1.3x slower (BENCH_9.json).
 _TILE = 256
 
 # Bytes of the row chunks of the curvature and the sums of squares.
