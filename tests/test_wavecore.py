@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagfwi.errors import DivergenceError
@@ -35,8 +35,6 @@ from lagfwi.wavecore import (
     updated_model,
     _BLOCK,
     _CHUNK_BYTES,
-    _GROUP_BYTES,
-    _TILE,
     _adjoint_sweep,
     _apply,
     _forward_sweep,
@@ -361,11 +359,14 @@ def _whole_array_apply(spec, m_values, u):
     columns=st.sampled_from([None, 1, 3]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
+# 91 x 91 nodes span 33 copy tiles, and its three columns three groups
+@example(ndim=2, nx=91, nz=91, nt=_BLOCK + 3, columns=3, seed=91)
 def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, seed):
     """The blocked sweeps and the row-blocked A(m) do the references'
-    floating-point operations in the same order, so they agree exactly.  A
-    sequence of k fields is swept as one batch into k separate contiguous
-    results, each equal to its column's reference."""
+    floating-point operations in the same order, so they agree exactly,
+    whatever the column groups and copy tiles.  A sequence of k fields is
+    swept as one batch into k separate contiguous results, each equal to
+    its column's reference."""
     gen = np.random.default_rng(seed)
     dx, dz = gen.uniform(5.0, 20.0, 2)
     spec = GridSpec(
@@ -401,27 +402,6 @@ def test_kernel_peak_memory_is_its_output(kernel, rng):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * out.nbytes
-
-
-def test_grouped_tiled_sweeps_match_stepped_references_bitwise():
-    """On a 2D grid wider than one copy tile, three columns span three
-    column groups; the array and the sequence form of every kernel still
-    equal the stepped references exactly, across block boundaries."""
-    gen = np.random.default_rng(91)
-    spec = GridSpec(ndim=2, nx=91, nz=91, dx=10.0, dz=10.0, nt=_BLOCK + 3, dt=0.0008)
-    assert spec.n_space > _TILE
-    assert 2 * 8 * spec.n_space > _GROUP_BYTES  # one column per group
-    m = random_model(spec, gen).values
-    field = gen.standard_normal(spec.shape + (3,))
-    sequence = [field[..., j].copy() for j in range(3)]
-    for sweep, reference in ((_forward_sweep, _reference_sweep),
-                             (_adjoint_sweep, _stepped_adjoint)):
-        expected = reference(spec, m, field)
-        assert np.array_equal(sweep(spec, m, field), expected)
-        for j, got in enumerate(sweep(spec, m, sequence)):
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, expected[..., j])
-    assert np.array_equal(_apply(spec, m, field), _whole_array_apply(spec, m, field))
 
 
 def _chunked_spec():
