@@ -11,7 +11,12 @@ the diagnostics' constraint norm ||A(m) u - b||^2; and the wavefield CG
 layer of the two-scatterer benchmark's first penalty-wavefield step (its
 three sources at the initial model): ``saddle.solve_augmented_wavefields``
 called once per source with a one-source batch (serial) against one call
-with all three sources (lock step).  On a checkout whose sweeps step column
+with all three sources (lock step), and on a checkout that has it, the
+Nystrom sketch ``saddle.nystrom_sketch`` of that step alone (its rank and
+time).  The same rows are taken for the first solve of the one-source
+``born_config`` al-wavefield runs of ``tests/test_iterations.py`` at
+mu = 1e3 and 1e4 (21 x 80 grid, 19 receivers), the small-mu cases where
+the unpreconditioned CG needs hundreds of iterations.  On a checkout whose sweeps step column
 groups and copy node tiles, the 2D three-field sequence sweeps are also
 timed with other values of the group budget ``wavecore._GROUP_BYTES`` and
 the copy tile width ``wavecore._TILE`` (the "variants" rows), which is what
@@ -44,12 +49,15 @@ import numpy as np
 import scipy
 
 import lagfwi
-from lagfwi import wavecore
+from lagfwi import saddle, wavecore
 from lagfwi.config import (
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
 from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield
-from lagfwi.saddle import solve_augmented_wavefields
+from lagfwi.saddle import PenaltyConfig, solve_augmented_wavefields
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from test_iterations import born_config  # noqa: E402
 
 # (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
 # (n_space, nt) field, and sequence marks a list of `columns` separate fields
@@ -187,28 +195,53 @@ def variant_rows(rng) -> list[dict]:
     return rows
 
 
-def cg_rows() -> list[dict]:
-    """The pw-1d CG layer: each source's solve in turn, then all in lock step."""
+def _cg_cases():
+    """(label, model, sources, data, cfg, ws) of the timed wavefield solves:
+    the pw-1d step and the first al-wavefield step of born_config at
+    mu = 1e3 and 1e4 (w = 0, as the initial state holds it)."""
     config = two_scatterer_benchmark()
     m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
-    sources, data, cfg = build_sources(config), make_observed_data(config), config.penalty
-    modes = {
-        "serial": lambda: [solve_augmented_wavefields(m, [b], [d], cfg)[0]
-                           for b, d in zip(sources, data)],
-        "lock-step": lambda: solve_augmented_wavefields(m, sources, data, cfg),
-    }
+    yield "pw-1d", m, build_sources(config), make_observed_data(config), config.penalty, None
+    for mu in (1e3, 1e4):
+        config = born_config("al-wavefield", mu=mu, max_iter=1)
+        m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
+        sources = build_sources(config)
+        ws = [SourceField(config.grid, np.zeros(config.grid.shape)) for _ in sources]
+        yield (f"born_config al-wavefield mu={mu:g}", m, sources, make_observed_data(config),
+               PenaltyConfig(mu=mu), ws)
+
+
+def cg_rows() -> list[dict]:
+    """The wavefield CG layer: for pw-1d each source's solve in turn, then
+    all in lock step; for the one-source born_config steps the solve; and
+    the Nystrom sketch of each, where the checkout has one."""
     rows = []
-    for mode, solve in modes.items():
-        infos = [info for _, info in solve()]
-        best, median = time_call(solve)
-        rows.append({
-            "layer": "wavefield CG", "mode": mode, "sources": len(sources),
-            "iterations": [info.iterations for info in infos],
-            "converged": all(info.converged for info in infos),
-            "repeats": REPEATS, "min_s": best, "median_s": median,
-        })
-        print(f"wavefield CG   {mode:24s} min {best * 1e3:9.3f} ms  "
-              f"median {median * 1e3:9.3f} ms  iterations {rows[-1]['iterations']}")
+    for label, m, sources, data, cfg, ws in _cg_cases():
+        ws = ws or [None] * len(sources)
+        modes = {"lock-step": lambda: solve_augmented_wavefields(m, sources, data, cfg, ws)}
+        if len(sources) > 1:
+            modes = {"serial": lambda: [solve_augmented_wavefields(m, [b], [d], cfg, [w])[0]
+                                        for b, d, w in zip(sources, data, ws)], **modes}
+        for mode, solve in modes.items():
+            infos = [info for _, info in solve()]
+            best, median = time_call(solve)
+            rows.append({
+                "layer": "wavefield CG", "case": label, "mode": mode, "sources": len(sources),
+                "iterations": [info.iterations for info in infos],
+                "converged": all(info.converged for info in infos),
+                "repeats": REPEATS, "min_s": best, "median_s": median,
+            })
+            print(f"wavefield CG   {label:36s} {mode:9s} min {best * 1e3:9.3f} ms  "
+                  f"median {median * 1e3:9.3f} ms  iterations {rows[-1]['iterations']}")
+        sketch = getattr(saddle, "nystrom_sketch", None)
+        if sketch is not None:
+            geometry = data[0].geometry
+            rank = sketch(m, geometry, cfg.mu).rank
+            best, median = time_call(lambda: sketch(m, geometry, cfg.mu))
+            rows.append({"layer": "nystrom sketch", "case": label, "rank": rank,
+                         "repeats": REPEATS, "min_s": best, "median_s": median})
+            print(f"nystrom sketch {label:36s} rank {rank:4d} min {best * 1e3:9.3f} ms  "
+                  f"median {median * 1e3:9.3f} ms")
     return rows
 
 
@@ -222,7 +255,8 @@ def main(argv=None) -> int:
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
-        "layer": "wavecore sweep kernels, the streamed 2D passes and the wavefield CG",
+        "layer": ("wavecore sweep kernels, the streamed 2D passes, the wavefield CG and its "
+                  "Nystrom sketch"),
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

@@ -22,7 +22,8 @@ constraint error eps = w/mu (k = 1) in `scatter_errors`.
 
   scheme              solve                                   scaled  memory
   fwi                 u = A^-1 b, v back-propagates P u - d   no      -
-  penalty-wavefield   u = A^-1 z, CG on (I + G^T G/mu) z      no      -
+  penalty-wavefield   Nystrom-PCG on (H + mu I) y, then       no      -
+                      u = A^-1 (b + G^T y)
   penalty-multiplier  damped trace system for v, companion u  no      -
   wri-scaled          lam against the plain residual, refresh yes     -
                       u = A^-1 (b + lam)
@@ -36,11 +37,14 @@ constraint error eps = w/mu (k = 1) in `scatter_errors`.
 
 Batching does not change an iterate: each column of a batched sweep or of
 the lock-step CG does the same floating-point operations as a step of its
-own source alone.  The sources of a step that builds H or runs the CG must
-share their receivers.
+own source alone, and the CG's preconditioner, a Nystrom sketch of H, is
+built from the model and the receivers alone.  The sources of a step that
+builds H or runs the CG must share their receivers.
 
-G = P A^-1 maps sources to receiver traces (see
-saddle.solve_augmented_wavefields).
+G = P A^-1 maps sources to receiver traces and H = G G^T is the data-space
+Hessian; the wavefield and multiplier orientations solve the same system
+(H + mu I) y = d - G (b - w/mu), matrix-free and densely (see the saddle
+module).
 
 gauss-newton and gauss-seidel instead solve damped least squares on the
 stacked Born kernels for the model increment; gauss-seidel linearizes about
@@ -78,7 +82,7 @@ from .saddle import (
     damped_trace_multipliers, solve_augmented_wavefields, solve_ls_multipliers,
 )
 from .wavecore import (
-    adjoint_solves, apply_wave_operator, correlation_terms, forward_solves, inject,
+    adjoint_solves, apply_wave_operator, correlation_terms, forward_solves,
     preconditioned_ratio, residual_sum_of_squares, sample, scattering_source, sum_of_squares,
     updated_model,
 )
@@ -167,15 +171,16 @@ class _Previous(NamedTuple):
 
 
 def _fwi(m, sources, data, cfg, cache, prevs):
-    """Reduced-space gradient: adjoint fields against the data residuals."""
+    """Reduced-space gradient: adjoint fields against the data residuals,
+    whose traces are injected inside the batched adjoint sweep."""
     us = [prev.u0 for prev in prevs]
-    return us, adjoint_solves(m, [inject(_residual_traces(d, u)) for d, u in zip(data, us)])
+    return us, adjoint_solves(m, [_residual_traces(d, u) for d, u in zip(data, us)])
 
 
 def _wavefield_orientation(m, sources, data, cfg, cache, prevs):
-    """Eliminate v: wave-equation-preconditioned CG for u, the sources'
-    solves in lock step, then v = w + mu (A u - b), the same v as the
-    multiplier orientation in exact arithmetic.  A solve that misses
+    """Eliminate v: the Nystrom-preconditioned data-space CG for u, the
+    sources' solves in lock step, then v = w + mu (A u - b), the same v as
+    the multiplier orientation in exact arithmetic.  A solve that misses
     cfg.cg_tol raises SolverNotConvergedError, so its field never reaches
     the model update."""
     ws = [prev.mem for prev in prevs]
@@ -355,7 +360,7 @@ def reduced_objective_and_gradient(m: ModelGrid, sources, data):
     curvature that the operator derivative d(Au)/dm produces.
     """
     us = forward_solves(m, sources)
-    vs = adjoint_solves(m, [inject(_residual_traces(d, u)) for d, u in zip(data, us)])
+    vs = adjoint_solves(m, [_residual_traces(d, u) for d, u in zip(data, us)])
     gradient = np.zeros(m.spec.n_space)
     for u, v in zip(us, vs):
         num, _ = correlation_terms(v, u)

@@ -5,33 +5,41 @@ The saddle system for penalty weight mu is
     [ A        -I/mu ] [u]   [b - w/mu]
     [ P^T P     A^T  ] [v] = [P^T d   ]
 
-with w = 0 in the plain penalty variant. Eliminating v gives the
-wavefield-oriented normal equations
-
-    (P^T P + mu A^T A) u = P^T d + mu A^T b - A^T w.
-
-The wave equation preconditions them: with u = A^-1 z and G = P A^-1 they
-become (I + G^T G / mu) z = b - w/mu + G^T d / mu, solved matrix-free by
-conjugate gradients (each product costs one forward sweep and one adjoint
-sweep; the spectrum lies in [1, 1 + lambda_max(H)/mu], with H = G G^T as
-below). Eliminating u instead pushes the solve into data space,
+with w = 0 in the plain penalty variant. Eliminating u pushes the solve into
+data space,
 
     v = A^-T P^T (I + (1/mu) H)^-1 (d - P A^-1 (b - w/mu)),
-    H = P A^-1 A^-T P^T,
+    H = P A^-1 A^-T P^T = G G^T,   G = P A^-1,
 
-where H is a small dense receiver-sample Gram matrix, assembled from one
-Green's function per receiver (a single batched forward sweep) and
-factorized once per model. The scaled multiplier lam = v / mu is the damped
-least-squares solution of P A^-1 lam = d - P A^-1 b with damping mu, which
-is how the scattering-type iterations consume the same machinery.
+and both orientations solve that one system, (H + mu I) y = d - G shift
+with shift = b - w/mu, in two ways:
+
+* The multiplier orientation (solve_ls_multipliers) assembles H densely,
+  a small receiver-sample Gram matrix built from one Green's function per
+  receiver (a single batched forward sweep), and factorizes H + mu I once
+  per model.  The scaled multiplier lam = v / mu is the damped
+  least-squares solution of P A^-1 lam = d - P A^-1 b with damping mu,
+  which is how the scattering-type iterations consume the same machinery.
+* The wavefield orientation (solve_augmented_wavefields) solves it
+  matrix-free.  Eliminating v gives the normal equations
+  (P^T P + mu A^T A) u = P^T d + mu A^T b - A^T w; with u = A^-1 z they are
+  (I + G^T G / mu) z = shift + G^T d / mu, whose CG from z0 = shift never
+  leaves shift + range(G^T).  So z = shift + G^T y with the y above, and
+  the solve runs CG on (H + mu I) y in data space, each H product one
+  adjoint sweep of receiver traces and one forward sweep sampled at the
+  receivers.  H's spectrum decays fast, so a randomized Nystrom sketch of
+  H (nystrom_sketch, rank grown until its smallest eigenvalue is at most
+  mu) preconditions the CG and deflates its large eigenvalues; the CG
+  vectors are traces, and u = A^-1 (shift + G^T y) costs one more adjoint
+  and forward sweep.
 
 Every solve takes the sources of one step, which share the model and the
 receivers (traces that disagree on receivers raise ValueError); a caller
 with one source passes one-element lists.  solve_augmented_wavefields runs
-the sources' CGs in lock step, so each iteration is one batched forward
-sweep and one batched adjoint sweep, and solve_ls_multipliers,
-damped_trace_multipliers and companion_wavefields make one batched sweep
-per stage (the Cholesky solves stay one per source).  Every column does the
+the sources' CGs in lock step with one sketch shared by the step, so each
+iteration is one batched adjoint sweep and one batched forward sweep, and
+solve_ls_multipliers, damped_trace_multipliers and companion_wavefields
+make one batched sweep per stage (the Cholesky solves stay one per source).  Every column does the
 same floating-point operations as a batch of its source alone, so a
 source's result does not depend on the batch it is solved in, bit for bit.
 """
@@ -53,6 +61,7 @@ from .grids import (
     Wavefield,
 )
 from .wavecore import (
+    _Traces,
     _adjoint_sweep,
     _forward_sweep,
     _laplacian,
@@ -63,6 +72,8 @@ from .wavecore import (
 __all__ = [
     "PenaltyConfig",
     "SolveInfo",
+    "NystromSketch",
+    "nystrom_sketch",
     "DataSpaceHessian",
     "HessianCache",
     "solve_augmented_wavefields",
@@ -80,9 +91,11 @@ class PenaltyConfig:
     ``alpha`` is the model step length; None means 1/mu, which is the value
     every equivalence between the penalty/AL family and the scattering
     family is stated at. ``cg_tol`` and ``cg_maxiter`` drive the CG of
-    solve_augmented_wavefields: ``cg_tol`` is the residual of its
-    preconditioned system relative to that system's right-hand side; 1e-10
-    is oracle-grade, 1e-6 is plenty for production inversion runs.
+    solve_augmented_wavefields: ``cg_tol`` bounds the residual of its
+    data-space system (H + mu I) y = d - G (b - w/mu) relative to that
+    system's right-hand side (the unpreconditioned residual, whatever the
+    preconditioner); 1e-10 is oracle-grade, 1e-6 is plenty for production
+    inversion runs.
     """
 
     mu: float
@@ -121,44 +134,46 @@ class _Column:
     scalars.  ``x`` is replaced, never written in place, so the best
     iterate is kept by reference."""
 
-    def __init__(self, index: int, rhs: np.ndarray, x0: np.ndarray):
+    def __init__(self, index: int, rhs: np.ndarray, x0: np.ndarray | None):
         self.index = index
         self.rhs = rhs
         self.rhs_norm = float(np.linalg.norm(rhs))
-        self.x = x0.copy()
+        self.x = np.zeros_like(rhs) if x0 is None else x0.copy()
 
-    def start(self, ax: np.ndarray, tol: float) -> bool:
-        """Take the residual of x0; True if x0 already meets tol."""
-        self.r = self.rhs - ax
+    def start(self, ax: np.ndarray | None, tol: float) -> bool:
+        """Take the residual of x0 (ax None: x0 = 0); True if x0 already
+        meets tol."""
+        self.r = self.rhs.copy() if ax is None else self.rhs - ax
         self.best_x = self.x
         self.best_res = float(np.linalg.norm(self.r))
-        if self.best_res / self.rhs_norm <= tol:
-            return True
-        self.p = self.r.copy()
-        self.rs = float(self.r @ self.r)
-        return False
+        return self.best_res / self.rhs_norm <= tol
 
     def info(self, converged: bool, iterations: int) -> SolveInfo:
         return SolveInfo(converged, iterations, self.best_res / self.rhs_norm)
 
 
-def _cg(apply_op, rhs, x0, tol, maxiter):
+def _cg(apply_op, rhs, x0, tol, maxiter, precondition=None):
     """Conjugate gradients on an SPD operator, k right-hand sides in lock step.
 
-    rhs and x0 are sequences of k flat arrays, and apply_op maps a list of
-    flat arrays to the list of their products.  This is the column-wise form
-    of block CG (O'Leary, Linear Algebra Appl. 29, 1980): every column keeps
-    its own scalars, best iterate (by residual norm), convergence test and
-    exit on loss of positive definiteness, and does the same floating-point
-    operations as a solve of its own.  A column that has finished leaves the
-    batch, so each iteration applies the operator once to the columns still
-    in it.  The true residual is recomputed periodically so the recursion
-    cannot drift.  Returns one (best iterate, SolveInfo) per column.
+    rhs and x0 are sequences of k flat arrays (x0 None starts every column
+    at zero without applying the operator), and apply_op maps a list of flat
+    arrays to the list of their products.  precondition, when given, maps a
+    list of residuals to the list of M^-1 r for an SPD M, one column at a
+    time; None is M = I and does exactly the unpreconditioned operations.
+    This is the column-wise form of block CG (O'Leary, Linear Algebra Appl.
+    29, 1980): every column keeps its own scalars, best iterate (by residual
+    norm), convergence test and exit on loss of positive definiteness, and
+    does the same floating-point operations as a solve of its own.  A column
+    that has finished leaves the batch, so each iteration applies the
+    operator (and the preconditioner) once to the columns still in it.  The
+    convergence test is on the unpreconditioned residual, whose true value
+    is recomputed periodically so the recursion cannot drift.  Returns one
+    (best iterate, SolveInfo) per column.
     """
     results = [None] * len(rhs)
     live = []
-    for j, (b, x) in enumerate(zip(rhs, x0)):
-        column = _Column(j, b, x)
+    for j, b in enumerate(rhs):
+        column = _Column(j, b, None if x0 is None else x0[j])
         if column.rhs_norm == 0.0:
             results[j] = (np.zeros_like(b), SolveInfo(True, 0, 0.0))
         else:
@@ -167,14 +182,31 @@ def _cg(apply_op, rhs, x0, tol, maxiter):
     def finish(column, converged, iterations):
         results[column.index] = (column.best_x, column.info(converged, iterations))
 
+    def directions(columns, squares, first=False):
+        """Start (first) or update each column's direction from its
+        preconditioned residual z; squares holds r.r per column, which is
+        r.z when M = I."""
+        zs = [c.r for c in columns] if precondition is None else precondition(
+            [c.r for c in columns])
+        for column, rr, z in zip(columns, squares, zs):
+            rs_new = rr if precondition is None else float(column.r @ z)
+            if first:
+                column.p = z.copy()
+            else:
+                np.multiply(column.p, rs_new / column.rs, out=column.p)
+                np.add(z, column.p, out=column.p)
+            column.rs = rs_new
+
     if live:
+        axs = [None] * len(live) if x0 is None else apply_op([c.x for c in live])
         started = []
-        for column, ax in zip(live, apply_op([c.x for c in live])):
+        for column, ax in zip(live, axs):
             if column.start(ax, tol):
                 finish(column, True, 0)
             else:
                 started.append(column)
         live = started
+        directions(live, [float(c.r @ c.r) for c in live], first=True)
     it = 0
     for it in range(1, maxiter + 1):
         if not live:
@@ -196,20 +228,19 @@ def _cg(apply_op, rhs, x0, tol, maxiter):
         else:
             for column, (step, ap) in zip(stepped, steps):
                 column.r -= step * ap
-        live = []
+        live, squares = [], []
         for column in stepped:
-            rs_new = float(column.r @ column.r)
-            res = np.sqrt(rs_new)
+            rr = float(column.r @ column.r)
+            res = np.sqrt(rr)
             if res < column.best_res:
                 column.best_res = res
                 column.best_x = column.x
             if res / column.rhs_norm <= tol:
                 finish(column, True, it)
                 continue
-            np.multiply(column.p, rs_new / column.rs, out=column.p)
-            np.add(column.r, column.p, out=column.p)
-            column.rs = rs_new
             live.append(column)
+            squares.append(rr)
+        directions(live, squares)
     for column in live:
         finish(column, False, it)
     return results
@@ -221,62 +252,206 @@ def solve_augmented_wavefields(
     data,
     cfg: PenaltyConfig,
     ws=None,
+    sketch: NystromSketch | None = None,
 ) -> list[tuple[Wavefield, SolveInfo]]:
-    """Wavefield-oriented saddle solve for every source, CG preconditioned
-    by the wave equation, the sources' CGs in lock step.
+    """Wavefield-oriented saddle solve for every source, by Nystrom-
+    preconditioned CG in data space, the sources' CGs in lock step.
 
     With u = A^-1 z and G = P A^-1 the normal equations
     (P^T P / mu + A^T A) u = P^T d / mu + A^T (b - w/mu) become
+    (I + G^T G / mu) z = shift + G^T d / mu, shift = b - w/mu.  CG on that
+    system from z0 = shift never leaves shift + range(G^T), so its solution
+    is z = shift + G^T y with
 
-        (I + G^T G / mu) z = (b - w/mu) + G^T d / mu,
+        (H + mu I) y = d - G shift,    H = G G^T,
 
-    the identity plus a part of rank at most n_rec * nt, so the spectrum
-    lies in [1, 1 + lambda_max(H)/mu].  Each product costs one forward sweep
-    of z, a sample at the receivers and one adjoint sweep of the injected
-    traces.  CG starts at z0 = b - w/mu (u0 = A^-1 (b - w/mu)), which is
-    exact whenever the data are consistent, and cg_tol is relative to the
-    norm of the right-hand side.  u = A^-1 z costs one more forward sweep;
-    each returned SolveInfo describes its source's z system.
+    the system solve_ls_multipliers factorizes densely (its multiplier is
+    v = mu A^-T P^T y).  This solve runs CG on it, from y0 = 0,
+    preconditioned by a Nystrom sketch of H (nystrom_sketch; one per call,
+    shared by the sources, or the one passed in), which puts the spectrum
+    in [1, 1 + ||H - sketch||/mu], and returns u = A^-1 (shift + A^-T P^T y).
+    Each H
+    product is one adjoint sweep of the traces y and one forward sweep
+    sampled at the receivers; the CG vectors are traces, not fields.
+    cg_tol is relative to the norm of the data-space right-hand side
+    d - G shift, and each returned SolveInfo describes its source's
+    data-space system.  A source whose right-hand side is zero (data
+    explained by shift itself) returns A^-1 shift without iterating.
 
     ws holds one w (or None) per source; ws=None means no w anywhere.  The
     sources must share their receivers.  Each CG iteration is one batched
-    forward sweep and one batched adjoint sweep over the columns that have
-    not finished, and each column's iterates and SolveInfo are bitwise
-    those of a batch of its source alone.
+    adjoint sweep and one batched forward sweep over the columns that have
+    not finished, the sketch depends on m and the receivers alone, and each
+    column's iterates and SolveInfo are bitwise those of a batch of its
+    source alone.
     """
     spec = m.spec
     geom = _shared_geometry(data)
     geom.validate_for(spec)
     rec = list(geom.receiver_nodes)
+    shape = (len(rec), spec.nt)
     mvals = m.values
-    inv_mu = 1.0 / cfg.mu
+    mu = cfg.mu
     ws = [None] * len(sources) if ws is None else ws
 
-    def back_project(traces) -> list[np.ndarray]:
-        """G^T t / mu for each set of traces t."""
-        fields = []
-        for t in traces:
-            field = np.zeros(spec.shape)
-            field[rec, :] = inv_mu * t
-            fields.append(field)
-        return _adjoint_sweep(spec, mvals, fields)
-
-    def apply_op(zflats):
-        zs = [z.reshape(spec.shape) for z in zflats]
-        out = back_project([u[rec, :] for u in _forward_sweep(spec, mvals, zs)])
-        for g, z in zip(out, zs):
-            np.add(g, z, out=g)  # z + G^T G z / mu; addition commutes exactly
-        return [g.ravel() for g in out]
-
-    shifts = [b.values if w is None else b.values - inv_mu * w.values
+    shifts = [b.values if w is None else b.values - (1.0 / mu) * w.values
               for b, w in zip(sources, ws)]
-    rhs = back_project([d.values for d in data])
-    for g, shift in zip(rhs, shifts):
-        np.add(g, shift, out=g)
-    results = _cg(apply_op, [g.ravel() for g in rhs], [shift.ravel() for shift in shifts],
-                  cfg.cg_tol, cfg.cg_maxiter)
-    us = _forward_sweep(spec, mvals, [z.reshape(spec.shape) for z, _ in results])
+    rhs = [(d.values - u[rec]).ravel() for d, u in zip(data, _forward_sweep(spec, mvals, shifts))]
+    apply_h = _hessian_products(spec, mvals, rec)
+
+    def apply_op(ys):
+        out = apply_h(ys)
+        for hy, y in zip(out, ys):
+            hy += mu * y
+        return out
+
+    if sketch is None and any(r.any() for r in rhs):
+        sketch = nystrom_sketch(m, geom, mu)
+    precondition = None if sketch is None else sketch.preconditioner(mu)
+    results = _cg(apply_op, rhs, None, cfg.cg_tol, cfg.cg_maxiter, precondition)
+    zs = _adjoint_sweep(spec, mvals, [_Traces(rec, y.reshape(shape)) for y, _ in results])
+    for z, shift in zip(zs, shifts):
+        z += shift
+    us = _forward_sweep(spec, mvals, zs)
     return [(Wavefield(spec, u), info) for u, (_, info) in zip(us, results)]
+
+
+def _hessian_products(spec: GridSpec, m_values: np.ndarray, rec: list):
+    """apply_h(ys): H y = P A^-1 A^-T P^T y for each flat trace vector y in
+    the list ys, one batched adjoint sweep of the traces and one batched
+    forward sweep, in place, sampled at the receivers rec."""
+    shape = (len(rec), spec.nt)
+
+    def apply_h(ys):
+        fields = _adjoint_sweep(spec, m_values, [_Traces(rec, y.reshape(shape)) for y in ys])
+        return [u[rec].ravel() for u in _forward_sweep(spec, m_values, fields, out=fields)]
+
+    return apply_h
+
+
+# The Nystrom sketch of H: its Gaussian test vectors come from a generator
+# seeded with _SKETCH_SEED, so every sketch of one H is the same bytes; its
+# rank grows by _SKETCH_CHUNK test vectors at a time; and each batch of H
+# products sweeps at most _SKETCH_BATCH_BYTES of fields per sweep (8 columns
+# of the 61 x 256 benchmark grid).
+_SKETCH_SEED = 20230501
+_SKETCH_CHUNK = 64
+_SKETCH_BATCH_BYTES = 1 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class NystromSketch:
+    """Randomized Nystrom approximation H ~ U^T diag(eigenvalues) U of the
+    data-space Hessian, the preconditioner of (H + mu I) y = r.
+
+    basis holds the approximate eigenvectors as rows, (k, n), orthonormal
+    to round-off wherever their eigenvalue is not negligible; eigenvalues
+    holds the k positive eigenvalues, ascending.  Frangella, Tropp & Udell,
+    Randomized Nystrom preconditioning, SIAM J. Matrix Anal. Appl. 44(2),
+    2023; the sketch follows Tropp, Yurtsever, Udell & Cevher, SIAM J.
+    Matrix Anal. Appl. 38(4), 2017.
+    """
+
+    basis: np.ndarray
+    eigenvalues: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return len(self.eigenvalues)
+
+    def preconditioner(self, mu: float):
+        """The map of a list of residuals r to (U^T L U + mu I)^-1 r,
+        L = diag(eigenvalues):
+
+            (r - U^T (L (L + mu I)^-1 U r)) / mu.
+
+        H + mu I preconditioned by it has its spectrum in
+        [1, 1 + ||H - U^T L U|| / mu]: on the sketched directions H is
+        divided out, on the rest only mu.  Each r is mapped on its own, so
+        a column's result does not depend on its batch.
+        """
+        weights = self.eigenvalues / (self.eigenvalues + mu)
+        basis = self.basis
+
+        def apply(rs):
+            out = []
+            for r in rs:
+                z = r - basis.T @ (weights * (basis @ r))
+                z /= mu
+                out.append(z)
+            return out
+
+        return apply
+
+
+def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, mu: float) -> NystromSketch:
+    """Nystrom sketch of H = P A^-1 A^-T P^T at m, from H products alone.
+
+    Gaussian test vectors Omega (rows) are drawn _SKETCH_CHUNK at a time and
+    swept in batches of H products into Y = Omega (H + nu I).  The sketch of
+    H + nu I is A_nu = Y^T (Omega Y^T)^-1 Y; its eigenvalues S are those of
+    the pencil (Y Y^T, Omega Y^T), so the smallest eigenvalue S - nu of the
+    sketch of H is at most mu exactly when Y Y^T - (mu + nu) Omega Y^T is
+    not positive definite.  That test, one eigvalsh of the two Gram
+    matrices (updated a chunk of rows at a time), decides whether the rank
+    grows by another chunk; it stops growing there (the directions below
+    mu need no deflation) or at half the data dimension n.
+
+    The sketch is then factorized with two symmetric eigendecompositions
+    (no QR, Cholesky, triangular solve or SVD): Omega Y^T = V D V^T gives
+    B = D^-1/2 V^T Y with A_nu = B^T B, and B B^T = W S W^T gives the
+    eigenpairs S - nu and S^-1/2 W^T B; those with S <= nu are dropped.
+    The shift nu = n eps lambda, with lambda the RMS of the first chunk's
+    rows of H Omega (about lambda_max(H)), keeps Omega Y^T positive
+    definite in floating point (Tropp, Yurtsever, Udell & Cevher 2017
+    shift by sqrt(n) eps ||Y||).  The sketch depends on m and the
+    receivers alone.
+    """
+    spec = m.spec
+    geometry.validate_for(spec)
+    rec = list(geometry.receiver_nodes)
+    n = len(rec) * spec.nt
+    apply_h = _hessian_products(spec, m.values, rec)
+    cap = max(1, n // 2)
+    width = max(1, _SKETCH_BATCH_BYTES // (8 * spec.n_space * spec.nt))
+    rng = np.random.default_rng(_SKETCH_SEED)
+    y = np.empty((cap, n))  # rows not reached are never paged in
+    core = gram = np.zeros((0, 0))  # lower triangles of Omega Y^T and Y Y^T
+    nu = 0.0
+    rank = 0
+    while rank < cap:
+        new = min(cap, rank + _SKETCH_CHUNK)
+        omega = rng.standard_normal((new - rank, n))
+        block = y[rank:new]
+        for a in range(0, len(omega), width):
+            for row, hy in zip(block[a : a + width], apply_h(list(omega[a : a + width]))):
+                row[:] = hy
+        if rank == 0:
+            nu = n * np.finfo(float).eps * float(np.linalg.norm(block)) / np.sqrt(len(block))
+        block += nu * omega
+        core = _extended(core, omega @ y[:new].T)
+        gram = _extended(gram, block @ y[:new].T)
+        rank = new
+        if np.linalg.eigvalsh(gram - (mu + nu) * core)[0] <= 0.0:
+            break
+    d, v = np.linalg.eigh(core)
+    kept = d > 0.0
+    b = (v[:, kept] / np.sqrt(d[kept])).T @ y[:rank]
+    del y
+    s, w = np.linalg.eigh(b @ b.T)
+    kept = s > nu
+    basis = (w[:, kept] / np.sqrt(s[kept])).T @ b
+    return NystromSketch(basis, s[kept] - nu)
+
+
+def _extended(lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The square matrix ``lower`` with ``rows`` appended below it and zeros
+    to the right of it: a lower triangle grown by a block of rows."""
+    r, size = len(lower), rows.shape[1]
+    out = np.zeros((size, size))
+    out[:r, :r] = lower
+    out[r:] = rows
+    return out
 
 
 def _shared_geometry(data) -> AcquisitionGeometry:
@@ -428,13 +603,12 @@ def damped_trace_multipliers(
     cache = HessianCache() if cache is None else cache
     spec = m.spec
     factor = cache.shifted_factor(m, geometry, mu)
-    fields = []
+    rec = list(geometry.receiver_nodes)
+    columns = []
     for traces in rhs_traces:
         y = scipy.linalg.cho_solve(factor, np.asarray(traces, dtype=float).ravel())
-        field = np.zeros(spec.shape)
-        field[list(geometry.receiver_nodes), :] = y.reshape(geometry.n_receivers, spec.nt)
-        fields.append(field)
-    return [SourceField(spec, lam) for lam in _adjoint_sweep(spec, m.values, fields)]
+        columns.append(_Traces(rec, y.reshape(len(rec), spec.nt)))
+    return [SourceField(spec, lam) for lam in _adjoint_sweep(spec, m.values, columns)]
 
 
 def solve_ls_multipliers(

@@ -17,7 +17,11 @@ orientation checks; "perturb-sweep" scales the swept fields at the first
 level of the sweep kernel's second working block inside its dense-oracle
 comparison, and the second copy tile of its first stepped level on a grid
 wider than one tile; "perturb-batch-column" scales only the second column of a
-lock-step batched wavefield solve inside its dense-oracle comparison.
+lock-step batched wavefield solve inside its dense-oracle comparison;
+"perturb-nystrom" scales the eigenvalues of the Nystrom sketch that
+preconditions the wavefield solve by 1e-2 inside its dense-oracle check.
+That preconditioner is still SPD, so the solve stays exact and only its
+iteration count exceeds the check's bound.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from .saddle import (
     PenaltyConfig,
     assemble_data_space_hessian,
     companion_wavefields,
+    nystrom_sketch,
     solve_augmented_wavefields,
     solve_ls_multipliers,
 )
@@ -78,6 +83,7 @@ KNOWN_FAULTS = (
     "perturb-wavefield-solve",
     "perturb-sweep",
     "perturb-batch-column",
+    "perturb-nystrom",
 )
 
 
@@ -292,6 +298,36 @@ def _check_batched_wavefield(faults) -> CheckResult:
     return CheckResult("batched-wavefield-vs-dense", worst <= 1e-8, f"rel {worst:.3e} (tol 1e-8)")
 
 
+def _check_nystrom(faults) -> CheckResult:
+    # The Nystrom-preconditioned data-space CG against the dense saddle
+    # solve, with an AL shift w.  Its data dimension is 64, so the sketch
+    # takes the rank cap 32; the clean solve takes 16 iterations and the
+    # bound is that cap, while the unpreconditioned CG takes 90 and the
+    # faulted one 64.  A wrong but SPD preconditioner leaves the answer
+    # exact, so the fault shows in the count.  The grid is kept tiny: the
+    # dense saddle matrix of a larger one would set the battery's peak
+    # memory.
+    rng = np.random.default_rng(116)
+    spec = GridSpec(ndim=1, nx=7, nz=1, dx=10.0, dz=10.0, nt=16, dt=0.002)
+    geom = AcquisitionGeometry((3,), (0, 2, 4, 6))
+    m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
+    b = SourceField(spec, rng.standard_normal(spec.shape))
+    d = TraceData(spec, geom, rng.standard_normal((4, spec.nt)))
+    w = SourceField(spec, 0.1 * rng.standard_normal(spec.shape))
+    cfg = PenaltyConfig(mu=1e2, cg_tol=1e-13)
+    bound = geom.n_receivers * spec.nt // 2
+    sketch = nystrom_sketch(m, geom, cfg.mu)
+    if "perturb-nystrom" in faults:
+        sketch = replace(sketch, eigenvalues=1e-2 * sketch.eigenvalues)
+    [(u, info)] = solve_augmented_wavefields(m, [b], [d], cfg, [w], sketch=sketch)
+    u_ref, _ = dense_saddle_solve(m, b, d, cfg.mu, w=w)
+    err = _rel(u.values, u_ref.values) if info.converged else math.inf
+    return CheckResult(
+        "nystrom-pcg-vs-dense", err <= 1e-8 and info.iterations <= bound,
+        f"rel {err:.3e} (tol 1e-8), {info.iterations} iterations at rank {sketch.rank} "
+        f"(bound {bound})")
+
+
 def _run_iterates(scheme: str, m0, sources, data, cfg, n):
     state = iterations.initial_state(m0, sources)
     cache = HessianCache()
@@ -396,6 +432,7 @@ _CHECKS = (
     _check_saddle_orientations("penalty"),
     _check_saddle_orientations("al"),
     _check_batched_wavefield,
+    _check_nystrom,
     _check_scheme_pair("equivalence-split-gs-penalty", "split-gs", "penalty-multiplier"),
     _check_scheme_pair("equivalence-refined-eps-al", "refined-epsilon", "al-multiplier"),
     _check_scheme_pair("equivalence-refined-variants", "refined-direct", "refined-epsilon"),

@@ -34,6 +34,13 @@ makes no full-size temporary:
   exists.  Small grids are bound by the Python cost of each time step, not
   by flops, so one sweep of k columns costs little more than one of a
   single column.
+* A column may be receiver traces instead of a field (``_Traces``; a
+  TraceData right-hand side of ``adjoint_solves``): P^T d is written into
+  the column's zero-filled slice of the working block during the copy in,
+  so no dense injected field is built.
+* The Laplacian of a 2D block adds each x neighbour as one contiguous add
+  over the whole block, shifted by one node, and puts back the row-end
+  nodes that add must not touch (``_laplacian_into``).
 * ``_stencil_rows`` computes the stencil rows of A(m) u one z row of nodes
   at a time, with two rows of scratch.  It has two consumers:
   ``_apply`` (``apply_wave_operator``) writes the rows into its output, and
@@ -62,6 +69,8 @@ misfit (not an O(dt) approximation of it).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,25 +147,45 @@ def _laplacian(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
 def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
     """Return ``lap(g)``, which writes L g into ``out``, in ``_laplacian``'s order.
 
-    g has out's shape (rows, nx, ...) and ``tmp`` is scratch of that shape.
-    Every element sees the same IEEE operations as in ``_laplacian``: the
-    centre x term, the left and right neighbours, then the centre z term and
-    the neighbours in the rows above and below that lie inside g.  A
-    neighbour product w * g[i] is formed once into ``tmp`` and added to both
-    neighbours; it is the same rounded value.  The views of ``out`` and
-    ``tmp`` are made here once, because the sweeps call ``lap`` every step.
+    g has out's shape (rows, nx, ...) and ``tmp`` is scratch of that shape;
+    both are contiguous.  Every element sees the same IEEE operations as in
+    ``_laplacian``: the centre x term, the left and right neighbours, then
+    the centre z term and the neighbours in the rows above and below that
+    lie inside g.  A neighbour product w * g[i] is formed once into ``tmp``
+    and added to both neighbours; it is the same rounded value.
+
+    With several x rows (a 2D block), each neighbour add is one contiguous
+    add of ``tmp`` shifted by one node over the whole block, instead of one
+    short loop per row: the node at the row end the add must not touch (the
+    first node for the left neighbour, the last for the right) is saved
+    before the add and restored after it.  One x row (1D, or one row of
+    _stencil_rows) keeps the sliced add, which is contiguous already.  The
+    views are made here once, because the sweeps call ``lap`` every step.
     """
     wx = 1.0 / spec.dx**2
     wz = 1.0 / spec.dz**2
-    x_terms = ((out[:, 1:], tmp[:, :-1]), (out[:, :-1], tmp[:, 1:]))
-    z_terms = ((out[1:], tmp[:-1]), (out[:-1], tmp[1:])) if len(out) > 1 else ()
+    if len(out) > 1:
+        node = out[0, 0].size  # elements per node
+        flat_out, flat_tmp = out.reshape(-1), tmp.reshape(-1)
+        edge = np.empty_like(out[:, 0])
+        x_terms = ((flat_out[node:], flat_tmp[:-node], out[:, 0]),
+                   (flat_out[:-node], flat_tmp[node:], out[:, -1]))
+        z_terms = ((out[1:], tmp[:-1]), (out[:-1], tmp[1:]))
+    else:
+        x_terms = ((out[:, 1:], tmp[:, :-1], None), (out[:, :-1], tmp[:, 1:], None))
+        z_terms = ()
     two_d = spec.ndim == 2
 
     def lap(g: np.ndarray) -> None:
         np.multiply(g, -2.0 * wx, out=out)
         np.multiply(g, wx, out=tmp)
-        for target, term in x_terms:
-            np.add(target, term, out=target)
+        for target, term, kept in x_terms:
+            if kept is None:
+                np.add(target, term, out=target)
+            else:
+                np.copyto(edge, kept)
+                np.add(target, term, out=target)
+                np.copyto(kept, edge)
         if two_d:
             np.multiply(g, 2.0 * wz, out=tmp)
             np.subtract(out, tmp, out=out)
@@ -254,9 +283,10 @@ def _recurrence(
     block of rhs is copied transposed, _TILE nodes at a time, into one
     contiguous (level, node, column) buffer, stepped there in place, written
     back into its own output, and the last two levels are carried into the
-    next block.  The columns meet only inside the buffer, and the stencil
-    scale is expanded to the buffer's full (nz, nx, k) shape, so every ufunc
-    runs one flat loop.
+    next block.  A _Traces column is written into its zero-filled slice of
+    the buffer instead.  The columns meet only inside the buffer, and the
+    stencil scale is expanded to the buffer's full (nz, nx, k) shape, so
+    every ufunc runs one flat loop.
     """
     if not levels:
         return
@@ -285,9 +315,13 @@ def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
         count = len(part)
         lo = min(part[0], part[-1])
         block = buf[2 : 2 + count][:: levels.step]
-        for j in range(k):
-            for t in tiles:
-                block[:, t, j] = rhs[j][t, lo : lo + count].T
+        for j, col in enumerate(rhs):
+            if isinstance(col, _Traces):
+                block[:, :, j] = 0.0
+                block[:, col.rows, j] = col.values[:, lo : lo + count].T
+            else:
+                for t in tiles:
+                    block[:, t, j] = col[t, lo : lo + count].T
         for p2, p1, level in zip(views, views[1:], views[2 : 2 + count]):
             laplacian(p1)
             np.add(level, work, out=work)
@@ -300,57 +334,83 @@ def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
         buf[:2] = buf[count : count + 2]
 
 
-def _batch(spec: GridSpec, rhs):
+class _Traces(NamedTuple):
+    """A sweep column that is zero except at the nodes ``rows``, where it
+    holds ``values`` (len(rows), nt): the injection P^T d of receiver traces,
+    never built as a dense field."""
+
+    rows: list
+    values: np.ndarray
+
+
+def _level(col, n: int, n_space: int) -> np.ndarray:
+    """Time level n of a sweep column, dense: a view of a field's column, or
+    a zero-filled vector holding a _Traces column's samples."""
+    if isinstance(col, _Traces):
+        level = np.zeros(n_space)
+        level[col.rows] = col.values[:, n]
+        return level
+    return col[:, n]
+
+
+def _batch(spec: GridSpec, rhs, out=None):
     """(rhs columns, result, result columns) of a sweep's right-hand side.
 
     An array (n_space, nt, ...) has its trailing axes as batch columns, and
-    its result is one array of the same shape; a sequence of k (n_space, nt)
-    arrays is its own list of columns, and its result is a list of k
-    separate arrays.  Columns are (n_space, nt) views.
+    its result is one array of the same shape; a sequence of k columns, each
+    an (n_space, nt) array or a _Traces, is its own list of columns, and its
+    result is a list of k separate arrays, or ``out`` when given.  Columns
+    are (n_space, nt) views.
     """
     if isinstance(rhs, np.ndarray):
         out = np.empty(rhs.shape)
         rhs_cols, out_cols = (list(np.moveaxis(a.reshape(spec.n_space, spec.nt, -1), 2, 0))
                               for a in (rhs, out))
         return rhs_cols, out, out_cols
-    out = [np.empty(spec.shape) for _ in rhs]
+    out = [np.empty(spec.shape) for _ in rhs] if out is None else out
     return list(rhs), out, out
 
 
-def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
+def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     """Explicit time stepping, solves A(m) u = rhs.
 
     rhs is an array with optional trailing batch axes, or a sequence of k
-    (n_space, nt) arrays swept as one batch; the result takes rhs's form.
+    columns, (n_space, nt) arrays or _Traces, swept as one batch; the result
+    takes rhs's form.  A _Traces column gives bitwise the result of its
+    dense injected field.  For a sequence, ``out`` may name the k arrays to
+    write the result into, rhs's own arrays included: each block of rhs is
+    read before the same block of the result is written.
     """
     _, s = _scales(spec, m_values, 0)
-    rhs_cols, u, u_cols = _batch(spec, rhs)
+    n_space = spec.n_space
+    rhs_cols, u, u_cols = _batch(spec, rhs, out)
     for r, uc in zip(rhs_cols, u_cols):
-        uc[:, :2] = r[:, :2]
+        uc[:, 0] = _level(r, 0, n_space)
+        uc[:, 1] = _level(r, 1, n_space)
     _recurrence(spec, s, rhs_cols, u_cols, range(2, spec.nt),
-                [r[:, 0] for r in rhs_cols], [r[:, 1] for r in rhs_cols])
+                [uc[:, 0] for uc in u_cols], [uc[:, 1] for uc in u_cols])
     return u
 
 
 def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
     """Reverse time stepping, solves A(m)^T v = rhs; rhs as in _forward_sweep."""
-    nt = spec.nt
+    nt, n_space = spec.nt, spec.n_space
     c, s = _scales(spec, m_values, 0)
     rhs_cols, v, v_cols = _batch(spec, rhs)
     for r, vc in zip(rhs_cols, v_cols):
-        vc[:, nt - 1] = s * r[:, nt - 1]
+        vc[:, nt - 1] = s * _level(r, nt - 1, n_space)
     # the level after nt - 1 is zero, and x - 0.0 == x, so the first step
     # matches the stencil row that has no v[:, n + 2] term
-    zero = np.zeros(spec.n_space)
+    zero = np.zeros(n_space)
     _recurrence(spec, s, rhs_cols, v_cols, range(nt - 2, 1, -1),
                 [zero] * len(rhs_cols), [vc[:, nt - 1] for vc in v_cols])
     # columns 0 and 1 meet the identity rows, so no 1/c scaling there
     for r, vc in zip(rhs_cols, v_cols):
-        t1 = r[:, 1] + 2.0 * c * vc[:, 2] + _laplacian(spec, vc[:, 2])
+        t1 = _level(r, 1, n_space) + 2.0 * c * vc[:, 2] + _laplacian(spec, vc[:, 2])
         if nt >= 4:
             t1 = t1 - c * vc[:, 3]
         vc[:, 1] = t1
-        vc[:, 0] = r[:, 0] - c * vc[:, 2]
+        vc[:, 0] = _level(r, 0, n_space) - c * vc[:, 2]
     return v
 
 
@@ -372,11 +432,19 @@ def apply_wave_operator_transpose(m: ModelGrid, f: SourceField) -> Wavefield:
 
 
 def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
-    """Sweep a batch of fields on m's grid, one batched sweep for all."""
+    """Sweep a batch of fields on m's grid, one batched sweep for all.  A
+    TraceData right-hand side is injected at its receivers (P^T d) inside
+    the sweep's working block, so no dense injected field is built."""
+    columns = []
     for f in fields:
         _check_pair(m, f)
+        if isinstance(f, TraceData):
+            f.geometry.validate_for(f.spec)
+            columns.append(_Traces(list(f.geometry.receiver_nodes), f.values))
+        else:
+            columns.append(f.values)
     check_cfl(m.spec, m.values)
-    out = sweep(m.spec, m.values, [f.values for f in fields])
+    out = sweep(m.spec, m.values, columns)
     try:
         return tuple(Wavefield(m.spec, values) for values in out)
     except ValueError as exc:  # Wavefield's finiteness check, one scan per field
@@ -405,7 +473,10 @@ def adjoint_solve(m: ModelGrid, r: SourceField) -> Wavefield:
 
 
 def adjoint_solves(m: ModelGrid, rhs) -> tuple[Wavefield, ...]:
-    """adjoint_solve for every right-hand side, as one batched sweep."""
+    """adjoint_solve for every right-hand side, as one batched sweep.  A
+    right-hand side is a SourceField, or TraceData standing for P^T d, which
+    is injected inside the sweep and gives bitwise the same field as
+    adjoint_solve(m, inject(d))."""
     return _solve(_adjoint_sweep, "adjoint", m, rhs)
 
 

@@ -190,6 +190,17 @@ def test_selfcheck_catches_injected_batch_column_fault(capsys):
     assert failing == ["FAIL batched-wavefield-vs-dense"]
 
 
+def test_selfcheck_catches_injected_nystrom_fault(capsys):
+    """A corrupted sketch leaves the preconditioned solve exact, so the
+    check catches it by its iteration bound, not by its accuracy."""
+    assert main(["selfcheck", "--inject-fault", "perturb-nystrom"]) == 1
+    out = capsys.readouterr().out
+    failing = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failing] == ["FAIL nystrom-pcg-vs-dense"]
+    rel = float(failing[0].split("rel ")[1].split()[0])
+    assert rel <= 1e-8
+
+
 def test_module_entry_point(config_path):
     # the child needs the package on its path however this process found it
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(lagfwi.__file__)))

@@ -29,11 +29,14 @@ from lagfwi.oracle import (
 )
 from lagfwi.saddle import (
     HessianCache,
+    NystromSketch,
     PenaltyConfig,
     _cg,
+    _hessian_products,
     assemble_data_space_hessian,
     companion_wavefields,
     damped_trace_multipliers,
+    nystrom_sketch,
     solve_augmented_wavefields,
     solve_ls_multipliers,
 )
@@ -124,6 +127,87 @@ def test_lock_step_cg_columns_finish_on_their_own():
     for (x, info), b, start in zip(results, rhs, x0):
         [(x_alone, info_alone)] = _cg(lambda xs: [diag * x for x in xs], [b], [start], 1e-10, 3)
         assert x.tobytes() == x_alone.tobytes() and info == info_alone
+
+
+def test_cg_identity_preconditioner_returns_unpreconditioned_bytes():
+    """M = I passed as a preconditioner does exactly the unpreconditioned
+    operations: every column's iterate and SolveInfo are the same bytes,
+    on SPD systems solved in lock step, through the periodic residual
+    refresh, and on the mixed batch of the lock-step test (zero rhs, exact
+    x0, breakdown, maxiter).  A zero start (x0 None) equals x0 = 0."""
+    rng = np.random.default_rng(7)
+    q = rng.standard_normal((40, 40))
+    spd = q @ q.T + 1e-2 * np.eye(40)
+    rhs = [rng.standard_normal(40) for _ in range(3)] + [np.zeros(40)]
+    x0 = [rng.standard_normal(40) for _ in range(4)]
+    diag = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, -1.0])
+    e = np.eye(9)
+    cases = [
+        (lambda xs: [spd @ x for x in xs], rhs, x0, 120),
+        (lambda xs: [spd @ x for x in xs], rhs, [np.zeros(40)] * 4, 120),
+        (lambda xs: [diag * x for x in xs],
+         [np.zeros(9), 4.0 * e[3], 2.0 * e[1], e[2] + e[8], np.r_[np.ones(8), 0.0]],
+         [np.zeros(9), e[3], np.zeros(9), np.zeros(9), np.zeros(9)], 3),
+    ]
+    for apply_op, b, start, maxiter in cases:
+        plain = _cg(apply_op, b, start, 1e-12, maxiter)
+        identity = _cg(apply_op, b, start, 1e-12, maxiter, lambda rs: rs)
+        for (x, info), (x_id, info_id) in zip(plain, identity):
+            assert x.tobytes() == x_id.tobytes() and info == info_id
+    zero_start = _cg(cases[1][0], rhs, None, 1e-12, 120)
+    for (x, info), (x_zero, info_zero) in zip(_cg(cases[1][0], rhs, cases[1][2], 1e-12, 120),
+                                              zero_start):
+        assert x.tobytes() == x_zero.tobytes() and info == info_zero
+
+
+@pytest.mark.parametrize("mu", [1e2, 1e4])
+def test_nystrom_preconditioned_spectrum(mu):
+    """On the oracle's dense H, the Nystrom preconditioner P = U^T L U + mu I
+    puts the spectrum of P^-1 (H + mu I) in [1, 1 + lambda_{k+1}(H)/mu]
+    when U and L are H's exact top k eigenpairs, and the randomized sketch,
+    which satisfies U^T L U <= H, puts it in [1, 1 + ||H - U^T L U||/mu],
+    whose top is never below 1 + lambda_{k+1}(H)/mu; all up to round-off."""
+    spec = GridSpec(ndim=1, nx=15, nz=1, dx=10.0, dz=10.0, nt=24, dt=0.002)
+    m = random_model(spec, np.random.default_rng(3))
+    geom = AcquisitionGeometry(source_nodes=(7,), receiver_nodes=(2, 7, 12))
+    h = _dense_hessian(m, geom)
+    n = len(h)
+    lam, vec = np.linalg.eigh(h)  # ascending
+
+    def spectrum(sketch):
+        precondition = sketch.preconditioner(mu)
+        shifted = h + mu * np.eye(n)
+        pinv = np.column_stack(precondition(list(np.eye(n))))
+        return np.sort(np.linalg.eigvals(pinv @ shifted).real)
+
+    for k in (1, 10, n // 2):
+        exact = NystromSketch(np.ascontiguousarray(vec[:, n - k:].T), lam[n - k:])
+        eigs = spectrum(exact)
+        assert eigs[0] >= 1.0 - 1e-10 and eigs[-1] <= 1.0 + lam[n - k - 1] / mu + 1e-8 * eigs[-1]
+        assert eigs[-1] >= 1.0 + lam[n - k - 1] / mu - 1e-8 * eigs[-1]
+    sketch = nystrom_sketch(m, geom, mu)
+    k = sketch.rank
+    approx = sketch.basis.T @ np.diag(sketch.eigenvalues) @ sketch.basis
+    gap = np.linalg.eigvalsh(h - approx)
+    assert gap[0] >= -1e-10 * lam[-1]  # U^T L U <= H
+    eigs = spectrum(sketch)
+    assert eigs[0] >= 1.0 - 1e-8
+    assert eigs[-1] <= 1.0 + gap[-1] / mu + 1e-8 * eigs[-1]
+    assert eigs[-1] >= 1.0 + lam[n - k - 1] / mu - 1e-8 * eigs[-1]
+
+
+def test_nystrom_sketch_is_deterministic(setup):
+    """The sketch draws its test vectors from a fixed-seed local generator,
+    so two sketches of one H are the same bytes, whatever the global
+    random state."""
+    spec, m, geom, *_ = setup
+    first = nystrom_sketch(m, geom, 10.0)
+    np.random.seed(123)
+    np.random.standard_normal(17)
+    second = nystrom_sketch(m, geom, 10.0)
+    assert first.basis.tobytes() == second.basis.tobytes()
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert 1 <= first.rank <= geom.n_receivers * spec.nt // 2
 
 
 def test_batched_wavefield_solve_needs_shared_receivers(setup):
@@ -300,6 +384,28 @@ def test_batched_saddle_solves_equal_single_solves_bitwise(problem):
         assert vs[j].values.tobytes() == v_alone.values.tobytes()
         [u2_alone] = companion_wavefields(m, [sources[j]], [v_alone], cfg, [w])
         assert companions[j].values.tobytes() == u2_alone.values.tobytes()
+
+
+def _data_space_operator(m, geom, mu):
+    apply_h = _hessian_products(m.spec, m.values, list(geom.receiver_nodes))
+    return lambda ys: [hy + mu * y for hy, y in zip(apply_h(ys), ys)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=_batched_problems())
+def test_preconditioned_lock_step_columns_equal_single_solves_bitwise(problem):
+    """PCG on (H + mu I) y = d with the Nystrom preconditioner, 1-4 columns
+    in lock step, returns each column's bytes and SolveInfo as a solve of
+    that column alone, on random 1D/2D grids and receiver sets."""
+    m, sources, data, mu, ws, consistent = problem
+    geom = data[0].geometry
+    apply_op = _data_space_operator(m, geom, mu)
+    precondition = nystrom_sketch(m, geom, mu).preconditioner(mu)
+    rhs = [d.values.ravel() for d in data]
+    batch = _cg(apply_op, rhs, None, 1e-13, 300, precondition)
+    for b, (y, info) in zip(rhs, batch):
+        [(y_alone, info_alone)] = _cg(apply_op, [b], None, 1e-13, 300, precondition)
+        assert y.tobytes() == y_alone.tobytes() and info == info_alone
 
 
 def _column_hessian(m, geom):

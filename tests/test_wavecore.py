@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagfwi.errors import DivergenceError
-from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield, build_model
+from lagfwi.grids import (
+    AcquisitionGeometry, GridSpec, ModelGrid, SourceField, TraceData, Wavefield, build_model,
+)
 from lagfwi.iterations import combined_model_update
 from lagfwi.oracle import _reference_sweep
 from lagfwi.wavecore import (
@@ -35,6 +37,7 @@ from lagfwi.wavecore import (
     updated_model,
     _BLOCK,
     _CHUNK_BYTES,
+    _Traces,
     _adjoint_sweep,
     _apply,
     _forward_sweep,
@@ -388,6 +391,42 @@ def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, see
             for got, rhs in zip(out, sequence):
                 assert got.shape == spec.shape and got.flags.c_contiguous
                 assert np.array_equal(got, reference(spec, m, rhs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ndim=st.sampled_from([1, 2]),
+    nx=st.integers(min_value=3, max_value=8),
+    nz=st.integers(min_value=3, max_value=5),
+    nt=st.integers(min_value=3, max_value=2 * _BLOCK + 3),
+    n_traces=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# 91 x 91 nodes span 33 copy tiles, and its columns three groups
+@example(ndim=2, nx=91, nz=91, nt=_BLOCK + 3, n_traces=2, seed=91)
+def test_trace_columns_equal_injected_fields_bitwise(ndim, nx, nz, nt, n_traces, seed):
+    """A sweep column of receiver traces is written into the zero-filled
+    working block and gives bitwise the sweep of its dense injected field,
+    in both sweeps, alone or batched with a field column; adjoint_solves
+    of TraceData gives bitwise adjoint_solves of inject(d)."""
+    gen = np.random.default_rng(seed)
+    spec = GridSpec(ndim=ndim, nx=nx, nz=nz if ndim == 2 else 1, dx=10.0, dz=10.0, nt=nt,
+                    dt=0.002)
+    m = random_model(spec, gen)
+    last = spec.n_space - 1
+    rec = sorted({0, last, *gen.integers(0, last + 1, size=3).tolist()})
+    geom = AcquisitionGeometry(source_nodes=(0,), receiver_nodes=tuple(rec))
+    traces = [TraceData(spec, geom, gen.standard_normal((len(rec), nt)))
+              for _ in range(n_traces)]
+    dense = [inject(d).values for d in traces]
+    field = gen.standard_normal(spec.shape)
+    columns = [_Traces(rec, d.values) for d in traces]
+    for sweep in (_forward_sweep, _adjoint_sweep):
+        for got, want in zip(sweep(spec, m.values, columns + [field]),
+                             sweep(spec, m.values, dense + [field])):
+            assert got.tobytes() == want.tobytes()
+    for got, want in zip(adjoint_solves(m, traces), adjoint_solves(m, [inject(d) for d in traces])):
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("kernel", [_apply, _forward_sweep, _adjoint_sweep])
