@@ -38,7 +38,7 @@ constraint error eps = w/mu (k = 1) in `scatter_errors`.
 Batching does not change an iterate: each column of a batched sweep or of
 the lock-step CG does the same floating-point operations as a step of its
 own source alone, and the CG's preconditioner, a Nystrom sketch of H, is
-built from the model and the receivers alone.  The sources of a step that
+built from the model, the receivers and the penalty config alone.  The sources of a step that
 builds H or runs the CG must share their receivers.
 
 G = P A^-1 maps sources to receiver traces and H = G G^T is the data-space

@@ -28,10 +28,10 @@ with shift = b - w/mu, in two ways:
   the solve runs CG on (H + mu I) y in data space, each H product one
   adjoint sweep of receiver traces and one forward sweep sampled at the
   receivers.  H's spectrum decays fast, so a randomized Nystrom sketch of
-  H (nystrom_sketch, rank grown until its smallest eigenvalue is at most
-  mu) preconditions the CG and deflates its large eigenvalues; the CG
-  vectors are traces, and u = A^-1 (shift + G^T y) costs one more adjoint
-  and forward sweep.
+  H (nystrom_sketch, its rank grown while a chunk of it is estimated to
+  save more H products than it costs) preconditions the CG and deflates
+  its large eigenvalues; the CG vectors are traces, and
+  u = A^-1 (shift + G^T y) costs one more adjoint and forward sweep.
 
 Every solve takes the sources of one step, which share the model and the
 receivers (traces that disagree on receivers raise ValueError); a caller
@@ -252,7 +252,6 @@ def solve_augmented_wavefields(
     data,
     cfg: PenaltyConfig,
     ws=None,
-    sketch: NystromSketch | None = None,
 ) -> list[tuple[Wavefield, SolveInfo]]:
     """Wavefield-oriented saddle solve for every source, by Nystrom-
     preconditioned CG in data space, the sources' CGs in lock step.
@@ -267,12 +266,11 @@ def solve_augmented_wavefields(
 
     the system solve_ls_multipliers factorizes densely (its multiplier is
     v = mu A^-T P^T y).  This solve runs CG on it, from y0 = 0,
-    preconditioned by a Nystrom sketch of H (nystrom_sketch; one per call,
-    shared by the sources, or the one passed in), which puts the spectrum
-    in [1, 1 + ||H - sketch||/mu], and returns u = A^-1 (shift + A^-T P^T y).
-    Each H
-    product is one adjoint sweep of the traces y and one forward sweep
-    sampled at the receivers; the CG vectors are traces, not fields.
+    preconditioned by a Nystrom sketch of H (nystrom_sketch, one per call,
+    shared by the sources), which puts the spectrum in
+    [1, 1 + ||H - sketch||/mu], and returns u = A^-1 (shift + A^-T P^T y).
+    Each H product is one adjoint sweep of the traces y and one forward
+    sweep sampled at the receivers; the CG vectors are traces, not fields.
     cg_tol is relative to the norm of the data-space right-hand side
     d - G shift, and each returned SolveInfo describes its source's
     data-space system.  A source whose right-hand side is zero (data
@@ -281,7 +279,7 @@ def solve_augmented_wavefields(
     ws holds one w (or None) per source; ws=None means no w anywhere.  The
     sources must share their receivers.  Each CG iteration is one batched
     adjoint sweep and one batched forward sweep over the columns that have
-    not finished, the sketch depends on m and the receivers alone, and each
+    not finished, the sketch depends on m, the receivers and cfg alone, and each
     column's iterates and SolveInfo are bitwise those of a batch of its
     source alone.
     """
@@ -305,9 +303,9 @@ def solve_augmented_wavefields(
             hy += mu * y
         return out
 
-    if sketch is None and any(r.any() for r in rhs):
-        sketch = nystrom_sketch(m, geom, mu)
-    precondition = None if sketch is None else sketch.preconditioner(mu)
+    precondition = None
+    if any(r.any() for r in rhs):
+        precondition = nystrom_sketch(m, geom, cfg).preconditioner(mu)
     results = _cg(apply_op, rhs, None, cfg.cg_tol, cfg.cg_maxiter, precondition)
     zs = _adjoint_sweep(spec, mvals, [_Traces(rec, y.reshape(shape)) for y, _ in results])
     for z, shift in zip(zs, shifts):
@@ -384,28 +382,37 @@ class NystromSketch:
         return apply
 
 
-def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, mu: float) -> NystromSketch:
-    """Nystrom sketch of H = P A^-1 A^-T P^T at m, from H products alone.
+def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, cfg: PenaltyConfig) -> NystromSketch:
+    """Nystrom sketch of H = P A^-1 A^-T P^T at m for the PCG of
+    solve_augmented_wavefields at cfg, from H products alone.
 
     Gaussian test vectors Omega (rows) are drawn _SKETCH_CHUNK at a time and
-    swept in batches of H products into Y = Omega (H + nu I).  The sketch of
-    H + nu I is A_nu = Y^T (Omega Y^T)^-1 Y; its eigenvalues S are those of
-    the pencil (Y Y^T, Omega Y^T), so the smallest eigenvalue S - nu of the
-    sketch of H is at most mu exactly when Y Y^T - (mu + nu) Omega Y^T is
-    not positive definite.  That test, one eigvalsh of the two Gram
-    matrices (updated a chunk of rows at a time), decides whether the rank
-    grows by another chunk; it stops growing there (the directions below
-    mu need no deflation) or at half the data dimension n.
+    swept in batches of H products into Y = Omega (H + nu I), one block of
+    rows per chunk, so the memory held follows the rank reached.  The sketch
+    of H + nu I is Y^T (Omega Y^T)^-1 Y = B^T B with B = D^-1/2 V^T Y and
+    Omega Y^T = V D V^T, and B B^T = D^-1/2 V^T (Y Y^T) V D^-1/2 = W S W^T
+    gives its eigenpairs S - nu and S^-1/2 W^T B; those with S <= nu are
+    dropped.  So the factorization is two symmetric eigendecompositions of
+    Gram matrices that grow by a chunk of rows at a time (no QR, Cholesky,
+    triangular solve or SVD).
 
-    The sketch is then factorized with two symmetric eigendecompositions
-    (no QR, Cholesky, triangular solve or SVD): Omega Y^T = V D V^T gives
-    B = D^-1/2 V^T Y with A_nu = B^T B, and B B^T = W S W^T gives the
-    eigenpairs S - nu and S^-1/2 W^T B; those with S <= nu are dropped.
+    The rank is set by cost, counted in H products per source.  After each
+    chunk, _pcg_iterations estimates the PCG's iteration count at the
+    sketch's smallest eigenvalue (and the plain CG's at its largest).
+    Another chunk can save at most that many iterations, and, the
+    eigenvalues decaying, no more than the last chunk saved; the rank stops
+    growing once either is at most the chunk's _SKETCH_CHUNK products, or at
+    half the data dimension n.  The count is per source because the sketch
+    must not depend on the batch.  It is about right where a sweep of k
+    columns costs k sweeps (2D grids) and errs small where a batched sweep
+    costs about one sweep (the Python-bound 1D grids), where a larger sketch
+    would still pay.
+
     The shift nu = n eps lambda, with lambda the RMS of the first chunk's
-    rows of H Omega (about lambda_max(H)), keeps Omega Y^T positive
-    definite in floating point (Tropp, Yurtsever, Udell & Cevher 2017
-    shift by sqrt(n) eps ||Y||).  The sketch depends on m and the
-    receivers alone.
+    rows of H Omega (about lambda_max(H)), keeps Omega Y^T positive definite
+    in floating point (Tropp, Yurtsever, Udell & Cevher 2017 shift by
+    sqrt(n) eps ||Y||).  The sketch depends on m, the receivers, mu and
+    cg_tol alone.
     """
     spec = m.spec
     geometry.validate_for(spec)
@@ -415,42 +422,71 @@ def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, mu: float) -> Ny
     cap = max(1, n // 2)
     width = max(1, _SKETCH_BATCH_BYTES // (8 * spec.n_space * spec.nt))
     rng = np.random.default_rng(_SKETCH_SEED)
-    y = np.empty((cap, n))  # rows not reached are never paged in
-    core = gram = np.zeros((0, 0))  # lower triangles of Omega Y^T and Y Y^T
+    ys = []  # the rows of Y, one block per chunk
+    core = gram = np.zeros((0, 0))  # Omega Y^T and Y Y^T
     nu = 0.0
-    rank = 0
-    while rank < cap:
-        new = min(cap, rank + _SKETCH_CHUNK)
-        omega = rng.standard_normal((new - rank, n))
-        block = y[rank:new]
+    before = None
+    while len(core) < cap:
+        omega = rng.standard_normal((min(cap - len(core), _SKETCH_CHUNK), n))
+        block = np.empty_like(omega)
         for a in range(0, len(omega), width):
-            for row, hy in zip(block[a : a + width], apply_h(list(omega[a : a + width]))):
-                row[:] = hy
-        if rank == 0:
+            block[a : a + width] = apply_h(list(omega[a : a + width]))
+        if not ys:
             nu = n * np.finfo(float).eps * float(np.linalg.norm(block)) / np.sqrt(len(block))
-        block += nu * omega
-        core = _extended(core, omega @ y[:new].T)
-        gram = _extended(gram, block @ y[:new].T)
-        rank = new
-        if np.linalg.eigvalsh(gram - (mu + nu) * core)[0] <= 0.0:
+        for i in range(len(block)):  # row by row: no third chunk-sized array
+            block[i] += nu * omega[i]
+        ys.append(block)
+        core = _extended(core, np.hstack([omega @ y.T for y in ys]))
+        gram = _extended(gram, np.hstack([block @ y.T for y in ys]))
+        factor, s, w = _sketch_eigenpairs(core, gram, nu)
+        if not len(s):
             break
+        if before is None:
+            before = _pcg_iterations(s[-1] - nu, cfg)
+        now = _pcg_iterations(s[0] - nu, cfg)
+        if min(now, before - now) <= _SKETCH_CHUNK:
+            break
+        before = now
+    del omega, block  # Y's rows are held by ys alone
+    y = np.vstack(ys)
+    del ys
+    basis = ((w / np.sqrt(s)).T @ factor) @ y
+    return NystromSketch(basis, s - nu)
+
+
+def _sketch_eigenpairs(core: np.ndarray, gram: np.ndarray, nu: float):
+    """(F, S, W) with B = F Y the factor of the sketch Y^T (Omega Y^T)^-1 Y
+    = B^T B of H + nu I, and B B^T = F (Y Y^T) F^T = W diag(S) W^T with its
+    eigenvalues S > nu, ascending, and their eigenvectors W."""
     d, v = np.linalg.eigh(core)
     kept = d > 0.0
-    b = (v[:, kept] / np.sqrt(d[kept])).T @ y[:rank]
-    del y
-    s, w = np.linalg.eigh(b @ b.T)
+    factor = (v[:, kept] / np.sqrt(d[kept])).T
+    s, w = np.linalg.eigh(factor @ gram @ factor.T)
     kept = s > nu
-    basis = (w[:, kept] / np.sqrt(s[kept])).T @ b
-    return NystromSketch(basis, s[kept] - nu)
+    return factor, s[kept], w[:, kept]
 
 
-def _extended(lower: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The square matrix ``lower`` with ``rows`` appended below it and zeros
-    to the right of it: a lower triangle grown by a block of rows."""
-    r, size = len(lower), rows.shape[1]
-    out = np.zeros((size, size))
-    out[:r, :r] = lower
+def _pcg_iterations(eigenvalue: float, cfg: PenaltyConfig) -> float:
+    """Estimated CG iterations on (H + mu I) y = r, to cg_tol, preconditioned
+    by a sketch whose smallest eigenvalue is ``eigenvalue``:
+    sqrt(1 + eigenvalue/mu) ln(2/cg_tol).  That is CG's bound
+    sqrt(kappa) ln(2/tol) / 2 at kappa = 4 (1 + eigenvalue/mu): the
+    preconditioned spectrum lies in [1, 1 + ||H - sketch||/mu], and the
+    error of a sketch drawn without oversampling is a few times its smallest
+    eigenvalue.  Wherever eigenvalue >= mu on the born_config al-wavefield
+    solves (mu = 1e3, 1e4, ranks 64-320) it came within 10% of the measured
+    count; below that it overestimates."""
+    return np.sqrt(1.0 + eigenvalue / cfg.mu) * np.log(2.0 / cfg.cg_tol)
+
+
+def _extended(square: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The symmetric matrix ``square`` bordered by the block ``rows`` below
+    it and its transpose to the right of it."""
+    r, size = len(square), rows.shape[1]
+    out = np.empty((size, size))
+    out[:r, :r] = square
     out[r:] = rows
+    out[:r, r:] = rows[:, :r].T
     return out
 
 

@@ -19,7 +19,8 @@ comparison, and the second copy tile of its first stepped level on a grid
 wider than one tile; "perturb-batch-column" scales only the second column of a
 lock-step batched wavefield solve inside its dense-oracle comparison;
 "perturb-nystrom" scales the eigenvalues of the Nystrom sketch that
-preconditions the wavefield solve by 1e-2 inside its dense-oracle check.
+preconditions the wavefield orientation's data-space CG by 1e-2 inside its
+dense-oracle check.
 That preconditioner is still SPD, so the solve stays exact and only its
 iteration count exceeds the check's bound.
 """
@@ -56,6 +57,8 @@ from .oracle import (
 from .saddle import (
     HessianCache,
     PenaltyConfig,
+    _cg,
+    _hessian_products,
     assemble_data_space_hessian,
     companion_wavefields,
     nystrom_sketch,
@@ -65,6 +68,7 @@ from .saddle import (
 from .wavecore import (
     _BLOCK,
     _TILE,
+    _Traces,
     _adjoint_sweep,
     _forward_sweep,
     adjoint_solve,
@@ -299,8 +303,9 @@ def _check_batched_wavefield(faults) -> CheckResult:
 
 
 def _check_nystrom(faults) -> CheckResult:
-    # The Nystrom-preconditioned data-space CG against the dense saddle
-    # solve, with an AL shift w.  Its data dimension is 64, so the sketch
+    # The Nystrom-preconditioned data-space CG of the wavefield orientation,
+    # (H + mu I) y = d - P A^-1 (b - w/mu), against the dense saddle solve's
+    # multiplier v = mu A^-T P^T y.  Its data dimension is 64, so the sketch
     # takes the rank cap 32; the clean solve takes 16 iterations and the
     # bound is that cap, while the unpreconditioned CG takes 90 and the
     # faulted one 64.  A wrong but SPD preconditioner leaves the answer
@@ -310,18 +315,24 @@ def _check_nystrom(faults) -> CheckResult:
     rng = np.random.default_rng(116)
     spec = GridSpec(ndim=1, nx=7, nz=1, dx=10.0, dz=10.0, nt=16, dt=0.002)
     geom = AcquisitionGeometry((3,), (0, 2, 4, 6))
+    rec = list(geom.receiver_nodes)
     m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
     b = SourceField(spec, rng.standard_normal(spec.shape))
     d = TraceData(spec, geom, rng.standard_normal((4, spec.nt)))
     w = SourceField(spec, 0.1 * rng.standard_normal(spec.shape))
     cfg = PenaltyConfig(mu=1e2, cg_tol=1e-13)
     bound = geom.n_receivers * spec.nt // 2
-    sketch = nystrom_sketch(m, geom, cfg.mu)
+    sketch = nystrom_sketch(m, geom, cfg)
     if "perturb-nystrom" in faults:
         sketch = replace(sketch, eigenvalues=1e-2 * sketch.eigenvalues)
-    [(u, info)] = solve_augmented_wavefields(m, [b], [d], cfg, [w], sketch=sketch)
-    u_ref, _ = dense_saddle_solve(m, b, d, cfg.mu, w=w)
-    err = _rel(u.values, u_ref.values) if info.converged else math.inf
+    apply_h = _hessian_products(spec, m.values, rec)
+    shift = b.values - w.values / cfg.mu
+    rhs = (d.values - _forward_sweep(spec, m.values, shift)[rec]).ravel()
+    [(y, info)] = _cg(lambda ys: [hy + cfg.mu * y for hy, y in zip(apply_h(ys), ys)], [rhs],
+                      None, cfg.cg_tol, cfg.cg_maxiter, sketch.preconditioner(cfg.mu))
+    [v] = _adjoint_sweep(spec, m.values, [_Traces(rec, cfg.mu * y.reshape(d.values.shape))])
+    _, v_ref = dense_saddle_solve(m, b, d, cfg.mu, w=w)
+    err = _rel(v, v_ref.values) if info.converged else math.inf
     return CheckResult(
         "nystrom-pcg-vs-dense", err <= 1e-8 and info.iterations <= bound,
         f"rel {err:.3e} (tol 1e-8), {info.iterations} iterations at rank {sketch.rank} "

@@ -1,5 +1,7 @@
 """Production saddle solvers against the dense 2N x 2N reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,7 +187,7 @@ def test_nystrom_preconditioned_spectrum(mu):
         eigs = spectrum(exact)
         assert eigs[0] >= 1.0 - 1e-10 and eigs[-1] <= 1.0 + lam[n - k - 1] / mu + 1e-8 * eigs[-1]
         assert eigs[-1] >= 1.0 + lam[n - k - 1] / mu - 1e-8 * eigs[-1]
-    sketch = nystrom_sketch(m, geom, mu)
+    sketch = nystrom_sketch(m, geom, PenaltyConfig(mu=mu))
     k = sketch.rank
     approx = sketch.basis.T @ np.diag(sketch.eigenvalues) @ sketch.basis
     gap = np.linalg.eigvalsh(h - approx)
@@ -201,13 +203,33 @@ def test_nystrom_sketch_is_deterministic(setup):
     so two sketches of one H are the same bytes, whatever the global
     random state."""
     spec, m, geom, *_ = setup
-    first = nystrom_sketch(m, geom, 10.0)
+    cfg = PenaltyConfig(mu=10.0)
+    first = nystrom_sketch(m, geom, cfg)
     np.random.seed(123)
     np.random.standard_normal(17)
-    second = nystrom_sketch(m, geom, 10.0)
+    second = nystrom_sketch(m, geom, cfg)
     assert first.basis.tobytes() == second.basis.tobytes()
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
     assert 1 <= first.rank <= geom.n_receivers * spec.nt // 2
+
+
+def test_nystrom_sketch_memory_follows_its_rank():
+    """The sketch holds Y = Omega (H + nu I) one chunk of rows at a time, so
+    its traced peak follows the rank it reaches, not the cap of n/2 rows: at
+    n = 40000 a sketch that stops at one chunk of 64 rows peaks below three
+    64 x n arrays, where Y reserved at the cap would be 6.4 GB."""
+    spec = GridSpec(ndim=1, nx=202, nz=1, dx=10.0, dz=10.0, nt=200, dt=0.002)
+    m = build_model(spec, np.full(spec.n_space, 2000.0))
+    geom = AcquisitionGeometry(source_nodes=(0,), receiver_nodes=tuple(range(1, 201)))
+    n = geom.n_receivers * spec.nt
+    tracemalloc.start()
+    try:
+        sketch = nystrom_sketch(m, geom, PenaltyConfig(mu=1e12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 1 <= sketch.rank <= 64
+    assert peak <= 3 * 64 * n * 8
 
 
 def test_batched_wavefield_solve_needs_shared_receivers(setup):
@@ -400,7 +422,7 @@ def test_preconditioned_lock_step_columns_equal_single_solves_bitwise(problem):
     m, sources, data, mu, ws, consistent = problem
     geom = data[0].geometry
     apply_op = _data_space_operator(m, geom, mu)
-    precondition = nystrom_sketch(m, geom, mu).preconditioner(mu)
+    precondition = nystrom_sketch(m, geom, PenaltyConfig(mu=mu, cg_tol=1e-13)).preconditioner(mu)
     rhs = [d.values.ravel() for d in data]
     batch = _cg(apply_op, rhs, None, 1e-13, 300, precondition)
     for b, (y, info) in zip(rhs, batch):
