@@ -14,9 +14,13 @@ called once per source with a one-source batch (serial) against one call
 with all three sources (lock step), and on a checkout that has it, the
 Nystrom sketch ``saddle.nystrom_sketch`` of that step alone (its rank and
 time).  The same rows are taken for the first solve of the one-source
-``born_config`` al-wavefield runs of ``tests/test_iterations.py`` at
-mu = 1e3 and 1e4 (21 x 80 grid, 19 receivers), the small-mu cases where
-the unpreconditioned CG needs hundreds of iterations.  On a checkout whose sweeps step column
+al-wavefield runs on the scheme tests' ``born_config`` experiment (a
+weak single scatterer, 21 x 80 grid, 19 receivers; built here, so the
+bench does not import the tests) at mu = 1e3 and 1e4, the small-mu cases
+where the unpreconditioned CG needs hundreds of iterations, and for one
+2D penalty-wavefield step (``fwi-2d``'s layout on a 51 x 51 x 200 grid,
+one shot), where a batched sweep of k columns costs about k sweeps and
+not about one as on the 1D grids.  On a checkout whose sweeps step column
 groups and copy node tiles, the 2D three-field sequence sweeps are also
 timed with other values of the group budget ``wavecore._GROUP_BYTES`` and
 the copy tile width ``wavecore._TILE`` (the "variants" rows), which is what
@@ -51,13 +55,11 @@ import scipy
 import lagfwi
 from lagfwi import saddle, wavecore
 from lagfwi.config import (
+    ExperimentConfig, ModelDescriptor, StopRules,
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
 from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield
 from lagfwi.saddle import PenaltyConfig, solve_augmented_wavefields
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
-from test_iterations import born_config  # noqa: E402
 
 # (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
 # (n_space, nt) field, and sequence marks a list of `columns` separate fields
@@ -195,20 +197,59 @@ def variant_rows(rng) -> list[dict]:
     return rows
 
 
+def _born_config(mu: float) -> ExperimentConfig:
+    """The scheme tests' born_config experiment: one shot at node 3 of a
+    21-node line, every interior node a receiver, a one-node scatterer 0.5%
+    fast in a 2 km/s background, here under al-wavefield."""
+    return ExperimentConfig(
+        grid=GridSpec(ndim=1, nx=21, nz=1, dx=10.0, dz=10.0, nt=80, dt=0.0028),
+        true_model=ModelDescriptor(kind="box-anomaly", velocity=2000.0,
+                                   boxes=((10, 11, 0, 1, 2010.0),)),
+        initial_model=ModelDescriptor(kind="uniform", velocity=2000.0),
+        source_nodes=(3,),
+        receiver_nodes=tuple(range(1, 20)),
+        wavelet_frequency=10.0,
+        scheme="al-wavefield",
+        penalty=PenaltyConfig(mu=mu),
+        stop=StopRules(max_iter=1, misfit_tol=1e-12),
+    )
+
+
+def _two_d_config() -> ExperimentConfig:
+    """fwi-2d's two boxes and receiver row scaled to a 51 x 51 x 200 grid,
+    its middle shot alone, under penalty-wavefield at mu = 3150, about
+    lambda_max(H) / 175 as in the two-scatterer benchmark."""
+    return ExperimentConfig(
+        grid=GridSpec(ndim=2, nx=51, nz=51, dx=10.0, dz=10.0, nt=200, dt=0.0028),
+        true_model=ModelDescriptor(kind="box-anomaly", velocity=2000.0,
+                                   boxes=((19, 25, 19, 31, 2200.0), (25, 31, 19, 31, 1800.0))),
+        initial_model=ModelDescriptor(kind="uniform", velocity=2000.0),
+        source_nodes=(127,),                      # row 2
+        receiver_nodes=tuple(range(53, 100, 8)),  # row 1, every 8th node
+        scheme="penalty-wavefield",
+        penalty=PenaltyConfig(mu=3150.0),
+        stop=StopRules(max_iter=1),
+    )
+
+
 def _cg_cases():
     """(label, model, sources, data, cfg, ws) of the timed wavefield solves:
-    the pw-1d step and the first al-wavefield step of born_config at
-    mu = 1e3 and 1e4 (w = 0, as the initial state holds it)."""
+    the pw-1d step, the first al-wavefield step of born_config at mu = 1e3
+    and 1e4 (w = 0, as the initial state holds it) and a 2D step."""
     config = two_scatterer_benchmark()
     m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
     yield "pw-1d", m, build_sources(config), make_observed_data(config), config.penalty, None
     for mu in (1e3, 1e4):
-        config = born_config("al-wavefield", mu=mu, max_iter=1)
+        config = _born_config(mu)
         m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
         sources = build_sources(config)
         ws = [SourceField(config.grid, np.zeros(config.grid.shape)) for _ in sources]
         yield (f"born_config al-wavefield mu={mu:g}", m, sources, make_observed_data(config),
                PenaltyConfig(mu=mu), ws)
+    config = _two_d_config()
+    m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
+    yield ("2D 51x51x200 penalty-wavefield", m, build_sources(config), make_observed_data(config),
+           config.penalty, None)
 
 
 def cg_rows() -> list[dict]:
@@ -236,8 +277,8 @@ def cg_rows() -> list[dict]:
         sketch = getattr(saddle, "nystrom_sketch", None)
         if sketch is not None:
             geometry = data[0].geometry
-            rank = sketch(m, geometry, cfg.mu).rank
-            best, median = time_call(lambda: sketch(m, geometry, cfg.mu))
+            rank = sketch(m, geometry, cfg).rank
+            best, median = time_call(lambda: sketch(m, geometry, cfg))
             rows.append({"layer": "nystrom sketch", "case": label, "rank": rank,
                          "repeats": REPEATS, "min_s": best, "median_s": median})
             print(f"nystrom sketch {label:36s} rank {rank:4d} min {best * 1e3:9.3f} ms  "
