@@ -439,8 +439,6 @@ def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, cfg: PenaltyConf
         core = _extended(core, np.hstack([omega @ y.T for y in ys]))
         gram = _extended(gram, np.hstack([block @ y.T for y in ys]))
         factor, s, w = _sketch_eigenpairs(core, gram, nu)
-        if not len(s):
-            break
         if before is None:
             before = _pcg_iterations(s[-1] - nu, cfg)
         now = _pcg_iterations(s[0] - nu, cfg)
