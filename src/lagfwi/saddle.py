@@ -20,6 +20,11 @@ with shift = b - w/mu, in two ways:
   per model.  The scaled multiplier lam = v / mu is the damped
   least-squares solution of P A^-1 lam = d - P A^-1 b with damping mu,
   which is how the scattering-type iterations consume the same machinery.
+  This dense path holds H plus one factor per mu (HessianCache) and no
+  other n x n array: H is assembled in one buffer by BLAS dsyrk, and each
+  factor is computed in place in its own copy of H.  A factor's entries
+  are checked for finiteness once, when it is computed; each Cholesky
+  solve checks its right-hand side.
 * The wavefield orientation (solve_augmented_wavefields) solves it
   matrix-free.  Eliminating v gives the normal equations
   (P^T P + mu A^T A) u = P^T d + mu A^T b - A^T w; with u = A^-1 z they are
@@ -39,9 +44,10 @@ with one source passes one-element lists.  solve_augmented_wavefields runs
 the sources' CGs in lock step with one sketch shared by the step, so each
 iteration is one batched adjoint sweep and one batched forward sweep, and
 solve_ls_multipliers, damped_trace_multipliers and companion_wavefields
-make one batched sweep per stage (the Cholesky solves stay one per source).  Every column does the
-same floating-point operations as a batch of its source alone, so a
-source's result does not depend on the batch it is solved in, bit for bit.
+make one batched sweep per stage (the Cholesky solves stay one per
+source).  Every column does the same floating-point operations as a batch
+of its source alone, so a source's result does not depend on the batch it
+is solved in, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from .errors import SingularSystemError
 from .grids import (
@@ -64,7 +71,6 @@ from .wavecore import (
     _Traces,
     _adjoint_sweep,
     _forward_sweep,
-    _laplacian,
     _scales,
     forward_solves,
 )
@@ -501,10 +507,11 @@ def _shared_geometry(data) -> AcquisitionGeometry:
 class DataSpaceHessian:
     """Dense receiver-sample Gram matrix H = P A^-1 A^-T P^T.
 
-    Only the shape is checked here.  The assembly is symmetric by
-    construction, and its values are guarded elsewhere: cho_factor rejects
-    non-finite entries, and the tests and selfcheck compare H with the
-    dense oracle.
+    ``matrix`` is C-contiguous and exactly symmetric: the assembly computes
+    one triangle and mirrors it.  The dense path holds it and one factor per
+    mu (HessianCache).  Only the shape is checked here.  Its values are
+    guarded elsewhere: cho_factor rejects non-finite entries, once per
+    factor, and the tests and selfcheck compare H with the dense oracle.
     """
 
     spec: GridSpec
@@ -519,6 +526,14 @@ class DataSpaceHessian:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+
+# Bytes of the (n, 2 nodes) block of B terms that one dsyrk adds into H: the
+# B terms are taken this many bytes of z rows at a time (at least one row,
+# so a 1D grid is one block).
+_B_BLOCK_BYTES = 64 << 20
+# Side of the square tiles in which H's triangle is mirrored.
+_MIRROR_TILE = 64
 
 
 def assemble_data_space_hessian(
@@ -546,32 +561,107 @@ def assemble_data_space_hessian(
     the identity entry at t = 1 plus (2c + L) e_x at row 2 and -c e_x at
     row 3, so B1 = e_{t=1} + F (2c + L) - (F c delayed one sample).
 
-    Hence H = K + B0 B0^T + B1 B1^T.
+    Hence H = K + B B^T with B = [B0 | B1], and H lives in one n x n buffer:
+    the sweep writes F straight into its (n, n_space) layout, one dsyrk
+    computes the upper triangle of C, the cumulative sum runs on the blocks
+    on and above the diagonal, the B terms are formed _B_BLOCK_BYTES of z
+    rows at a time (_b_terms) and each block is added by a dsyrk with
+    beta = 1, and the triangle is mirrored once.  So the assembly holds H,
+    F and one block of B terms, and no other n x n or F-sized array.  On a
+    1D grid B is one block, and H equals the whole-array numpy form
+    f @ f.T, cumulative sum, + b @ b.T bit for bit wherever numpy's and
+    scipy's BLAS share their dsyrk kernel (numpy forms both products by
+    dsyrk and mirrors each).  On a 2D grid, where BLAS splits the long inner
+    dimension, the B terms are added in another order and agree to
+    round-off.
     """
     spec = m.spec
     geometry.validate_for(spec)
     rec = list(geometry.receiver_nodes)
-    receivers = range(len(rec))
-    nt = spec.nt
-    n = len(rec) * nt
-    impulses = np.zeros((spec.n_space, nt, len(rec)))
-    impulses[rec, 2, receivers] = 1.0
-    green = _forward_sweep(spec, m.values, impulses)  # green[x, t, r] = F[(r, t), x]
-    c, _ = _scales(spec, m.values, 2)
-    b0 = -c * green
-    b0[rec, 0, receivers] = 1.0
-    b1 = 2.0 * c * green + _laplacian(spec, green)
-    b1[:, 1:] -= c * green[:, :-1]
-    b1[rec, 1, receivers] = 1.0
+    nr, nt, n_space = len(rec), spec.nt, spec.n_space
+    n = nr * nt
+    f = np.empty((n, n_space))  # f[(r, t), x] = F[(r, t), x]
+    impulse = np.zeros((1, nt))
+    impulse[0, 2] = 1.0
+    _forward_sweep(spec, m.values, [_Traces([node], impulse) for node in rec],
+                   out=list(f.reshape(nr, nt, n_space).transpose(0, 2, 1)))
 
-    f = green.transpose(2, 1, 0).reshape(n, spec.n_space)
-    h = f @ f.T
-    k = h.reshape(len(rec), nt, len(rec), nt)
-    for t in range(1, nt):
-        k[:, t, :, 1:] += k[:, t - 1, :, :-1]
-    b = np.concatenate([b0, b1]).transpose(2, 1, 0).reshape(n, 2 * spec.n_space)
-    h += b @ b.T
+    # dsyrk on the Fortran-ordered transposes: the lower triangle of the
+    # Fortran result is the upper triangle of its C-ordered transpose h
+    upper = dsyrk(1.0, f.T, c=np.zeros((n, n), order="F"), trans=1, lower=1, overwrite_c=1)
+    h = upper.T
+    k = h.reshape(nr, nt, nr, nt)
+    for r in range(nr):
+        # block row r from its diagonal block on; that block's strict lower
+        # half, which dsyrk leaves zero, only adds zeros to zeros
+        blocks = k[r, :, r:, :]
+        for t in range(1, nt):
+            blocks[t, :, 1:] += blocks[t - 1, :, :-1]
+    c, _ = _scales(spec, m.values, 0)
+    nx = spec.nx
+    rows = max(1, _B_BLOCK_BYTES // (16 * n * nx))
+    for z0 in range(0, spec.nz, rows):
+        b = _b_terms(spec, c, f, rec, z0, min(z0 + rows, spec.nz))
+        upper = dsyrk(1.0, b.T, beta=1.0, c=upper, trans=1, lower=1, overwrite_c=1)
+    _mirror_upper(h)
     return DataSpaceHessian(spec, geometry, h)
+
+
+def _b_terms(spec: GridSpec, c: np.ndarray, f: np.ndarray, rec: list, z0: int, z1: int):
+    """[B0 | B1] at the nodes of z rows z0..z1-1, an (n, 2 nodes) array.
+
+    f holds F as (n, n_space) and c the stencil scale per node.  Every
+    element sees the operations, in their order, of the whole-array
+    formulas B0 = -c F and B1 = 2 c F + L F - c F(t - 1) with ``_laplacian``'s
+    order inside L (x terms, then z terms: row above, then row below); the
+    B0 half is the scratch of B1's terms before B0 is written into it.
+    """
+    nr, nt, nz, nx = len(rec), spec.nt, spec.nz, spec.nx
+    out = np.empty((nr, nt, 2, z1 - z0, nx))
+    b0, b1 = out[:, :, 0], out[:, :, 1]
+    full = f.reshape(nr, nt, nz, nx)
+    g = full[:, :, z0:z1]
+    cz = c.reshape(nz, nx)[z0:z1]
+    wx = 1.0 / spec.dx**2
+    np.multiply(g, -2.0 * wx, out=b1)
+    np.multiply(g[..., :-1], wx, out=b0[..., :-1])
+    np.add(b1[..., 1:], b0[..., :-1], out=b1[..., 1:])
+    np.multiply(g[..., 1:], wx, out=b0[..., 1:])
+    np.add(b1[..., :-1], b0[..., 1:], out=b1[..., :-1])
+    if spec.ndim == 2:
+        wz = 1.0 / spec.dz**2
+        np.multiply(g, 2.0 * wz, out=b0)
+        np.subtract(b1, b0, out=b1)
+        a = max(z0, 1) - z0  # the chunk rows with a row above
+        np.multiply(full[:, :, z0 + a - 1 : z1 - 1], wz, out=b0[:, :, a:])
+        np.add(b1[:, :, a:], b0[:, :, a:], out=b1[:, :, a:])
+        e = min(z1, nz - 1) - z0  # the chunk rows with a row below
+        np.multiply(full[:, :, z0 + 1 : z0 + e + 1], wz, out=b0[:, :, :e])
+        np.add(b1[:, :, :e], b0[:, :, :e], out=b1[:, :, :e])
+    np.multiply(g, 2.0 * cz, out=b0)
+    np.add(b0, b1, out=b1)
+    np.multiply(g[:, :-1], cz, out=b0[:, 1:])
+    np.subtract(b1[:, 1:], b0[:, 1:], out=b1[:, 1:])
+    np.multiply(g, -cz, out=b0)
+    for r, node in enumerate(rec):
+        z, x = divmod(node, nx)
+        if z0 <= z < z1:
+            b0[r, 0, z - z0, x] = 1.0
+            b1[r, 1, z - z0, x] = 1.0
+    return out.reshape(nr * nt, -1)
+
+
+def _mirror_upper(h: np.ndarray) -> None:
+    """Copy the upper triangle of the square C-contiguous h onto its lower
+    triangle, _MIRROR_TILE x _MIRROR_TILE tiles at a time."""
+    n, size = len(h), _MIRROR_TILE
+    below = np.tri(size, k=-1, dtype=bool)
+    for a in range(0, n, size):
+        rows = slice(a, a + size)
+        for b in range(a + size, n, size):
+            h[b : b + size, rows] = h[rows, b : b + size].T
+        tile = h[rows, rows]
+        np.copyto(tile, tile.T, where=below[: len(tile), : len(tile)])
 
 
 class HessianCache:
@@ -582,7 +672,10 @@ class HessianCache:
     outer iteration every source and every multiplier solve shares a single
     assembly and a single factorization per damping value.  An iteration
     never returns to an older model, so a new (model, geometry) replaces the
-    entry.
+    entry, and the old one is released before the new assembly allocates.
+    So the dense path holds H plus one n x n factor per damping value and
+    no other n x n array: each factor is computed in place in its own copy
+    of H.
     """
 
     def __init__(self):
@@ -600,14 +693,21 @@ class HessianCache:
         return self._hessian
 
     def shifted_factor(self, m: ModelGrid, geometry: AcquisitionGeometry, mu: float):
-        """Cholesky factor of H + mu I."""
+        """Cholesky factor of H + mu I, in cho_factor's (c, lower) form.
+
+        H is exactly symmetric, so its copy's Fortran-contiguous transpose
+        holds the same bytes as the Fortran copy that cho_factor would
+        make of it, and LAPACK factorizes it in place.  cho_factor checks
+        the entries for finiteness here, once per factor; the solves check
+        their right-hand sides instead of the factor.
+        """
         hess = self.hessian(m, geometry)
         factor = self._factors.get(mu)
         if factor is None:
             shifted = hess.matrix.copy()
             shifted.flat[:: hess.n + 1] += mu
             try:
-                factor = scipy.linalg.cho_factor(shifted, overwrite_a=True)
+                factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True)
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(
                     f"H + mu I failed to factorize at mu={mu}: {exc}"
@@ -632,7 +732,8 @@ def damped_trace_multipliers(
     moves the damped normal solve into data space, where H is small and
     dense.  One factorization serves every set: one Cholesky solve per set,
     then one batched adjoint sweep.  Without a cache, H is assembled for
-    this call alone.
+    this call alone.  Non-finite traces raise ValueError; the factor's
+    entries were checked when it was computed, so no solve scans them again.
     """
     cache = HessianCache() if cache is None else cache
     spec = m.spec
@@ -640,7 +741,8 @@ def damped_trace_multipliers(
     rec = list(geometry.receiver_nodes)
     columns = []
     for traces in rhs_traces:
-        y = scipy.linalg.cho_solve(factor, np.asarray(traces, dtype=float).ravel())
+        rhs = np.asarray_chkfinite(traces, dtype=float).ravel()
+        y = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         columns.append(_Traces(rec, y.reshape(len(rec), spec.nt)))
     return [SourceField(spec, lam) for lam in _adjoint_sweep(spec, m.values, columns)]
 

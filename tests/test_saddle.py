@@ -29,6 +29,7 @@ from lagfwi.oracle import (
     dense_sampling_operator,
     dense_saddle_solve,
 )
+from lagfwi import saddle
 from lagfwi.saddle import (
     HessianCache,
     NystromSketch,
@@ -325,11 +326,30 @@ def _hessian_problems(draw):
 @given(problem=_hessian_problems())
 def test_hessian_matches_dense_property(problem):
     """Green's-function assembly equals P A^-1 A^-T P^T on random 1D/2D grids,
-    models and receiver sets (boundary nodes included), to 1e-11."""
+    models and receiver sets (boundary nodes included), to 1e-11, and is
+    C-contiguous and exactly symmetric."""
     m, geom = problem
     h = assemble_data_space_hessian(m, geom).matrix
     ref = _dense_hessian(m, geom)
     assert np.max(np.abs(h - ref)) <= 1e-11 * np.abs(ref).max()
+    assert h.flags.c_contiguous
+    assert np.array_equal(h, h.T)
+
+
+def test_hessian_in_row_blocks_matches_dense(monkeypatch):
+    """The B terms taken one z row of nodes at a time (each block's
+    Laplacian reading its neighbour rows from F) give the dense oracle's H,
+    and the one-block H to round-off."""
+    spec = GridSpec(ndim=2, nx=5, nz=4, dx=10.0, dz=10.0, nt=10, dt=0.002)
+    m = random_model(spec, np.random.default_rng(8), jitter=0.2)
+    geom = AcquisitionGeometry(source_nodes=(0,), receiver_nodes=(0, 7, 19))
+    one_block = assemble_data_space_hessian(m, geom).matrix
+    monkeypatch.setattr(saddle, "_B_BLOCK_BYTES", 1)
+    h = assemble_data_space_hessian(m, geom).matrix
+    ref = _dense_hessian(m, geom)
+    assert np.max(np.abs(h - ref)) <= 1e-11 * np.abs(ref).max()
+    assert np.max(np.abs(h - one_block)) <= 1e-14 * np.abs(one_block).max()
+    assert np.array_equal(h, h.T)
 
 
 @st.composite
@@ -469,6 +489,26 @@ def test_cache_reuses_hessian_and_factors(setup):
     f3 = cache.shifted_factor(m, geom, 20.0)
     assert f3 is not f1
     assert cache.hessian(m, geom) is h1
+
+
+def test_dense_path_holds_two_hessian_sized_arrays():
+    """Assembling H and factoring H + mu I on the benchmark geometry peaks at
+    two n x n arrays (H and the factor, computed in place in its copy of H)
+    plus F and the B terms, (n, n_space) and (n, 2 n_space): no shifted
+    copy besides the factor, and no n x n product temporary."""
+    config = two_scatterer_benchmark()
+    m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
+    geom = build_acquisition(config)
+    n = geom.n_receivers * config.grid.nt
+    green_bytes = 3 * n * config.grid.n_space * 8  # F and [B0 | B1]
+    cache = HessianCache()
+    tracemalloc.start()
+    try:
+        cache.shifted_factor(m, geom, config.penalty.mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8 + green_bytes
 
 
 def test_cache_new_model_replaces_entry(setup):
