@@ -343,14 +343,16 @@ class _Traces(NamedTuple):
     values: np.ndarray
 
 
-def _level(col, n: int, n_space: int) -> np.ndarray:
-    """Time level n of a sweep column, dense: a view of a field's column, or
-    a zero-filled vector holding a _Traces column's samples."""
-    if isinstance(col, _Traces):
-        level = np.zeros(n_space)
-        level[col.rows] = col.values[:, n]
-        return level
-    return col[:, n]
+def _levels(cols, n: int, n_space: int) -> np.ndarray:
+    """Time level n of every sweep column, dense, as one (n_space, k) array:
+    a field's column, or zeros holding a _Traces column's samples."""
+    levels = np.zeros((n_space, len(cols)))
+    for j, col in enumerate(cols):
+        if isinstance(col, _Traces):
+            levels[col.rows, j] = col.values[:, n]
+        else:
+            levels[:, j] = col[:, n]
+    return levels
 
 
 def _batch(spec: GridSpec, rhs, out=None):
@@ -384,9 +386,9 @@ def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     _, s = _scales(spec, m_values, 0)
     n_space = spec.n_space
     rhs_cols, u, u_cols = _batch(spec, rhs, out)
-    for r, uc in zip(rhs_cols, u_cols):
-        uc[:, 0] = _level(r, 0, n_space)
-        uc[:, 1] = _level(r, 1, n_space)
+    for n in (0, 1):
+        for uc, level in zip(u_cols, _levels(rhs_cols, n, n_space).T):
+            uc[:, n] = level
     _recurrence(spec, s, rhs_cols, u_cols, range(2, spec.nt),
                 [uc[:, 0] for uc in u_cols], [uc[:, 1] for uc in u_cols])
     return u
@@ -395,22 +397,25 @@ def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
 def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
     """Reverse time stepping, solves A(m)^T v = rhs; rhs as in _forward_sweep."""
     nt, n_space = spec.nt, spec.n_space
-    c, s = _scales(spec, m_values, 0)
+    c, s = _scales(spec, m_values, 1)
     rhs_cols, v, v_cols = _batch(spec, rhs)
-    for r, vc in zip(rhs_cols, v_cols):
-        vc[:, nt - 1] = s * _level(r, nt - 1, n_space)
+    for vc, level in zip(v_cols, (s * _levels(rhs_cols, nt - 1, n_space)).T):
+        vc[:, nt - 1] = level
     # the level after nt - 1 is zero, and x - 0.0 == x, so the first step
     # matches the stencil row that has no v[:, n + 2] term
     zero = np.zeros(n_space)
     _recurrence(spec, s, rhs_cols, v_cols, range(nt - 2, 1, -1),
                 [zero] * len(rhs_cols), [vc[:, nt - 1] for vc in v_cols])
-    # columns 0 and 1 meet the identity rows, so no 1/c scaling there
-    for r, vc in zip(rhs_cols, v_cols):
-        t1 = _level(r, 1, n_space) + 2.0 * c * vc[:, 2] + _laplacian(spec, vc[:, 2])
-        if nt >= 4:
-            t1 = t1 - c * vc[:, 3]
-        vc[:, 1] = t1
-        vc[:, 0] = _level(r, 0, n_space) - c * vc[:, 2]
+    # levels 0 and 1 meet the identity rows, so no 1/c scaling there; they
+    # are finished for the whole batch at once, on (n_space, k) arrays
+    v2 = _levels(v_cols, 2, n_space)
+    t1 = _levels(rhs_cols, 1, n_space) + 2.0 * c * v2 + _laplacian(spec, v2)
+    if nt >= 4:
+        t1 = t1 - c * _levels(v_cols, 3, n_space)
+    t0 = _levels(rhs_cols, 0, n_space) - c * v2
+    for vc, level1, level0 in zip(v_cols, t1.T, t0.T):
+        vc[:, 1] = level1
+        vc[:, 0] = level0
     return v
 
 
