@@ -11,9 +11,10 @@ the scheme and, when noise is configured, the seed).  selfcheck runs the
 identity battery and prints one PASS/FAIL line per named check.
 
 Exit status: 0 success, 1 runtime failure (divergence, a solve that did not
-converge, failed checks), 2 usage error (bad flags, malformed config, unknown
-scheme).  An invert run that ends "diverged" or "solver_not_converged"
-still writes the last good model and the history up to it.
+converge, a factorization that failed, failed checks), 2 usage error (bad
+flags, malformed config, unknown scheme).  An invert run that ends
+"diverged", "solver_not_converged" or "singular_system" still writes the
+last good model and the history up to it.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def main(argv=None) -> int:
                 f"{result.status} after {last.iteration} iterations; "
                 f"misfit {last.misfit:.6e}; wrote {model_path} and {log_path}"
             )
-            return 1 if result.status in ("diverged", "solver_not_converged") else 0
+            failed = ("diverged", "solver_not_converged", "singular_system")
+            return 1 if result.status in failed else 0
         if args.command == "selfcheck":
             faults = frozenset() if args.inject_fault is None else frozenset({args.inject_fault})
             return 0 if cmd_selfcheck(faults) else 1

@@ -74,7 +74,9 @@ import numpy as np
 from .config import (
     UPDATE_MODES, ExperimentConfig, build_acquisition, build_model_values, build_sources,
 )
-from .errors import ConfigurationError, DivergenceError, SolverNotConvergedError
+from .errors import (
+    ConfigurationError, DivergenceError, SingularSystemError, SolverNotConvergedError,
+)
 from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
@@ -464,7 +466,8 @@ def run_inversion(
       * divergence (non-finite diagnostics or a failed update) aborts with
         the last valid state and status "diverged"
       * an iterative solve that misses its tolerance aborts the same way
-        with status "solver_not_converged"
+        with status "solver_not_converged", and a Cholesky factorization of
+        H + mu I that fails with status "singular_system"
     """
     if config.scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {config.scheme!r}")
@@ -500,6 +503,9 @@ def run_inversion(
             break
         except SolverNotConvergedError:
             status = "solver_not_converged"
+            break
+        except SingularSystemError:
+            status = "singular_system"
             break
         diag = _diagnostics(new_state, sources, data, true_model, time.perf_counter() - t_iter)
         if not np.isfinite(diag.misfit) or not np.isfinite(diag.constraint):

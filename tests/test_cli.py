@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lagfwi
 from lagfwi.cli import LOG_FILE, MODEL_FILE, main
@@ -142,6 +143,27 @@ def test_unconverged_solve_exits_one(tmp_path, capsys):
     assert capsys.readouterr().out.split(" ", 1)[0] == "solver_not_converged"
     rows, meta = read_log(str(tmp_path / "out" / LOG_FILE))
     assert meta["scheme"] == "penalty-wavefield"
+    assert [r.iteration for r in rows] == [0]
+    model = load_model(str(tmp_path / "out" / MODEL_FILE))
+    assert np.allclose(model.values, 2000.0**-2, rtol=1e-15, atol=0.0)  # model.init
+
+
+def test_singular_factorization_exits_one(tmp_path, capsys, monkeypatch):
+    """A Cholesky factorization of H + mu I that fails stops the run with
+    status singular_system: exit 1, the starting model and row 0 written."""
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG)
+    assert main(["forward", "--config", str(path)]) == 0
+    capsys.readouterr()
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+    assert main(["invert", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.split(" ", 1)[0] == "singular_system"
+    rows, meta = read_log(str(tmp_path / "out" / LOG_FILE))
+    assert meta["scheme"] == "al-multiplier"
     assert [r.iteration for r in rows] == [0]
     model = load_model(str(tmp_path / "out" / MODEL_FILE))
     assert np.allclose(model.values, 2000.0**-2, rtol=1e-15, atol=0.0)  # model.init
