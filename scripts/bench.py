@@ -24,14 +24,21 @@ not about one as on the 1D grids.  On a checkout whose sweeps step column
 groups and copy node tiles, the 2D three-field sequence sweeps are also
 timed with other values of the group budget ``wavecore._GROUP_BYTES`` and
 the copy tile width ``wavecore._TILE`` (the "variants" rows), which is what
-their values rest on.  Everything runs in this one process with BLAS/OpenMP
-pinned to one thread.  Each case is run once untimed, then REPEATS times
-under ``time.perf_counter``; the file holds the minimum and the median of
-those repeats, the throughput of the kernels in space-time points per
-second (n_space * nt * columns / seconds) and the CG iterations.  It also
-records the environment and the git revision of the checkout the ``lagfwi``
-package was imported from, so that two checkouts can be compared with the
-same script by pointing ``PYTHONPATH`` at each one's ``src/``.
+their values rest on.  The dense multiplier path is timed in its two layers,
+``saddle.assemble_data_space_hessian`` and the Cholesky factorization of
+H + mu I in ``saddle.HessianCache.shifted_factor`` (with H already held), on
+the two-scatterer benchmark's initial model (61 x 256, 4 receivers, its
+mu = 3e6) and on ``born_config``'s (21 x 80, 19 receivers, mu = 1e3); those
+rows also give each layer's tracemalloc peak, from one separate call, which
+counts what the layer allocates and not H held before it.  Everything runs
+in this one process with BLAS/OpenMP pinned to one thread.  Each case is
+run once untimed, then REPEATS times under ``time.perf_counter``; the file
+holds the minimum and the median of those repeats, the throughput of the
+kernels in space-time points per second (n_space * nt * columns / seconds),
+the CG iterations and the traced peaks.  It also records the environment
+and the git revision of the checkout the ``lagfwi`` package was imported
+from, so that two checkouts can be compared with the same script by
+pointing ``PYTHONPATH`` at each one's ``src/``.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import scipy
@@ -55,11 +63,11 @@ import scipy
 import lagfwi
 from lagfwi import saddle, wavecore
 from lagfwi.config import (
-    ExperimentConfig, ModelDescriptor, StopRules,
+    ExperimentConfig, ModelDescriptor, StopRules, build_acquisition,
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
 from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield
-from lagfwi.saddle import PenaltyConfig, solve_augmented_wavefields
+from lagfwi.saddle import HessianCache, PenaltyConfig, solve_augmented_wavefields
 
 # (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
 # (n_space, nt) field, and sequence marks a list of `columns` separate fields
@@ -286,18 +294,60 @@ def cg_rows() -> list[dict]:
     return rows
 
 
+def traced_peak(call) -> int:
+    """Bytes at the tracemalloc peak of one call, counting only what it
+    allocates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def hessian_rows() -> list[dict]:
+    """The dense multiplier path's two layers: the assembly of H and the
+    Cholesky factorization of H + mu I, each timed and traced on its own."""
+    rows = []
+    for label, config in (("benchmark", two_scatterer_benchmark()),
+                          ("born_config", _born_config(1e3))):
+        m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
+        geometry = build_acquisition(config)
+        mu = config.penalty.mu
+        cache = HessianCache()
+        n = cache.hessian(m, geometry).n
+
+        def factor():
+            cache._factors.clear()
+            cache.shifted_factor(m, geometry, mu)
+
+        cases = {
+            "hessian assembly": lambda: saddle.assemble_data_space_hessian(m, geometry),
+            "cholesky factorization": factor,
+        }
+        for layer, call in cases.items():
+            best, median = time_call(call)
+            peak = traced_peak(call)
+            rows.append({"layer": layer, "case": label, "n": n, "mu": mu, "repeats": REPEATS,
+                         "min_s": best, "median_s": median, "traced_peak_bytes": peak,
+                         "traced_peak_per_n2_doubles": peak / (8 * n * n)})
+            print(f"{layer:22s} {label:12s} n {n:5d} min {best * 1e3:9.3f} ms  "
+                  f"median {median * 1e3:9.3f} ms  peak {peak / 2**20:7.2f} MiB")
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
     rows = (kernel_rows(np.random.default_rng(0)) + pass_rows(np.random.default_rng(1))
-            + variant_rows(np.random.default_rng(2)) + cg_rows())
+            + variant_rows(np.random.default_rng(2)) + cg_rows() + hessian_rows())
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
         "layer": ("wavecore sweep kernels, the streamed 2D passes, the wavefield CG and its "
-                  "Nystrom sketch"),
+                  "Nystrom sketch, the dense Hessian assembly and its Cholesky factorization"),
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
