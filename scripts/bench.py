@@ -9,11 +9,12 @@ three fields swept as one batch; the two streamed passes of a 2D step at
 ``fwi-2d``'s field size (101 x 101 x 400): ``wavecore.correlation_terms`` and
 the diagnostics' constraint norm ||A(m) u - b||^2; and the wavefield CG
 layer of the two-scatterer benchmark's first penalty-wavefield step (its
-three sources at the initial model): ``saddle.solve_augmented_wavefields``
-called once per source with a one-source batch (serial) against one call
-with all three sources (lock step), and on a checkout that has it, the
-Nystrom sketch ``saddle.nystrom_sketch`` of that step alone (its rank and
-time).  The same rows are taken for the first solve of the one-source
+three sources at the initial model): the matrix-free
+``saddle.solve_saddle`` called once per source with a one-source batch
+(serial) against one call with all three sources (lock step), each source's
+CG iterations from ``saddle._cg`` on the same preconditioned data-space
+system, and the Nystrom sketch ``saddle.nystrom_sketch`` of that step alone
+(its rank and time).  The same rows are taken for the first solve of the one-source
 al-wavefield runs on the scheme tests' ``born_config`` experiment (a
 weak single scatterer, 21 x 80 grid, 19 receivers; built here, so the
 bench does not import the tests) at mu = 1e3 and 1e4, the small-mu cases
@@ -67,7 +68,7 @@ from lagfwi.config import (
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
 from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield
-from lagfwi.saddle import HessianCache, PenaltyConfig, solve_augmented_wavefields
+from lagfwi.saddle import HessianCache, PenaltyConfig, solve_saddle
 
 # (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
 # (n_space, nt) field, and sequence marks a list of `columns` separate fields
@@ -260,19 +261,36 @@ def _cg_cases():
            config.penalty, None)
 
 
+def _cg_infos(m, sources, data, cfg, ws) -> list:
+    """Each source's SolveInfo from ``saddle._cg`` on the system the
+    matrix-free saddle solve runs: (H + mu I) y = d - P A^-1 (b - w/mu),
+    preconditioned by the step's Nystrom sketch."""
+    spec, geometry = m.spec, data[0].geometry
+    rec = list(geometry.receiver_nodes)
+    shifts = [b.values if w is None else b.values - (1.0 / cfg.mu) * w.values
+              for b, w in zip(sources, ws)]
+    rhs = [(d.values - u[rec]).ravel()
+           for d, u in zip(data, wavecore._forward_sweep(spec, m.values, shifts))]
+    apply_h = saddle._hessian_products(spec, m.values, rec)
+    precondition = saddle.nystrom_sketch(m, geometry, cfg).preconditioner(cfg.mu)
+    results = saddle._cg(lambda ys: [hy + cfg.mu * y for hy, y in zip(apply_h(ys), ys)],
+                         rhs, None, cfg.cg_tol, cfg.cg_maxiter, precondition)
+    return [info for _, info in results]
+
+
 def cg_rows() -> list[dict]:
     """The wavefield CG layer: for pw-1d each source's solve in turn, then
     all in lock step; for the one-source born_config steps the solve; and
-    the Nystrom sketch of each, where the checkout has one."""
+    the Nystrom sketch of each."""
     rows = []
     for label, m, sources, data, cfg, ws in _cg_cases():
         ws = ws or [None] * len(sources)
-        modes = {"lock-step": lambda: solve_augmented_wavefields(m, sources, data, cfg, ws)}
+        infos = _cg_infos(m, sources, data, cfg, ws)
+        modes = {"lock-step": lambda: solve_saddle(m, sources, data, cfg, ws, matrix_free=True)}
         if len(sources) > 1:
-            modes = {"serial": lambda: [solve_augmented_wavefields(m, [b], [d], cfg, [w])[0]
+            modes = {"serial": lambda: [solve_saddle(m, [b], [d], cfg, [w], matrix_free=True)
                                         for b, d, w in zip(sources, data, ws)], **modes}
         for mode, solve in modes.items():
-            infos = [info for _, info in solve()]
             best, median = time_call(solve)
             rows.append({
                 "layer": "wavefield CG", "case": label, "mode": mode, "sources": len(sources),
@@ -282,15 +300,13 @@ def cg_rows() -> list[dict]:
             })
             print(f"wavefield CG   {label:36s} {mode:9s} min {best * 1e3:9.3f} ms  "
                   f"median {median * 1e3:9.3f} ms  iterations {rows[-1]['iterations']}")
-        sketch = getattr(saddle, "nystrom_sketch", None)
-        if sketch is not None:
-            geometry = data[0].geometry
-            rank = sketch(m, geometry, cfg).rank
-            best, median = time_call(lambda: sketch(m, geometry, cfg))
-            rows.append({"layer": "nystrom sketch", "case": label, "rank": rank,
-                         "repeats": REPEATS, "min_s": best, "median_s": median})
-            print(f"nystrom sketch {label:36s} rank {rank:4d} min {best * 1e3:9.3f} ms  "
-                  f"median {median * 1e3:9.3f} ms")
+        geometry = data[0].geometry
+        rank = saddle.nystrom_sketch(m, geometry, cfg).rank
+        best, median = time_call(lambda: saddle.nystrom_sketch(m, geometry, cfg))
+        rows.append({"layer": "nystrom sketch", "case": label, "rank": rank,
+                     "repeats": REPEATS, "min_s": best, "median_s": median})
+        print(f"nystrom sketch {label:36s} rank {rank:4d} min {best * 1e3:9.3f} ms  "
+              f"median {median * 1e3:9.3f} ms")
     return rows
 
 

@@ -12,39 +12,41 @@ share the one pipeline of step_scheme,
 and differ only in their row of _TABLE: the solve, whether the multiplier is
 scaled, and whether a memory is carried.  A solve takes all of the step's
 sources at once: each of its sweeps is one batched sweep over the step's
-sources, the multiplier-type solves share one factorization of H + mu I,
-and the wavefield orientation runs the sources' CGs in lock step.  An
+sources, and its data-space solve (H + mu I) y = r runs on the dense backend
+(one factorization of H + mu I, one multi-column Cholesky solve) or the
+matrix-free one (the sources' Nystrom-preconditioned CGs in lock step).  An
 unscaled scheme keeps v in `multipliers`, steps by cfg.step_length (1/mu
 unless alpha is pinned) and carries the Lagrange multiplier w (k = mu) in
 `running_multipliers`.  A scaled scheme keeps lam = v/mu in
 `scatter_sources`, takes a unit step and carries the accumulated
 constraint error eps = w/mu (k = 1) in `scatter_errors`.
 
-  scheme              solve                                   scaled  memory
-  fwi                 u = A^-1 b, v back-propagates P u - d   no      -
-  penalty-wavefield   Nystrom-PCG on (H + mu I) y, then       no      -
-                      u = A^-1 (b + G^T y)
-  penalty-multiplier  damped trace system for v, companion u  no      -
-  wri-scaled          lam against the plain residual, refresh yes     -
+  scheme              solve                                   backend      scaled  memory
+  fwi                 u = A^-1 b, v back-propagates P u - d   -            no      -
+  penalty-wavefield   lam for d - G b, u = A^-1 (b + lam),    matrix-free  no      -
+                      v = mu lam
+  penalty-multiplier  penalty-wavefield's solve               dense        no      -
+  wri-scaled          lam against the plain residual, refresh dense        yes     -
                       u = A^-1 (b + lam)
-  al-wavefield        penalty-wavefield's solve, w passed     no      w
-  al-multiplier       penalty-multiplier's solve, w passed    no      w
-  split-gn            wri-scaled's solve without the refresh  yes     -
-  split-gs            wri-scaled's solve                      yes     -
-  refined-direct      multiplier increment, term by term      yes     -
-  refined-rearranged  same iterates, rhs collected first      yes     -
-  refined-epsilon     same iterates, bookkeeping through eps  yes     eps
+  al-wavefield        penalty-wavefield's solve, w passed     matrix-free  no      w
+  al-multiplier       penalty-wavefield's solve, w passed     dense        no      w
+  split-gn            wri-scaled's solve without the refresh  dense        yes     -
+  split-gs            wri-scaled's solve                      dense        yes     -
+  refined-direct      multiplier increment, term by term      dense        yes     -
+  refined-rearranged  same iterates, rhs collected first      dense        yes     -
+  refined-epsilon     same iterates, bookkeeping through eps  dense        yes     eps
 
-Batching does not change an iterate: each column of a batched sweep or of
-the lock-step CG does the same floating-point operations as a step of its
-own source alone, and the CG's preconditioner, a Nystrom sketch of H, is
-built from the model, the receivers and the penalty config alone.  The sources of a step that
-builds H or runs the CG must share their receivers.
+Batching does not change an iterate: each column of a batched sweep, of the
+Cholesky solve or of the lock-step CG does the same floating-point
+operations as a step of its own source alone, and the CG's preconditioner, a
+Nystrom sketch of H, is built from the model, the receivers and the penalty
+config alone.  The sources of a step that builds H or runs the CG must share
+their receivers.
 
 G = P A^-1 maps sources to receiver traces and H = G G^T is the data-space
-Hessian; the wavefield and multiplier orientations solve the same system
-(H + mu I) y = d - G (b - w/mu), matrix-free and densely (see the saddle
-module).
+Hessian; the wavefield and multiplier orientations are one saddle solve of
+(H + mu I) y = d - G (b - w/mu) and differ only in its backend (see the
+saddle module).
 
 gauss-newton and gauss-seidel instead solve damped least squares on the
 stacked Born kernels for the model increment; gauss-seidel linearizes about
@@ -55,8 +57,8 @@ per model, all sources in one batched sweep, by initial_state and at the end
 of each step, and kept in the state's forward_fields for the next step's
 solve and the stopping rule.
 
-The penalty/al multiplier orientations and the split/refined family all call
-into saddle.damped_trace_multipliers, so their agreement is structural, not a
+The penalty/al saddle solves and the split/refined family all call into
+saddle.data_space_multipliers, so their agreement is structural, not a
 numerical accident; tests pin the correspondences (split-gs and wri-scaled
 track penalty-multiplier, refined-epsilon tracks al-multiplier, the three
 refined variants track each other) to round-off.
@@ -80,8 +82,7 @@ from .errors import (
 from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
-    HessianCache, PenaltyConfig, _shared_geometry, companion_wavefields,
-    damped_trace_multipliers, solve_augmented_wavefields, solve_ls_multipliers,
+    HessianCache, PenaltyConfig, _shared_geometry, data_space_multipliers, solve_saddle,
 )
 from .wavecore import (
     adjoint_solves, apply_wave_operator, correlation_terms, forward_solves,
@@ -179,31 +180,12 @@ def _fwi(m, sources, data, cfg, cache, prevs):
     return us, adjoint_solves(m, [_residual_traces(d, u) for d, u in zip(data, us)])
 
 
-def _wavefield_orientation(m, sources, data, cfg, cache, prevs):
-    """Eliminate v: the Nystrom-preconditioned data-space CG for u, the
-    sources' solves in lock step, then v = w + mu (A u - b), the same v as
-    the multiplier orientation in exact arithmetic.  A solve that misses
-    cfg.cg_tol raises SolverNotConvergedError, so its field never reaches
-    the model update."""
-    ws = [prev.mem for prev in prevs]
-    us, vs = [], []
-    for b, w, (u, info) in zip(sources, ws, solve_augmented_wavefields(m, sources, data, cfg, ws)):
-        if not info.converged:
-            raise SolverNotConvergedError(
-                f"wavefield CG stopped after {info.iterations} iterations at relative "
-                f"residual {info.relative_residual:.3e} (cg_tol {cfg.cg_tol:g})")
-        v = cfg.mu * (apply_wave_operator(m, u).values - b.values)
-        us.append(u)
-        vs.append(Wavefield(m.spec, v if w is None else w.values + v))
-    return us, vs
-
-
-def _multiplier_orientation(m, sources, data, cfg, cache, prevs):
-    """Eliminate u through the damped trace system, then the companion
-    wavefields A^-1 (b + (v - w)/mu); one batched sweep each."""
-    ws = [prev.mem for prev in prevs]
-    vs = solve_ls_multipliers(m, sources, data, cfg, ws=ws, cache=cache)
-    return companion_wavefields(m, sources, vs, cfg, ws=ws), vs
+def _saddle(m, sources, data, cfg, cache, prevs, matrix_free):
+    """Both orientations: lam from the data-space system on the row's
+    backend, then u = A^-1 (b - w/mu + lam) and v = mu lam, one batched
+    sweep each.  A matrix-free solve that misses cfg.cg_tol raises
+    SolverNotConvergedError, so its field never reaches the model update."""
+    return solve_saddle(m, sources, data, cfg, [prev.mem for prev in prevs], cache, matrix_free)
 
 
 def _forward_residuals(data, prevs) -> list[np.ndarray]:
@@ -221,7 +203,7 @@ def _split(m, sources, data, cfg, cache, prevs, refresh=True):
     becomes A^-1 (b + lam), which makes the iterates those of
     penalty-multiplier with lam = v/mu and step 1 vs 1/mu."""
     rhs = _forward_residuals(data, prevs)
-    lams = damped_trace_multipliers(m, _shared_geometry(data), rhs, cfg.mu, cache)
+    lams = data_space_multipliers(m, _shared_geometry(data), rhs, cfg, cache)
     if not refresh:
         return [prev.u0 for prev in prevs], lams
     return forward_solves(m, [SourceField(m.spec, b.values + lam.values)
@@ -243,7 +225,7 @@ def _refined_direct(m, sources, data, cfg, cache, prevs):
     rhs = [delta_d - s_phi + s_lam for delta_d, s_phi, s_lam
            in zip(_forward_residuals(data, prevs), sampled, sampled[len(prevs):])]
     lams = [SourceField(spec, prev.lam.values + (lam.values - prev.lam.values))
-            for prev, lam in zip(prevs, damped_trace_multipliers(m, geometry, rhs, cfg.mu, cache))]
+            for prev, lam in zip(prevs, data_space_multipliers(m, geometry, rhs, cfg, cache))]
     us = forward_solves(m, [
         SourceField(spec, b.values + phi.values + lam.values - prev.lam.values)
         for b, phi, lam, prev in zip(sources, phis, lams, prevs)])
@@ -258,7 +240,7 @@ def _refined_rearranged(m, sources, data, cfg, cache, prevs):
     shifts = [SourceField(spec, prev.lam.values - phi.values) for prev, phi in zip(prevs, phis)]
     rhs = [delta_d + s for delta_d, s
            in zip(_forward_residuals(data, prevs), _sampled(m, geometry, shifts))]
-    lams = damped_trace_multipliers(m, geometry, rhs, cfg.mu, cache)
+    lams = data_space_multipliers(m, geometry, rhs, cfg, cache)
     us = forward_solves(m, [
         SourceField(spec, b.values + lam.values + phi.values - prev.lam.values)
         for b, lam, phi, prev in zip(sources, lams, phis, prevs)])
@@ -273,7 +255,7 @@ def _refined_epsilon(m, sources, data, cfg, cache, prevs):
     epss = [prev.mem for prev in prevs]
     rhs = [delta_d + s for delta_d, s
            in zip(_forward_residuals(data, prevs), _sampled(m, geometry, epss))]
-    lams = damped_trace_multipliers(m, geometry, rhs, cfg.mu, cache)
+    lams = data_space_multipliers(m, geometry, rhs, cfg, cache)
     us = forward_solves(m, [SourceField(m.spec, b.values + lam.values - eps.values)
                             for b, lam, eps in zip(sources, lams, epss)])
     return us, lams
@@ -303,11 +285,11 @@ def _born_step(state: IterationState, sources, data, damping: float, lagged: boo
 # name -> (solve, scaled, memory); None marks the Born least-squares step
 _TABLE = {
     "fwi": (_fwi, False, False),
-    "penalty-wavefield": (_wavefield_orientation, False, False),
-    "penalty-multiplier": (_multiplier_orientation, False, False),
+    "penalty-wavefield": (partial(_saddle, matrix_free=True), False, False),
+    "penalty-multiplier": (partial(_saddle, matrix_free=False), False, False),
     "wri-scaled": (_split, True, False),
-    "al-wavefield": (_wavefield_orientation, False, True),
-    "al-multiplier": (_multiplier_orientation, False, True),
+    "al-wavefield": (partial(_saddle, matrix_free=True), False, True),
+    "al-multiplier": (partial(_saddle, matrix_free=False), False, True),
     "gauss-newton": None,
     "gauss-seidel": None,
     "split-gn": (partial(_split, refresh=False), True, False),

@@ -1,4 +1,5 @@
-"""Penalty and augmented-Lagrangian saddle solves in both orientations.
+"""Penalty and augmented-Lagrangian saddle solves, both orientations in one
+data-space solve.
 
 The saddle system for penalty weight mu is
 
@@ -11,43 +12,43 @@ data space,
     v = A^-T P^T (I + (1/mu) H)^-1 (d - P A^-1 (b - w/mu)),
     H = P A^-1 A^-T P^T = G G^T,   G = P A^-1,
 
-and both orientations solve that one system, (H + mu I) y = d - G shift
-with shift = b - w/mu, in two ways:
+and eliminating v instead gives the normal equations
+(P^T P + mu A^T A) u = P^T d + mu A^T b - A^T w; with u = A^-1 z they are
+(I + G^T G / mu) z = shift + G^T d / mu, shift = b - w/mu, whose solution is
+z = shift + G^T y with the same y.  So the wavefield and the multiplier
+orientations are one system, (H + mu I) y = d - G shift, and one solve:
+data_space_multipliers maps receiver-trace right-hand sides r to the scaled
+multiplier lam = A^-T P^T (H + mu I)^-1 r, and solve_saddle lifts it into
+u = A^-1 (shift + lam) and v = mu lam.  Since A u = shift + lam, that v is
+also the wavefield orientation's w + mu (A u - b).  The scaled multiplier is
+the damped least-squares solution of P A^-1 lam = r with damping mu, which
+is how the scattering-type iterations consume the same solve.
 
-* The multiplier orientation (solve_ls_multipliers) assembles H densely,
-  a small receiver-sample Gram matrix built from one Green's function per
-  receiver (a single batched forward sweep), and factorizes H + mu I once
-  per model.  The scaled multiplier lam = v / mu is the damped
-  least-squares solution of P A^-1 lam = d - P A^-1 b with damping mu,
-  which is how the scattering-type iterations consume the same machinery.
-  This dense path holds H plus one factor per mu (HessianCache) and no
-  other n x n array: H is assembled in one buffer by BLAS dsyrk, and each
-  factor is computed in place in its own copy of H.  A factor's entries
-  are checked for finiteness once, when it is computed; each Cholesky
-  solve checks its right-hand side.
-* The wavefield orientation (solve_augmented_wavefields) solves it
-  matrix-free.  Eliminating v gives the normal equations
-  (P^T P + mu A^T A) u = P^T d + mu A^T b - A^T w; with u = A^-1 z they are
-  (I + G^T G / mu) z = shift + G^T d / mu, whose CG from z0 = shift never
-  leaves shift + range(G^T).  So z = shift + G^T y with the y above, and
-  the solve runs CG on (H + mu I) y in data space, each H product one
-  adjoint sweep of receiver traces and one forward sweep sampled at the
-  receivers.  H's spectrum decays fast, so a randomized Nystrom sketch of
-  H (nystrom_sketch, its rank grown while a chunk of it is estimated to
-  save more H products than it costs) preconditions the CG and deflates
-  its large eigenvalues; the CG vectors are traces, and
-  u = A^-1 (shift + G^T y) costs one more adjoint and forward sweep.
+y comes from one of two backends, picked by the caller:
+
+* dense: H is assembled as a small receiver-sample Gram matrix built from
+  one Green's function per receiver (a single batched forward sweep), and
+  H + mu I is factorized once per model and mu.  This path holds H plus one
+  factor per mu (HessianCache) and no other n x n array: H is assembled in
+  one buffer by BLAS dsyrk, and each factor is computed in place in its own
+  copy of H.  A factor's entries are checked for finiteness once, when it is
+  computed; the Cholesky solve checks its right-hand sides.
+* matrix-free: CG on (H + mu I) y, each H product one adjoint sweep of
+  receiver traces and one forward sweep sampled at the receivers.  H's
+  spectrum decays fast, so a randomized Nystrom sketch of H (nystrom_sketch,
+  its rank grown while a chunk of it is estimated to save more H products
+  than it costs) preconditions the CG and deflates its large eigenvalues;
+  the CG vectors are traces.  A column that misses cg_tol raises
+  SolverNotConvergedError, so its result is never used.
 
 Every solve takes the sources of one step, which share the model and the
 receivers (traces that disagree on receivers raise ValueError); a caller
-with one source passes one-element lists.  solve_augmented_wavefields runs
-the sources' CGs in lock step with one sketch shared by the step, so each
-iteration is one batched adjoint sweep and one batched forward sweep, and
-solve_ls_multipliers, damped_trace_multipliers and companion_wavefields
-make one batched sweep per stage (the Cholesky solves stay one per
-source).  Every column does the same floating-point operations as a batch
-of its source alone, so a source's result does not depend on the batch it
-is solved in, bit for bit.
+with one source passes one-element lists.  Each stage is one batched sweep
+over the sources; the dense backend makes one multi-column Cholesky solve,
+and the matrix-free backend runs the sources' CGs in lock step with one
+sketch shared by the step.  Every column does the same floating-point
+operations as a batch of its source alone, so a source's result does not
+depend on the batch it is solved in, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
-from .errors import SingularSystemError
+from .errors import SingularSystemError, SolverNotConvergedError
 from .grids import (
     AcquisitionGeometry,
     GridSpec,
@@ -82,11 +83,9 @@ __all__ = [
     "nystrom_sketch",
     "DataSpaceHessian",
     "HessianCache",
-    "solve_augmented_wavefields",
     "assemble_data_space_hessian",
-    "damped_trace_multipliers",
-    "solve_ls_multipliers",
-    "companion_wavefields",
+    "data_space_multipliers",
+    "solve_saddle",
 ]
 
 
@@ -97,8 +96,8 @@ class PenaltyConfig:
     ``alpha`` is the model step length; None means 1/mu, which is the value
     every equivalence between the penalty/AL family and the scattering
     family is stated at. ``cg_tol`` and ``cg_maxiter`` drive the CG of
-    solve_augmented_wavefields: ``cg_tol`` bounds the residual of its
-    data-space system (H + mu I) y = d - G (b - w/mu) relative to that
+    data_space_multipliers' matrix-free backend: ``cg_tol`` bounds the
+    residual of its data-space system (H + mu I) y = r relative to that
     system's right-hand side (the unpreconditioned residual, whatever the
     preconditioner); 1e-10 is oracle-grade, 1e-6 is plenty for production
     inversion runs.
@@ -252,74 +251,6 @@ def _cg(apply_op, rhs, x0, tol, maxiter, precondition=None):
     return results
 
 
-def solve_augmented_wavefields(
-    m: ModelGrid,
-    sources,
-    data,
-    cfg: PenaltyConfig,
-    ws=None,
-) -> list[tuple[Wavefield, SolveInfo]]:
-    """Wavefield-oriented saddle solve for every source, by Nystrom-
-    preconditioned CG in data space, the sources' CGs in lock step.
-
-    With u = A^-1 z and G = P A^-1 the normal equations
-    (P^T P / mu + A^T A) u = P^T d / mu + A^T (b - w/mu) become
-    (I + G^T G / mu) z = shift + G^T d / mu, shift = b - w/mu.  CG on that
-    system from z0 = shift never leaves shift + range(G^T), so its solution
-    is z = shift + G^T y with
-
-        (H + mu I) y = d - G shift,    H = G G^T,
-
-    the system solve_ls_multipliers factorizes densely (its multiplier is
-    v = mu A^-T P^T y).  This solve runs CG on it, from y0 = 0,
-    preconditioned by a Nystrom sketch of H (nystrom_sketch, one per call,
-    shared by the sources), which puts the spectrum in
-    [1, 1 + ||H - sketch||/mu], and returns u = A^-1 (shift + A^-T P^T y).
-    Each H product is one adjoint sweep of the traces y and one forward
-    sweep sampled at the receivers; the CG vectors are traces, not fields.
-    cg_tol is relative to the norm of the data-space right-hand side
-    d - G shift, and each returned SolveInfo describes its source's
-    data-space system.  A source whose right-hand side is zero (data
-    explained by shift itself) returns A^-1 shift without iterating.
-
-    ws holds one w (or None) per source; ws=None means no w anywhere.  The
-    sources must share their receivers.  Each CG iteration is one batched
-    adjoint sweep and one batched forward sweep over the columns that have
-    not finished, the sketch depends on m, the receivers and cfg alone, and each
-    column's iterates and SolveInfo are bitwise those of a batch of its
-    source alone.
-    """
-    spec = m.spec
-    geom = _shared_geometry(data)
-    geom.validate_for(spec)
-    rec = list(geom.receiver_nodes)
-    shape = (len(rec), spec.nt)
-    mvals = m.values
-    mu = cfg.mu
-    ws = [None] * len(sources) if ws is None else ws
-
-    shifts = [b.values if w is None else b.values - (1.0 / mu) * w.values
-              for b, w in zip(sources, ws)]
-    rhs = [(d.values - u[rec]).ravel() for d, u in zip(data, _forward_sweep(spec, mvals, shifts))]
-    apply_h = _hessian_products(spec, mvals, rec)
-
-    def apply_op(ys):
-        out = apply_h(ys)
-        for hy, y in zip(out, ys):
-            hy += mu * y
-        return out
-
-    precondition = None
-    if any(r.any() for r in rhs):
-        precondition = nystrom_sketch(m, geom, cfg).preconditioner(mu)
-    results = _cg(apply_op, rhs, None, cfg.cg_tol, cfg.cg_maxiter, precondition)
-    zs = _adjoint_sweep(spec, mvals, [_Traces(rec, y.reshape(shape)) for y, _ in results])
-    for z, shift in zip(zs, shifts):
-        z += shift
-    us = _forward_sweep(spec, mvals, zs)
-    return [(Wavefield(spec, u), info) for u, (_, info) in zip(us, results)]
-
-
 def _hessian_products(spec: GridSpec, m_values: np.ndarray, rec: list):
     """apply_h(ys): H y = P A^-1 A^-T P^T y for each flat trace vector y in
     the list ys, one batched adjoint sweep of the traces and one batched
@@ -389,8 +320,8 @@ class NystromSketch:
 
 
 def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, cfg: PenaltyConfig) -> NystromSketch:
-    """Nystrom sketch of H = P A^-1 A^-T P^T at m for the PCG of
-    solve_augmented_wavefields at cfg, from H products alone.
+    """Nystrom sketch of H = P A^-1 A^-T P^T at m for the matrix-free PCG of
+    data_space_multipliers at cfg, from H products alone.
 
     Gaussian test vectors Omega (rows) are drawn _SKETCH_CHUNK at a time and
     swept in batches of H products into Y = Omega (H + nu I), one block of
@@ -716,82 +647,67 @@ class HessianCache:
         return factor
 
 
-def damped_trace_multipliers(
-    m: ModelGrid,
-    geometry: AcquisitionGeometry,
-    rhs_traces,
-    mu: float,
-    cache: HessianCache | None = None,
-) -> list[SourceField]:
-    """Scaled multiplier lam = A^-T P^T (H + mu I)^-1 rhs for every set of
-    receiver traces rhs in rhs_traces.
+def data_space_multipliers(m: ModelGrid, geometry: AcquisitionGeometry, rhs_traces,
+                           cfg: PenaltyConfig, cache: HessianCache | None = None,
+                           matrix_free: bool = False) -> list[SourceField]:
+    """Scaled multiplier lam = A^-T P^T y, (H + mu I) y = r, for every set of
+    receiver traces r in rhs_traces: the damped least-squares solution of
+    P A^-1 lam = r with damping mu, moved into data space by the push-through
+    identity (G^T G + mu I)^-1 G^T = G^T (G G^T + mu I)^-1, G = P A^-1.
 
-    This is the damped least-squares solution of P A^-1 lam = rhs with
-    damping mu, restricted to the range of A^-T P^T: the push-through
-    identity (G^T G + mu I)^-1 G^T = G^T (G G^T + mu I)^-1, G = P A^-1,
-    moves the damped normal solve into data space, where H is small and
-    dense.  One factorization serves every set: one Cholesky solve per set,
-    then one batched adjoint sweep.  Without a cache, H is assembled for
-    this call alone.  Non-finite traces raise ValueError; the factor's
-    entries were checked when it was computed, so no solve scans them again.
+    The dense backend makes one multi-column Cholesky solve with cache's
+    factor of H + mu I (without a cache, H is assembled for this call
+    alone).  The matrix-free one (matrix_free=True) runs the sources'
+    Nystrom-preconditioned CGs in lock step from y0 = 0, with one sketch
+    built only if some r is non-zero; a column that misses cg_tol, relative
+    to its r, within cg_maxiter raises SolverNotConvergedError.  Then one
+    batched adjoint sweep.  Non-finite traces raise ValueError.  Each
+    column's bytes are those of a call with its traces alone.
     """
-    cache = HessianCache() if cache is None else cache
     spec = m.spec
-    factor = cache.shifted_factor(m, geometry, mu)
+    geometry.validate_for(spec)
     rec = list(geometry.receiver_nodes)
-    columns = []
-    for traces in rhs_traces:
-        rhs = np.asarray_chkfinite(traces, dtype=float).ravel()
-        y = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        columns.append(_Traces(rec, y.reshape(len(rec), spec.nt)))
-    return [SourceField(spec, lam) for lam in _adjoint_sweep(spec, m.values, columns)]
+    rhs = [np.asarray_chkfinite(traces, dtype=float).ravel() for traces in rhs_traces]
+    mu = cfg.mu
+    if matrix_free:
+        apply_h = _hessian_products(spec, m.values, rec)
+        precondition = (nystrom_sketch(m, geometry, cfg).preconditioner(mu)
+                        if any(r.any() for r in rhs) else None)
+        ys = []
+        for y, info in _cg(lambda xs: [hx + mu * x for hx, x in zip(apply_h(xs), xs)], rhs,
+                           None, cfg.cg_tol, cfg.cg_maxiter, precondition):
+            if not info.converged:
+                raise SolverNotConvergedError(
+                    f"wavefield CG stopped after {info.iterations} iterations at relative "
+                    f"residual {info.relative_residual:.3e} (cg_tol {cfg.cg_tol:g})")
+            ys.append(y)
+    else:
+        factor = (HessianCache() if cache is None else cache).shifted_factor(m, geometry, mu)
+        # the rows of a (k, n) array are the columns of its Fortran-ordered transpose
+        ys = scipy.linalg.cho_solve(factor, np.array(rhs).T, overwrite_b=True,
+                                    check_finite=False).T
+    lams = _adjoint_sweep(spec, m.values, [_Traces(rec, y.reshape(len(rec), spec.nt)) for y in ys])
+    return [SourceField(spec, lam) for lam in lams]
 
 
-def solve_ls_multipliers(
-    m: ModelGrid,
-    sources,
-    data,
-    cfg: PenaltyConfig,
-    ws=None,
-    cache: HessianCache | None = None,
-) -> list[Wavefield]:
-    """Multiplier-oriented saddle solve for every source through the
-    data-space Hessian.
+def solve_saddle(m: ModelGrid, sources, data, cfg: PenaltyConfig, ws=None,
+                 cache: HessianCache | None = None, matrix_free: bool = False):
+    """(us, vs): each source's wavefield and unscaled multiplier.
 
-    penalty (no w):  v = A^-T P^T (I + H/mu)^-1 (d - P A^-1 b)
-    AL (w given):    same with b replaced by b - w/mu on the right-hand side,
-                     which is exactly adding (1/mu) P A^-1 w to the residual.
-
-    ws as in solve_augmented_wavefields.  One batched forward sweep, one
-    Cholesky solve per source and one batched adjoint sweep.
+    shift = b - w/mu (b where w is None; ws=None means no w anywhere),
+    lam = data_space_multipliers(d - P A^-1 shift) on the chosen backend,
+    u = A^-1 (shift + lam) and v = mu lam.  The sources must share their
+    receivers.  A batched forward sweep, the multiplier solve, and a
+    batched forward sweep.
     """
     spec = m.spec
     geometry = _shared_geometry(data)
     ws = [None] * len(sources) if ws is None else ws
-    shifts = [b.values if w is None else b.values - w.values / cfg.mu
+    shifts = [b.values if w is None else b.values - (1.0 / cfg.mu) * w.values
               for b, w in zip(sources, ws)]
     rec = list(geometry.receiver_nodes)
-    residuals = [d.values - u0[rec, :]
-                 for d, u0 in zip(data, _forward_sweep(spec, m.values, shifts))]
-    # (I + H/mu)^-1 r  ==  mu (H + mu I)^-1 r
-    lams = damped_trace_multipliers(m, geometry, residuals, cfg.mu, cache)
-    return [Wavefield(spec, cfg.mu * lam.values) for lam in lams]
-
-
-def companion_wavefields(m: ModelGrid, sources, vs, cfg: PenaltyConfig,
-                         ws=None) -> tuple[Wavefield, ...]:
-    """Wavefields consistent with computed multipliers, one batched forward
-    solve.
-
-    Each satisfies the first saddle block row A u - v/mu = b [- w/mu], i.e.
-    the multiplier acts as a secondary volume source (and w, when given, as
-    a tertiary one).  ws as in solve_augmented_wavefields.
-    """
-    ws = [None] * len(sources) if ws is None else ws
-    rhs = []
-    for b, v, w in zip(sources, vs, ws):
-        vals = b.values + v.values / cfg.mu
-        if w is not None:
-            vals = vals - w.values / cfg.mu
-        rhs.append(SourceField(m.spec, vals))
-    return forward_solves(m, rhs)
+    residuals = [d.values - u0[rec] for d, u0 in zip(data, _forward_sweep(spec, m.values, shifts))]
+    lams = data_space_multipliers(m, geometry, residuals, cfg, cache, matrix_free)
+    us = forward_solves(m, [SourceField(spec, shift + lam.values)
+                            for shift, lam in zip(shifts, lams)])
+    return us, tuple(Wavefield(spec, cfg.mu * lam.values) for lam in lams)

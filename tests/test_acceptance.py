@@ -36,12 +36,7 @@ from lagfwi.oracle import (
     fd_gradient,
     quadratic_model_minimizer,
 )
-from lagfwi.saddle import (
-    HessianCache,
-    PenaltyConfig,
-    solve_augmented_wavefields,
-    solve_ls_multipliers,
-)
+from lagfwi.saddle import HessianCache, PenaltyConfig, solve_saddle
 from lagfwi.selfcheck import run_battery
 from lagfwi.wavecore import (
     adjoint_solve,
@@ -146,10 +141,10 @@ def test_criterion_04_orientations_match_dense_saddle():
         cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
         u_ref, v_ref = dense_saddle_solve(m, b, d, mu)
         scale = max(np.abs(u_ref.values).max(), np.abs(v_ref.values).max(), 1.0)
-        [(u, _)] = solve_augmented_wavefields(m, [b], [d], cfg)
-        [v] = solve_ls_multipliers(m, [b], [d], cfg)
-        worst = max(worst, float(np.abs(u.values - u_ref.values).max() / scale))
-        worst = max(worst, float(np.abs(v.values - v_ref.values).max() / scale))
+        for matrix_free in (True, False):
+            [u], [v] = solve_saddle(m, [b], [d], cfg, matrix_free=matrix_free)
+            worst = max(worst, float(np.abs(u.values - u_ref.values).max() / scale))
+            worst = max(worst, float(np.abs(v.values - v_ref.values).max() / scale))
     verdict(4, "wavefield and multiplier orientations vs dense saddle", worst <= 1e-8,
             f"worst rel {worst:.2e} over mu in {{1, 1e2, 1e4}}, tol 1e-8")
 
@@ -178,7 +173,7 @@ def test_criterion_05_scheme_equivalences():
     m_ref, w_ref = m0, SourceField(spec, np.zeros(spec.shape))
     for _ in range(5):
         state = step_scheme("al-wavefield", state, sources[:1], data[:1], cfg)
-        [(u_ref, _)] = solve_augmented_wavefields(m_ref, sources[:1], data[:1], cfg, [w_ref])
+        [u_ref], _ = solve_saddle(m_ref, sources[:1], data[:1], cfg, [w_ref], matrix_free=True)
         m_ref = ModelGrid(
             spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=cfg.mu, w=w_ref)
         )

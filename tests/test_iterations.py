@@ -30,7 +30,7 @@ from lagfwi.grids import (
     build_model,
 )
 from lagfwi.oracle import quadratic_model_minimizer
-from lagfwi.saddle import HessianCache, PenaltyConfig, solve_augmented_wavefields
+from lagfwi.saddle import HessianCache, PenaltyConfig, solve_saddle
 from lagfwi.wavecore import (
     apply_wave_operator,
     correlation_terms,
@@ -209,7 +209,7 @@ def test_penalty_wavefield_matches_alternation_oracle():
     m_ref = m0
     for _ in range(4):
         state = step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
-        [(u_ref, _)] = solve_augmented_wavefields(m_ref, sources[:1], data[:1], cfg)
+        [u_ref], _ = solve_saddle(m_ref, sources[:1], data[:1], cfg, matrix_free=True)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
         assert rel(state.model.values, m_ref.values) <= 1e-8
 
@@ -226,7 +226,7 @@ def test_al_wavefield_matches_admm_oracle():
     w_ref = SourceField(spec, np.zeros(spec.shape))
     for _ in range(4):
         state = step_scheme("al-wavefield", state, sources[:1], data[:1], cfg)
-        [(u_ref, _)] = solve_augmented_wavefields(m_ref, sources[:1], data[:1], cfg, [w_ref])
+        [u_ref], _ = solve_saddle(m_ref, sources[:1], data[:1], cfg, [w_ref], matrix_free=True)
         m_ref = ModelGrid(
             spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu, w=w_ref)
         )

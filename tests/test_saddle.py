@@ -37,11 +37,9 @@ from lagfwi.saddle import (
     _cg,
     _hessian_products,
     assemble_data_space_hessian,
-    companion_wavefields,
-    damped_trace_multipliers,
+    data_space_multipliers,
     nystrom_sketch,
-    solve_augmented_wavefields,
-    solve_ls_multipliers,
+    solve_saddle,
 )
 from lagfwi.wavecore import _adjoint_sweep, _forward_sweep, forward_solve, sample
 
@@ -63,8 +61,7 @@ def setup():
 def test_wavefield_orientation_matches_dense(setup, mu):
     spec, m, geom, b, d, _ = setup
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    [(u, info)] = solve_augmented_wavefields(m, [b], [d], cfg)
-    assert info.converged
+    [u], _ = solve_saddle(m, [b], [d], cfg, matrix_free=True)
     u_ref, _ = dense_saddle_solve(m, b, d, mu)
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
         np.abs(u_ref.values).max(), 1.0
@@ -73,17 +70,15 @@ def test_wavefield_orientation_matches_dense(setup, mu):
 
 def test_wavefield_orientation_converges_on_benchmark():
     """At the benchmark's mu = 3e6 every source's preconditioned CG meets
-    cg_tol = 1e-10 within 200 iterations and matches the multiplier
-    orientation's companion wavefield."""
+    cg_tol = 1e-10 within 200 iterations (or the solve raises) and matches
+    the dense backend's wavefield."""
     config = two_scatterer_benchmark()
     m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
     cfg = PenaltyConfig(mu=3e6, cg_maxiter=200)
     cache = HessianCache()
     for b, d in zip(build_sources(config), make_observed_data(config)):
-        [(u, info)] = solve_augmented_wavefields(m, [b], [d], cfg)
-        assert info.converged and info.relative_residual <= cfg.cg_tol
-        [u_ref] = companion_wavefields(m, [b], solve_ls_multipliers(m, [b], [d], cfg, cache=cache),
-                                       cfg)
+        [u], _ = solve_saddle(m, [b], [d], cfg, matrix_free=True)
+        [u_ref], _ = solve_saddle(m, [b], [d], cfg, cache=cache)
         assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * np.abs(u_ref.values).max()
 
 
@@ -237,15 +232,16 @@ def test_batched_wavefield_solve_needs_shared_receivers(setup):
     spec, m, geom, b, d, rng = setup
     other = AcquisitionGeometry(source_nodes=(5,), receiver_nodes=(3, 8))
     d2 = TraceData(spec, other, rng.standard_normal((2, spec.nt)))
-    with pytest.raises(ValueError, match="share their receivers"):
-        solve_augmented_wavefields(m, [b, b], [d, d2], PenaltyConfig(mu=1.0))
+    for matrix_free in (True, False):
+        with pytest.raises(ValueError, match="share their receivers"):
+            solve_saddle(m, [b, b], [d, d2], PenaltyConfig(mu=1.0), matrix_free=matrix_free)
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e2, 1e4])
 def test_multiplier_orientation_matches_dense(setup, mu):
     spec, m, geom, b, d, _ = setup
     cfg = PenaltyConfig(mu=mu)
-    [v] = solve_ls_multipliers(m, [b], [d], cfg)
+    _, [v] = solve_saddle(m, [b], [d], cfg)
     _, v_ref = dense_saddle_solve(m, b, d, mu)
     assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * max(
         np.abs(v_ref.values).max(), 1.0
@@ -257,23 +253,25 @@ def test_al_mode_matches_shifted_dense(setup, mu):
     spec, m, geom, b, d, rng = setup
     w = random_source(spec, rng)
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    [v] = solve_ls_multipliers(m, [b], [d], cfg, [w])
-    [(u, info)] = solve_augmented_wavefields(m, [b], [d], cfg, [w])
     u_ref, v_ref = dense_saddle_solve(m, b, d, mu, w=w)
     scale = max(np.abs(v_ref.values).max(), np.abs(u_ref.values).max(), 1.0)
-    assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * scale
-    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * scale
+    for matrix_free in (True, False):
+        [u], [v] = solve_saddle(m, [b], [d], cfg, [w], matrix_free=matrix_free)
+        assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * scale
+        assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * scale
 
 
 def test_companion_wavefield_satisfies_first_block_row(setup):
+    """u = A^-1 (b + lam) and v = mu lam satisfy A u - v/mu = b on both
+    backends."""
     spec, m, geom, b, d, _ = setup
-    cfg = PenaltyConfig(mu=25.0)
-    [v] = solve_ls_multipliers(m, [b], [d], cfg)
-    [u] = companion_wavefields(m, [b], [v], cfg)
+    cfg = PenaltyConfig(mu=25.0, cg_tol=1e-13)
     from lagfwi.wavecore import apply_wave_operator
 
-    resid = apply_wave_operator(m, u).values - v.values / cfg.mu - b.values
-    assert np.max(np.abs(resid)) < 1e-9 * max(np.abs(v.values).max(), 1.0)
+    for matrix_free in (True, False):
+        [u], [v] = solve_saddle(m, [b], [d], cfg, matrix_free=matrix_free)
+        resid = apply_wave_operator(m, u).values - v.values / cfg.mu - b.values
+        assert np.max(np.abs(resid)) < 1e-9 * max(np.abs(v.values).max(), 1.0)
 
 
 def test_guttman_identity_at_spec_size():
@@ -368,17 +366,21 @@ def _saddle_problems(draw):
 @settings(max_examples=30, deadline=None)
 @given(problem=_saddle_problems())
 def test_wavefield_orientation_matches_dense_property(problem):
-    """The wave-equation-preconditioned CG converges and equals the dense
-    2N x 2N saddle solve on random 1D/2D grids, receiver sets (boundary
-    nodes included), mu in [1, 1e6] and with or without w."""
+    """Both backends of the saddle solve, the preconditioned CG (which must
+    converge) and the Cholesky solve, give the dense 2N x 2N saddle solve's
+    u and v on random 1D/2D grids, receiver sets (boundary nodes included),
+    mu in [1, 1e6] and with or without w."""
     m, b, d, mu, w = problem
-    [(u, info)] = solve_augmented_wavefields(m, [b], [d], PenaltyConfig(mu=mu, cg_tol=1e-13),
-                                             [w])
-    assert info.converged
-    u_ref, _ = dense_saddle_solve(m, b, d, mu, w=w)
-    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
-        np.abs(u_ref.values).max(), 1.0
-    )
+    u_ref, v_ref = dense_saddle_solve(m, b, d, mu, w=w)
+    for matrix_free in (True, False):
+        [u], [v] = solve_saddle(m, [b], [d], PenaltyConfig(mu=mu, cg_tol=1e-13), [w],
+                                matrix_free=matrix_free)
+        assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
+            np.abs(u_ref.values).max(), 1.0
+        )
+        assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * max(
+            np.abs(v_ref.values).max(), 1.0
+        )
 
 
 @st.composite
@@ -406,26 +408,23 @@ def _batched_problems(draw):
 @settings(max_examples=30, deadline=None)
 @given(problem=_batched_problems())
 def test_batched_saddle_solves_equal_single_solves_bitwise(problem):
-    """The lock-step CG of 1-4 sources returns, column by column, the bytes
-    and the SolveInfo of each source's own solve, on random 1D/2D grids,
-    with and without w, including a column that converges at iteration 0.
-    The batched multiplier orientation matches its single solves too."""
+    """The saddle solve of 1-4 sources returns, column by column, the bytes
+    of u and v of each source's own solve, on both backends (the lock-step
+    CG and the multi-column Cholesky solve), on random 1D/2D grids, with and
+    without w, including a column whose data shift itself explains, whose
+    multiplier is exactly zero."""
     m, sources, data, mu, ws, consistent = problem
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    batch = solve_augmented_wavefields(m, sources, data, cfg, ws)
-    assert batch[consistent][1].iterations == 0 and batch[consistent][1].converged
     cache = HessianCache()
-    vs = solve_ls_multipliers(m, sources, data, cfg, ws, cache)
-    companions = companion_wavefields(m, sources, vs, cfg, ws)
-    for j, (u, info) in enumerate(batch):
-        w = None if ws is None else ws[j]
-        [(u_alone, info_alone)] = solve_augmented_wavefields(m, [sources[j]], [data[j]], cfg, [w])
-        assert u.values.tobytes() == u_alone.values.tobytes()
-        assert info == info_alone
-        [v_alone] = solve_ls_multipliers(m, [sources[j]], [data[j]], cfg, [w], cache)
-        assert vs[j].values.tobytes() == v_alone.values.tobytes()
-        [u2_alone] = companion_wavefields(m, [sources[j]], [v_alone], cfg, [w])
-        assert companions[j].values.tobytes() == u2_alone.values.tobytes()
+    for matrix_free in (True, False):
+        us, vs = solve_saddle(m, sources, data, cfg, ws, cache, matrix_free)
+        assert not vs[consistent].values.any()
+        for j, (u, v) in enumerate(zip(us, vs)):
+            w = None if ws is None else ws[j]
+            [u_alone], [v_alone] = solve_saddle(m, [sources[j]], [data[j]], cfg, [w], cache,
+                                                matrix_free)
+            assert u.values.tobytes() == u_alone.values.tobytes()
+            assert v.values.tobytes() == v_alone.values.tobytes()
 
 
 def _data_space_operator(m, geom, mu):
@@ -523,18 +522,21 @@ def test_cache_new_model_replaces_entry(setup):
 
 
 def test_damped_multiplier_defining_equation(setup):
-    """lam = A^-T P^T y with (H + mu I) y = rhs, checked densely."""
+    """lam = A^-T P^T y with (H + mu I) y = rhs, checked densely, on both
+    backends."""
     spec, m, geom, b, d, _ = setup
     rng = np.random.default_rng(99)
     rhs = rng.standard_normal((2, spec.nt))
     mu = 7.0
-    [lam] = damped_trace_multipliers(m, geom, [rhs], mu)
     hess = assemble_data_space_hessian(m, geom)
     y = np.linalg.solve(hess.matrix + mu * np.eye(hess.n), rhs.ravel())
     a = assemble_dense_operator(m).matrix
     p = dense_sampling_operator(spec, geom)
     ref = np.linalg.solve(a.T, p.T @ y).reshape(spec.shape)
-    assert np.max(np.abs(lam.values - ref)) < 1e-8 * max(np.abs(ref).max(), 1.0)
+    for matrix_free in (True, False):
+        [lam] = data_space_multipliers(m, geom, [rhs], PenaltyConfig(mu=mu, cg_tol=1e-13),
+                                       matrix_free=matrix_free)
+        assert np.max(np.abs(lam.values - ref)) < 1e-8 * max(np.abs(ref).max(), 1.0)
 
 
 def test_consistent_data_gives_zero_multiplier(setup):
@@ -543,10 +545,10 @@ def test_consistent_data_gives_zero_multiplier(setup):
     d = sample(u_true, geom)
     for mu in (1.0, 1e3):
         cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-        [v] = solve_ls_multipliers(m, [b], [d], cfg)
-        assert np.abs(v.values).max() < 1e-8 * max(np.abs(u_true.values).max(), 1.0)
-        [(u, _)] = solve_augmented_wavefields(m, [b], [d], cfg)
-        assert np.max(np.abs(u.values - u_true.values)) < 1e-8 * np.abs(u_true.values).max()
+        for matrix_free in (True, False):
+            [u], [v] = solve_saddle(m, [b], [d], cfg, matrix_free=matrix_free)
+            assert np.abs(v.values).max() < 1e-8 * max(np.abs(u_true.values).max(), 1.0)
+            assert np.max(np.abs(u.values - u_true.values)) < 1e-8 * np.abs(u_true.values).max()
 
 
 def test_large_mu_recovers_constraint_solution(setup):
