@@ -27,11 +27,13 @@ timed with other values of the group budget ``wavecore._GROUP_BYTES`` and
 the copy tile width ``wavecore._TILE`` (the "variants" rows), which is what
 their values rest on.  The dense multiplier path is timed in its two layers,
 ``saddle.assemble_data_space_hessian`` and the Cholesky factorization of
-H + mu I in ``saddle.HessianCache.shifted_factor`` (with H already held), on
-the two-scatterer benchmark's initial model (61 x 256, 4 receivers, its
-mu = 3e6) and on ``born_config``'s (21 x 80, 19 receivers, mu = 1e3); those
-rows also give each layer's tracemalloc peak, from one separate call, which
-counts what the layer allocates and not H held before it.  Everything runs
+H + mu I by ``scipy.linalg.cho_factor`` (with H already held; each call
+shifts a fresh copy of H and factors it in place, so the row runs on
+checkouts with and without a Hessian cache alike), on the two-scatterer
+benchmark's initial model (61 x 256, 4 receivers, its mu = 3e6) and on
+``born_config``'s (21 x 80, 19 receivers, mu = 1e3); those rows also give
+each layer's tracemalloc peak, from one separate call, which counts what
+the layer allocates and not H held before it.  Everything runs
 in this one process with BLAS/OpenMP pinned to one thread.  Each case is
 run once untimed, then REPEATS times under ``time.perf_counter``; the file
 holds the minimum and the median of those repeats, the throughput of the
@@ -59,7 +61,7 @@ import time
 import tracemalloc
 
 import numpy as np
-import scipy
+import scipy.linalg
 
 import lagfwi
 from lagfwi import saddle, wavecore
@@ -68,7 +70,7 @@ from lagfwi.config import (
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
 from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield
-from lagfwi.saddle import HessianCache, PenaltyConfig, solve_saddle
+from lagfwi.saddle import PenaltyConfig, solve_saddle
 
 # (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
 # (n_space, nt) field, and sequence marks a list of `columns` separate fields
@@ -274,7 +276,7 @@ def _cg_infos(m, sources, data, cfg, ws) -> list:
     apply_h = saddle._hessian_products(spec, m.values, rec)
     precondition = saddle.nystrom_sketch(m, geometry, cfg).preconditioner(cfg.mu)
     results = saddle._cg(lambda ys: [hy + cfg.mu * y for hy, y in zip(apply_h(ys), ys)],
-                         rhs, None, cfg.cg_tol, cfg.cg_maxiter, precondition)
+                         rhs, cfg.cg_tol, cfg.cg_maxiter, precondition)
     return [info for _, info in results]
 
 
@@ -330,12 +332,14 @@ def hessian_rows() -> list[dict]:
         m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
         geometry = build_acquisition(config)
         mu = config.penalty.mu
-        cache = HessianCache()
-        n = cache.hessian(m, geometry).n
+        h = saddle.assemble_data_space_hessian(m, geometry).matrix
+        n = len(h)
 
         def factor():
-            cache._factors.clear()
-            cache.shifted_factor(m, geometry, mu)
+            # a fresh shifted copy per call, factored in place
+            shifted = h.copy()
+            shifted.flat[:: n + 1] += mu
+            scipy.linalg.cho_factor(shifted.T, overwrite_a=True)
 
         cases = {
             "hessian assembly": lambda: saddle.assemble_data_space_hessian(m, geometry),

@@ -4,7 +4,7 @@ Every scheme alternates between (a) estimating a wavefield u and a
 multiplier-like field for each source and (b) updating the model.  Eleven
 share the one pipeline of step_scheme,
 
-    (us, v_likes) = solve(m, sources, data, cfg, cache, previous slots)
+    (us, v_likes) = solve(m, sources, data, cfg, previous slots)
     m_new = combined_model_update(m, [(v_like, u), ...], step)
     mem   = mem + k (A(m_new) u - b)           (per source; schemes with a memory only)
     u0s   = A(m_new)^-1 b, all sources         (forward_fields of the new state)
@@ -13,8 +13,10 @@ and differ only in their row of _TABLE: the solve, whether the multiplier is
 scaled, and whether a memory is carried.  A solve takes all of the step's
 sources at once: each of its sweeps is one batched sweep over the step's
 sources, and its data-space solve (H + mu I) y = r runs on the dense backend
-(one factorization of H + mu I, one multi-column Cholesky solve) or the
-matrix-free one (the sources' Nystrom-preconditioned CGs in lock step).  An
+(one assembly of H at the step's model, H + mu I factored in H's own
+buffer, one multi-column Cholesky solve; the model changes every step, so
+nothing is kept between steps) or the matrix-free one (the sources'
+Nystrom-preconditioned CGs in lock step).  An
 unscaled scheme keeps v in `multipliers`, steps by cfg.step_length (1/mu
 unless alpha is pinned) and carries the Lagrange multiplier w (k = mu) in
 `running_multipliers`.  A scaled scheme keeps lam = v/mu in
@@ -82,7 +84,7 @@ from .errors import (
 from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
-    HessianCache, PenaltyConfig, _shared_geometry, data_space_multipliers, solve_saddle,
+    PenaltyConfig, _shared_geometry, data_space_multipliers, solve_saddle,
 )
 from .wavecore import (
     adjoint_solves, apply_wave_operator, correlation_terms, forward_solves,
@@ -159,7 +161,7 @@ def _residual_traces(data: TraceData, u: Wavefield) -> TraceData:
 
 
 # ---------------------------------------------------------------------------
-# per-step solves: (m, sources, data, cfg, cache, previous) -> (us, v_likes)
+# per-step solves: (m, sources, data, cfg, previous) -> (us, v_likes)
 # ---------------------------------------------------------------------------
 
 
@@ -173,19 +175,19 @@ class _Previous(NamedTuple):
     dm: np.ndarray             # last model increment m - m_prev
 
 
-def _fwi(m, sources, data, cfg, cache, prevs):
+def _fwi(m, sources, data, cfg, prevs):
     """Reduced-space gradient: adjoint fields against the data residuals,
     whose traces are injected inside the batched adjoint sweep."""
     us = [prev.u0 for prev in prevs]
     return us, adjoint_solves(m, [_residual_traces(d, u) for d, u in zip(data, us)])
 
 
-def _saddle(m, sources, data, cfg, cache, prevs, matrix_free):
+def _saddle(m, sources, data, cfg, prevs, matrix_free):
     """Both orientations: lam from the data-space system on the row's
     backend, then u = A^-1 (b - w/mu + lam) and v = mu lam, one batched
     sweep each.  A matrix-free solve that misses cfg.cg_tol raises
     SolverNotConvergedError, so its field never reaches the model update."""
-    return solve_saddle(m, sources, data, cfg, [prev.mem for prev in prevs], cache, matrix_free)
+    return solve_saddle(m, sources, data, cfg, [prev.mem for prev in prevs], matrix_free)
 
 
 def _forward_residuals(data, prevs) -> list[np.ndarray]:
@@ -198,12 +200,12 @@ def _sampled(m, geometry, fields) -> list[np.ndarray]:
     return [sample(u, geometry).values for u in forward_solves(m, fields)]
 
 
-def _split(m, sources, data, cfg, cache, prevs, refresh=True):
+def _split(m, sources, data, cfg, prevs, refresh=True):
     """lam explains the plain forward residual; with refresh the wavefield
     becomes A^-1 (b + lam), which makes the iterates those of
     penalty-multiplier with lam = v/mu and step 1 vs 1/mu."""
     rhs = _forward_residuals(data, prevs)
-    lams = data_space_multipliers(m, _shared_geometry(data), rhs, cfg, cache)
+    lams = data_space_multipliers(m, _shared_geometry(data), rhs, cfg)
     if not refresh:
         return [prev.u0 for prev in prevs], lams
     return forward_solves(m, [SourceField(m.spec, b.values + lam.values)
@@ -214,7 +216,7 @@ def _split(m, sources, data, cfg, cache, prevs, refresh=True):
 # increment; that choice is what keeps their iterates identical.
 
 
-def _refined_direct(m, sources, data, cfg, cache, prevs):
+def _refined_direct(m, sources, data, cfg, prevs):
     """Solve for the increment dlam of S dlam = delta_d - S phi, the damping
     centred on lam_prev + dlam; phi = scattering_source(u_prev, m - m_prev).
     S phi and S lam_prev are one sweep of 2k columns."""
@@ -225,14 +227,14 @@ def _refined_direct(m, sources, data, cfg, cache, prevs):
     rhs = [delta_d - s_phi + s_lam for delta_d, s_phi, s_lam
            in zip(_forward_residuals(data, prevs), sampled, sampled[len(prevs):])]
     lams = [SourceField(spec, prev.lam.values + (lam.values - prev.lam.values))
-            for prev, lam in zip(prevs, data_space_multipliers(m, geometry, rhs, cfg, cache))]
+            for prev, lam in zip(prevs, data_space_multipliers(m, geometry, rhs, cfg))]
     us = forward_solves(m, [
         SourceField(spec, b.values + phi.values + lam.values - prev.lam.values)
         for b, phi, lam, prev in zip(sources, phis, lams, prevs)])
     return us, lams
 
 
-def _refined_rearranged(m, sources, data, cfg, cache, prevs):
+def _refined_rearranged(m, sources, data, cfg, prevs):
     """Collect delta_d + S (lam_prev - phi) first, solve once for lam."""
     spec = m.spec
     geometry = _shared_geometry(data)
@@ -240,14 +242,14 @@ def _refined_rearranged(m, sources, data, cfg, cache, prevs):
     shifts = [SourceField(spec, prev.lam.values - phi.values) for prev, phi in zip(prevs, phis)]
     rhs = [delta_d + s for delta_d, s
            in zip(_forward_residuals(data, prevs), _sampled(m, geometry, shifts))]
-    lams = data_space_multipliers(m, geometry, rhs, cfg, cache)
+    lams = data_space_multipliers(m, geometry, rhs, cfg)
     us = forward_solves(m, [
         SourceField(spec, b.values + lam.values + phi.values - prev.lam.values)
         for b, lam, phi, prev in zip(sources, lams, phis, prevs)])
     return us, lams
 
 
-def _refined_epsilon(m, sources, data, cfg, cache, prevs):
+def _refined_epsilon(m, sources, data, cfg, prevs):
     """Track eps instead of (lam_prev, phi): rhs is delta_d + S eps and the
     refresh subtracts eps, which also matches al-multiplier with lam = v/mu
     and eps = w/mu."""
@@ -255,7 +257,7 @@ def _refined_epsilon(m, sources, data, cfg, cache, prevs):
     epss = [prev.mem for prev in prevs]
     rhs = [delta_d + s for delta_d, s
            in zip(_forward_residuals(data, prevs), _sampled(m, geometry, epss))]
-    lams = data_space_multipliers(m, geometry, rhs, cfg, cache)
+    lams = data_space_multipliers(m, geometry, rhs, cfg)
     us = forward_solves(m, [SourceField(m.spec, b.values + lam.values - eps.values)
                             for b, lam, eps in zip(sources, lams, epss)])
     return us, lams
@@ -303,7 +305,6 @@ SCHEMES = tuple(_TABLE)
 
 
 def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyConfig,
-                cache: HessianCache | None = None,
                 update_mode: str = "sum-terms") -> IterationState:
     """One iteration of the named scheme (see the module docstring)."""
     if scheme not in _TABLE:
@@ -311,7 +312,6 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
     if _TABLE[scheme] is None:
         return _born_step(state, sources, data, cfg.mu, lagged=scheme == "gauss-seidel")
     solve, scaled, memory = _TABLE[scheme]
-    cache = HessianCache() if cache is None else cache  # shared by this step's sources
     m = state.model
     n = len(sources)
     dm = m.values - state.model_prev.values
@@ -320,7 +320,7 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
     lams = state.scatter_sources or (None,) * n
     prevs = [_Previous(u0, u_prev, lam, mem, dm) for u0, u_prev, lam, mem
              in zip(state.forward_fields, state.wavefields, lams, mems)]
-    us, vs = solve(m, sources, data, cfg, cache, prevs)
+    us, vs = solve(m, sources, data, cfg, prevs)
     step = 1.0 if scaled else cfg.step_length
     m_new = combined_model_update(m, list(zip(vs, us)), step, update_mode)
     slots = {"wavefields": tuple(us), "scatter_sources" if scaled else "multipliers": tuple(vs)}
@@ -463,7 +463,6 @@ def run_inversion(
             raise ConfigurationError("data receivers disagree with configured geometry")
     m0 = ModelGrid(spec, build_model_values(spec, config.initial_model))
     cfg = config.penalty
-    cache = HessianCache()
     t0 = time.perf_counter()
     state = initial_state(m0, sources)
     history = [_diagnostics(state, sources, data, true_model, time.perf_counter() - t0)]
@@ -478,7 +477,7 @@ def run_inversion(
     for _ in range(config.stop.max_iter):
         t_iter = time.perf_counter()
         try:
-            new_state = step_scheme(config.scheme, state, sources, data, cfg, cache=cache,
+            new_state = step_scheme(config.scheme, state, sources, data, cfg,
                                     update_mode=config.update_mode)
         except DivergenceError:
             status = "diverged"

@@ -28,11 +28,12 @@ y comes from one of two backends, picked by the caller:
 
 * dense: H is assembled as a small receiver-sample Gram matrix built from
   one Green's function per receiver (a single batched forward sweep), and
-  H + mu I is factorized once per model and mu.  This path holds H plus one
-  factor per mu (HessianCache) and no other n x n array: H is assembled in
-  one buffer by BLAS dsyrk, and each factor is computed in place in its own
-  copy of H.  A factor's entries are checked for finiteness once, when it is
-  computed; the Cholesky solve checks its right-hand sides.
+  H + mu I is factorized once per call.  Every call sees a new model, so
+  nothing is kept between calls, and the path holds one n x n array: H is
+  assembled in one buffer by BLAS dsyrk, mu is added to its diagonal, and
+  the factor is computed in place in that buffer.  The factor's entries are
+  checked for finiteness when it is computed; the Cholesky solve checks its
+  right-hand sides.
 * matrix-free: CG on (H + mu I) y, each H product one adjoint sweep of
   receiver traces and one forward sweep sampled at the receivers.  H's
   spectrum decays fast, so a randomized Nystrom sketch of H (nystrom_sketch,
@@ -53,7 +54,6 @@ depend on the batch it is solved in, bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +82,6 @@ __all__ = [
     "NystromSketch",
     "nystrom_sketch",
     "DataSpaceHessian",
-    "HessianCache",
     "assemble_data_space_hessian",
     "data_space_multipliers",
     "solve_saddle",
@@ -136,39 +135,33 @@ _CG_RECOMPUTE_EVERY = 50
 
 class _Column:
     """One right-hand side's CG state: its iterate, residual, direction and
-    scalars.  ``x`` is replaced, never written in place, so the best
-    iterate is kept by reference."""
+    scalars, from x = 0.  ``x`` is replaced, never written in place, so the
+    best iterate is kept by reference."""
 
-    def __init__(self, index: int, rhs: np.ndarray, x0: np.ndarray | None):
+    def __init__(self, index: int, rhs: np.ndarray):
         self.index = index
         self.rhs = rhs
         self.rhs_norm = float(np.linalg.norm(rhs))
-        self.x = np.zeros_like(rhs) if x0 is None else x0.copy()
-
-    def start(self, ax: np.ndarray | None, tol: float) -> bool:
-        """Take the residual of x0 (ax None: x0 = 0); True if x0 already
-        meets tol."""
-        self.r = self.rhs.copy() if ax is None else self.rhs - ax
-        self.best_x = self.x
-        self.best_res = float(np.linalg.norm(self.r))
-        return self.best_res / self.rhs_norm <= tol
+        self.x = self.best_x = np.zeros_like(rhs)
+        self.r = rhs.copy()
+        self.best_res = self.rhs_norm
 
     def info(self, converged: bool, iterations: int) -> SolveInfo:
         return SolveInfo(converged, iterations, self.best_res / self.rhs_norm)
 
 
-def _cg(apply_op, rhs, x0, tol, maxiter, precondition=None):
+def _cg(apply_op, rhs, tol, maxiter, precondition=None):
     """Conjugate gradients on an SPD operator, k right-hand sides in lock step.
 
-    rhs and x0 are sequences of k flat arrays (x0 None starts every column
-    at zero without applying the operator), and apply_op maps a list of flat
-    arrays to the list of their products.  precondition, when given, maps a
-    list of residuals to the list of M^-1 r for an SPD M, one column at a
-    time; None is M = I and does exactly the unpreconditioned operations.
-    This is the column-wise form of block CG (O'Leary, Linear Algebra Appl.
-    29, 1980): every column keeps its own scalars, best iterate (by residual
-    norm), convergence test and exit on loss of positive definiteness, and
-    does the same floating-point operations as a solve of its own.  A column
+    rhs is a sequence of k flat arrays, each column starts at zero, and
+    apply_op maps a list of flat arrays to the list of their products.
+    precondition, when given, maps a list of residuals to the list of M^-1 r
+    for an SPD M, one column at a time; None is M = I and does exactly the
+    unpreconditioned operations.  This is the column-wise form of block CG
+    (O'Leary, Linear Algebra Appl. 29, 1980): every column keeps its own
+    scalars, best iterate (by residual norm), convergence test and exit on
+    loss of positive definiteness, and does the same floating-point
+    operations as a solve of its own.  A column
     that has finished leaves the batch, so each iteration applies the
     operator (and the preconditioner) once to the columns still in it.  The
     convergence test is on the unpreconditioned residual, whose true value
@@ -178,7 +171,7 @@ def _cg(apply_op, rhs, x0, tol, maxiter, precondition=None):
     results = [None] * len(rhs)
     live = []
     for j, b in enumerate(rhs):
-        column = _Column(j, b, None if x0 is None else x0[j])
+        column = _Column(j, b)
         if column.rhs_norm == 0.0:
             results[j] = (np.zeros_like(b), SolveInfo(True, 0, 0.0))
         else:
@@ -202,16 +195,7 @@ def _cg(apply_op, rhs, x0, tol, maxiter, precondition=None):
                 np.add(z, column.p, out=column.p)
             column.rs = rs_new
 
-    if live:
-        axs = [None] * len(live) if x0 is None else apply_op([c.x for c in live])
-        started = []
-        for column, ax in zip(live, axs):
-            if column.start(ax, tol):
-                finish(column, True, 0)
-            else:
-                started.append(column)
-        live = started
-        directions(live, [float(c.r @ c.r) for c in live], first=True)
+    directions(live, [float(c.r @ c.r) for c in live], first=True)
     it = 0
     for it in range(1, maxiter + 1):
         if not live:
@@ -439,10 +423,10 @@ class DataSpaceHessian:
     """Dense receiver-sample Gram matrix H = P A^-1 A^-T P^T.
 
     ``matrix`` is C-contiguous and exactly symmetric: the assembly computes
-    one triangle and mirrors it.  The dense path holds it and one factor per
-    mu (HessianCache).  Only the shape is checked here.  Its values are
-    guarded elsewhere: cho_factor rejects non-finite entries, once per
-    factor, and the tests and selfcheck compare H with the dense oracle.
+    one triangle and mirrors it.  The dense backend of data_space_multipliers
+    shifts and factors it in this buffer.  Only the shape is checked here.
+    Its values are guarded elsewhere: cho_factor rejects non-finite entries,
+    and the tests and selfcheck compare H with the dense oracle.
     """
 
     spec: GridSpec
@@ -543,7 +527,7 @@ def _b_terms(spec: GridSpec, c: np.ndarray, f: np.ndarray, rec: list, z0: int, z
 
     f holds F as (n, n_space) and c the stencil scale per node.  Every
     element sees the operations, in their order, of the whole-array
-    formulas B0 = -c F and B1 = 2 c F + L F - c F(t - 1) with ``_laplacian``'s
+    formulas B0 = -c F and B1 = 2 c F + L F - c F(t - 1) with the sweeps'
     order inside L (x terms, then z terms: row above, then row below); the
     B0 half is the scratch of B1's terms before B0 is written into it.
     """
@@ -595,73 +579,20 @@ def _mirror_upper(h: np.ndarray) -> None:
         np.copyto(tile, tile.T, where=below[: len(tile), : len(tile)])
 
 
-class HessianCache:
-    """Holds H for the latest (model, geometry) and its shifted Cholesky
-    factors, one per damping value.
-
-    H depends only on the model and the acquisition geometry, so inside one
-    outer iteration every source and every multiplier solve shares a single
-    assembly and a single factorization per damping value.  An iteration
-    never returns to an older model, so a new (model, geometry) replaces the
-    entry, and the old one is released before the new assembly allocates.
-    So the dense path holds H plus one n x n factor per damping value and
-    no other n x n array: each factor is computed in place in its own copy
-    of H.
-    """
-
-    def __init__(self):
-        self._key = None
-        self._hessian: DataSpaceHessian | None = None
-        self._factors: dict[float, tuple] = {}
-
-    def hessian(self, m: ModelGrid, geometry: AcquisitionGeometry) -> DataSpaceHessian:
-        key = (hashlib.sha1(m.values.tobytes()).hexdigest(), m.spec, geometry)
-        if key != self._key:
-            # release the old entry before the new assembly allocates
-            self._key, self._hessian, self._factors = None, None, {}
-            self._hessian = assemble_data_space_hessian(m, geometry)
-            self._key = key
-        return self._hessian
-
-    def shifted_factor(self, m: ModelGrid, geometry: AcquisitionGeometry, mu: float):
-        """Cholesky factor of H + mu I, in cho_factor's (c, lower) form.
-
-        H is exactly symmetric, so its copy's Fortran-contiguous transpose
-        holds the same bytes as the Fortran copy that cho_factor would
-        make of it, and LAPACK factorizes it in place.  cho_factor checks
-        the entries for finiteness here, once per factor; the solves check
-        their right-hand sides instead of the factor.
-        """
-        hess = self.hessian(m, geometry)
-        factor = self._factors.get(mu)
-        if factor is None:
-            shifted = hess.matrix.copy()
-            shifted.flat[:: hess.n + 1] += mu
-            try:
-                factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(
-                    f"H + mu I failed to factorize at mu={mu}: {exc}"
-                ) from exc
-            self._factors[mu] = factor
-        return factor
-
-
 def data_space_multipliers(m: ModelGrid, geometry: AcquisitionGeometry, rhs_traces,
-                           cfg: PenaltyConfig, cache: HessianCache | None = None,
-                           matrix_free: bool = False) -> list[SourceField]:
+                           cfg: PenaltyConfig, matrix_free: bool = False) -> list[SourceField]:
     """Scaled multiplier lam = A^-T P^T y, (H + mu I) y = r, for every set of
     receiver traces r in rhs_traces: the damped least-squares solution of
     P A^-1 lam = r with damping mu, moved into data space by the push-through
     identity (G^T G + mu I)^-1 G^T = G^T (G G^T + mu I)^-1, G = P A^-1.
 
-    The dense backend makes one multi-column Cholesky solve with cache's
-    factor of H + mu I (without a cache, H is assembled for this call
-    alone).  The matrix-free one (matrix_free=True) runs the sources'
-    Nystrom-preconditioned CGs in lock step from y0 = 0, with one sketch
-    built only if some r is non-zero; a column that misses cg_tol, relative
-    to its r, within cg_maxiter raises SolverNotConvergedError.  Then one
-    batched adjoint sweep.  Non-finite traces raise ValueError.  Each
+    The dense backend assembles H, factors H + mu I in H's own buffer (a
+    failed factorization raises SingularSystemError) and makes one
+    multi-column Cholesky solve.  The matrix-free one (matrix_free=True)
+    runs the sources' Nystrom-preconditioned CGs in lock step from y0 = 0,
+    with one sketch built only if some r is non-zero; a column that misses
+    cg_tol, relative to its r, within cg_maxiter raises
+    SolverNotConvergedError.  Then one batched adjoint sweep.  Non-finite traces raise ValueError.  Each
     column's bytes are those of a call with its traces alone.
     """
     spec = m.spec
@@ -675,14 +606,22 @@ def data_space_multipliers(m: ModelGrid, geometry: AcquisitionGeometry, rhs_trac
                         if any(r.any() for r in rhs) else None)
         ys = []
         for y, info in _cg(lambda xs: [hx + mu * x for hx, x in zip(apply_h(xs), xs)], rhs,
-                           None, cfg.cg_tol, cfg.cg_maxiter, precondition):
+                           cfg.cg_tol, cfg.cg_maxiter, precondition):
             if not info.converged:
                 raise SolverNotConvergedError(
                     f"wavefield CG stopped after {info.iterations} iterations at relative "
                     f"residual {info.relative_residual:.3e} (cg_tol {cfg.cg_tol:g})")
             ys.append(y)
     else:
-        factor = (HessianCache() if cache is None else cache).shifted_factor(m, geometry, mu)
+        shifted = assemble_data_space_hessian(m, geometry).matrix
+        shifted.flat[:: len(shifted) + 1] += mu
+        try:
+            # H + mu I is exactly symmetric, so its Fortran-ordered transpose
+            # holds the bytes of the Fortran copy cho_factor would make, and
+            # LAPACK factors it in place in H's own buffer
+            factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"H + mu I failed to factorize at mu={mu}: {exc}") from exc
         # the rows of a (k, n) array are the columns of its Fortran-ordered transpose
         ys = scipy.linalg.cho_solve(factor, np.array(rhs).T, overwrite_b=True,
                                     check_finite=False).T
@@ -691,7 +630,7 @@ def data_space_multipliers(m: ModelGrid, geometry: AcquisitionGeometry, rhs_trac
 
 
 def solve_saddle(m: ModelGrid, sources, data, cfg: PenaltyConfig, ws=None,
-                 cache: HessianCache | None = None, matrix_free: bool = False):
+                 matrix_free: bool = False):
     """(us, vs): each source's wavefield and unscaled multiplier.
 
     shift = b - w/mu (b where w is None; ws=None means no w anywhere),
@@ -707,7 +646,7 @@ def solve_saddle(m: ModelGrid, sources, data, cfg: PenaltyConfig, ws=None,
               for b, w in zip(sources, ws)]
     rec = list(geometry.receiver_nodes)
     residuals = [d.values - u0[rec] for d, u0 in zip(data, _forward_sweep(spec, m.values, shifts))]
-    lams = data_space_multipliers(m, geometry, residuals, cfg, cache, matrix_free)
+    lams = data_space_multipliers(m, geometry, residuals, cfg, matrix_free)
     us = forward_solves(m, [SourceField(spec, shift + lam.values)
                             for shift, lam in zip(shifts, lams)])
     return us, tuple(Wavefield(spec, cfg.mu * lam.values) for lam in lams)

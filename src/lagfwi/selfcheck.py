@@ -55,7 +55,6 @@ from .oracle import (
     quadratic_model_minimizer,
 )
 from .saddle import (
-    HessianCache,
     PenaltyConfig,
     _cg,
     _hessian_products,
@@ -264,14 +263,13 @@ def _check_saddle_orientations(mode: str):
         b, d = sources[0], data[0]
         w = SourceField(spec, 0.1 * rng.standard_normal(spec.shape)) if mode == "al" else None
         worst = 0.0
-        cache = HessianCache()
         for mu in (1.0, 1e2, 1e4):
             cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
             u_ref, v_ref = dense_saddle_solve(m0, b, d, mu, w=w)
             [u1], [v1] = solve_saddle(m0, [b], [d], cfg, [w], matrix_free=True)
             if "perturb-wavefield-solve" in faults:
                 u1 = Wavefield(spec, u1.values * (1.0 + 1e-6))
-            [u2], [v2] = solve_saddle(m0, [b], [d], cfg, [w], cache)
+            [u2], [v2] = solve_saddle(m0, [b], [d], cfg, [w])
             worst = max(worst, _rel(u1.values, u_ref.values))
             worst = max(worst, _rel(v1.values, v_ref.values))
             worst = max(worst, _rel(u2.values, u_ref.values))
@@ -328,7 +326,7 @@ def _check_nystrom(faults) -> CheckResult:
     shift = b.values - w.values / cfg.mu
     rhs = (d.values - _forward_sweep(spec, m.values, shift)[rec]).ravel()
     [(y, info)] = _cg(lambda ys: [hy + cfg.mu * y for hy, y in zip(apply_h(ys), ys)], [rhs],
-                      None, cfg.cg_tol, cfg.cg_maxiter, sketch.preconditioner(cfg.mu))
+                      cfg.cg_tol, cfg.cg_maxiter, sketch.preconditioner(cfg.mu))
     [v] = _adjoint_sweep(spec, m.values, [_Traces(rec, cfg.mu * y.reshape(d.values.shape))])
     _, v_ref = dense_saddle_solve(m, b, d, cfg.mu, w=w)
     err = _rel(v, v_ref.values) if info.converged else math.inf
@@ -340,10 +338,9 @@ def _check_nystrom(faults) -> CheckResult:
 
 def _run_iterates(scheme: str, m0, sources, data, cfg, n):
     state = iterations.initial_state(m0, sources)
-    cache = HessianCache()
     out = []
     for _ in range(n):
-        state = iterations.step_scheme(scheme, state, sources, data, cfg, cache=cache)
+        state = iterations.step_scheme(scheme, state, sources, data, cfg)
         out.append(state)
     return out
 
@@ -387,11 +384,10 @@ def _check_gradient_fd(faults) -> CheckResult:
 def _check_fixed_points(faults) -> CheckResult:
     rng, spec, geom, m_true, m0, sources, data = _tiny_setup(111)
     cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
-    cache = HessianCache()
     state = iterations.initial_state(m_true, sources)
     worst, worst_name = 0.0, ""
     for scheme in iterations.SCHEMES:
-        stepped = iterations.step_scheme(scheme, state, sources, data, cfg, cache=cache)
+        stepped = iterations.step_scheme(scheme, state, sources, data, cfg)
         err = _rel(stepped.model.values, m_true.values)
         if err > worst:
             worst, worst_name = err, scheme

@@ -126,33 +126,17 @@ _TILE = 256
 _CHUNK_BYTES = 256 * 1024
 
 
-def _laplacian(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
-    """Zero-Dirichlet Laplacian on the leading (flattened space) axis.
-
-    Accepts (n_space,) or (n_space, k); out-of-grid neighbours count as zero.
-    """
-    g = arr.reshape(spec.nz, spec.nx, -1)
-    wx = 1.0 / spec.dx**2
-    out = -2.0 * wx * g
-    out[:, 1:] += wx * g[:, :-1]
-    out[:, :-1] += wx * g[:, 1:]
-    if spec.ndim == 2:
-        wz = 1.0 / spec.dz**2
-        out -= 2.0 * wz * g
-        out[1:] += wz * g[:-1]
-        out[:-1] += wz * g[1:]
-    return out.reshape(arr.shape)
-
-
 def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
-    """Return ``lap(g)``, which writes L g into ``out``, in ``_laplacian``'s order.
+    """Return ``lap(g)``, which writes the zero-Dirichlet Laplacian L g into
+    ``out``; out-of-grid neighbours count as zero.
 
     g has out's shape (rows, nx, ...) and ``tmp`` is scratch of that shape;
-    both are contiguous.  Every element sees the same IEEE operations as in
-    ``_laplacian``: the centre x term, the left and right neighbours, then
-    the centre z term and the neighbours in the rows above and below that
-    lie inside g.  A neighbour product w * g[i] is formed once into ``tmp``
-    and added to both neighbours; it is the same rounded value.
+    both are contiguous.  Every element sees the IEEE operations of the
+    whole-array form, in its order: the centre x term, the left and right
+    neighbours, then the centre z term and the neighbours in the rows above
+    and below that lie inside g.  A neighbour product w * g[i] is formed
+    once into ``tmp`` and added to both neighbours; it is the same rounded
+    value.
 
     With several x rows (a 2D block), each neighbour add is one contiguous
     add of ``tmp`` shifted by one node over the whole block, instead of one
@@ -223,7 +207,7 @@ def _stencil_rows(spec: GridSpec, m_values: np.ndarray, u: np.ndarray, out=None)
     for iz in range(nz):
         rows = slice(iz * nx, (iz + 1) * nx)
         row_laplacian(u[None, rows, 1:-1])
-        # the one-row halo, in _laplacian's order: the row above, then below
+        # the one-row halo, in the Laplacian's order: the row above, then below
         if iz > 0:
             np.multiply(u[rows.start - nx : rows.start, 1:-1], wz, out=tmp[0])
             np.add(lap[0], tmp[0], out=lap[0])
@@ -256,7 +240,9 @@ def _apply_transpose(spec: GridSpec, m_values: np.ndarray, v: np.ndarray) -> np.
     out[:, :2] += v[:, :2]
     out[:, 2:] += c * v[:, 2:]
     # stencil row n couples columns n-1 (with -2c - L) and n-2 (with +c)
-    out[:, 1 : nt - 1] += -2.0 * c * v[:, 2:] - _laplacian(spec, v[:, 2:])
+    lap = np.empty((spec.nz, spec.nx, nt - 2) + v.shape[2:])
+    _laplacian_into(spec, lap, np.empty_like(lap))(v[:, 2:].reshape(lap.shape))
+    out[:, 1 : nt - 1] += -2.0 * c * v[:, 2:] - lap.reshape(v[:, 2:].shape)
     out[:, : nt - 2] += c * v[:, 2:]
     return out
 
@@ -409,7 +395,9 @@ def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
     # levels 0 and 1 meet the identity rows, so no 1/c scaling there; they
     # are finished for the whole batch at once, on (n_space, k) arrays
     v2 = _levels(v_cols, 2, n_space)
-    t1 = _levels(rhs_cols, 1, n_space) + 2.0 * c * v2 + _laplacian(spec, v2)
+    lap = np.empty((spec.nz, spec.nx, len(v_cols)))
+    _laplacian_into(spec, lap, np.empty_like(lap))(v2.reshape(lap.shape))
+    t1 = _levels(rhs_cols, 1, n_space) + 2.0 * c * v2 + lap.reshape(v2.shape)
     if nt >= 4:
         t1 = t1 - c * _levels(v_cols, 3, n_space)
     t0 = _levels(rhs_cols, 0, n_space) - c * v2

@@ -36,7 +36,7 @@ from lagfwi.oracle import (
     fd_gradient,
     quadratic_model_minimizer,
 )
-from lagfwi.saddle import HessianCache, PenaltyConfig, solve_saddle
+from lagfwi.saddle import PenaltyConfig, solve_saddle
 from lagfwi.selfcheck import run_battery
 from lagfwi.wavecore import (
     adjoint_solve,
@@ -189,11 +189,10 @@ def test_criterion_05_scheme_equivalences():
 def test_criterion_06_true_model_is_a_fixed_point():
     spec, geom, m_true, m0, sources, data = tiny_problem(111)
     cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
-    cache = HessianCache()
     state = initial_state(m_true, sources)
     worst, worst_scheme = 0.0, "n/a"
     for scheme in SCHEMES:
-        stepped = step_scheme(scheme, state, sources, data, cfg, cache=cache)
+        stepped = step_scheme(scheme, state, sources, data, cfg)
         gap = rel(stepped.model.values, m_true.values)
         if gap > worst:
             worst, worst_scheme = gap, scheme

@@ -30,7 +30,7 @@ from lagfwi.grids import (
     build_model,
 )
 from lagfwi.oracle import quadratic_model_minimizer
-from lagfwi.saddle import HessianCache, PenaltyConfig, solve_saddle
+from lagfwi.saddle import PenaltyConfig, solve_saddle
 from lagfwi.wavecore import (
     apply_wave_operator,
     correlation_terms,
@@ -68,11 +68,9 @@ def tiny_problem(seed=108, n_sources=2):
 
 def iterate(scheme, m0, sources, data, cfg, n, update_mode="sum-terms"):
     state = initial_state(m0, sources)
-    cache = HessianCache()
     out = []
     for _ in range(n):
-        state = step_scheme(scheme, state, sources, data, cfg, cache=cache,
-                            update_mode=update_mode)
+        state = step_scheme(scheme, state, sources, data, cfg, update_mode=update_mode)
         out.append(state)
     return out
 
@@ -105,10 +103,9 @@ def born_config(scheme, mu, max_iter, misfit_tol=1e-12, velocity=2010.0):
 def test_all_schemes_fix_the_true_model():
     spec, geom, m_true, m0, sources, data = tiny_problem()
     cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
-    cache = HessianCache()
     state = initial_state(m_true, sources)
     for scheme in SCHEMES:
-        stepped = step_scheme(scheme, state, sources, data, cfg, cache=cache)
+        stepped = step_scheme(scheme, state, sources, data, cfg)
         assert rel(stepped.model.values, m_true.values) <= 1e-10, scheme
 
 

@@ -31,7 +31,6 @@ from lagfwi.oracle import (
 )
 from lagfwi import saddle
 from lagfwi.saddle import (
-    HessianCache,
     NystromSketch,
     PenaltyConfig,
     _cg,
@@ -75,10 +74,9 @@ def test_wavefield_orientation_converges_on_benchmark():
     config = two_scatterer_benchmark()
     m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
     cfg = PenaltyConfig(mu=3e6, cg_maxiter=200)
-    cache = HessianCache()
     for b, d in zip(build_sources(config), make_observed_data(config)):
         [u], _ = solve_saddle(m, [b], [d], cfg, matrix_free=True)
-        [u_ref], _ = solve_saddle(m, [b], [d], cfg, cache=cache)
+        [u_ref], _ = solve_saddle(m, [b], [d], cfg)
         assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * np.abs(u_ref.values).max()
 
 
@@ -86,27 +84,26 @@ def test_cg_breakdown_reports_completed_iterations():
     """On an operator that is not positive definite CG stops at the first
     non-positive curvature and reports the steps it actually took."""
     rhs = np.ones(2)
-    [(_, info)] = _cg(lambda xs: [-x for x in xs], [rhs], [np.zeros(2)], 1e-10, 50)
+    [(_, info)] = _cg(lambda xs: [-x for x in xs], [rhs], 1e-10, 50)
     assert not info.converged and info.iterations == 0
     # diag(3, -1): one step with p.Ap = 2 > 0, then p.Ap = -24
     diag = np.array([3.0, -1.0])
-    [(_, info)] = _cg(lambda xs: [diag * x for x in xs], [rhs], [np.zeros(2)], 1e-10, 50)
+    [(_, info)] = _cg(lambda xs: [diag * x for x in xs], [rhs], 1e-10, 50)
     assert not info.converged and info.iterations == 1
 
 
 def test_lock_step_cg_columns_finish_on_their_own():
-    """Five columns share diag(1..8, -1): a zero rhs, one exact at x0, one
-    converging in one step, one breaking down after one step and one cut
-    off at maxiter.  Each column reports its own count and equals its own
-    solve bitwise, and a finished column leaves the batch."""
+    """Four columns share diag(1..8, -1): a zero rhs, one converging in one
+    step, one breaking down after one step and one cut off at maxiter.
+    Each column reports its own count and equals its own solve bitwise, and
+    a finished column leaves the batch."""
     diag = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, -1.0])
     e = np.eye(9)
-    cases = [  # (rhs, x0)
-        (np.zeros(9), np.zeros(9)),
-        (4.0 * e[3], e[3]),
-        (2.0 * e[1], np.zeros(9)),
-        (e[2] + e[8], np.zeros(9)),   # p.Ap = 2, then -24
-        (np.r_[np.ones(8), 0.0], np.zeros(9)),
+    rhs = [
+        np.zeros(9),
+        2.0 * e[1],
+        e[2] + e[8],   # p.Ap = 2, then -24
+        np.r_[np.ones(8), 0.0],
     ]
     batch_sizes = []
 
@@ -114,16 +111,15 @@ def test_lock_step_cg_columns_finish_on_their_own():
         batch_sizes.append(len(xs))
         return [diag * x for x in xs]
 
-    rhs, x0 = [b for b, _ in cases], [x for _, x in cases]
-    results = _cg(apply_op, rhs, x0, 1e-10, 3)
+    results = _cg(apply_op, rhs, 1e-10, 3)
     infos = [info for _, info in results]
     assert [(i.converged, i.iterations) for i in infos] == [
-        (True, 0), (True, 0), (True, 1), (False, 1), (False, 3)]
-    assert infos[0].relative_residual == infos[1].relative_residual == 0.0
-    assert infos[4].relative_residual > 1e-10
-    assert batch_sizes == [4, 3, 2, 1]
-    for (x, info), b, start in zip(results, rhs, x0):
-        [(x_alone, info_alone)] = _cg(lambda xs: [diag * x for x in xs], [b], [start], 1e-10, 3)
+        (True, 0), (True, 1), (False, 1), (False, 3)]
+    assert infos[0].relative_residual == 0.0
+    assert infos[3].relative_residual > 1e-10
+    assert batch_sizes == [3, 2, 1]
+    for (x, info), b in zip(results, rhs):
+        [(x_alone, info_alone)] = _cg(lambda xs: [diag * x for x in xs], [b], 1e-10, 3)
         assert x.tobytes() == x_alone.tobytes() and info == info_alone
 
 
@@ -131,31 +127,24 @@ def test_cg_identity_preconditioner_returns_unpreconditioned_bytes():
     """M = I passed as a preconditioner does exactly the unpreconditioned
     operations: every column's iterate and SolveInfo are the same bytes,
     on SPD systems solved in lock step, through the periodic residual
-    refresh, and on the mixed batch of the lock-step test (zero rhs, exact
-    x0, breakdown, maxiter).  A zero start (x0 None) equals x0 = 0."""
+    refresh, and on the mixed batch of the lock-step test (zero rhs,
+    breakdown, maxiter)."""
     rng = np.random.default_rng(7)
     q = rng.standard_normal((40, 40))
     spd = q @ q.T + 1e-2 * np.eye(40)
     rhs = [rng.standard_normal(40) for _ in range(3)] + [np.zeros(40)]
-    x0 = [rng.standard_normal(40) for _ in range(4)]
     diag = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, -1.0])
     e = np.eye(9)
     cases = [
-        (lambda xs: [spd @ x for x in xs], rhs, x0, 120),
-        (lambda xs: [spd @ x for x in xs], rhs, [np.zeros(40)] * 4, 120),
+        (lambda xs: [spd @ x for x in xs], rhs, 120),
         (lambda xs: [diag * x for x in xs],
-         [np.zeros(9), 4.0 * e[3], 2.0 * e[1], e[2] + e[8], np.r_[np.ones(8), 0.0]],
-         [np.zeros(9), e[3], np.zeros(9), np.zeros(9), np.zeros(9)], 3),
+         [np.zeros(9), 2.0 * e[1], e[2] + e[8], np.r_[np.ones(8), 0.0]], 3),
     ]
-    for apply_op, b, start, maxiter in cases:
-        plain = _cg(apply_op, b, start, 1e-12, maxiter)
-        identity = _cg(apply_op, b, start, 1e-12, maxiter, lambda rs: rs)
+    for apply_op, b, maxiter in cases:
+        plain = _cg(apply_op, b, 1e-12, maxiter)
+        identity = _cg(apply_op, b, 1e-12, maxiter, lambda rs: rs)
         for (x, info), (x_id, info_id) in zip(plain, identity):
             assert x.tobytes() == x_id.tobytes() and info == info_id
-    zero_start = _cg(cases[1][0], rhs, None, 1e-12, 120)
-    for (x, info), (x_zero, info_zero) in zip(_cg(cases[1][0], rhs, cases[1][2], 1e-12, 120),
-                                              zero_start):
-        assert x.tobytes() == x_zero.tobytes() and info == info_zero
 
 
 @pytest.mark.parametrize("mu", [1e2, 1e4])
@@ -415,13 +404,12 @@ def test_batched_saddle_solves_equal_single_solves_bitwise(problem):
     multiplier is exactly zero."""
     m, sources, data, mu, ws, consistent = problem
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    cache = HessianCache()
     for matrix_free in (True, False):
-        us, vs = solve_saddle(m, sources, data, cfg, ws, cache, matrix_free)
+        us, vs = solve_saddle(m, sources, data, cfg, ws, matrix_free)
         assert not vs[consistent].values.any()
         for j, (u, v) in enumerate(zip(us, vs)):
             w = None if ws is None else ws[j]
-            [u_alone], [v_alone] = solve_saddle(m, [sources[j]], [data[j]], cfg, [w], cache,
+            [u_alone], [v_alone] = solve_saddle(m, [sources[j]], [data[j]], cfg, [w],
                                                 matrix_free)
             assert u.values.tobytes() == u_alone.values.tobytes()
             assert v.values.tobytes() == v_alone.values.tobytes()
@@ -443,9 +431,9 @@ def test_preconditioned_lock_step_columns_equal_single_solves_bitwise(problem):
     apply_op = _data_space_operator(m, geom, mu)
     precondition = nystrom_sketch(m, geom, PenaltyConfig(mu=mu, cg_tol=1e-13)).preconditioner(mu)
     rhs = [d.values.ravel() for d in data]
-    batch = _cg(apply_op, rhs, None, 1e-13, 300, precondition)
+    batch = _cg(apply_op, rhs, 1e-13, 300, precondition)
     for b, (y, info) in zip(rhs, batch):
-        [(y_alone, info_alone)] = _cg(apply_op, [b], None, 1e-13, 300, precondition)
+        [(y_alone, info_alone)] = _cg(apply_op, [b], 1e-13, 300, precondition)
         assert y.tobytes() == y_alone.tobytes() and info == info_alone
 
 
@@ -475,50 +463,25 @@ def test_hessian_matches_column_assembly_on_benchmark(which):
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.abs(ref).max()
 
 
-def test_cache_reuses_hessian_and_factors(setup):
-    spec, m, geom, b, d, _ = setup
-    cache = HessianCache()
-    h1 = cache.hessian(m, geom)
-    h2 = cache.hessian(m, geom)
-    assert h1 is h2
-    f1 = cache.shifted_factor(m, geom, 10.0)
-    f2 = cache.shifted_factor(m, geom, 10.0)
-    assert f1 is f2
-    # a different damping factorizes separately but reuses the Hessian
-    f3 = cache.shifted_factor(m, geom, 20.0)
-    assert f3 is not f1
-    assert cache.hessian(m, geom) is h1
-
-
-def test_dense_path_holds_two_hessian_sized_arrays():
-    """Assembling H and factoring H + mu I on the benchmark geometry peaks at
-    two n x n arrays (H and the factor, computed in place in its copy of H)
-    plus F and the B terms, (n, n_space) and (n, 2 n_space): no shifted
-    copy besides the factor, and no n x n product temporary."""
+def test_dense_path_holds_one_hessian_sized_array():
+    """A dense multiplier solve on the benchmark geometry (assembling H,
+    factoring H + mu I in H's own buffer, the Cholesky solve and the
+    adjoint sweep) peaks at one n x n array plus F and the B terms,
+    (n, n_space) and (n, 2 n_space), and 1 MiB of sweep and mirror
+    scratch: no shifted copy of H, and no n x n product temporary."""
     config = two_scatterer_benchmark()
     m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
     geom = build_acquisition(config)
     n = geom.n_receivers * config.grid.nt
     green_bytes = 3 * n * config.grid.n_space * 8  # F and [B0 | B1]
-    cache = HessianCache()
+    traces = make_observed_data(config)[0].values
     tracemalloc.start()
     try:
-        cache.shifted_factor(m, geom, config.penalty.mu)
+        data_space_multipliers(m, geom, [traces], config.penalty)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * n * 8 + green_bytes
-
-
-def test_cache_new_model_replaces_entry(setup):
-    spec, m, geom, *_ = setup
-    rng = np.random.default_rng(5)
-    cache = HessianCache()
-    models = [random_model(spec, rng) for _ in range(3)]
-    first = cache.hessian(models[0], geom)
-    cache.hessian(models[1], geom)
-    cache.hessian(models[2], geom)  # each new model replaces the entry
-    assert cache.hessian(models[0], geom) is not first
+    assert peak <= n * n * 8 + green_bytes + (1 << 20)
 
 
 def test_damped_multiplier_defining_equation(setup):

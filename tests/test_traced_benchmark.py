@@ -68,3 +68,4 @@ def test_traced_invert_runs_and_gives_layer_metrics(tmp_path):
     metrics = _layertrace().layer_metrics(trace, sum(run["wall_s"] for run in runs))
     assert metrics["iterations.outer_iterations"][0] == 2
     assert metrics["saddle.hessian.assemblies"][0] >= 1
+    assert metrics["saddle.factor.count"][0] >= 1
