@@ -33,12 +33,26 @@ checkouts with and without a Hessian cache alike), on the two-scatterer
 benchmark's initial model (61 x 256, 4 receivers, its mu = 3e6) and on
 ``born_config``'s (21 x 80, 19 receivers, mu = 1e3); those rows also give
 each layer's tracemalloc peak, from one separate call, which counts what
-the layer allocates and not H held before it.  Everything runs
-in this one process with BLAS/OpenMP pinned to one thread.  Each case is
-run once untimed, then REPEATS times under ``time.perf_counter``; the file
-holds the minimum and the median of those repeats, the throughput of the
-kernels in space-time points per second (n_space * nt * columns / seconds),
-the CG iterations and the traced peaks.  It also records the environment
+the layer allocates and not H held before it.  The receiver traces are
+timed in two rows: "forward modelling", ``config.make_observed_data`` on
+``fwi-2d``'s experiment (built here: three point sources on 101 x 101 x 400,
+13 receivers), and "sampled vs full forward sweep", one dense field on that
+grid swept whole and then sampled at those receivers, against the trace-out
+sweep ``wavecore._sampled_sweep`` that writes only the receiver rows (on a
+checkout that has it); both rows give their tracemalloc peak too.  On a
+checkout with trace-in, the "trace-in vs dense column" rows sweep one field
+on that grid whose non-zero rows are random and make a given share of its
+rows, once as the dense column and once as the traces of those rows, with
+the time of the row scan ``wavecore._sweep_column``: where the two sweeps
+meet is the break-even that ``wavecore._SPARSE_SHARE`` rests on.  The
+wavefield CG rows take their residuals d - P A^-1 (b - w/mu) from the
+trace-out solve ``wavecore.forward_traces`` where the checkout has it.
+Everything runs in this one process with BLAS/OpenMP pinned to one
+thread.  Each case is run once untimed, then REPEATS times under
+``time.perf_counter``; the file holds the minimum and the median of those
+repeats, the throughput of the kernels in space-time points per second
+(n_space * nt * columns / seconds), the CG iterations and the traced
+peaks.  It also records the environment
 and the git revision of the checkout the ``lagfwi`` package was imported
 from, so that two checkouts can be compared with the same script by
 pointing ``PYTHONPATH`` at each one's ``src/``.
@@ -263,16 +277,24 @@ def _cg_cases():
            config.penalty, None)
 
 
+def _sampled(m, fields, geometry) -> list[np.ndarray]:
+    """P A^-1 f of each SourceField f: the trace-out solve where the
+    checkout has it, else full solves sampled at the receivers."""
+    traced = getattr(wavecore, "forward_traces", None)
+    if traced is not None:
+        return [d.values for d in traced(m, fields, geometry)]
+    return [wavecore.sample(u, geometry).values for u in wavecore.forward_solves(m, fields)]
+
+
 def _cg_infos(m, sources, data, cfg, ws) -> list:
     """Each source's SolveInfo from ``saddle._cg`` on the system the
     matrix-free saddle solve runs: (H + mu I) y = d - P A^-1 (b - w/mu),
     preconditioned by the step's Nystrom sketch."""
     spec, geometry = m.spec, data[0].geometry
     rec = list(geometry.receiver_nodes)
-    shifts = [b.values if w is None else b.values - (1.0 / cfg.mu) * w.values
+    shifts = [b if w is None else SourceField(spec, b.values - (1.0 / cfg.mu) * w.values)
               for b, w in zip(sources, ws)]
-    rhs = [(d.values - u[rec]).ravel()
-           for d, u in zip(data, wavecore._forward_sweep(spec, m.values, shifts))]
+    rhs = [(d.values - traces).ravel() for d, traces in zip(data, _sampled(m, shifts, geometry))]
     apply_h = saddle._hessian_products(spec, m.values, rec)
     precondition = saddle.nystrom_sketch(m, geometry, cfg).preconditioner(cfg.mu)
     results = saddle._cg(lambda ys: [hy + cfg.mu * y for hy, y in zip(apply_h(ys), ys)],
@@ -309,6 +331,74 @@ def cg_rows() -> list[dict]:
                      "repeats": REPEATS, "min_s": best, "median_s": median})
         print(f"nystrom sketch {label:36s} rank {rank:4d} min {best * 1e3:9.3f} ms  "
               f"median {median * 1e3:9.3f} ms")
+    return rows
+
+
+def _fwi_2d_config() -> ExperimentConfig:
+    """fwi-2d's experiment: two boxes in a 101 x 101 x 400 grid, three shots
+    in row 2 recorded by 13 receivers in row 1."""
+    return ExperimentConfig(
+        grid=GridSpec(ndim=2, nx=101, nz=101, dx=10.0, dz=10.0, nt=400, dt=0.0028),
+        true_model=ModelDescriptor(kind="box-anomaly", velocity=2000.0,
+                                   boxes=((38, 50, 38, 62, 2200.0), (50, 62, 38, 62, 1800.0))),
+        initial_model=ModelDescriptor(kind="uniform", velocity=2000.0),
+        source_nodes=(218, 252, 286),
+        receiver_nodes=tuple(range(103, 200, 8)),
+        scheme="fwi",
+        penalty=PenaltyConfig(mu=100.0, alpha=1e-6),
+        stop=StopRules(max_iter=2),
+    )
+
+
+def sampling_rows(rng) -> list[dict]:
+    """The receiver traces of fwi-2d: its forward modelling, and one dense
+    field's sweep sampled after a full sweep or by the trace-out sweep."""
+    config = _fwi_2d_config()
+    rec = list(config.receiver_nodes)
+    spec, m, (field,) = _fwi_2d_fields(rng, 1)
+    cases = [("forward modelling", "fwi-2d make_observed_data",
+              lambda: make_observed_data(config)),
+             ("sampled vs full forward sweep", "full sweep, sampled",
+              lambda: wavecore._forward_sweep(spec, m.values, [field])[0][rec])]
+    if hasattr(wavecore, "_sampled_sweep"):
+        cases.append(("sampled vs full forward sweep", "trace-out sweep",
+                      lambda: wavecore._sampled_sweep(spec, m.values, [field], rec)))
+    rows = []
+    for layer, case, call in cases:
+        best, median = time_call(call)
+        peak = traced_peak(call)
+        rows.append({"layer": layer, "case": case, "shape": "2D 101x101x400",
+                     "receivers": len(rec), "repeats": REPEATS, "min_s": best,
+                     "median_s": median, "traced_peak_bytes": peak})
+        print(f"{layer:30s} {case:26s} min {best * 1e3:9.3f} ms  "
+              f"median {median * 1e3:9.3f} ms  peak {peak / 2**20:7.2f} MiB")
+    return rows + trace_in_rows(rng, spec, m, rec)
+
+
+def trace_in_rows(rng, spec, m, rec) -> list[dict]:
+    """One field with a share of random non-zero rows, swept as the dense
+    column and as the traces of its rows; empty on a checkout without
+    trace-in."""
+    if not hasattr(wavecore, "_sweep_column"):
+        return []
+    rows = []
+    for share in (1 / spec.n_space, 0.125, 0.25, 0.4, 0.5):
+        count = max(1, int(share * spec.n_space))
+        nodes = sorted(rng.choice(spec.n_space, count, replace=False).tolist())
+        field = np.zeros(spec.shape)
+        field[nodes] = rng.standard_normal((count, spec.nt))
+        traces = wavecore._Traces(nodes, field[nodes])
+        row = {"layer": "trace-in vs dense column", "shape": "2D 101x101x400",
+               "nonzero_rows": count, "repeats": REPEATS}
+        for case, column in (("dense", field), ("traces", traces)):
+            best, median = time_call(lambda: wavecore._sampled_sweep(spec, m.values, [column], rec))
+            row[case] = {"min_s": best, "median_s": median}
+        best, median = time_call(lambda: wavecore._sweep_column(field))
+        row["scan"] = {"min_s": best, "median_s": median}
+        rows.append(row)
+        print(f"trace-in vs dense column {count:6d} rows  dense median "
+              f"{row['dense']['median_s'] * 1e3:8.2f} ms  traces {row['traces']['median_s'] * 1e3:8.2f} "
+              f"ms  scan {median * 1e3:6.2f} ms")
     return rows
 
 
@@ -362,12 +452,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rows = (kernel_rows(np.random.default_rng(0)) + pass_rows(np.random.default_rng(1))
-            + variant_rows(np.random.default_rng(2)) + cg_rows() + hessian_rows())
+            + variant_rows(np.random.default_rng(2)) + cg_rows() + hessian_rows()
+            + sampling_rows(np.random.default_rng(3)))
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
         "layer": ("wavecore sweep kernels, the streamed 2D passes, the wavefield CG and its "
-                  "Nystrom sketch, the dense Hessian assembly and its Cholesky factorization"),
+                  "Nystrom sketch, the dense Hessian assembly and its Cholesky factorization, "
+                  "forward modelling and the sampled forward sweep"),
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

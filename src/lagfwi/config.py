@@ -53,7 +53,7 @@ from .grids import (
     check_cfl,
 )
 from .saddle import PenaltyConfig
-from .wavecore import forward_solve, sample
+from .wavecore import forward_traces
 
 MODEL_KINDS = ("uniform", "box-anomaly", "gaussian-anomaly", "two-layer", "file")
 UPDATE_MODES = ("sum-terms", "sum-updates")
@@ -243,6 +243,11 @@ def true_model_grid(config: ExperimentConfig) -> ModelGrid:
 def make_observed_data(config: ExperimentConfig) -> list[TraceData]:
     """Model the observed traces: true-model forward solves plus optional noise.
 
+    The clean traces are P A^-1 b of every source, from one batched sweep
+    that writes only the receiver rows (wavecore.forward_traces), so no
+    field is built; a point source enters that sweep as its one trace.
+    Non-finite traces raise DivergenceError.
+
     Noise is additive Gaussian on the traces only, with standard deviation
     noise.std relative to the RMS of all clean samples across sources, drawn
     from a generator seeded with noise.seed (source order fixed, so reruns
@@ -250,9 +255,7 @@ def make_observed_data(config: ExperimentConfig) -> list[TraceData]:
     """
     m_true = true_model_grid(config)
     geometry = build_acquisition(config)
-    clean = [
-        sample(forward_solve(m_true, b), geometry) for b in build_sources(config)
-    ]
+    clean = list(forward_traces(m_true, build_sources(config), geometry))
     if config.noise.std == 0.0:
         return clean
     stacked = np.concatenate([d.values.ravel() for d in clean])

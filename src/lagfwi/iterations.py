@@ -87,7 +87,7 @@ from .saddle import (
     PenaltyConfig, _shared_geometry, data_space_multipliers, solve_saddle,
 )
 from .wavecore import (
-    adjoint_solves, apply_wave_operator, correlation_terms, forward_solves,
+    adjoint_solves, apply_wave_operator, correlation_terms, forward_solves, forward_traces,
     preconditioned_ratio, residual_sum_of_squares, sample, scattering_source, sum_of_squares,
     updated_model,
 )
@@ -196,8 +196,9 @@ def _forward_residuals(data, prevs) -> list[np.ndarray]:
 
 
 def _sampled(m, geometry, fields) -> list[np.ndarray]:
-    """S f = P A^-1 f for each field f, one batched sweep."""
-    return [sample(u, geometry).values for u in forward_solves(m, fields)]
+    """S f = P A^-1 f for each field f, one batched sweep that writes only
+    the receiver rows."""
+    return [d.values for d in forward_traces(m, fields, geometry)]
 
 
 def _split(m, sources, data, cfg, prevs, refresh=True):
@@ -467,7 +468,7 @@ def run_inversion(
     state = initial_state(m0, sources)
     history = [_diagnostics(state, sources, data, true_model, time.perf_counter() - t0)]
     data_energy = 0.5 * sum(float(np.sum(d.values**2)) for d in data)
-    source_scale = np.sqrt(sum(float(np.sum(b.values**2)) for b in sources))
+    source_scale = np.sqrt(_norm_sq(sources))
 
     status = "max_iter"
     if history[0].misfit <= config.stop.misfit_tol * data_energy:

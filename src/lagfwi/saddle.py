@@ -35,7 +35,8 @@ y comes from one of two backends, picked by the caller:
   checked for finiteness when it is computed; the Cholesky solve checks its
   right-hand sides.
 * matrix-free: CG on (H + mu I) y, each H product one adjoint sweep of
-  receiver traces and one forward sweep sampled at the receivers.  H's
+  receiver traces and one forward sweep that writes only the receiver
+  rows (trace-out).  H's
   spectrum decays fast, so a randomized Nystrom sketch of H (nystrom_sketch,
   its rank grown while a chunk of it is estimated to save more H products
   than it costs) preconditions the CG and deflates its large eigenvalues;
@@ -72,7 +73,9 @@ from .wavecore import (
     _Traces,
     _adjoint_sweep,
     _forward_sweep,
+    _sampled_sweep,
     _scales,
+    _sweep_column,
     forward_solves,
 )
 
@@ -238,12 +241,13 @@ def _cg(apply_op, rhs, tol, maxiter, precondition=None):
 def _hessian_products(spec: GridSpec, m_values: np.ndarray, rec: list):
     """apply_h(ys): H y = P A^-1 A^-T P^T y for each flat trace vector y in
     the list ys, one batched adjoint sweep of the traces and one batched
-    forward sweep, in place, sampled at the receivers rec."""
+    forward sweep of its fields that writes only the receiver rows rec
+    (trace-out), so the forward half builds no field."""
     shape = (len(rec), spec.nt)
 
     def apply_h(ys):
         fields = _adjoint_sweep(spec, m_values, [_Traces(rec, y.reshape(shape)) for y in ys])
-        return [u[rec].ravel() for u in _forward_sweep(spec, m_values, fields, out=fields)]
+        return [traces.ravel() for traces in _sampled_sweep(spec, m_values, fields, rec)]
 
     return apply_h
 
@@ -637,7 +641,10 @@ def solve_saddle(m: ModelGrid, sources, data, cfg: PenaltyConfig, ws=None,
     lam = data_space_multipliers(d - P A^-1 shift) on the chosen backend,
     u = A^-1 (shift + lam) and v = mu lam.  The sources must share their
     receivers.  A batched forward sweep, the multiplier solve, and a
-    batched forward sweep.
+    batched forward sweep.  The first sweep only feeds the residual
+    d - P A^-1 shift, so it writes the receiver rows alone (trace-out) and
+    takes a shift with few non-zero rows, a point source, as its traces;
+    non-finite residuals raise ValueError in data_space_multipliers.
     """
     spec = m.spec
     geometry = _shared_geometry(data)
@@ -645,7 +652,8 @@ def solve_saddle(m: ModelGrid, sources, data, cfg: PenaltyConfig, ws=None,
     shifts = [b.values if w is None else b.values - (1.0 / cfg.mu) * w.values
               for b, w in zip(sources, ws)]
     rec = list(geometry.receiver_nodes)
-    residuals = [d.values - u0[rec] for d, u0 in zip(data, _forward_sweep(spec, m.values, shifts))]
+    sampled = _sampled_sweep(spec, m.values, [_sweep_column(shift) for shift in shifts], rec)
+    residuals = [d.values - traces for d, traces in zip(data, sampled)]
     lams = data_space_multipliers(m, geometry, residuals, cfg, matrix_free)
     us = forward_solves(m, [SourceField(spec, shift + lam.values)
                             for shift, lam in zip(shifts, lams)])

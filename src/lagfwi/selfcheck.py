@@ -16,8 +16,11 @@ assembled data-space Hessian inside its dense-oracle comparison;
 inside both saddle orientation checks; "perturb-sweep" scales the swept
 fields at the first level of the sweep kernel's second working block inside
 its dense-oracle comparison, and the second copy tile of its first stepped
-level on a grid wider than one tile; "perturb-batch-column" scales only the second column of a
-lock-step batched wavefield solve inside its dense-oracle comparison;
+level on a grid wider than one tile; "perturb-sampled-sweep" scales one
+sample of a point source's receiver traces from the trace-out forward sweep
+inside its dense-oracle comparison; "perturb-batch-column" scales only the
+second column of a lock-step batched wavefield solve inside its
+dense-oracle comparison;
 "perturb-nystrom" scales the eigenvalues of the Nystrom sketch that
 preconditions the wavefield orientation's data-space CG by 1e-2 inside its
 dense-oracle check.
@@ -72,6 +75,7 @@ from .wavecore import (
     apply_wave_operator,
     apply_wave_operator_transpose,
     forward_solve,
+    forward_traces,
     inject,
     sample,
     scattering_source,
@@ -83,6 +87,7 @@ KNOWN_FAULTS = (
     "perturb-hessian",
     "perturb-wavefield-solve",
     "perturb-sweep",
+    "perturb-sampled-sweep",
     "perturb-batch-column",
     "perturb-nystrom",
 )
@@ -111,7 +116,7 @@ def _tiny_setup(seed: int = 11):
         values = np.zeros(spec.shape)
         values[node, 2:] = rng.standard_normal(spec.nt - 2)
         sources.append(SourceField(spec, values))
-    data = [sample(forward_solve(m_true, b), geom) for b in sources]
+    data = list(forward_traces(m_true, sources, geom))
     return rng, spec, geom, m_true, m0, sources, data
 
 
@@ -206,6 +211,43 @@ def _check_sweep_dense(faults) -> CheckResult:
         u[_TILE:, 2] *= 1.0 + 1e-6
     worst = max(worst, _rel(u, _reference_sweep(spec, m.values, rhs)))
     return CheckResult("sweep-vs-dense", worst <= 1e-10, f"rel {worst:.3e} (tol 1e-10)")
+
+
+def _check_sampled_sweep(faults) -> CheckResult:
+    # Trace-out of one batch of a point source, which enters the sweep as its
+    # one trace (trace-in), and a dense source, against the dense solve
+    # sampled at receivers on the edges and corners, the point source on the
+    # last one.  nt = _BLOCK + 4 crosses a working-block boundary.  The 1D
+    # grid meets the dense operator; the 2D one, wider than one copy tile,
+    # the oracle's stepped sweep, whose dense matrix would set the battery's
+    # peak memory.  Forward sweeps only.
+    rng = np.random.default_rng(117)
+    nt = _BLOCK + 4
+    nx, nz = 20, _TILE // 20 + 1
+    last = nx * nz - 1
+    worst = 0.0
+    for spec, rec in (
+        (GridSpec(ndim=1, nx=9, nz=1, dx=10.0, dz=10.0, nt=nt, dt=0.002), (0, 4, 8)),
+        (GridSpec(ndim=2, nx=nx, nz=nz, dx=10.0, dz=10.0, nt=nt, dt=0.002),
+         (0, nx // 2, nx - 1, 6 * nx, 7 * nx - 1, last - nx + 1, last - nx // 2, last)),
+    ):
+        geom = AcquisitionGeometry((rec[-1],), rec)
+        m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
+        point = np.zeros(spec.shape)
+        point[rec[-1], 2:] = rng.standard_normal(nt - 2)
+        fields = [point, rng.standard_normal(spec.shape)]
+        traces = [d.values for d in forward_traces(m, [SourceField(spec, f) for f in fields], geom)]
+        if "perturb-sampled-sweep" in faults:
+            traces[0][-1, 2 + _BLOCK] *= 1.0 + 1e-6
+        rhs = np.stack(fields, axis=-1)
+        if spec.ndim == 1:  # both columns in one dense solve
+            u = np.linalg.solve(assemble_dense_operator(m).matrix, rhs.reshape(-1, 2))
+            refs = (dense_sampling_operator(spec, geom) @ u).reshape(len(rec), nt, 2)
+        else:
+            refs = _reference_sweep(spec, m.values, rhs)[list(rec)]
+        for j, got in enumerate(traces):
+            worst = max(worst, _rel(got, refs[..., j]))
+    return CheckResult("sampled-sweep-vs-dense", worst <= 1e-10, f"rel {worst:.3e} (tol 1e-10)")
 
 
 def _check_hessian_dense(faults) -> CheckResult:
@@ -432,6 +474,7 @@ _CHECKS = (
     _check_sampling_adjoint,
     _check_dense_agreement,
     _check_sweep_dense,
+    _check_sampled_sweep,
     _check_hessian_dense,
     _check_splitting_identity,
     _check_guttman,

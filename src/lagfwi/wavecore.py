@@ -34,10 +34,20 @@ makes no full-size temporary:
   exists.  Small grids are bound by the Python cost of each time step, not
   by flops, so one sweep of k columns costs little more than one of a
   single column.
-* A column may be receiver traces instead of a field (``_Traces``; a
-  TraceData right-hand side of ``adjoint_solves``): P^T d is written into
-  the column's zero-filled slice of the working block during the copy in,
-  so no dense injected field is built.
+* Trace-in: a column may be receiver traces instead of a field
+  (``_Traces``; a TraceData right-hand side of ``adjoint_solves``): P^T d
+  is written into the column's zero-filled slice of the working block
+  during the copy in, so no dense injected field is built.  A SourceField
+  right-hand side whose non-zero rows are few (a point source) goes into
+  the sweep the same way, as the traces of its non-zero rows
+  (``_sweep_column``); either gives bitwise the sweep of the dense column.
+* Trace-out: an output column of the forward sweep may be a ``_Traces``
+  too, which receives P A^-1 f, the swept field at its rows
+  (``forward_traces``, ``_sampled_sweep``).  The copy out then writes only
+  those rows of each working block, and the first two levels come from the
+  right-hand side (``_levels``), so the field is never allocated or
+  written.  This is how every caller that only samples the field (the
+  observed data, the saddle residual, the H products) sweeps.
 * The Laplacian of a 2D block adds each x neighbour as one contiguous add
   over the whole block, shifted by one node, and puts back the row-end
   nodes that add must not touch (``_laplacian_into``).
@@ -90,6 +100,7 @@ __all__ = [
     "apply_wave_operator_transpose",
     "forward_solve",
     "forward_solves",
+    "forward_traces",
     "adjoint_solve",
     "adjoint_solves",
     "sample",
@@ -122,8 +133,20 @@ _GROUP_BYTES = 128 * 1024
 # whole block at once is 1.1-1.3x slower (BENCH_9.json).
 _TILE = 256
 
-# Bytes of the row chunks of the curvature and the sums of squares.
+# Bytes of the row chunks of the curvature, the sums of squares and the
+# trace-in row scan.
 _CHUNK_BYTES = 256 * 1024
+
+# Share of a row chunk's rows that may be non-zero in a right-hand side
+# that enters a sweep as traces (_sweep_column).  On a 101 x 101 x 400
+# column with random non-zero rows the trace copy in breaks even with the
+# dense one at 40-50% of the rows or above (BENCH_14.json: still 41-45
+# against 46-49 ms at 50%); at one row, a point source, the sweep takes 24
+# against 41 ms and the row scan 3.5-4.3 ms.  Where a field stays in cache
+# (51 x 51 x 200, 1D 61 x 256) the two are at par within the scan's cost.
+# The scan stops at the first chunk past the share, so a dense field pays
+# one chunk of it (81 of 10201 rows there).
+_SPARSE_SHARE = 0.125
 
 
 def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
@@ -259,19 +282,20 @@ def _recurrence(
     """Write out[j][:, n] = s (rhs[j][:, n] + L p1) + 2 p1 - p2 for every
     column j and every n in ``levels``.
 
-    rhs and out hold k (n_space, nt) fields each, and prev2/prev1 their
-    starting levels.  ``levels`` runs forward or backward in time; p1 and p2
-    are the one and two levels before n in that direction, and prev2/prev1
-    are the two before the first.  The columns are stepped in groups whose
+    rhs and out hold k (n_space, nt) fields or _Traces each, and prev2/prev1
+    the columns' two starting levels, dense.  ``levels`` runs forward or
+    backward in time; p1 and p2 are the one and two levels before n in that
+    direction, and prev2/prev1 are the two before the first.  The columns are stepped in groups whose
     time level fits _GROUP_BYTES, one group after the other; the columns are
     independent, so grouping changes no result.  Within a group the levels
     are stepped in time-major blocks of at most _BLOCK levels: each column's
     block of rhs is copied transposed, _TILE nodes at a time, into one
     contiguous (level, node, column) buffer, stepped there in place, written
     back into its own output, and the last two levels are carried into the
-    next block.  A _Traces column is written into its zero-filled slice of
-    the buffer instead.  The columns meet only inside the buffer, and the
-    stencil scale is expanded to the buffer's full (nz, nx, k) shape, so
+    next block.  A _Traces column of rhs is written into its zero-filled
+    slice of the buffer instead, and a _Traces column of out receives only
+    its rows of each block.  The columns meet only inside the buffer, and
+    the stencil scale is expanded to the buffer's full (nz, nx, k) shape, so
     every ufunc runs one flat loop.
     """
     if not levels:
@@ -315,15 +339,19 @@ def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
             np.multiply(p1, 2.0, out=level)
             np.add(work, level, out=level)
             np.subtract(level, p2, out=level)
-        for j in range(k):
-            out[j][:, lo : lo + count] = block[..., j].T
+        for j, col in enumerate(out):
+            if isinstance(col, _Traces):
+                col.values[:, lo : lo + count] = block[:, col.rows, j].T
+            else:
+                col[:, lo : lo + count] = block[..., j].T
         buf[:2] = buf[count : count + 2]
 
 
 class _Traces(NamedTuple):
     """A sweep column that is zero except at the nodes ``rows``, where it
     holds ``values`` (len(rows), nt): the injection P^T d of receiver traces,
-    never built as a dense field."""
+    never built as a dense field.  As an output column of the forward sweep
+    it receives the rows of the swept field, P u, into ``values``."""
 
     rows: list
     values: np.ndarray
@@ -365,19 +393,32 @@ def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     rhs is an array with optional trailing batch axes, or a sequence of k
     columns, (n_space, nt) arrays or _Traces, swept as one batch; the result
     takes rhs's form.  A _Traces column gives bitwise the result of its
-    dense injected field.  For a sequence, ``out`` may name the k arrays to
-    write the result into, rhs's own arrays included: each block of rhs is
-    read before the same block of the result is written.
+    dense injected field.  For a sequence, ``out`` may name the k columns to
+    write the result into: (n_space, nt) arrays, rhs's own arrays included
+    (each block of rhs is read before the same block of the result is
+    written), or _Traces, which receive the field at their rows only.  The
+    first two levels of u are those of rhs, so they are taken from rhs.
     """
     _, s = _scales(spec, m_values, 0)
     n_space = spec.n_space
     rhs_cols, u, u_cols = _batch(spec, rhs, out)
-    for n in (0, 1):
-        for uc, level in zip(u_cols, _levels(rhs_cols, n, n_space).T):
-            uc[:, n] = level
-    _recurrence(spec, s, rhs_cols, u_cols, range(2, spec.nt),
-                [uc[:, 0] for uc in u_cols], [uc[:, 1] for uc in u_cols])
+    start = [_levels(rhs_cols, n, n_space).T for n in (0, 1)]
+    for n, levels in enumerate(start):
+        for uc, level in zip(u_cols, levels):
+            if isinstance(uc, _Traces):
+                uc.values[:, n] = level[uc.rows]
+            else:
+                uc[:, n] = level
+    _recurrence(spec, s, rhs_cols, u_cols, range(2, spec.nt), list(start[0]), list(start[1]))
     return u
+
+
+def _sampled_sweep(spec: GridSpec, m_values: np.ndarray, rhs, rows: list) -> list[np.ndarray]:
+    """P A(m)^-1 f for each column f of the sequence rhs: the (len(rows), nt)
+    traces of the swept field at the nodes ``rows``, bitwise those of
+    _forward_sweep, from one batched sweep that never builds the field."""
+    out = [_Traces(rows, np.empty((len(rows), spec.nt))) for _ in rhs]
+    return [col.values for col in _forward_sweep(spec, m_values, rhs, out)]
 
 
 def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
@@ -424,10 +465,32 @@ def apply_wave_operator_transpose(m: ModelGrid, f: SourceField) -> Wavefield:
     return Wavefield(f.spec, _apply_transpose(f.spec, m.values, f.values))
 
 
-def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
-    """Sweep a batch of fields on m's grid, one batched sweep for all.  A
+def _sweep_column(values: np.ndarray):
+    """A right-hand side field as a sweep column: the _Traces of its non-zero
+    rows if each row chunk has at most _SPARSE_SHARE of its rows non-zero,
+    else the field itself.  The scan stops at the first chunk past the
+    share, and passes an all-zero chunk by one flat count, which reads
+    faster than the per-row test.  A row counts as zero only if all its
+    bits are, so a -0.0 keeps its row and the zero-filled rows of the trace
+    column are bitwise the field's."""
+    bits = values.view(np.int64)
+    rows = []
+    for chunk in _row_chunks(len(values), values[0].nbytes):
+        part = bits[chunk]
+        if not np.count_nonzero(part):
+            continue
+        hit = part.any(axis=1)
+        if np.count_nonzero(hit) > _SPARSE_SHARE * len(hit):
+            return values
+        rows.extend((chunk.start + np.flatnonzero(hit)).tolist())
+    return _Traces(rows, values[rows])
+
+
+def _columns(m: ModelGrid, fields) -> list:
+    """The sweep columns of a batch of right-hand sides on m's grid.  A
     TraceData right-hand side is injected at its receivers (P^T d) inside
-    the sweep's working block, so no dense injected field is built."""
+    the sweep's working block, so no dense injected field is built, and a
+    field with few non-zero rows is swept as the traces of those rows."""
     columns = []
     for f in fields:
         _check_pair(m, f)
@@ -435,9 +498,15 @@ def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
             f.geometry.validate_for(f.spec)
             columns.append(_Traces(list(f.geometry.receiver_nodes), f.values))
         else:
-            columns.append(f.values)
+            columns.append(_sweep_column(f.values))
     check_cfl(m.spec, m.values)
-    out = sweep(m.spec, m.values, columns)
+    return columns
+
+
+def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
+    """Sweep a batch of right-hand sides on m's grid, one batched sweep for
+    all."""
+    out = sweep(m.spec, m.values, _columns(m, fields))
     try:
         return tuple(Wavefield(m.spec, values) for values in out)
     except ValueError as exc:  # Wavefield's finiteness check, one scan per field
@@ -457,6 +526,19 @@ def forward_solve(m: ModelGrid, b: SourceField) -> Wavefield:
 def forward_solves(m: ModelGrid, sources) -> tuple[Wavefield, ...]:
     """forward_solve for every source, as one batched sweep."""
     return _solve(_forward_sweep, "forward", m, sources)
+
+
+def forward_traces(m: ModelGrid, sources, geometry: AcquisitionGeometry) -> tuple[TraceData, ...]:
+    """sample(forward_solve(m, b), geometry) for every source b, bitwise, as
+    one batched sweep that writes only the receiver rows: no field is
+    allocated.  Non-finite traces raise DivergenceError."""
+    geometry.validate_for(m.spec)
+    traces = _sampled_sweep(m.spec, m.values, _columns(m, sources),
+                            list(geometry.receiver_nodes))
+    try:
+        return tuple(TraceData(m.spec, geometry, values) for values in traces)
+    except ValueError as exc:  # TraceData's finiteness check
+        raise DivergenceError("forward solve produced non-finite values") from exc
 
 
 def adjoint_solve(m: ModelGrid, r: SourceField) -> Wavefield:

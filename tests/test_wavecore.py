@@ -29,6 +29,7 @@ from lagfwi.wavecore import (
     correlation_terms,
     forward_solve,
     forward_solves,
+    forward_traces,
     inject,
     operator_time_curvature,
     preconditioned_ratio,
@@ -43,6 +44,7 @@ from lagfwi.wavecore import (
     _forward_sweep,
     _laplacian_into,
     _scales,
+    _sweep_column,
     residual_sum_of_squares,
     sum_of_squares,
 )
@@ -258,7 +260,8 @@ def test_preconditioned_ratio_floors_weak_nodes():
     assert ratio[3] == 0.0
 
 
-def test_solves_scan_each_field_once_and_reject_non_finite(spec1d, model1d, rng, monkeypatch):
+def test_solves_scan_each_field_once_and_reject_non_finite(spec1d, model1d, geom1d, rng,
+                                                          monkeypatch):
     sources = [random_source(spec1d, rng) for _ in range(2)]
     scanned = []
     isfinite = np.isfinite
@@ -274,7 +277,8 @@ def test_solves_scan_each_field_once_and_reject_non_finite(spec1d, model1d, rng,
     assert all(a is f.values for a, f in zip(scanned, fields))
     monkeypatch.undo()
     huge = [SourceField(spec1d, np.full(spec1d.shape, 1e307))]
-    for solves, name in ((forward_solves, "forward"), (adjoint_solves, "adjoint")):
+    for solves, name in ((forward_solves, "forward"), (adjoint_solves, "adjoint"),
+                         (lambda m, fs: forward_traces(m, fs, geom1d), "forward")):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError, match=f"{name} solve produced non-finite values"):
             solves(model1d, huge)
@@ -435,6 +439,79 @@ def test_trace_columns_equal_injected_fields_bitwise(ndim, nx, nz, nt, n_traces,
             assert got.tobytes() == want.tobytes()
     for got, want in zip(adjoint_solves(m, traces), adjoint_solves(m, [inject(d) for d in traces])):
         assert got.values.tobytes() == want.values.tobytes()
+
+
+def _edge_weighted_nodes(gen, n_space, count):
+    """The distinct nodes of count picks, each node 0, node n_space - 1 or a
+    uniform node with probability 1/3."""
+    picks = [int(gen.choice([0, n_space - 1, gen.integers(0, n_space)])) for _ in range(count)]
+    return sorted(set(picks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ndim=st.sampled_from([1, 2]),
+    nx=st.integers(min_value=8, max_value=40),
+    nz=st.integers(min_value=3, max_value=8),
+    nt=st.integers(min_value=3, max_value=2 * _BLOCK + 3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# 30 x 30 nodes span two row chunks of the trace-in scan and four copy tiles
+@example(ndim=2, nx=30, nz=30, nt=2 * _BLOCK + 3, seed=30)
+def test_sampled_sweeps_equal_full_sweeps_bitwise(ndim, nx, nz, nt, seed):
+    """Trace-out gives bitwise sample(forward_solves(...)) for a batch that
+    mixes dense, point-source, all-zero, signed-zero and TraceData columns;
+    and a point source, which enters the sweep as the traces of its rows,
+    gives bitwise the fields of its dense column in both sweeps."""
+    gen = np.random.default_rng(seed)
+    # a 1D line holds as many nodes as a 2D grid, so a point source is few rows
+    spec = GridSpec(ndim=ndim, nx=nx if ndim == 2 else nx * nz, nz=nz if ndim == 2 else 1,
+                    dx=10.0, dz=10.0, nt=nt, dt=0.002)
+    m = random_model(spec, gen)
+    n_space = spec.n_space
+    geom = AcquisitionGeometry((0,), tuple(_edge_weighted_nodes(gen, n_space, 4)))
+    point = np.zeros(spec.shape)
+    point_rows = _edge_weighted_nodes(gen, n_space, 2)
+    point[point_rows] = gen.standard_normal((len(point_rows), nt))
+    signed_zero = np.zeros(spec.shape)
+    signed_zero[n_space - 1] = -0.0
+    signed_zero[0, nt - 1] = gen.standard_normal()
+    fields = [gen.standard_normal(spec.shape), point, np.zeros(spec.shape), signed_zero]
+    sources = [SourceField(spec, f) for f in fields]
+    rec_in = tuple(_edge_weighted_nodes(gen, n_space, 3))
+    injected = TraceData(spec, AcquisitionGeometry((0,), rec_in),
+                         gen.standard_normal((len(rec_in), nt)))
+    batch = sources + [injected]
+    for got, want in zip(forward_traces(m, batch, geom), forward_solves(m, batch)):
+        assert got.geometry == geom
+        assert got.values.tobytes() == sample(want, geom).values.tobytes()
+    assert isinstance(_sweep_column(point), _Traces)
+    assert isinstance(_sweep_column(np.zeros(spec.shape)), _Traces)
+    for solves, sweep in ((forward_solves, _forward_sweep), (adjoint_solves, _adjoint_sweep)):
+        for got, want in zip(solves(m, sources), sweep(spec, m.values, fields)):
+            assert got.values.tobytes() == want.tobytes()
+
+
+def test_trace_out_of_point_sources_peaks_below_one_field(rng):
+    """Trace-in and trace-out together allocate neither the sources' dense
+    columns nor any field: three point sources on a 2D grid peak below one
+    field's bytes, where sampling full solves holds three fields."""
+    spec = GridSpec(ndim=2, nx=41, nz=41, dx=10.0, dz=10.0, nt=300, dt=0.002)
+    m = random_model(spec, rng)
+    geom = AcquisitionGeometry((43, 60, 77), tuple(range(42, 82, 4)))
+    sources = []
+    for node in geom.source_nodes:
+        values = np.zeros(spec.shape)
+        values[node, 2:] = rng.standard_normal(spec.nt - 2)
+        sources.append(SourceField(spec, values))
+    field_bytes = sources[0].values.nbytes
+    tracemalloc.start()
+    try:
+        forward_traces(m, sources, geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < field_bytes
 
 
 @pytest.mark.parametrize("kernel", [_apply, _forward_sweep, _adjoint_sweep])
