@@ -3,9 +3,9 @@
 
     PYTHONPATH=src python3 scripts/bench.py --out bench.json
 
-Times ``wavecore._forward_sweep``, ``wavecore._adjoint_sweep`` and
-``wavecore._apply`` on fixed grid shapes, the sweeps also on a sequence of
-three fields swept as one batch; the two streamed passes of a 2D step at
+Times ``wavecore._forward_sweep`` and ``wavecore._adjoint_sweep`` on fixed
+grid shapes, each sweeping a sequence of one field or of three fields as
+one batch, and ``wavecore._apply`` on one field; the two streamed passes of a 2D step at
 ``fwi-2d``'s field size (101 x 101 x 400): ``wavecore.correlation_terms`` and
 the diagnostics' constraint norm ||A(m) u - b||^2; and the wavefield CG
 layer of the two-scatterer benchmark's first penalty-wavefield step (its
@@ -39,14 +39,11 @@ timed in two rows: "forward modelling", ``config.make_observed_data`` on
 13 receivers), and "sampled vs full forward sweep", one dense field on that
 grid swept whole and then sampled at those receivers, against the trace-out
 sweep ``wavecore._sampled_sweep`` that writes only the receiver rows (on a
-checkout that has it); both rows give their tracemalloc peak too.  On a
-checkout with trace-in, the "trace-in vs dense column" rows sweep one field
-on that grid whose non-zero rows are random and make a given share of its
-rows, once as the dense column and once as the traces of those rows, with
-the time of the row scan ``wavecore._sweep_column``: where the two sweeps
-meet is the break-even that ``wavecore._SPARSE_SHARE`` rests on.  The
+checkout that has it); both rows give their tracemalloc peak too.  The
 wavefield CG rows take their residuals d - P A^-1 (b - w/mu) from the
-trace-out solve ``wavecore.forward_traces`` where the checkout has it.
+trace-out solve ``wavecore.forward_traces`` where the checkout has it, and
+form b - w/mu by ``wavecore.add_source`` where the checkout has it (there
+a point source is one-node TraceData, not a dense field).
 Everything runs in this one process with BLAS/OpenMP pinned to one
 thread.  Each case is run once untimed, then REPEATS times under
 ``time.perf_counter``; the file holds the minimum and the median of those
@@ -86,17 +83,16 @@ from lagfwi.config import (
 from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield
 from lagfwi.saddle import PenaltyConfig, solve_saddle
 
-# (label, ndim, nx, nz, nt, columns, sequence); columns None is an unbatched
-# (n_space, nt) field, and sequence marks a list of `columns` separate fields
-# in place of one array with a trailing batch axis
+# (label, ndim, nx, nz, nt, columns): the sweeps take a sequence of
+# `columns` separate (n_space, nt) fields, and _apply the one field of a
+# single-column shape
 SHAPES = (
-    ("2D 101x101x400", 2, 101, 101, 400, None, False),
-    ("2D 101x101x400 sequence k=3", 2, 101, 101, 400, 3, True),
-    ("1D 61x256", 1, 61, 1, 256, None, False),
-    ("1D 61x256 k=4", 1, 61, 1, 256, 4, False),
-    ("1D 61x256 sequence k=3", 1, 61, 1, 256, 3, True),
-    ("1D 21x80", 1, 21, 1, 80, None, False),
-    ("2D 7x5x9", 2, 7, 5, 9, None, False),
+    ("2D 101x101x400", 2, 101, 101, 400, 1),
+    ("2D 101x101x400 sequence k=3", 2, 101, 101, 400, 3),
+    ("1D 61x256", 1, 61, 1, 256, 1),
+    ("1D 61x256 sequence k=3", 1, 61, 1, 256, 3),
+    ("1D 21x80", 1, 21, 1, 80, 1),
+    ("2D 7x5x9", 2, 7, 5, 9, 1),
 )
 REPEATS = 7
 KERNELS = {
@@ -140,18 +136,18 @@ def time_call(call):
 
 def kernel_rows(rng) -> list[dict]:
     rows = []
-    for label, ndim, nx, nz, nt, columns, sequence in SHAPES:
+    for label, ndim, nx, nz, nt, columns in SHAPES:
         spec = GridSpec(ndim=ndim, nx=nx, nz=nz, dx=10.0, dz=10.0, nt=nt, dt=0.002)
         m = 1.0 / (1500.0 + 900.0 * rng.random(spec.n_space)) ** 2
-        if sequence:
-            field = [rng.standard_normal(spec.shape) for _ in range(columns)]
-        else:
-            field = rng.standard_normal(spec.shape if columns is None else spec.shape + (columns,))
-        points = spec.n_space * nt * (columns or 1)
+        fields = [rng.standard_normal(spec.shape) for _ in range(columns)]
+        points = spec.n_space * nt * columns
         for name, kernel in KERNELS.items():
-            if sequence and kernel is wavecore._apply:
-                continue
-            best, median = time_call(lambda: kernel(spec, m, field))
+            if kernel is wavecore._apply:
+                if columns > 1:
+                    continue
+                best, median = time_call(lambda: kernel(spec, m, fields[0]))
+            else:
+                best, median = time_call(lambda: kernel(spec, m, fields))
             rows.append({
                 "kernel": name, "shape": label, "points": points,
                 "repeats": REPEATS, "min_s": best, "median_s": median,
@@ -286,14 +282,21 @@ def _sampled(m, fields, geometry) -> list[np.ndarray]:
     return [wavecore.sample(u, geometry).values for u in wavecore.forward_solves(m, fields)]
 
 
+def _al_shift(b, w, mu: float) -> SourceField:
+    """b - w/mu as a SourceField, bitwise as the saddle solve forms it."""
+    add_source = getattr(wavecore, "add_source", None)
+    if add_source is None:  # a checkout whose sources are dense fields
+        return SourceField(b.spec, b.values - (1.0 / mu) * w.values)
+    return SourceField(b.spec, add_source(b, (-1.0 / mu) * w.values))
+
+
 def _cg_infos(m, sources, data, cfg, ws) -> list:
     """Each source's SolveInfo from ``saddle._cg`` on the system the
     matrix-free saddle solve runs: (H + mu I) y = d - P A^-1 (b - w/mu),
     preconditioned by the step's Nystrom sketch."""
     spec, geometry = m.spec, data[0].geometry
     rec = list(geometry.receiver_nodes)
-    shifts = [b if w is None else SourceField(spec, b.values - (1.0 / cfg.mu) * w.values)
-              for b, w in zip(sources, ws)]
+    shifts = [b if w is None else _al_shift(b, w, cfg.mu) for b, w in zip(sources, ws)]
     rhs = [(d.values - traces).ravel() for d, traces in zip(data, _sampled(m, shifts, geometry))]
     apply_h = saddle._hessian_products(spec, m.values, rec)
     precondition = saddle.nystrom_sketch(m, geometry, cfg).preconditioner(cfg.mu)
@@ -372,33 +375,6 @@ def sampling_rows(rng) -> list[dict]:
                      "median_s": median, "traced_peak_bytes": peak})
         print(f"{layer:30s} {case:26s} min {best * 1e3:9.3f} ms  "
               f"median {median * 1e3:9.3f} ms  peak {peak / 2**20:7.2f} MiB")
-    return rows + trace_in_rows(rng, spec, m, rec)
-
-
-def trace_in_rows(rng, spec, m, rec) -> list[dict]:
-    """One field with a share of random non-zero rows, swept as the dense
-    column and as the traces of its rows; empty on a checkout without
-    trace-in."""
-    if not hasattr(wavecore, "_sweep_column"):
-        return []
-    rows = []
-    for share in (1 / spec.n_space, 0.125, 0.25, 0.4, 0.5):
-        count = max(1, int(share * spec.n_space))
-        nodes = sorted(rng.choice(spec.n_space, count, replace=False).tolist())
-        field = np.zeros(spec.shape)
-        field[nodes] = rng.standard_normal((count, spec.nt))
-        traces = wavecore._Traces(nodes, field[nodes])
-        row = {"layer": "trace-in vs dense column", "shape": "2D 101x101x400",
-               "nonzero_rows": count, "repeats": REPEATS}
-        for case, column in (("dense", field), ("traces", traces)):
-            best, median = time_call(lambda: wavecore._sampled_sweep(spec, m.values, [column], rec))
-            row[case] = {"min_s": best, "median_s": median}
-        best, median = time_call(lambda: wavecore._sweep_column(field))
-        row["scan"] = {"min_s": best, "median_s": median}
-        rows.append(row)
-        print(f"trace-in vs dense column {count:6d} rows  dense median "
-              f"{row['dense']['median_s'] * 1e3:8.2f} ms  traces {row['traces']['median_s'] * 1e3:8.2f} "
-              f"ms  scan {median * 1e3:6.2f} ms")
     return rows
 
 

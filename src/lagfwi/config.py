@@ -47,7 +47,6 @@ from .grids import (
     AcquisitionGeometry,
     GridSpec,
     ModelGrid,
-    SourceField,
     TraceData,
     build_model,
     check_cfl,
@@ -224,16 +223,18 @@ def ricker_wavelet(spec: GridSpec, frequency: float, amplitude: float = 1.0) -> 
     return amplitude * (1.0 - 2.0 * arg) * np.exp(-arg)
 
 
-def build_sources(config: ExperimentConfig) -> list[SourceField]:
-    """One point source per configured node, all sharing the Ricker wavelet."""
+def build_sources(config: ExperimentConfig) -> list[TraceData]:
+    """One point source per configured node, all sharing the Ricker wavelet.
+
+    A point source is TraceData on the one-node geometry of its node,
+    holding the wavelet as its one (1, nt) trace: it stands for its
+    injection P^T d, which every sweep takes as a trace column, and
+    wavecore.add_source/subtract_source meet it with dense fields.
+    """
     spec = config.grid
     wavelet = ricker_wavelet(spec, config.wavelet_frequency, config.wavelet_amplitude)
-    sources = []
-    for node in config.source_nodes:
-        values = np.zeros(spec.shape)
-        values[node, :] = wavelet
-        sources.append(SourceField(spec, values))
-    return sources
+    return [TraceData(spec, AcquisitionGeometry((node,), (node,)), np.array([wavelet]))
+            for node in config.source_nodes]
 
 
 def true_model_grid(config: ExperimentConfig) -> ModelGrid:
@@ -245,7 +246,7 @@ def make_observed_data(config: ExperimentConfig) -> list[TraceData]:
 
     The clean traces are P A^-1 b of every source, from one batched sweep
     that writes only the receiver rows (wavecore.forward_traces), so no
-    field is built; a point source enters that sweep as its one trace.
+    field is built; each point source enters that sweep as its one trace.
     Non-finite traces raise DivergenceError.
 
     Noise is additive Gaussian on the traces only, with standard deviation

@@ -106,9 +106,6 @@ class ModelGrid:
             raise ValueError("ModelGrid: squared slowness must be strictly positive")
         object.__setattr__(self, "values", arr)
 
-    def velocity(self) -> np.ndarray:
-        return 1.0 / np.sqrt(self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class Wavefield:
@@ -121,9 +118,6 @@ class Wavefield:
         object.__setattr__(
             self, "values", _checked_array(self.values, self.spec.shape, "Wavefield")
         )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +135,6 @@ class SourceField:
         object.__setattr__(
             self, "values", _checked_array(self.values, self.spec.shape, "SourceField")
         )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)
@@ -168,10 +159,6 @@ class AcquisitionGeometry:
         object.__setattr__(self, "receiver_nodes", rec)
 
     @property
-    def n_sources(self) -> int:
-        return len(self.source_nodes)
-
-    @property
     def n_receivers(self) -> int:
         return len(self.receiver_nodes)
 
@@ -186,7 +173,12 @@ class AcquisitionGeometry:
 
 @dataclass(frozen=True, eq=False)
 class TraceData:
-    """Receiver recordings, values[receiver, n]."""
+    """Receiver recordings, values[receiver, n].
+
+    As the right-hand side of a solve it stands for its injection P^T d.
+    A point source is TraceData on the one-node geometry of its node,
+    holding its wavelet as the one trace (config.build_sources).
+    """
 
     spec: GridSpec
     geometry: AcquisitionGeometry
@@ -197,9 +189,6 @@ class TraceData:
         object.__setattr__(
             self, "values", _checked_array(self.values, shape, "TraceData")
         )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 def check_cfl(spec: GridSpec, model_values: np.ndarray) -> float:

@@ -45,6 +45,11 @@ Nystrom sketch of H, is built from the model, the receivers and the penalty
 config alone.  The sources of a step that builds H or runs the CG must share
 their receivers.
 
+A source b is a point source, one-node TraceData (config.build_sources), or
+a dense SourceField; it meets the dense fields of a step (lam, phi, eps,
+A u) only through wavecore.add_source and subtract_source, which give
+bitwise the dense sums, so both forms step to the same bytes.
+
 G = P A^-1 maps sources to receiver traces and H = G G^T is the data-space
 Hessian; the wavefield and multiplier orientations are one saddle solve of
 (H + mu I) y = d - G (b - w/mu) and differ only in its backend (see the
@@ -87,9 +92,9 @@ from .saddle import (
     PenaltyConfig, _shared_geometry, data_space_multipliers, solve_saddle,
 )
 from .wavecore import (
-    adjoint_solves, apply_wave_operator, correlation_terms, forward_solves, forward_traces,
-    preconditioned_ratio, residual_sum_of_squares, sample, scattering_source, sum_of_squares,
-    updated_model,
+    add_source, adjoint_solves, apply_wave_operator, correlation_terms, forward_solves,
+    forward_traces, preconditioned_ratio, residual_sum_of_squares, sample, scattering_source,
+    subtract_source, sum_of_squares, updated_model,
 )
 
 
@@ -209,7 +214,7 @@ def _split(m, sources, data, cfg, prevs, refresh=True):
     lams = data_space_multipliers(m, _shared_geometry(data), rhs, cfg)
     if not refresh:
         return [prev.u0 for prev in prevs], lams
-    return forward_solves(m, [SourceField(m.spec, b.values + lam.values)
+    return forward_solves(m, [SourceField(m.spec, add_source(b, lam.values))
                               for b, lam in zip(sources, lams)]), lams
 
 
@@ -230,7 +235,7 @@ def _refined_direct(m, sources, data, cfg, prevs):
     lams = [SourceField(spec, prev.lam.values + (lam.values - prev.lam.values))
             for prev, lam in zip(prevs, data_space_multipliers(m, geometry, rhs, cfg))]
     us = forward_solves(m, [
-        SourceField(spec, b.values + phi.values + lam.values - prev.lam.values)
+        SourceField(spec, add_source(b, phi.values) + lam.values - prev.lam.values)
         for b, phi, lam, prev in zip(sources, phis, lams, prevs)])
     return us, lams
 
@@ -245,7 +250,7 @@ def _refined_rearranged(m, sources, data, cfg, prevs):
            in zip(_forward_residuals(data, prevs), _sampled(m, geometry, shifts))]
     lams = data_space_multipliers(m, geometry, rhs, cfg)
     us = forward_solves(m, [
-        SourceField(spec, b.values + lam.values + phi.values - prev.lam.values)
+        SourceField(spec, add_source(b, lam.values) + phi.values - prev.lam.values)
         for b, lam, phi, prev in zip(sources, lams, phis, prevs)])
     return us, lams
 
@@ -259,7 +264,7 @@ def _refined_epsilon(m, sources, data, cfg, prevs):
     rhs = [delta_d + s for delta_d, s
            in zip(_forward_residuals(data, prevs), _sampled(m, geometry, epss))]
     lams = data_space_multipliers(m, geometry, rhs, cfg)
-    us = forward_solves(m, [SourceField(m.spec, b.values + lam.values - eps.values)
+    us = forward_solves(m, [SourceField(m.spec, add_source(b, lam.values) - eps.values)
                             for b, lam, eps in zip(sources, lams, epss)])
     return us, lams
 
@@ -275,7 +280,7 @@ def _born_step(state: IterationState, sources, data, damping: float, lagged: boo
     if lagged:
         dm_prev = m.values - state.model_prev.values
         us = forward_solves(m, [
-            SourceField(m.spec, b.values + scattering_source(u_prev, dm_prev).values)
+            SourceField(m.spec, add_source(b, scattering_source(u_prev, dm_prev).values))
             for b, u_prev in zip(sources, state.wavefields)])
     blocks = [assemble_born_kernel(m, u, d.geometry).matrix for u, d in zip(us, data)]
     rhs = [_residual_traces(d, u0).values.ravel() for d, u0 in zip(data, state.forward_fields)]
@@ -328,7 +333,8 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
     if memory:
         k = 1.0 if scaled else cfg.mu
         slots[mem_slot] = tuple(
-            SourceField(m.spec, mem.values + k * (apply_wave_operator(m_new, u).values - b.values))
+            SourceField(m.spec, mem.values
+                        + k * subtract_source(apply_wave_operator(m_new, u).values, b))
             for b, u, mem in zip(sources, us, mems)
         )
     return IterationState(m_new, m, forward_solves(m_new, sources),

@@ -72,10 +72,11 @@ from .grids import (
 from .wavecore import (
     _Traces,
     _adjoint_sweep,
+    _columns,
     _forward_sweep,
     _sampled_sweep,
     _scales,
-    _sweep_column,
+    add_source,
     forward_solves,
 )
 
@@ -639,22 +640,23 @@ def solve_saddle(m: ModelGrid, sources, data, cfg: PenaltyConfig, ws=None,
 
     shift = b - w/mu (b where w is None; ws=None means no w anywhere),
     lam = data_space_multipliers(d - P A^-1 shift) on the chosen backend,
-    u = A^-1 (shift + lam) and v = mu lam.  The sources must share their
-    receivers.  A batched forward sweep, the multiplier solve, and a
+    u = A^-1 (shift + lam) and v = mu lam.  A source b is a SourceField or a
+    point source (TraceData, see wavecore.forward_solves); it meets the
+    dense w and lam through wavecore.add_source.  The sources must share
+    their receivers.  A batched forward sweep, the multiplier solve, and a
     batched forward sweep.  The first sweep only feeds the residual
-    d - P A^-1 shift, so it writes the receiver rows alone (trace-out) and
-    takes a shift with few non-zero rows, a point source, as its traces;
-    non-finite residuals raise ValueError in data_space_multipliers.
+    d - P A^-1 shift, so it writes the receiver rows alone (trace-out), and
+    a point-source shift enters it as its trace; non-finite residuals raise
+    ValueError in data_space_multipliers.
     """
     spec = m.spec
     geometry = _shared_geometry(data)
     ws = [None] * len(sources) if ws is None else ws
-    shifts = [b.values if w is None else b.values - (1.0 / cfg.mu) * w.values
+    shifts = [b if w is None else SourceField(spec, add_source(b, (-1.0 / cfg.mu) * w.values))
               for b, w in zip(sources, ws)]
-    rec = list(geometry.receiver_nodes)
-    sampled = _sampled_sweep(spec, m.values, [_sweep_column(shift) for shift in shifts], rec)
+    sampled = _sampled_sweep(spec, m.values, _columns(m, shifts), list(geometry.receiver_nodes))
     residuals = [d.values - traces for d, traces in zip(data, sampled)]
     lams = data_space_multipliers(m, geometry, residuals, cfg, matrix_free)
-    us = forward_solves(m, [SourceField(spec, shift + lam.values)
+    us = forward_solves(m, [SourceField(spec, add_source(shift, lam.values))
                             for shift, lam in zip(shifts, lams)])
     return us, tuple(Wavefield(spec, cfg.mu * lam.values) for lam in lams)

@@ -76,7 +76,6 @@ from .wavecore import (
     apply_wave_operator_transpose,
     forward_solve,
     forward_traces,
-    inject,
     sample,
     scattering_source,
 )
@@ -161,7 +160,8 @@ def _check_sampling_adjoint(faults) -> CheckResult:
         u = Wavefield(spec, rng.standard_normal(spec.shape))
         y = TraceData(spec, geom, rng.standard_normal((3, spec.nt)))
         lhs = float(np.sum(sample(u, geom).values * y.values))
-        rhs = float(np.sum(u.values * inject(y).values))
+        injected = (dense_sampling_operator(spec, geom).T @ y.values.ravel()).reshape(spec.shape)
+        rhs = float(np.sum(u.values * injected))
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return CheckResult("sampling-dot-test", worst <= 1e-13, f"rel {worst:.3e} (tol 1e-13)")
 
@@ -190,23 +190,24 @@ def _check_sweep_dense(faults) -> CheckResult:
         m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
         dense = assemble_dense_operator(m)
         rhs = rng.standard_normal(spec.shape + (2,))
-        u = _forward_sweep(spec, m.values, rhs)
-        v = _adjoint_sweep(spec, m.values, rhs)
-        if "perturb-sweep" in faults:
-            u[:, 2 + _BLOCK] *= 1.0 + 1e-6
-            v[:, nt - 2 - _BLOCK] *= 1.0 + 1e-6
-        for col in range(rhs.shape[2]):
-            b = SourceField(spec, rhs[..., col])
-            worst = max(worst, _rel(u[..., col], dense.solve(b).values))
-            worst = max(worst, _rel(v[..., col], dense.solve_transpose(b).values))
-            w = Wavefield(spec, rhs[..., col])
+        columns = [rhs[..., col] for col in range(2)]
+        us = _forward_sweep(spec, m.values, columns)
+        vs = _adjoint_sweep(spec, m.values, columns)
+        for u, v, column in zip(us, vs, columns):
+            if "perturb-sweep" in faults:
+                u[:, 2 + _BLOCK] *= 1.0 + 1e-6
+                v[:, nt - 2 - _BLOCK] *= 1.0 + 1e-6
+            b = SourceField(spec, column)
+            worst = max(worst, _rel(u, dense.solve(b).values))
+            worst = max(worst, _rel(v, dense.solve_transpose(b).values))
+            w = Wavefield(spec, column)
             worst = max(worst, _rel(apply_wave_operator(m, w).values, dense.apply(w).values))
     # A 2D grid wider than one copy tile, against the oracle's stepped sweep:
     # its dense matrix would cost more memory than the rest of the battery.
     spec = GridSpec(ndim=2, nx=20, nz=_TILE // 20 + 1, dx=10.0, dz=10.0, nt=6, dt=0.002)
     m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
     rhs = rng.standard_normal(spec.shape + (2,))
-    u = _forward_sweep(spec, m.values, rhs)
+    u = np.stack(_forward_sweep(spec, m.values, [rhs[..., col] for col in range(2)]), axis=-1)
     if "perturb-sweep" in faults:
         u[_TILE:, 2] *= 1.0 + 1e-6
     worst = max(worst, _rel(u, _reference_sweep(spec, m.values, rhs)))
@@ -214,13 +215,13 @@ def _check_sweep_dense(faults) -> CheckResult:
 
 
 def _check_sampled_sweep(faults) -> CheckResult:
-    # Trace-out of one batch of a point source, which enters the sweep as its
-    # one trace (trace-in), and a dense source, against the dense solve
-    # sampled at receivers on the edges and corners, the point source on the
-    # last one.  nt = _BLOCK + 4 crosses a working-block boundary.  The 1D
-    # grid meets the dense operator; the 2D one, wider than one copy tile,
-    # the oracle's stepped sweep, whose dense matrix would set the battery's
-    # peak memory.  Forward sweeps only.
+    # Trace-out of one batch of a point source, one-node TraceData that
+    # enters the sweep as its one trace (trace-in), and a dense source,
+    # against the dense solve sampled at receivers on the edges and corners,
+    # the point source on the last one.  nt = _BLOCK + 4 crosses a
+    # working-block boundary.  The 1D grid meets the dense operator; the 2D
+    # one, wider than one copy tile, the oracle's stepped sweep, whose dense
+    # matrix would set the battery's peak memory.  Forward sweeps only.
     rng = np.random.default_rng(117)
     nt = _BLOCK + 4
     nx, nz = 20, _TILE // 20 + 1
@@ -233,13 +234,16 @@ def _check_sampled_sweep(faults) -> CheckResult:
     ):
         geom = AcquisitionGeometry((rec[-1],), rec)
         m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
-        point = np.zeros(spec.shape)
-        point[rec[-1], 2:] = rng.standard_normal(nt - 2)
-        fields = [point, rng.standard_normal(spec.shape)]
-        traces = [d.values for d in forward_traces(m, [SourceField(spec, f) for f in fields], geom)]
+        wavelet = np.zeros((1, nt))
+        wavelet[0, 2:] = rng.standard_normal(nt - 2)
+        point = TraceData(spec, AcquisitionGeometry((rec[-1],), (rec[-1],)), wavelet)
+        field = rng.standard_normal(spec.shape)
+        traces = [d.values for d in forward_traces(m, [point, SourceField(spec, field)], geom)]
         if "perturb-sampled-sweep" in faults:
             traces[0][-1, 2 + _BLOCK] *= 1.0 + 1e-6
-        rhs = np.stack(fields, axis=-1)
+        rhs = np.zeros(spec.shape + (2,))
+        rhs[rec[-1], :, 0] = wavelet[0]
+        rhs[..., 1] = field
         if spec.ndim == 1:  # both columns in one dense solve
             u = np.linalg.solve(assemble_dense_operator(m).matrix, rhs.reshape(-1, 2))
             refs = (dense_sampling_operator(spec, geom) @ u).reshape(len(rec), nt, 2)
@@ -366,7 +370,7 @@ def _check_nystrom(faults) -> CheckResult:
         sketch = replace(sketch, eigenvalues=1e-2 * sketch.eigenvalues)
     apply_h = _hessian_products(spec, m.values, rec)
     shift = b.values - w.values / cfg.mu
-    rhs = (d.values - _forward_sweep(spec, m.values, shift)[rec]).ravel()
+    rhs = (d.values - _forward_sweep(spec, m.values, [shift])[0][rec]).ravel()
     [(y, info)] = _cg(lambda ys: [hy + cfg.mu * y for hy, y in zip(apply_h(ys), ys)], [rhs],
                       cfg.cg_tol, cfg.cg_maxiter, sketch.preconditioner(cfg.mu))
     [v] = _adjoint_sweep(spec, m.values, [_Traces(rec, cfg.mu * y.reshape(d.values.shape))])

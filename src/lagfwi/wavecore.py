@@ -23,24 +23,25 @@ makes no full-size temporary:
   writes contiguous memory while the stored layout stays [node, n].  The
   copy in goes _TILE nodes at a time, so the rows it reads stay in cache
   until every level of them is used.
-* A sweep takes k right-hand sides at once, either as the trailing batch
-  axis of one array or as a sequence of k separate fields
+* A sweep takes a sequence of k right-hand sides at once
   (``forward_solves``/``adjoint_solves``, the batched solves of a step's
   sources).  The columns are stepped in groups whose time level, (node,
   column), fits _GROUP_BYTES: on a 101 x 101 grid that is one column per
   group, on the 1D grids all of them.  The columns of a group share only
-  its working block, (level, node, column), and each sequence column gets
-  its own contiguous [node, n] result, so no stacked copy of the fields
-  exists.  Small grids are bound by the Python cost of each time step, not
-  by flops, so one sweep of k columns costs little more than one of a
-  single column.
+  its working block, (level, node, column), and each column gets its own
+  contiguous [node, n] result, so no stacked copy of the fields exists.
+  Small grids are bound by the Python cost of each time step, not by
+  flops, so one sweep of k columns costs little more than one of a single
+  column.
 * Trace-in: a column may be receiver traces instead of a field
-  (``_Traces``; a TraceData right-hand side of ``adjoint_solves``): P^T d
-  is written into the column's zero-filled slice of the working block
-  during the copy in, so no dense injected field is built.  A SourceField
-  right-hand side whose non-zero rows are few (a point source) goes into
-  the sweep the same way, as the traces of its non-zero rows
-  (``_sweep_column``); either gives bitwise the sweep of the dense column.
+  (``_Traces``; a TraceData right-hand side): P^T d is written into the
+  column's zero-filled slice of the working block during the copy in, so
+  no dense injected field is built, and the sweep is bitwise that of the
+  dense column.  A point source is such a column: TraceData on the
+  one-node geometry of its node, holding its wavelet (config.build_sources).
+  Where a source meets a dense field, ``add_source`` and
+  ``subtract_source`` give bitwise the dense b + x and x - b while touching
+  only the source's nodes.
 * Trace-out: an output column of the forward sweep may be a ``_Traces``
   too, which receives P A^-1 f, the swept field at its rows
   (``forward_traces``, ``_sampled_sweep``).  The copy out then writes only
@@ -104,12 +105,13 @@ __all__ = [
     "adjoint_solve",
     "adjoint_solves",
     "sample",
-    "inject",
     "operator_time_curvature",
     "scattering_source",
     "correlation_terms",
     "sum_of_squares",
     "residual_sum_of_squares",
+    "add_source",
+    "subtract_source",
     "DENOMINATOR_FLOOR_REL",
 ]
 
@@ -133,20 +135,8 @@ _GROUP_BYTES = 128 * 1024
 # whole block at once is 1.1-1.3x slower (BENCH_9.json).
 _TILE = 256
 
-# Bytes of the row chunks of the curvature, the sums of squares and the
-# trace-in row scan.
+# Bytes of the row chunks of the curvature and the sums of squares.
 _CHUNK_BYTES = 256 * 1024
-
-# Share of a row chunk's rows that may be non-zero in a right-hand side
-# that enters a sweep as traces (_sweep_column).  On a 101 x 101 x 400
-# column with random non-zero rows the trace copy in breaks even with the
-# dense one at 40-50% of the rows or above (BENCH_14.json: still 41-45
-# against 46-49 ms at 50%); at one row, a point source, the sweep takes 24
-# against 41 ms and the row scan 3.5-4.3 ms.  Where a field stays in cache
-# (51 x 51 x 200, 1D 61 x 256) the two are at par within the scan's cost.
-# The scan stops at the first chunk past the share, so a dense field pays
-# one chunk of it (81 of 10201 rows there).
-_SPARSE_SHARE = 0.125
 
 
 def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
@@ -369,47 +359,30 @@ def _levels(cols, n: int, n_space: int) -> np.ndarray:
     return levels
 
 
-def _batch(spec: GridSpec, rhs, out=None):
-    """(rhs columns, result, result columns) of a sweep's right-hand side.
-
-    An array (n_space, nt, ...) has its trailing axes as batch columns, and
-    its result is one array of the same shape; a sequence of k columns, each
-    an (n_space, nt) array or a _Traces, is its own list of columns, and its
-    result is a list of k separate arrays, or ``out`` when given.  Columns
-    are (n_space, nt) views.
-    """
-    if isinstance(rhs, np.ndarray):
-        out = np.empty(rhs.shape)
-        rhs_cols, out_cols = (list(np.moveaxis(a.reshape(spec.n_space, spec.nt, -1), 2, 0))
-                              for a in (rhs, out))
-        return rhs_cols, out, out_cols
-    out = [np.empty(spec.shape) for _ in rhs] if out is None else out
-    return list(rhs), out, out
-
-
-def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
+def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None) -> list:
     """Explicit time stepping, solves A(m) u = rhs.
 
-    rhs is an array with optional trailing batch axes, or a sequence of k
-    columns, (n_space, nt) arrays or _Traces, swept as one batch; the result
-    takes rhs's form.  A _Traces column gives bitwise the result of its
-    dense injected field.  For a sequence, ``out`` may name the k columns to
-    write the result into: (n_space, nt) arrays, rhs's own arrays included
-    (each block of rhs is read before the same block of the result is
-    written), or _Traces, which receive the field at their rows only.  The
-    first two levels of u are those of rhs, so they are taken from rhs.
+    rhs is a sequence of k columns, (n_space, nt) arrays or _Traces, swept
+    as one batch into a list of k separate (n_space, nt) arrays.  A _Traces
+    column gives bitwise the result of its dense injected field.  ``out``
+    may name the k columns to write the result into: (n_space, nt) arrays,
+    rhs's own arrays included (each block of rhs is read before the same
+    block of the result is written), or _Traces, which receive the field at
+    their rows only.  The first two levels of u are those of rhs, so they
+    are taken from rhs.
     """
     _, s = _scales(spec, m_values, 0)
     n_space = spec.n_space
-    rhs_cols, u, u_cols = _batch(spec, rhs, out)
-    start = [_levels(rhs_cols, n, n_space).T for n in (0, 1)]
+    rhs = list(rhs)
+    u = [np.empty(spec.shape) for _ in rhs] if out is None else out
+    start = [_levels(rhs, n, n_space).T for n in (0, 1)]
     for n, levels in enumerate(start):
-        for uc, level in zip(u_cols, levels):
+        for uc, level in zip(u, levels):
             if isinstance(uc, _Traces):
                 uc.values[:, n] = level[uc.rows]
             else:
                 uc[:, n] = level
-    _recurrence(spec, s, rhs_cols, u_cols, range(2, spec.nt), list(start[0]), list(start[1]))
+    _recurrence(spec, s, rhs, u, range(2, spec.nt), list(start[0]), list(start[1]))
     return u
 
 
@@ -421,28 +394,30 @@ def _sampled_sweep(spec: GridSpec, m_values: np.ndarray, rhs, rows: list) -> lis
     return [col.values for col in _forward_sweep(spec, m_values, rhs, out)]
 
 
-def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs):
-    """Reverse time stepping, solves A(m)^T v = rhs; rhs as in _forward_sweep."""
+def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs) -> list:
+    """Reverse time stepping, solves A(m)^T v = rhs; rhs and the result as
+    in _forward_sweep."""
     nt, n_space = spec.nt, spec.n_space
     c, s = _scales(spec, m_values, 1)
-    rhs_cols, v, v_cols = _batch(spec, rhs)
-    for vc, level in zip(v_cols, (s * _levels(rhs_cols, nt - 1, n_space)).T):
+    rhs = list(rhs)
+    v = [np.empty(spec.shape) for _ in rhs]
+    for vc, level in zip(v, (s * _levels(rhs, nt - 1, n_space)).T):
         vc[:, nt - 1] = level
     # the level after nt - 1 is zero, and x - 0.0 == x, so the first step
     # matches the stencil row that has no v[:, n + 2] term
     zero = np.zeros(n_space)
-    _recurrence(spec, s, rhs_cols, v_cols, range(nt - 2, 1, -1),
-                [zero] * len(rhs_cols), [vc[:, nt - 1] for vc in v_cols])
+    _recurrence(spec, s, rhs, v, range(nt - 2, 1, -1), [zero] * len(rhs),
+                [vc[:, nt - 1] for vc in v])
     # levels 0 and 1 meet the identity rows, so no 1/c scaling there; they
     # are finished for the whole batch at once, on (n_space, k) arrays
-    v2 = _levels(v_cols, 2, n_space)
-    lap = np.empty((spec.nz, spec.nx, len(v_cols)))
+    v2 = _levels(v, 2, n_space)
+    lap = np.empty((spec.nz, spec.nx, len(v)))
     _laplacian_into(spec, lap, np.empty_like(lap))(v2.reshape(lap.shape))
-    t1 = _levels(rhs_cols, 1, n_space) + 2.0 * c * v2 + lap.reshape(v2.shape)
+    t1 = _levels(rhs, 1, n_space) + 2.0 * c * v2 + lap.reshape(v2.shape)
     if nt >= 4:
-        t1 = t1 - c * _levels(v_cols, 3, n_space)
-    t0 = _levels(rhs_cols, 0, n_space) - c * v2
-    for vc, level1, level0 in zip(v_cols, t1.T, t0.T):
+        t1 = t1 - c * _levels(v, 3, n_space)
+    t0 = _levels(rhs, 0, n_space) - c * v2
+    for vc, level1, level0 in zip(v, t1.T, t0.T):
         vc[:, 1] = level1
         vc[:, 0] = level0
     return v
@@ -465,32 +440,11 @@ def apply_wave_operator_transpose(m: ModelGrid, f: SourceField) -> Wavefield:
     return Wavefield(f.spec, _apply_transpose(f.spec, m.values, f.values))
 
 
-def _sweep_column(values: np.ndarray):
-    """A right-hand side field as a sweep column: the _Traces of its non-zero
-    rows if each row chunk has at most _SPARSE_SHARE of its rows non-zero,
-    else the field itself.  The scan stops at the first chunk past the
-    share, and passes an all-zero chunk by one flat count, which reads
-    faster than the per-row test.  A row counts as zero only if all its
-    bits are, so a -0.0 keeps its row and the zero-filled rows of the trace
-    column are bitwise the field's."""
-    bits = values.view(np.int64)
-    rows = []
-    for chunk in _row_chunks(len(values), values[0].nbytes):
-        part = bits[chunk]
-        if not np.count_nonzero(part):
-            continue
-        hit = part.any(axis=1)
-        if np.count_nonzero(hit) > _SPARSE_SHARE * len(hit):
-            return values
-        rows.extend((chunk.start + np.flatnonzero(hit)).tolist())
-    return _Traces(rows, values[rows])
-
-
 def _columns(m: ModelGrid, fields) -> list:
-    """The sweep columns of a batch of right-hand sides on m's grid.  A
-    TraceData right-hand side is injected at its receivers (P^T d) inside
-    the sweep's working block, so no dense injected field is built, and a
-    field with few non-zero rows is swept as the traces of those rows."""
+    """The sweep columns of a batch of right-hand sides on m's grid: a
+    SourceField's values, or the _Traces of a TraceData right-hand side,
+    injected at its receivers (P^T d) inside the sweep's working block, so
+    no dense injected field is built."""
     columns = []
     for f in fields:
         _check_pair(m, f)
@@ -498,7 +452,7 @@ def _columns(m: ModelGrid, fields) -> list:
             f.geometry.validate_for(f.spec)
             columns.append(_Traces(list(f.geometry.receiver_nodes), f.values))
         else:
-            columns.append(_sweep_column(f.values))
+            columns.append(f.values)
     check_cfl(m.spec, m.values)
     return columns
 
@@ -524,7 +478,9 @@ def forward_solve(m: ModelGrid, b: SourceField) -> Wavefield:
 
 
 def forward_solves(m: ModelGrid, sources) -> tuple[Wavefield, ...]:
-    """forward_solve for every source, as one batched sweep."""
+    """forward_solve for every source, as one batched sweep.  A source is a
+    SourceField, or TraceData standing for its injection P^T d (a point
+    source), which is injected inside the sweep."""
     return _solve(_forward_sweep, "forward", m, sources)
 
 
@@ -550,8 +506,8 @@ def adjoint_solve(m: ModelGrid, r: SourceField) -> Wavefield:
 def adjoint_solves(m: ModelGrid, rhs) -> tuple[Wavefield, ...]:
     """adjoint_solve for every right-hand side, as one batched sweep.  A
     right-hand side is a SourceField, or TraceData standing for P^T d, which
-    is injected inside the sweep and gives bitwise the same field as
-    adjoint_solve(m, inject(d))."""
+    is injected inside the sweep and gives bitwise the same field as the
+    adjoint solve of its dense injected field."""
     return _solve(_adjoint_sweep, "adjoint", m, rhs)
 
 
@@ -560,14 +516,6 @@ def sample(u: Wavefield, geometry: AcquisitionGeometry) -> TraceData:
     geometry.validate_for(u.spec)
     values = u.values[list(geometry.receiver_nodes), :]
     return TraceData(u.spec, geometry, values.copy())
-
-
-def inject(d: TraceData) -> SourceField:
-    """Spread traces back onto their receiver nodes (the operator P^T)."""
-    d.geometry.validate_for(d.spec)
-    out = np.zeros(d.spec.shape)
-    out[list(d.geometry.receiver_nodes), :] = d.values
-    return SourceField(d.spec, out)
 
 
 def _row_chunks(n_rows: int, row_bytes: int) -> list[slice]:
@@ -663,19 +611,49 @@ def sum_of_squares(values: np.ndarray) -> float:
     return total
 
 
-def residual_sum_of_squares(m: ModelGrid, u: Wavefield, b: SourceField) -> float:
+def residual_sum_of_squares(m: ModelGrid, u: Wavefield, b) -> float:
     """||A(m) u - b||^2 without forming A(m) u: the stencil rows are reduced
     one row of nodes at a time, so it may differ from the whole-array sum at
-    round-off."""
+    round-off.  b is a source as in forward_solves."""
     _check_pair(m, u)
     _check_pair(m, b)
-    head = u.values[:, :2] - b.values[:, :2]
+    head = subtract_source(u.values[:, :2].copy(), b, levels=slice(0, 2))
     total = float(np.sum(head * head))
     for rows, block in _stencil_rows(u.spec, m.values, u.values):
-        np.subtract(block, b.values[rows, 2:], out=block)
+        subtract_source(block, b, rows, slice(2, None))
         np.multiply(block, block, out=block)
         total += float(np.sum(block))
     return total
+
+
+def add_source(b, x: np.ndarray) -> np.ndarray:
+    """b + x as a fresh array, for a source b (as in forward_solves) on the
+    grid of the field x: bitwise the dense b.values + x.  A TraceData
+    source is added at its nodes only; off them the dense sum is 0.0 + x,
+    which turns -0.0 into +0.0, and x + 0.0 does the same."""
+    if not isinstance(b, TraceData):
+        return b.values + x
+    out = x + 0.0
+    nodes = list(b.geometry.receiver_nodes)
+    out[nodes] = b.values + x[nodes]
+    return out
+
+
+def subtract_source(x: np.ndarray, b, rows: slice = slice(None),
+                    levels: slice = slice(None)) -> np.ndarray:
+    """x - b in place, returned, where x holds the nodes ``rows`` and the
+    time levels ``levels`` of a field and b is a source as in
+    forward_solves: bitwise the dense x - b.values[rows, levels].  Off a
+    TraceData source's nodes that is x - 0.0, which is x, so only its nodes
+    are written."""
+    if not isinstance(b, TraceData):
+        return np.subtract(x, b.values[rows, levels], out=x)
+    window = range(b.spec.n_space)[rows]
+    for i, node in enumerate(b.geometry.receiver_nodes):
+        if node in window:
+            j = window.index(node)
+            np.subtract(x[j], b.values[i, levels], out=x[j])
+    return x
 
 
 def preconditioned_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:

@@ -52,9 +52,9 @@ def test_build_model_scalar_and_array(spec1d):
     m = build_model(spec1d, 2000.0)
     assert m.values.shape == (spec1d.n_space,)
     assert np.allclose(m.values, 1.0 / 2000.0**2)
-    assert np.allclose(m.velocity(), 2000.0)
+    assert np.allclose(1.0 / np.sqrt(m.values), 2000.0)
     m2 = build_model(spec1d, np.full(spec1d.n_space, 1500.0))
-    assert np.allclose(m2.velocity(), 1500.0)
+    assert np.allclose(1.0 / np.sqrt(m2.values), 1500.0)
 
 
 def test_model_grid_rejects_nonpositive(spec1d):

@@ -389,7 +389,7 @@ def _batched_problems(draw):
     shift = sources[consistent].values
     if with_w:
         shift = shift - (1.0 / mu) * ws[consistent].values
-    data[consistent] = TraceData(spec, geom, _forward_sweep(spec, m.values, shift)[
+    data[consistent] = TraceData(spec, geom, _forward_sweep(spec, m.values, [shift])[0][
         list(geom.receiver_nodes)])
     return m, sources, data, mu, ws, consistent
 
@@ -444,10 +444,12 @@ def _column_hessian(m, geom):
     rec = list(geom.receiver_nodes)
     blocks = []
     for node in rec:
-        units = np.zeros((spec.n_space, spec.nt, spec.nt))
-        units[node, range(spec.nt), range(spec.nt)] = 1.0
+        units = []
+        for n in range(spec.nt):
+            units.append(np.zeros(spec.shape))
+            units[-1][node, n] = 1.0
         y = _forward_sweep(spec, m.values, _adjoint_sweep(spec, m.values, units))
-        blocks.append(y[rec].reshape(-1, spec.nt))
+        blocks.append(np.stack([col[rec] for col in y], axis=-1).reshape(-1, spec.nt))
     return np.hstack(blocks)
 
 

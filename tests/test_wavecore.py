@@ -30,7 +30,6 @@ from lagfwi.wavecore import (
     forward_solve,
     forward_solves,
     forward_traces,
-    inject,
     operator_time_curvature,
     preconditioned_ratio,
     sample,
@@ -44,8 +43,9 @@ from lagfwi.wavecore import (
     _forward_sweep,
     _laplacian_into,
     _scales,
-    _sweep_column,
+    add_source,
     residual_sum_of_squares,
+    subtract_source,
     sum_of_squares,
 )
 
@@ -172,8 +172,9 @@ def test_sampling_injection_adjoint_pair(spec1d, geom1d, rng):
     from lagfwi.grids import TraceData
 
     lhs = float(np.vdot(d.values, probe))
-    injected = inject(TraceData(spec1d, geom1d, probe))
-    rhs = float(np.vdot(u.values, injected.values))
+    injected = np.zeros(spec1d.shape)
+    injected[list(geom1d.receiver_nodes)] = probe
+    rhs = float(np.vdot(u.values, injected))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -197,7 +198,7 @@ def test_frozen_forward_field(spec1d, model1d, ricker_source):
     u = forward_solve(model1d, ricker_source)
     assert u.values[7, 20] == pytest.approx(-95.86058135327849, rel=1e-13)
     assert u.values[7, 22] == pytest.approx(-120.8670610771004, rel=1e-13)
-    assert u.norm() == pytest.approx(2753.0022510015806, rel=1e-13)
+    assert np.linalg.norm(u.values) == pytest.approx(2753.0022510015806, rel=1e-13)
 
 
 def test_curvature_rows_align_with_operator(spec1d, model1d, rng):
@@ -381,7 +382,7 @@ def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, see
     floating-point operations in the same order, so they agree exactly,
     whatever the column groups and copy tiles.  A sequence of k fields is
     swept as one batch into k separate contiguous results, each equal to
-    its column's reference."""
+    its column's reference; A(m) takes the k columns as one batch axis."""
     gen = np.random.default_rng(seed)
     dx, dz = gen.uniform(5.0, 20.0, 2)
     spec = GridSpec(
@@ -391,18 +392,22 @@ def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, see
     m = random_model(spec, gen).values
     shape = spec.shape if columns is None else spec.shape + (columns,)
     field = gen.standard_normal(shape)
-    assert np.array_equal(_forward_sweep(spec, m, field), _reference_sweep(spec, m, field))
-    assert np.array_equal(_adjoint_sweep(spec, m, field), _stepped_adjoint(spec, m, field))
     assert np.array_equal(_apply(spec, m, field), _whole_array_apply(spec, m, field))
-    if columns is not None:
-        sequence = [field[..., j].copy() for j in range(columns)]
-        for sweep, reference in ((_forward_sweep, _reference_sweep),
-                                 (_adjoint_sweep, _stepped_adjoint)):
-            out = sweep(spec, m, sequence)
-            assert len(out) == columns
-            for got, rhs in zip(out, sequence):
-                assert got.shape == spec.shape and got.flags.c_contiguous
-                assert np.array_equal(got, reference(spec, m, rhs))
+    sequence = [field] if columns is None else [field[..., j].copy() for j in range(columns)]
+    for sweep, reference in ((_forward_sweep, _reference_sweep),
+                             (_adjoint_sweep, _stepped_adjoint)):
+        out = sweep(spec, m, sequence)
+        assert len(out) == len(sequence)
+        for got, rhs in zip(out, sequence):
+            assert got.shape == spec.shape and got.flags.c_contiguous
+            assert np.array_equal(got, reference(spec, m, rhs))
+
+
+def _injected(d: TraceData) -> np.ndarray:
+    """P^T d, the traces spread onto their receiver nodes of a zero field."""
+    out = np.zeros(d.spec.shape)
+    out[list(d.geometry.receiver_nodes)] = d.values
+    return out
 
 
 @settings(max_examples=30, deadline=None)
@@ -420,7 +425,8 @@ def test_trace_columns_equal_injected_fields_bitwise(ndim, nx, nz, nt, n_traces,
     """A sweep column of receiver traces is written into the zero-filled
     working block and gives bitwise the sweep of its dense injected field,
     in both sweeps, alone or batched with a field column; adjoint_solves
-    of TraceData gives bitwise adjoint_solves of inject(d)."""
+    and forward_solves of TraceData give bitwise those of the injected
+    SourceField."""
     gen = np.random.default_rng(seed)
     spec = GridSpec(ndim=ndim, nx=nx, nz=nz if ndim == 2 else 1, dx=10.0, dz=10.0, nt=nt,
                     dt=0.002)
@@ -430,15 +436,16 @@ def test_trace_columns_equal_injected_fields_bitwise(ndim, nx, nz, nt, n_traces,
     geom = AcquisitionGeometry(source_nodes=(0,), receiver_nodes=tuple(rec))
     traces = [TraceData(spec, geom, gen.standard_normal((len(rec), nt)))
               for _ in range(n_traces)]
-    dense = [inject(d).values for d in traces]
+    dense = [_injected(d) for d in traces]
     field = gen.standard_normal(spec.shape)
     columns = [_Traces(rec, d.values) for d in traces]
     for sweep in (_forward_sweep, _adjoint_sweep):
         for got, want in zip(sweep(spec, m.values, columns + [field]),
                              sweep(spec, m.values, dense + [field])):
             assert got.tobytes() == want.tobytes()
-    for got, want in zip(adjoint_solves(m, traces), adjoint_solves(m, [inject(d) for d in traces])):
-        assert got.values.tobytes() == want.values.tobytes()
+    for solves in (forward_solves, adjoint_solves):
+        for got, want in zip(solves(m, traces), solves(m, [SourceField(spec, f) for f in dense])):
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 def _edge_weighted_nodes(gen, n_space, count):
@@ -456,27 +463,25 @@ def _edge_weighted_nodes(gen, n_space, count):
     nt=st.integers(min_value=3, max_value=2 * _BLOCK + 3),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-# 30 x 30 nodes span two row chunks of the trace-in scan and four copy tiles
+# 30 x 30 nodes span four copy tiles
 @example(ndim=2, nx=30, nz=30, nt=2 * _BLOCK + 3, seed=30)
 def test_sampled_sweeps_equal_full_sweeps_bitwise(ndim, nx, nz, nt, seed):
     """Trace-out gives bitwise sample(forward_solves(...)) for a batch that
-    mixes dense, point-source, all-zero, signed-zero and TraceData columns;
-    and a point source, which enters the sweep as the traces of its rows,
-    gives bitwise the fields of its dense column in both sweeps."""
+    mixes dense, few-row, all-zero, signed-zero and TraceData columns."""
     gen = np.random.default_rng(seed)
-    # a 1D line holds as many nodes as a 2D grid, so a point source is few rows
+    # a 1D line holds as many nodes as the 2D grid
     spec = GridSpec(ndim=ndim, nx=nx if ndim == 2 else nx * nz, nz=nz if ndim == 2 else 1,
                     dx=10.0, dz=10.0, nt=nt, dt=0.002)
     m = random_model(spec, gen)
     n_space = spec.n_space
     geom = AcquisitionGeometry((0,), tuple(_edge_weighted_nodes(gen, n_space, 4)))
-    point = np.zeros(spec.shape)
-    point_rows = _edge_weighted_nodes(gen, n_space, 2)
-    point[point_rows] = gen.standard_normal((len(point_rows), nt))
+    few = np.zeros(spec.shape)
+    few_rows = _edge_weighted_nodes(gen, n_space, 2)
+    few[few_rows] = gen.standard_normal((len(few_rows), nt))
     signed_zero = np.zeros(spec.shape)
     signed_zero[n_space - 1] = -0.0
     signed_zero[0, nt - 1] = gen.standard_normal()
-    fields = [gen.standard_normal(spec.shape), point, np.zeros(spec.shape), signed_zero]
+    fields = [gen.standard_normal(spec.shape), few, np.zeros(spec.shape), signed_zero]
     sources = [SourceField(spec, f) for f in fields]
     rec_in = tuple(_edge_weighted_nodes(gen, n_space, 3))
     injected = TraceData(spec, AcquisitionGeometry((0,), rec_in),
@@ -485,26 +490,20 @@ def test_sampled_sweeps_equal_full_sweeps_bitwise(ndim, nx, nz, nt, seed):
     for got, want in zip(forward_traces(m, batch, geom), forward_solves(m, batch)):
         assert got.geometry == geom
         assert got.values.tobytes() == sample(want, geom).values.tobytes()
-    assert isinstance(_sweep_column(point), _Traces)
-    assert isinstance(_sweep_column(np.zeros(spec.shape)), _Traces)
-    for solves, sweep in ((forward_solves, _forward_sweep), (adjoint_solves, _adjoint_sweep)):
-        for got, want in zip(solves(m, sources), sweep(spec, m.values, fields)):
-            assert got.values.tobytes() == want.tobytes()
 
 
 def test_trace_out_of_point_sources_peaks_below_one_field(rng):
     """Trace-in and trace-out together allocate neither the sources' dense
-    columns nor any field: three point sources on a 2D grid peak below one
-    field's bytes, where sampling full solves holds three fields."""
+    columns nor any field: three point sources (one-node TraceData) on a 2D
+    grid peak below one field's bytes, where sampling full solves holds
+    three fields."""
     spec = GridSpec(ndim=2, nx=41, nz=41, dx=10.0, dz=10.0, nt=300, dt=0.002)
     m = random_model(spec, rng)
     geom = AcquisitionGeometry((43, 60, 77), tuple(range(42, 82, 4)))
-    sources = []
-    for node in geom.source_nodes:
-        values = np.zeros(spec.shape)
-        values[node, 2:] = rng.standard_normal(spec.nt - 2)
-        sources.append(SourceField(spec, values))
-    field_bytes = sources[0].values.nbytes
+    sources = [TraceData(spec, AcquisitionGeometry((node,), (node,)),
+                         rng.standard_normal((1, spec.nt)))
+               for node in geom.source_nodes]
+    field_bytes = spec.n_space * spec.nt * 8
     tracemalloc.start()
     try:
         forward_traces(m, sources, geom)
@@ -521,7 +520,7 @@ def test_kernel_peak_memory_is_its_output(kernel, rng):
     field = rng.standard_normal(spec.shape)
     tracemalloc.start()
     try:
-        out = kernel(spec, m, field)
+        out = kernel(spec, m, field) if kernel is _apply else kernel(spec, m, [field])[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -574,3 +573,40 @@ def test_streamed_passes_peak_well_below_one_field(rng):
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * u.values.nbytes
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_source_helpers_equal_dense_expressions_bitwise(ndim, rng):
+    """add_source and subtract_source meet a point source (one-node
+    TraceData) with a field bitwise as its dense injected field does, where
+    the field holds -0.0 on and off the source's row: b + x is a fresh
+    array with 0.0 + x = +0.0 off the row, and x - b leaves x's -0.0 there.
+    A row/level window subtracts only what falls inside it, and the
+    constraint norm of the point source equals that of its dense field."""
+    spec = (GridSpec(ndim=1, nx=15, nz=1, dx=10.0, dz=10.0, nt=20, dt=0.002) if ndim == 1
+            else GridSpec(ndim=2, nx=7, nz=5, dx=10.0, dz=10.0, nt=20, dt=0.002))
+    node = spec.n_space // 2
+    wavelet = rng.standard_normal((1, spec.nt))
+    wavelet[0, :3] = (0.0, -0.0, -0.0)
+    point = TraceData(spec, AcquisitionGeometry((node,), (node,)), wavelet)
+    dense = SourceField(spec, _injected(point))
+    x = rng.standard_normal(spec.shape)
+    x[node, 1:4] = -0.0
+    x[0, :] = -0.0
+    x[-1, ::2] = -0.0
+    before = x.tobytes()
+    for b in (point, dense):
+        total = add_source(b, x)
+        assert total is not x and x.tobytes() == before
+        assert total.tobytes() == (dense.values + x).tobytes()
+        y = x.copy()
+        assert subtract_source(y, b) is y
+        assert y.tobytes() == (x - dense.values).tobytes()
+        for rows in (slice(0, node), slice(node, node + 1), slice(node - 1, spec.n_space)):
+            for levels in (slice(0, 2), slice(2, None)):
+                y = x[rows, levels].copy()
+                subtract_source(y, b, rows, levels)
+                assert y.tobytes() == (x[rows, levels] - dense.values[rows, levels]).tobytes()
+    m = random_model(spec, rng)
+    u = random_wavefield(spec, rng)
+    assert residual_sum_of_squares(m, u, point) == residual_sum_of_squares(m, u, dense)
