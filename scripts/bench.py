@@ -40,10 +40,11 @@ timed in two rows: "forward modelling", ``config.make_observed_data`` on
 grid swept whole and then sampled at those receivers, against the trace-out
 sweep ``wavecore._sampled_sweep`` that writes only the receiver rows (on a
 checkout that has it); both rows give their tracemalloc peak too.  The
-wavefield CG rows take their residuals d - P A^-1 (b - w/mu) from the
-trace-out solve ``wavecore.forward_traces`` where the checkout has it, and
-form b - w/mu by ``wavecore.add_source`` where the checkout has it (there
-a point source is one-node TraceData, not a dense field).
+wavefield CG rows call ``saddle.solve_saddle`` in its extended-source form:
+the plain forward residuals d - P A^-1 b come from the trace-out solve
+``wavecore.forward_traces`` outside the timed call, as a step holds them in
+its forward fields, and the AL rows pass the shift s = -w/mu, so a timed
+solve sweeps P A^-1 s, runs the CG and sweeps u = A^-1 ((b + lam) + s).
 Everything runs in this one process with BLAS/OpenMP pinned to one
 thread.  Each case is run once untimed, then REPEATS times under
 ``time.perf_counter``; the file holds the minimum and the median of those
@@ -80,7 +81,7 @@ from lagfwi.config import (
     ExperimentConfig, ModelDescriptor, StopRules, build_acquisition,
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
-from lagfwi.grids import GridSpec, ModelGrid, SourceField, Wavefield
+from lagfwi.grids import GridSpec, ModelGrid, SourceField, TraceData, Wavefield
 from lagfwi.saddle import PenaltyConfig, solve_saddle
 
 # (label, ndim, nx, nz, nt, columns): the sweeps take a sequence of
@@ -273,31 +274,27 @@ def _cg_cases():
            config.penalty, None)
 
 
-def _sampled(m, fields, geometry) -> list[np.ndarray]:
-    """P A^-1 f of each SourceField f: the trace-out solve where the
-    checkout has it, else full solves sampled at the receivers."""
-    traced = getattr(wavecore, "forward_traces", None)
-    if traced is not None:
-        return [d.values for d in traced(m, fields, geometry)]
-    return [wavecore.sample(u, geometry).values for u in wavecore.forward_solves(m, fields)]
+def _saddle_inputs(m, sources, data, cfg, ws):
+    """(residuals, shifts) of the saddle solve: delta_d = d - P A^-1 b from
+    the trace-out solve, and s = -w/mu (None without w)."""
+    geometry = data[0].geometry
+    residuals = [TraceData(d.spec, geometry, d.values - traces.values)
+                 for d, traces in zip(data, wavecore.forward_traces(m, sources, geometry))]
+    shifts = None if ws is None else [SourceField(w.spec, (-1.0 / cfg.mu) * w.values)
+                                      for w in ws]
+    return residuals, shifts
 
 
-def _al_shift(b, w, mu: float) -> SourceField:
-    """b - w/mu as a SourceField, bitwise as the saddle solve forms it."""
-    add_source = getattr(wavecore, "add_source", None)
-    if add_source is None:  # a checkout whose sources are dense fields
-        return SourceField(b.spec, b.values - (1.0 / mu) * w.values)
-    return SourceField(b.spec, add_source(b, (-1.0 / mu) * w.values))
-
-
-def _cg_infos(m, sources, data, cfg, ws) -> list:
+def _cg_infos(m, residuals, shifts, cfg) -> list:
     """Each source's SolveInfo from ``saddle._cg`` on the system the
-    matrix-free saddle solve runs: (H + mu I) y = d - P A^-1 (b - w/mu),
+    matrix-free saddle solve runs: (H + mu I) y = delta_d - P A^-1 s,
     preconditioned by the step's Nystrom sketch."""
-    spec, geometry = m.spec, data[0].geometry
+    spec, geometry = m.spec, residuals[0].geometry
     rec = list(geometry.receiver_nodes)
-    shifts = [b if w is None else _al_shift(b, w, cfg.mu) for b, w in zip(sources, ws)]
-    rhs = [(d.values - traces).ravel() for d, traces in zip(data, _sampled(m, shifts, geometry))]
+    rhs = [r.values.ravel() for r in residuals]
+    if shifts is not None:
+        rhs = [r - traces.values.ravel()
+               for r, traces in zip(rhs, wavecore.forward_traces(m, shifts, geometry))]
     apply_h = saddle._hessian_products(spec, m.values, rec)
     precondition = saddle.nystrom_sketch(m, geometry, cfg).preconditioner(cfg.mu)
     results = saddle._cg(lambda ys: [hy + cfg.mu * y for hy, y in zip(apply_h(ys), ys)],
@@ -311,12 +308,15 @@ def cg_rows() -> list[dict]:
     the Nystrom sketch of each."""
     rows = []
     for label, m, sources, data, cfg, ws in _cg_cases():
-        ws = ws or [None] * len(sources)
-        infos = _cg_infos(m, sources, data, cfg, ws)
-        modes = {"lock-step": lambda: solve_saddle(m, sources, data, cfg, ws, matrix_free=True)}
+        residuals, shifts = _saddle_inputs(m, sources, data, cfg, ws)
+        infos = _cg_infos(m, residuals, shifts, cfg)
+        modes = {"lock-step": lambda: solve_saddle(m, sources, residuals, cfg, shifts,
+                                                   matrix_free=True)}
         if len(sources) > 1:
-            modes = {"serial": lambda: [solve_saddle(m, [b], [d], cfg, [w], matrix_free=True)
-                                        for b, d, w in zip(sources, data, ws)], **modes}
+            modes = {"serial": lambda: [
+                solve_saddle(m, [sources[j]], [residuals[j]], cfg,
+                             None if shifts is None else [shifts[j]], matrix_free=True)
+                for j in range(len(sources))], **modes}
         for mode, solve in modes.items():
             best, median = time_call(solve)
             rows.append({

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -356,6 +356,19 @@ def _get(entries, key, caster, default=None, required=False):
         raise ConfigurationError(f"{key}: cannot parse {entries[key]!r}") from exc
 
 
+def _given(entries, prefix: str, **casters) -> dict:
+    """Keyword arguments for the keys prefix + name that entries holds, each
+    parsed by its caster; an omitted key is left to the dataclass default."""
+    return {name: _get(entries, prefix + name, cast) for name, cast in casters.items()
+            if prefix + name in entries}
+
+
+def _default(name: str):
+    """The default of ExperimentConfig's field ``name``."""
+    spec = next(f for f in fields(ExperimentConfig) if f.name == name)
+    return spec.default if spec.default_factory is MISSING else spec.default_factory()
+
+
 def _model_descriptor(entries, which: str, ndim: int, base_dir: str) -> ModelDescriptor:
     prefix = f"model.{which}."
     kind = _get(entries, prefix + "kind", str, required=True)
@@ -400,46 +413,29 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         nt=_get(entries, "grid.nt", int, required=True),
         dt=_get(entries, "grid.dt", float, required=True),
     )
-    penalty = PenaltyConfig(
-        mu=_get(entries, "penalty.mu", float, default=100.0),
-        alpha=_get(entries, "penalty.alpha", float),
-        cg_tol=_get(entries, "penalty.cg_tol", float, default=1e-10),
-        cg_maxiter=_get(entries, "penalty.cg_maxiter", int, default=20000),
-    )
-    stop = StopRules(
-        max_iter=_get(entries, "stop.max_iter", int, default=50),
-        misfit_tol=_get(entries, "stop.misfit_tol", float, default=1e-12),
-        constraint_tol=_get(entries, "stop.constraint_tol", float, default=0.0),
-    )
-    noise = NoiseSpec(
-        std=_get(entries, "noise.std", float, default=0.0),
-        seed=_get(entries, "noise.seed", int),
-    )
-    work_dir = _get(entries, "paths.work_dir", str, default="lagfwi-out")
+    penalty = replace(_default("penalty"), **_given(
+        entries, "penalty.", mu=float, alpha=float, cg_tol=float, cg_maxiter=int))
+    stop = StopRules(**_given(entries, "stop.", max_iter=int, misfit_tol=float,
+                              constraint_tol=float))
+    noise = NoiseSpec(**_given(entries, "noise.", std=float, seed=int))
+    work_dir = _get(entries, "paths.work_dir", str, default=_default("work_dir"))
     if not os.path.isabs(work_dir):
         work_dir = os.path.join(base_dir, work_dir)
-    for key in ("acquisition.sources", "acquisition.receivers"):
-        if key not in entries:
-            raise ConfigurationError(f"missing required key {key!r}")
+    wavelet = _given(entries, "wavelet.", frequency=float, amplitude=float)
+    sources, receivers = (_parse_int_list(_get(entries, key, str, required=True), key)
+                          for key in ("acquisition.sources", "acquisition.receivers"))
     return ExperimentConfig(
         grid=spec,
         true_model=_model_descriptor(entries, "true", ndim, base_dir),
         initial_model=_model_descriptor(entries, "init", ndim, base_dir),
-        source_nodes=_parse_int_list(
-            entries["acquisition.sources"], "acquisition.sources"
-        ),
-        receiver_nodes=_parse_int_list(
-            entries["acquisition.receivers"], "acquisition.receivers"
-        ),
-        wavelet_frequency=_get(entries, "wavelet.frequency", float, default=10.0),
-        wavelet_amplitude=_get(entries, "wavelet.amplitude", float, default=1.0),
-        scheme=_get(entries, "scheme", str),
-        update_mode=_get(entries, "update_mode", str, default="sum-terms"),
-        mu_growth=_get(entries, "mu_growth", float, default=1.0),
+        source_nodes=sources,
+        receiver_nodes=receivers,
         penalty=penalty,
         stop=stop,
         noise=noise,
         work_dir=work_dir,
+        **{f"wavelet_{name}": value for name, value in wavelet.items()},
+        **_given(entries, "", scheme=str, update_mode=str, mu_growth=float),
     )
 
 

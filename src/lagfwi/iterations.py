@@ -9,34 +9,45 @@ share the one pipeline of step_scheme,
     mem   = mem + k (A(m_new) u - b)           (per source; schemes with a memory only)
     u0s   = A(m_new)^-1 b, all sources         (forward_fields of the new state)
 
-and differ only in their row of _TABLE: the solve, whether the multiplier is
-scaled, and whether a memory is carried.  A solve takes all of the step's
-sources at once: each of its sweeps is one batched sweep over the step's
-sources, and its data-space solve (H + mu I) y = r runs on the dense backend
-(one assembly of H at the step's model, H + mu I factored in H's own
-buffer, one multi-column Cholesky solve; the model changes every step, so
-nothing is kept between steps) or the matrix-free one (the sources'
-Nystrom-preconditioned CGs in lock step).  An
-unscaled scheme keeps v in `multipliers`, steps by cfg.step_length (1/mu
-unless alpha is pinned) and carries the Lagrange multiplier w (k = mu) in
-`running_multipliers`.  A scaled scheme keeps lam = v/mu in
-`scatter_sources`, takes a unit step and carries the accumulated
-constraint error eps = w/mu (k = 1) in `scatter_errors`.
+and differ only in their row of _TABLE.  Nine rows are one extended-source
+saddle solve (saddle.solve_saddle) of the sources b extended by s against
+the plain forward residuals delta_d = d - P u0,
 
-  scheme              solve                                   backend      scaled  memory
-  fwi                 u = A^-1 b, v back-propagates P u - d   -            no      -
-  penalty-wavefield   lam for d - G b, u = A^-1 (b + lam),    matrix-free  no      -
-                      v = mu lam
-  penalty-multiplier  penalty-wavefield's solve               dense        no      -
-  wri-scaled          lam against the plain residual, refresh dense        yes     -
-                      u = A^-1 (b + lam)
-  al-wavefield        penalty-wavefield's solve, w passed     matrix-free  no      w
-  al-multiplier       penalty-wavefield's solve, w passed     dense        no      w
-  split-gn            wri-scaled's solve without the refresh  dense        yes     -
-  split-gs            wri-scaled's solve                      dense        yes     -
-  refined-direct      multiplier increment, term by term      dense        yes     -
-  refined-rearranged  same iterates, rhs collected first      dense        yes     -
-  refined-epsilon     same iterates, bookkeeping through eps  dense        yes     eps
+    lam = A^-T P^T (H + mu I)^-1 (delta_d - P A^-1 s)
+    u   = A^-1 ((b + lam) + s)                 (the refresh)
+
+with G = P A^-1 and H = G G^T, each row given by its shift s, its backend
+and whether it refreshes u (one batched sweep; without it u = u0); the
+wavefield and multiplier orientations differ only in the backend.  The solve
+takes all of the step's sources at once: each of its sweeps is one batched
+sweep over the step's sources, and its data-space solve (H + mu I) y = r
+runs on the dense backend (one assembly of H at the step's model, H + mu I
+factored in H's own buffer, one multi-column Cholesky solve; the model
+changes every step, so nothing is kept between steps) or the matrix-free one
+(the sources' Nystrom-preconditioned CGs in lock step); a row without a
+shift makes no sweep for P A^-1 s.  An unscaled scheme keeps v = mu lam in
+`multipliers`, steps by cfg.step_length (1/mu unless alpha is pinned) and
+carries the Lagrange multiplier w (k = mu) in `running_multipliers`.  A
+scaled scheme keeps lam in `scatter_sources`, takes a unit step and carries
+the accumulated constraint error eps = w/mu (k = 1) in `scatter_errors`.
+
+  scheme              s                backend      refresh  scaled  memory
+  fwi                 -                -            -        no      -
+  penalty-wavefield   0                matrix-free  yes      no      -
+  penalty-multiplier  0                dense        yes      no      -
+  wri-scaled          0                dense        yes      yes     -
+  al-wavefield        -w/mu            matrix-free  yes      no      w
+  al-multiplier       -w/mu            dense        yes      no      w
+  split-gn            0                dense        no       yes     -
+  split-gs            0                dense        yes      yes     -
+  refined-direct      by hand          dense        yes      yes     -
+  refined-rearranged  phi - lam_prev   dense        yes      yes     -
+  refined-epsilon     -eps             dense        yes      yes     eps
+
+phi = scattering_source(u_prev, m - m_prev).  fwi keeps u = u0 and
+back-propagates P u - d for v.  refined-direct solves for the multiplier
+increment term by term, so its agreement with refined-epsilon checks the
+shifts.
 
 Batching does not change an iterate: each column of a batched sweep, of the
 Cholesky solve or of the lock-step CG does the same floating-point
@@ -50,11 +61,6 @@ a dense SourceField; it meets the dense fields of a step (lam, phi, eps,
 A u) only through wavecore.add_source and subtract_source, which give
 bitwise the dense sums, so both forms step to the same bytes.
 
-G = P A^-1 maps sources to receiver traces and H = G G^T is the data-space
-Hessian; the wavefield and multiplier orientations are one saddle solve of
-(H + mu I) y = d - G (b - w/mu) and differ only in its backend (see the
-saddle module).
-
 gauss-newton and gauss-seidel instead solve damped least squares on the
 stacked Born kernels for the model increment; gauss-seidel linearizes about
 a field refreshed by the previous increment.
@@ -64,11 +70,11 @@ per model, all sources in one batched sweep, by initial_state and at the end
 of each step, and kept in the state's forward_fields for the next step's
 solve and the stopping rule.
 
-The penalty/al saddle solves and the split/refined family all call into
-saddle.data_space_multipliers, so their agreement is structural, not a
-numerical accident; tests pin the correspondences (split-gs and wri-scaled
-track penalty-multiplier, refined-epsilon tracks al-multiplier, the three
-refined variants track each other) to round-off.
+All ten saddle-based rows reach saddle.data_space_multipliers, eight of
+them through solve_saddle, so their agreement is structural, not a numerical
+accident; tests pin the correspondences (split-gs and wri-scaled track
+penalty-multiplier, refined-epsilon tracks al-multiplier, the three refined
+variants track each other) to round-off.
 """
 
 from __future__ import annotations
@@ -180,58 +186,62 @@ class _Previous(NamedTuple):
     dm: np.ndarray             # last model increment m - m_prev
 
 
+def _residuals(data, prevs) -> list[TraceData]:
+    """delta_d = d - P A^-1 b, the plain forward residual, per source."""
+    return [_residual_traces(d, prev.u0) for d, prev in zip(data, prevs)]
+
+
 def _fwi(m, sources, data, cfg, prevs):
     """Reduced-space gradient: adjoint fields against the data residuals,
     whose traces are injected inside the batched adjoint sweep."""
-    us = [prev.u0 for prev in prevs]
-    return us, adjoint_solves(m, [_residual_traces(d, u) for d, u in zip(data, us)])
+    return [prev.u0 for prev in prevs], adjoint_solves(m, _residuals(data, prevs))
 
 
-def _saddle(m, sources, data, cfg, prevs, matrix_free):
-    """Both orientations: lam from the data-space system on the row's
-    backend, then u = A^-1 (b - w/mu + lam) and v = mu lam, one batched
-    sweep each.  A matrix-free solve that misses cfg.cg_tol raises
+def _extended(m, sources, data, cfg, prevs, shift=None, matrix_free=False, refresh=True,
+              scaled=True):
+    """One saddle solve of the sources extended by s = shift(prev, cfg) (s = 0
+    where shift is None) against the plain forward residuals, on the row's
+    backend; with refresh u = A^-1 ((b + lam) + s), without it (split-gn)
+    u = u0 and no sweep.  A scaled row keeps lam, an unscaled one
+    v = mu lam.  A matrix-free solve that misses cfg.cg_tol raises
     SolverNotConvergedError, so its field never reaches the model update."""
-    return solve_saddle(m, sources, data, cfg, [prev.mem for prev in prevs], matrix_free)
+    residuals = _residuals(data, prevs)
+    if refresh:
+        shifts = None if shift is None else [shift(prev, cfg) for prev in prevs]
+        us, lams = solve_saddle(m, sources, residuals, cfg, shifts, matrix_free)
+    else:
+        us = [prev.u0 for prev in prevs]
+        lams = data_space_multipliers(m, _shared_geometry(residuals),
+                                      [r.values for r in residuals], cfg, matrix_free)
+    return us, lams if scaled else [Wavefield(m.spec, cfg.mu * lam.values) for lam in lams]
 
 
-def _forward_residuals(data, prevs) -> list[np.ndarray]:
-    """delta_d = d - P A^-1 b, the plain forward residual, per source."""
-    return [_residual_traces(d, prev.u0).values for d, prev in zip(data, prevs)]
+def _al_shift(prev, cfg) -> SourceField:  # -w/mu
+    return SourceField(prev.mem.spec, (-1.0 / cfg.mu) * prev.mem.values)
 
 
-def _sampled(m, geometry, fields) -> list[np.ndarray]:
-    """S f = P A^-1 f for each field f, one batched sweep that writes only
-    the receiver rows."""
-    return [d.values for d in forward_traces(m, fields, geometry)]
+def _epsilon_shift(prev, cfg) -> SourceField:  # -eps
+    return SourceField(prev.mem.spec, -prev.mem.values)
 
 
-def _split(m, sources, data, cfg, prevs, refresh=True):
-    """lam explains the plain forward residual; with refresh the wavefield
-    becomes A^-1 (b + lam), which makes the iterates those of
-    penalty-multiplier with lam = v/mu and step 1 vs 1/mu."""
-    rhs = _forward_residuals(data, prevs)
-    lams = data_space_multipliers(m, _shared_geometry(data), rhs, cfg)
-    if not refresh:
-        return [prev.u0 for prev in prevs], lams
-    return forward_solves(m, [SourceField(m.spec, add_source(b, lam.values))
-                              for b, lam in zip(sources, lams)]), lams
-
-
-# The three refined assemblies damp the *updated* multiplier, not the bare
-# increment; that choice is what keeps their iterates identical.
+def _scattering_shift(prev, cfg) -> SourceField:  # phi - lam_prev
+    phi = scattering_source(prev.u, prev.dm)
+    return SourceField(phi.spec, phi.values - prev.lam.values)
 
 
 def _refined_direct(m, sources, data, cfg, prevs):
     """Solve for the increment dlam of S dlam = delta_d - S phi, the damping
     centred on lam_prev + dlam; phi = scattering_source(u_prev, m - m_prev).
-    S phi and S lam_prev are one sweep of 2k columns."""
+    It damps the *updated* multiplier, not the bare increment, as the
+    extended solve does, which keeps their iterates identical; assembled
+    term by term, it checks the extended rows' shifts.  S phi and S lam_prev
+    are one trace-out sweep of 2k columns."""
     spec = m.spec
     geometry = _shared_geometry(data)
     phis = [scattering_source(prev.u, prev.dm) for prev in prevs]
-    sampled = _sampled(m, geometry, phis + [prev.lam for prev in prevs])
-    rhs = [delta_d - s_phi + s_lam for delta_d, s_phi, s_lam
-           in zip(_forward_residuals(data, prevs), sampled, sampled[len(prevs):])]
+    sampled = forward_traces(m, phis + [prev.lam for prev in prevs], geometry)
+    rhs = [delta_d.values - s_phi.values + s_lam.values for delta_d, s_phi, s_lam
+           in zip(_residuals(data, prevs), sampled, sampled[len(prevs):])]
     lams = [SourceField(spec, prev.lam.values + (lam.values - prev.lam.values))
             for prev, lam in zip(prevs, data_space_multipliers(m, geometry, rhs, cfg))]
     us = forward_solves(m, [
@@ -240,41 +250,15 @@ def _refined_direct(m, sources, data, cfg, prevs):
     return us, lams
 
 
-def _refined_rearranged(m, sources, data, cfg, prevs):
-    """Collect delta_d + S (lam_prev - phi) first, solve once for lam."""
-    spec = m.spec
-    geometry = _shared_geometry(data)
-    phis = [scattering_source(prev.u, prev.dm) for prev in prevs]
-    shifts = [SourceField(spec, prev.lam.values - phi.values) for prev, phi in zip(prevs, phis)]
-    rhs = [delta_d + s for delta_d, s
-           in zip(_forward_residuals(data, prevs), _sampled(m, geometry, shifts))]
-    lams = data_space_multipliers(m, geometry, rhs, cfg)
-    us = forward_solves(m, [
-        SourceField(spec, add_source(b, lam.values) + phi.values - prev.lam.values)
-        for b, lam, phi, prev in zip(sources, lams, phis, prevs)])
-    return us, lams
-
-
-def _refined_epsilon(m, sources, data, cfg, prevs):
-    """Track eps instead of (lam_prev, phi): rhs is delta_d + S eps and the
-    refresh subtracts eps, which also matches al-multiplier with lam = v/mu
-    and eps = w/mu."""
-    geometry = _shared_geometry(data)
-    epss = [prev.mem for prev in prevs]
-    rhs = [delta_d + s for delta_d, s
-           in zip(_forward_residuals(data, prevs), _sampled(m, geometry, epss))]
-    lams = data_space_multipliers(m, geometry, rhs, cfg)
-    us = forward_solves(m, [SourceField(m.spec, add_source(b, lam.values) - eps.values)
-                            for b, lam, eps in zip(sources, lams, epss)])
-    return us, lams
-
-
 def _born_step(state: IterationState, sources, data, damping: float, lagged: bool):
     """Damped Gauss-Newton on the stacked Born kernels (dense assembly, so
     workbench scale only).  lagged (gauss-seidel) linearizes around the fields
     re-solved with the previous model increment injected as a scattering
     source, one batched sweep; on the first iteration those are the plain
-    forward fields."""
+    forward fields.  damping is penalty.mu, unscaled to the Born kernel J, as
+    the delta of (J^T J + delta I): on the two-scatterer benchmark and on a
+    15 x 13 x 60 2D grid both schemes diverge after one step for every
+    delta from 1e-4 to 1e12."""
     m = state.model
     us = state.forward_fields
     if lagged:
@@ -290,21 +274,28 @@ def _born_step(state: IterationState, sources, data, damping: float, lagged: boo
                           iteration=state.iteration + 1)
 
 
+def _row(shift=None, matrix_free=False, refresh=True, scaled=True, memory=False):
+    """The _TABLE entry of an extended-source row."""
+    solve = partial(_extended, shift=shift, matrix_free=matrix_free, refresh=refresh,
+                    scaled=scaled)
+    return solve, scaled, memory
+
+
 # name -> (solve, scaled, memory); None marks the Born least-squares step
 _TABLE = {
     "fwi": (_fwi, False, False),
-    "penalty-wavefield": (partial(_saddle, matrix_free=True), False, False),
-    "penalty-multiplier": (partial(_saddle, matrix_free=False), False, False),
-    "wri-scaled": (_split, True, False),
-    "al-wavefield": (partial(_saddle, matrix_free=True), False, True),
-    "al-multiplier": (partial(_saddle, matrix_free=False), False, True),
+    "penalty-wavefield": _row(matrix_free=True, scaled=False),
+    "penalty-multiplier": _row(scaled=False),
+    "wri-scaled": _row(),
+    "al-wavefield": _row(_al_shift, matrix_free=True, scaled=False, memory=True),
+    "al-multiplier": _row(_al_shift, scaled=False, memory=True),
     "gauss-newton": None,
     "gauss-seidel": None,
-    "split-gn": (partial(_split, refresh=False), True, False),
-    "split-gs": (_split, True, False),
+    "split-gn": _row(refresh=False),
+    "split-gs": _row(),
     "refined-direct": (_refined_direct, True, False),
-    "refined-rearranged": (_refined_rearranged, True, False),
-    "refined-epsilon": (_refined_epsilon, True, True),
+    "refined-rearranged": _row(_scattering_shift),
+    "refined-epsilon": _row(_epsilon_shift, memory=True),
 }
 
 SCHEMES = tuple(_TABLE)

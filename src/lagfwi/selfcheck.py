@@ -103,6 +103,12 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
+def _residuals(m, sources, data) -> list[TraceData]:
+    """delta_d = d - P A^-1 b per source, the residuals solve_saddle takes."""
+    return [TraceData(d.spec, d.geometry, d.values - traces.values)
+            for d, traces in zip(data, forward_traces(m, sources, data[0].geometry))]
+
+
 def _tiny_setup(seed: int = 11):
     rng = np.random.default_rng(seed)
     spec = GridSpec(ndim=1, nx=9, nz=1, dx=10.0, dz=10.0, nt=12, dt=0.002)
@@ -308,18 +314,20 @@ def _check_saddle_orientations(mode: str):
         rng, spec, geom, m_true, m0, sources, data = _tiny_setup(107)
         b, d = sources[0], data[0]
         w = SourceField(spec, 0.1 * rng.standard_normal(spec.shape)) if mode == "al" else None
+        residuals = _residuals(m0, [b], [d])
         worst = 0.0
         for mu in (1.0, 1e2, 1e4):
             cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
             u_ref, v_ref = dense_saddle_solve(m0, b, d, mu, w=w)
-            [u1], [v1] = solve_saddle(m0, [b], [d], cfg, [w], matrix_free=True)
+            shifts = None if w is None else [SourceField(spec, (-1.0 / mu) * w.values)]
+            [u1], [lam1] = solve_saddle(m0, [b], residuals, cfg, shifts, matrix_free=True)
             if "perturb-wavefield-solve" in faults:
                 u1 = Wavefield(spec, u1.values * (1.0 + 1e-6))
-            [u2], [v2] = solve_saddle(m0, [b], [d], cfg, [w])
+            [u2], [lam2] = solve_saddle(m0, [b], residuals, cfg, shifts)
             worst = max(worst, _rel(u1.values, u_ref.values))
-            worst = max(worst, _rel(v1.values, v_ref.values))
+            worst = max(worst, _rel(mu * lam1.values, v_ref.values))
             worst = max(worst, _rel(u2.values, u_ref.values))
-            worst = max(worst, _rel(v2.values, v_ref.values))
+            worst = max(worst, _rel(mu * lam2.values, v_ref.values))
         return CheckResult(
             f"saddle-orientations-{mode}", worst <= 1e-8, f"rel {worst:.3e} (tol 1e-8)"
         )
@@ -328,14 +336,17 @@ def _check_saddle_orientations(mode: str):
 
 
 def _check_batched_wavefield(faults) -> CheckResult:
-    # Two sources in one lock-step CG, the second with an AL shift w, each
-    # against its own dense saddle solve, so a mix-up between columns fails.
-    # A column that misses cg_tol raises, which fails the check.
+    # Two sources in one lock-step CG, the first shift zero and the second
+    # -w/mu, each against its own dense saddle solve, so a mix-up between
+    # columns fails.  A column that misses cg_tol raises, failing the check.
     rng, spec, geom, m_true, m0, sources, data = _tiny_setup(115)
     cfg = PenaltyConfig(mu=1e2, cg_tol=1e-13)
     ws = [None, SourceField(spec, 0.1 * rng.standard_normal(spec.shape))]
+    shifts = [SourceField(spec, np.zeros(spec.shape)),
+              SourceField(spec, (-1.0 / cfg.mu) * ws[1].values)]
     worst = 0.0
-    us, _ = solve_saddle(m0, sources, data, cfg, ws, matrix_free=True)
+    us, _ = solve_saddle(m0, sources, _residuals(m0, sources, data), cfg, shifts,
+                         matrix_free=True)
     for column, (u, b, d, w) in enumerate(zip(us, sources, data, ws)):
         values = u.values
         if "perturb-batch-column" in faults and column == 1:
@@ -412,7 +423,8 @@ def _check_wri_oracle(faults) -> CheckResult:
     worst = 0.0
     for _ in range(3):
         state = iterations.step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
-        [u_ref], _ = solve_saddle(m_ref, sources[:1], data[:1], cfg, matrix_free=True)
+        [u_ref], _ = solve_saddle(m_ref, sources[:1], _residuals(m_ref, sources[:1], data[:1]),
+                                  cfg, matrix_free=True)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
         worst = max(worst, _rel(state.model.values, m_ref.values))
     return CheckResult("wri-alternation-oracle", worst <= 1e-8, f"rel {worst:.3e} (tol 1e-8)")

@@ -7,9 +7,11 @@ from lagfwi.grids import (
     AcquisitionGeometry,
     GridSpec,
     SourceField,
+    TraceData,
     build_model,
 )
 from lagfwi.config import ricker_wavelet
+from lagfwi.wavecore import forward_traces
 
 
 @pytest.fixture
@@ -59,3 +61,17 @@ def random_wavefield(spec, rng, cls=None):
 
 def random_source(spec, rng):
     return random_wavefield(spec, rng, SourceField)
+
+
+def forward_residuals(m, sources, data):
+    """delta_d = d - P A^-1 b per source, the residuals saddle.solve_saddle
+    takes, from one trace-out sweep."""
+    traces = forward_traces(m, sources, data[0].geometry)
+    return [TraceData(d.spec, d.geometry, d.values - t.values) for d, t in zip(data, traces)]
+
+
+def al_shifts(ws, mu):
+    """The extensions s = -w/mu of the AL variants; None for no w at all."""
+    if ws is None:
+        return None
+    return [SourceField(w.spec, (-1.0 / mu) * w.values) for w in ws]

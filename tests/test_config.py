@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,32 @@ def test_unknown_duplicate_and_malformed_keys_rejected():
         parse_config(CONFIG_TEXT + "\njust a dangling phrase\n")
     with pytest.raises(ConfigurationError):
         parse_config(CONFIG_TEXT.replace("grid.nx = 21", "grid.nx = many"))
+
+
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    """A file of the required keys alone parses to the config the
+    constructor builds from them, in every field but the work_dir, which
+    resolves the default against the file's directory."""
+    text = """
+grid.nx = 9
+grid.dx = 10.0
+grid.nt = 12
+grid.dt = 0.002
+model.true.kind = uniform
+model.init.kind = uniform
+acquisition.sources = 4
+acquisition.receivers = 2, 6
+"""
+    parsed = parse_config(text, base_dir=str(tmp_path))
+    built = ExperimentConfig(
+        grid=GridSpec(ndim=1, nx=9, nz=1, dx=10.0, dz=10.0, nt=12, dt=0.002),
+        true_model=ModelDescriptor(kind="uniform"),
+        initial_model=ModelDescriptor(kind="uniform"),
+        source_nodes=(4,),
+        receiver_nodes=(2, 6),
+    )
+    assert replace(parsed, work_dir=built.work_dir) == built
+    assert parsed.work_dir == os.path.join(str(tmp_path), built.work_dir)
 
 
 def test_missing_required_keys_rejected():

@@ -32,6 +32,7 @@ from lagfwi.grids import (
     Wavefield,
     build_model,
 )
+from lagfwi import iterations, saddle, wavecore
 from lagfwi.oracle import quadratic_model_minimizer
 from lagfwi.saddle import PenaltyConfig, solve_saddle
 from lagfwi.wavecore import (
@@ -53,7 +54,7 @@ from lagfwi.iterations import (
     step_scheme,
 )
 
-from conftest import random_model
+from conftest import al_shifts, forward_residuals, random_model
 
 
 def tiny_problem(seed=108, n_sources=2):
@@ -170,6 +171,51 @@ def test_step_solves_each_source_as_if_alone(scheme):
                 continue
             got = getattr(alone, slot)[0].values.tobytes()
             assert got == getattr(batch, slot)[j].values.tobytes(), (slot, j)
+
+
+# (forward sweeps, their columns, data_space_multipliers calls) of one step
+# of each dense extended-source row on tiny_problem (two sources, two
+# receivers): H's assembly sweeps one column per receiver; a shift, the
+# refresh and the new model's forward fields one column per source each.
+# The residuals d - P A^-1 b come from the forward fields the state holds,
+# so no row sweeps b for them.
+DENSE_ROW_WORK = {
+    "penalty-multiplier": (3, 6, 1),
+    "al-multiplier": (4, 8, 1),
+    "wri-scaled": (3, 6, 1),
+    "split-gs": (3, 6, 1),
+    "split-gn": (2, 4, 1),
+    "refined-rearranged": (4, 8, 1),
+    "refined-epsilon": (4, 8, 1),
+}
+
+
+@pytest.mark.parametrize("scheme", DENSE_ROW_WORK)
+def test_dense_rows_sweep_only_their_shifts(monkeypatch, scheme):
+    """One step of each dense extended-source row makes the forward sweeps
+    and the one multiplier solve of DENSE_ROW_WORK: an unshifted row makes
+    no residual sweep, and split-gn no refresh."""
+    spec, geom, m_true, m0, sources, data = tiny_problem()
+    state = initial_state(m0, sources)
+    sweeps, solves = [], []
+    forward_sweep = wavecore._forward_sweep
+    multipliers = saddle.data_space_multipliers
+
+    def counting_sweep(spec, m_values, rhs, out=None):
+        rhs = list(rhs)
+        sweeps.append(len(rhs))
+        return forward_sweep(spec, m_values, rhs, out)
+
+    def counting_multipliers(*args, **kwargs):
+        solves.append(args)
+        return multipliers(*args, **kwargs)
+
+    for module in (wavecore, saddle):  # each holds the sweep by name
+        monkeypatch.setattr(module, "_forward_sweep", counting_sweep)
+    for module in (saddle, iterations):
+        monkeypatch.setattr(module, "data_space_multipliers", counting_multipliers)
+    step_scheme(scheme, state, sources, data, PenaltyConfig(mu=50.0))
+    assert (len(sweeps), sum(sweeps), len(solves)) == DENSE_ROW_WORK[scheme]
 
 
 def _step_or_error(scheme, state, sources, data, cfg, update_mode):
@@ -293,7 +339,8 @@ def test_penalty_wavefield_matches_alternation_oracle():
     m_ref = m0
     for _ in range(4):
         state = step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
-        [u_ref], _ = solve_saddle(m_ref, sources[:1], data[:1], cfg, matrix_free=True)
+        residuals = forward_residuals(m_ref, sources[:1], data[:1])
+        [u_ref], _ = solve_saddle(m_ref, sources[:1], residuals, cfg, matrix_free=True)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
         assert rel(state.model.values, m_ref.values) <= 1e-8
 
@@ -310,7 +357,9 @@ def test_al_wavefield_matches_admm_oracle():
     w_ref = SourceField(spec, np.zeros(spec.shape))
     for _ in range(4):
         state = step_scheme("al-wavefield", state, sources[:1], data[:1], cfg)
-        [u_ref], _ = solve_saddle(m_ref, sources[:1], data[:1], cfg, [w_ref], matrix_free=True)
+        residuals = forward_residuals(m_ref, sources[:1], data[:1])
+        [u_ref], _ = solve_saddle(m_ref, sources[:1], residuals, cfg, al_shifts([w_ref], mu),
+                                  matrix_free=True)
         m_ref = ModelGrid(
             spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu, w=w_ref)
         )

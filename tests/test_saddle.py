@@ -20,6 +20,7 @@ from lagfwi.grids import (
     ModelGrid,
     SourceField,
     TraceData,
+    Wavefield,
     build_model,
 )
 from lagfwi.oracle import (
@@ -42,7 +43,7 @@ from lagfwi.saddle import (
 )
 from lagfwi.wavecore import _adjoint_sweep, _forward_sweep, forward_solve, sample
 
-from conftest import random_model, random_source
+from conftest import al_shifts, forward_residuals, random_model, random_source
 
 
 @pytest.fixture
@@ -60,7 +61,7 @@ def setup():
 def test_wavefield_orientation_matches_dense(setup, mu):
     spec, m, geom, b, d, _ = setup
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-    [u], _ = solve_saddle(m, [b], [d], cfg, matrix_free=True)
+    [u], _ = solve_saddle(m, [b], forward_residuals(m, [b], [d]), cfg, matrix_free=True)
     u_ref, _ = dense_saddle_solve(m, b, d, mu)
     assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
         np.abs(u_ref.values).max(), 1.0
@@ -75,8 +76,9 @@ def test_wavefield_orientation_converges_on_benchmark():
     m = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
     cfg = PenaltyConfig(mu=3e6, cg_maxiter=200)
     for b, d in zip(build_sources(config), make_observed_data(config)):
-        [u], _ = solve_saddle(m, [b], [d], cfg, matrix_free=True)
-        [u_ref], _ = solve_saddle(m, [b], [d], cfg)
+        residuals = forward_residuals(m, [b], [d])
+        [u], _ = solve_saddle(m, [b], residuals, cfg, matrix_free=True)
+        [u_ref], _ = solve_saddle(m, [b], residuals, cfg)
         assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * np.abs(u_ref.values).max()
 
 
@@ -230,7 +232,8 @@ def test_batched_wavefield_solve_needs_shared_receivers(setup):
 def test_multiplier_orientation_matches_dense(setup, mu):
     spec, m, geom, b, d, _ = setup
     cfg = PenaltyConfig(mu=mu)
-    _, [v] = solve_saddle(m, [b], [d], cfg)
+    _, [lam] = solve_saddle(m, [b], forward_residuals(m, [b], [d]), cfg)
+    v = Wavefield(spec, mu * lam.values)
     _, v_ref = dense_saddle_solve(m, b, d, mu)
     assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * max(
         np.abs(v_ref.values).max(), 1.0
@@ -245,7 +248,9 @@ def test_al_mode_matches_shifted_dense(setup, mu):
     u_ref, v_ref = dense_saddle_solve(m, b, d, mu, w=w)
     scale = max(np.abs(v_ref.values).max(), np.abs(u_ref.values).max(), 1.0)
     for matrix_free in (True, False):
-        [u], [v] = solve_saddle(m, [b], [d], cfg, [w], matrix_free=matrix_free)
+        [u], [lam] = solve_saddle(m, [b], forward_residuals(m, [b], [d]), cfg,
+                                  al_shifts([w], mu), matrix_free=matrix_free)
+        v = Wavefield(spec, mu * lam.values)
         assert np.max(np.abs(v.values - v_ref.values)) <= 1e-8 * scale
         assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * scale
 
@@ -258,7 +263,9 @@ def test_companion_wavefield_satisfies_first_block_row(setup):
     from lagfwi.wavecore import apply_wave_operator
 
     for matrix_free in (True, False):
-        [u], [v] = solve_saddle(m, [b], [d], cfg, matrix_free=matrix_free)
+        [u], [lam] = solve_saddle(m, [b], forward_residuals(m, [b], [d]), cfg,
+                                  matrix_free=matrix_free)
+        v = Wavefield(spec, cfg.mu * lam.values)
         resid = apply_wave_operator(m, u).values - v.values / cfg.mu - b.values
         assert np.max(np.abs(resid)) < 1e-9 * max(np.abs(v.values).max(), 1.0)
 
@@ -362,8 +369,11 @@ def test_wavefield_orientation_matches_dense_property(problem):
     m, b, d, mu, w = problem
     u_ref, v_ref = dense_saddle_solve(m, b, d, mu, w=w)
     for matrix_free in (True, False):
-        [u], [v] = solve_saddle(m, [b], [d], PenaltyConfig(mu=mu, cg_tol=1e-13), [w],
-                                matrix_free=matrix_free)
+        [u], [lam] = solve_saddle(m, [b], forward_residuals(m, [b], [d]),
+                                  PenaltyConfig(mu=mu, cg_tol=1e-13),
+                                  None if w is None else al_shifts([w], mu),
+                                  matrix_free=matrix_free)
+        v = Wavefield(m.spec, mu * lam.values)
         assert np.max(np.abs(u.values - u_ref.values)) <= 1e-8 * max(
             np.abs(u_ref.values).max(), 1.0
         )
@@ -383,15 +393,16 @@ def _batched_problems(draw):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
     sources = [random_source(spec, rng) for _ in range(k)]
     ws = [random_source(spec, rng) for _ in range(k)] if with_w else None
-    data = [TraceData(spec, geom, rng.standard_normal((geom.n_receivers, spec.nt)))
-            for _ in range(k)]
-    # data explained by b - w/mu itself: CG starts at the solution
-    shift = sources[consistent].values
+    residuals = [TraceData(spec, geom, rng.standard_normal((geom.n_receivers, spec.nt)))
+                 for _ in range(k)]
+    # a residual d - P A^-1 b that the shift s = -w/mu itself explains (zero
+    # without w): CG starts at the solution
+    explained = np.zeros((geom.n_receivers, spec.nt))
     if with_w:
-        shift = shift - (1.0 / mu) * ws[consistent].values
-    data[consistent] = TraceData(spec, geom, _forward_sweep(spec, m.values, [shift])[0][
-        list(geom.receiver_nodes)])
-    return m, sources, data, mu, ws, consistent
+        explained = _forward_sweep(spec, m.values, [(-1.0 / mu) * ws[consistent].values])[0][
+            list(geom.receiver_nodes)]
+    residuals[consistent] = TraceData(spec, geom, explained)
+    return m, sources, residuals, mu, ws, consistent
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,17 +411,20 @@ def test_batched_saddle_solves_equal_single_solves_bitwise(problem):
     """The saddle solve of 1-4 sources returns, column by column, the bytes
     of u and v of each source's own solve, on both backends (the lock-step
     CG and the multi-column Cholesky solve), on random 1D/2D grids, with and
-    without w, including a column whose data shift itself explains, whose
-    multiplier is exactly zero."""
-    m, sources, data, mu, ws, consistent = problem
+    without w, including a column whose residual the shift itself explains,
+    whose multiplier is exactly zero."""
+    m, sources, residuals, mu, ws, consistent = problem
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
+    shifts = al_shifts(ws, mu)
     for matrix_free in (True, False):
-        us, vs = solve_saddle(m, sources, data, cfg, ws, matrix_free)
+        us, lams = solve_saddle(m, sources, residuals, cfg, shifts, matrix_free)
+        vs = [Wavefield(m.spec, mu * lam.values) for lam in lams]
         assert not vs[consistent].values.any()
         for j, (u, v) in enumerate(zip(us, vs)):
-            w = None if ws is None else ws[j]
-            [u_alone], [v_alone] = solve_saddle(m, [sources[j]], [data[j]], cfg, [w],
-                                                matrix_free)
+            [u_alone], [lam_alone] = solve_saddle(m, [sources[j]], [residuals[j]], cfg,
+                                                  None if ws is None else [shifts[j]],
+                                                  matrix_free)
+            v_alone = Wavefield(m.spec, mu * lam_alone.values)
             assert u.values.tobytes() == u_alone.values.tobytes()
             assert v.values.tobytes() == v_alone.values.tobytes()
 
@@ -511,7 +525,9 @@ def test_consistent_data_gives_zero_multiplier(setup):
     for mu in (1.0, 1e3):
         cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
         for matrix_free in (True, False):
-            [u], [v] = solve_saddle(m, [b], [d], cfg, matrix_free=matrix_free)
+            [u], [lam] = solve_saddle(m, [b], forward_residuals(m, [b], [d]), cfg,
+                                      matrix_free=matrix_free)
+            v = Wavefield(spec, mu * lam.values)
             assert np.abs(v.values).max() < 1e-8 * max(np.abs(u_true.values).max(), 1.0)
             assert np.max(np.abs(u.values - u_true.values)) < 1e-8 * np.abs(u_true.values).max()
 
