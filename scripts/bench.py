@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the sweep kernels and the wavefield CG, and write the result as JSON.
 
-    PYTHONPATH=src python3 scripts/bench.py --out bench.json
+    PYTHONPATH=src python3 scripts/bench.py --out bench.json [--sections rss ...]
 
 Times ``wavecore._forward_sweep`` and ``wavecore._adjoint_sweep`` on fixed
 grid shapes, each sweeping a sequence of one field or of three fields as
@@ -33,7 +33,12 @@ checkouts with and without a Hessian cache alike), on the two-scatterer
 benchmark's initial model (61 x 256, 4 receivers, its mu = 3e6) and on
 ``born_config``'s (21 x 80, 19 receivers, mu = 1e3); those rows also give
 each layer's tracemalloc peak, from one separate call, which counts what
-the layer allocates and not H held before it.  The receiver traces are
+the layer allocates and not H held before it.  The "peak RSS" rows run two
+steps of ``iterations.run_inversion`` in a fresh process each (this script
+again, with ``--rss-child``), observed data included, and read that
+process's ``ru_maxrss``: ``fwi`` on ``fwi-2d``'s experiment and
+``al-multiplier`` on the 51 x 51 x 200 2D experiment below; the median of
+RSS_REPEATS processes is kept.  The receiver traces are
 timed in two rows: "forward modelling", ``config.make_observed_data`` on
 ``fwi-2d``'s experiment (built here: three point sources on 101 x 101 x 400,
 13 receivers), and "sampled vs full forward sweep", one dense field on that
@@ -45,15 +50,17 @@ the plain forward residuals d - P A^-1 b come from the trace-out solve
 ``wavecore.forward_traces`` outside the timed call, as a step holds them in
 its forward fields, and the AL rows pass the shift s = -w/mu, so a timed
 solve sweeps P A^-1 s, runs the CG and sweeps u = A^-1 ((b + lam) + s).
-Everything runs in this one process with BLAS/OpenMP pinned to one
-thread.  Each case is run once untimed, then REPEATS times under
-``time.perf_counter``; the file holds the minimum and the median of those
-repeats, the throughput of the kernels in space-time points per second
-(n_space * nt * columns / seconds), the CG iterations and the traced
-peaks.  It also records the environment
-and the git revision of the checkout the ``lagfwi`` package was imported
-from, so that two checkouts can be compared with the same script by
-pointing ``PYTHONPATH`` at each one's ``src/``.
+Everything else runs in this one process; every process has BLAS/OpenMP
+pinned to one thread.  ``--sections`` picks which groups of rows to run
+(``--sections rss`` for the peak-RSS rows alone).  Each timed case is run
+once untimed, then REPEATS times under ``time.perf_counter``; the file
+holds the minimum and the median of those repeats, the throughput of the
+kernels in space-time points per second (n_space * nt * columns /
+seconds), the CG iterations, the traced peaks and the peak RSS.  It also
+records the environment and the git revision of the checkout the
+``lagfwi`` package was imported from, so that two checkouts can be
+compared with the same script by pointing ``PYTHONPATH`` at each one's
+``src/``.
 """
 
 from __future__ import annotations
@@ -66,11 +73,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -82,6 +91,7 @@ from lagfwi.config import (
     build_model_values, build_sources, make_observed_data, two_scatterer_benchmark,
 )
 from lagfwi.grids import GridSpec, ModelGrid, SourceField, TraceData, Wavefield
+from lagfwi.iterations import run_inversion
 from lagfwi.saddle import PenaltyConfig, solve_saddle
 
 # (label, ndim, nx, nz, nt, columns): the sweeps take a sequence of
@@ -422,20 +432,76 @@ def hessian_rows() -> list[dict]:
     return rows
 
 
+# label -> config of the peak-RSS rows, each run for two steps
+RSS_CASES = {
+    "fwi fwi-2d": _fwi_2d_config,
+    "al-multiplier 2D 51x51x200": lambda: replace(_two_d_config(), scheme="al-multiplier",
+                                                  stop=StopRules(max_iter=2)),
+}
+RSS_REPEATS = 3
+
+
+def rss_child(label: str) -> None:
+    """Run one RSS case in this process and print its status, history
+    length and ru_maxrss as JSON."""
+    config = RSS_CASES[label]()
+    result = run_inversion(config, make_observed_data(config))
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(json.dumps({"status": result.status, "rows": len(result.history),
+                      "peak_rss_mb": usage.ru_maxrss / 1024.0}))
+
+
+def rss_rows() -> list[dict]:
+    """Peak RSS of two steps of each RSS case, each in fresh processes."""
+    rows = []
+    for label in RSS_CASES:
+        runs = []
+        for _ in range(RSS_REPEATS):
+            proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--rss-child", label],
+                                  capture_output=True, text=True, check=True)
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        peaks = [run["peak_rss_mb"] for run in runs]
+        rows.append({"layer": "peak RSS", "case": label, "steps": 2,
+                     "status": runs[0]["status"], "repeats": RSS_REPEATS,
+                     "peak_rss_mb": peaks, "median_peak_rss_mb": statistics.median(peaks)})
+        print(f"peak RSS       {label:28s} median {statistics.median(peaks):8.1f} MB  "
+              f"({', '.join(f'{p:.1f}' for p in peaks)})")
+    return rows
+
+
+SECTIONS = {
+    "kernels": lambda: kernel_rows(np.random.default_rng(0)),
+    "passes": lambda: pass_rows(np.random.default_rng(1)),
+    "variants": lambda: variant_rows(np.random.default_rng(2)),
+    "cg": cg_rows,
+    "hessian": hessian_rows,
+    "sampling": lambda: sampling_rows(np.random.default_rng(3)),
+    "rss": rss_rows,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--sections", nargs="+", choices=SECTIONS, default=list(SECTIONS),
+                        help="groups of rows to run (default: all)")
+    parser.add_argument("--rss-child", choices=RSS_CASES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.rss_child:
+        rss_child(args.rss_child)
+        return 0
+    if not args.out:
+        parser.error("--out is required")
 
-    rows = (kernel_rows(np.random.default_rng(0)) + pass_rows(np.random.default_rng(1))
-            + variant_rows(np.random.default_rng(2)) + cg_rows() + hessian_rows()
-            + sampling_rows(np.random.default_rng(3)))
+    rows = [row for name in args.sections for row in SECTIONS[name]()]
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
         "layer": ("wavecore sweep kernels, the streamed 2D passes, the wavefield CG and its "
                   "Nystrom sketch, the dense Hessian assembly and its Cholesky factorization, "
-                  "forward modelling and the sampled forward sweep"),
+                  "forward modelling and the sampled forward sweep, the peak RSS of two "
+                  "inversion steps"),
+        "sections": args.sections,
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

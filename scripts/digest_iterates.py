@@ -5,10 +5,11 @@
 
 For each of the 13 schemes in both update modes, on the pinned inputs of
 ``tests/test_pinned_iterates.py``, it steps N_STEPS = 3 iterations and
-prints one line per state: scheme, update mode, step, then the sha1 of
-every ``IterationState`` slot in field order (``-`` for an unwritten slot).
-A per-source slot hashes the bytes of its fields in source order.  That is
-78 lines.  Two checkouts compute the same iterates bit for bit exactly
+prints one line per step: scheme, update mode, step, then the sha1 of
+every slot of the step's carry (an ``IterationState`` with its forward
+fields swept) in field order (``-`` for an unwritten slot), then of the
+step's own fields ``us`` and ``vs``.  A per-source slot hashes the bytes
+of its fields in source order.  That is 78 lines.  Two checkouts compute the same iterates bit for bit exactly
 when they print the same lines, so a refactor that claims unchanged
 iterates is checked by diffing this output on both.
 
@@ -18,7 +19,8 @@ from ``config.build_sources``: ``born_config`` of
 ``tests/test_iterations.py`` with two shots, the two-scatterer benchmark,
 and a 15 x 13 x 60 2D grid with two shots (78 more lines): experiment,
 scheme, update mode, the run's status, the sha1 of its history without the
-``seconds`` column, then the sha1 of every slot of its final state.
+``seconds`` column, then the sha1 of every slot of its final state (the
+carry; the run keeps no step's us or vs).
 
 BLAS/OpenMP are pinned to one thread before numpy is imported: the
 wavefield CG's dot products go through threaded BLAS, and its iterates
@@ -94,8 +96,9 @@ def main() -> None:
     slots = [f.name for f in fields(IterationState)]
     for scheme in SCHEMES:
         for mode in UPDATE_MODES:
-            for step, state in enumerate(case_states(scheme, mode), start=1):
-                digests = " ".join(slot_digest(getattr(state, name)) for name in slots)
+            for step, (state, us, vs) in enumerate(case_states(scheme, mode), start=1):
+                digests = " ".join([slot_digest(getattr(state, name)) for name in slots]
+                                   + [slot_digest(us), slot_digest(vs)])
                 print(f"{scheme} {mode} {step} {digests}")
     for scheme in SCHEMES:
         for mode in UPDATE_MODES:

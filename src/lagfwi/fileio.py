@@ -51,8 +51,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _format_line(values: np.ndarray) -> str:
-    return " ".join("%.17g" % v for v in values)
+def _write_lines(path: str, header: str, rows: np.ndarray) -> None:
+    """Write header, then one line per row of rows, each value %.17g: one %
+    over all of them, byte for byte the per-value "%.17g" % v."""
+    line = " ".join(["%.17g"] * rows.shape[1])
+    body = "\n".join([line] * rows.shape[0]) % tuple(rows.ravel().tolist())
+    _atomic_write(path, header + "\n" + body + "\n")
 
 
 def _header(kind: str, ndim: int, nx: int, nz: int, nt: int,
@@ -106,9 +110,8 @@ def _check_count(path: str, values: np.ndarray, expected: int) -> None:
 
 def save_model(path: str, m: ModelGrid) -> None:
     s = m.spec
-    lines = [_header("model", s.ndim, s.nx, s.nz, s.nt, s.dx, s.dz, s.dt),
-             _format_line(m.values)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, _header("model", s.ndim, s.nx, s.nz, s.nt, s.dx, s.dz, s.dt),
+                 m.values.reshape(1, -1))
 
 
 def load_model(path: str) -> ModelGrid:
@@ -126,9 +129,8 @@ def load_model(path: str) -> ModelGrid:
 
 def save_field(path: str, field: Wavefield) -> None:
     s = field.spec
-    lines = [_header("field", s.ndim, s.nx, s.nz, s.nt, s.dx, s.dz, s.dt)]
-    lines.extend(_format_line(field.values[:, n]) for n in range(s.nt))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, _header("field", s.ndim, s.nx, s.nz, s.nt, s.dx, s.dz, s.dt),
+                 field.values.T)
 
 
 def load_field(path: str) -> Wavefield:
@@ -144,9 +146,8 @@ def load_field(path: str) -> Wavefield:
 def save_traces(path: str, traces: TraceData) -> None:
     s = traces.spec
     n_r = len(traces.geometry.receiver_nodes)
-    lines = [_header("trace", s.ndim, n_r, 1, s.nt, s.dx, s.dz, s.dt)]
-    lines.extend(_format_line(traces.values[:, n]) for n in range(s.nt))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, _header("trace", s.ndim, n_r, 1, s.nt, s.dx, s.dz, s.dt),
+                 traces.values.T)
 
 
 def load_traces(path: str, spec: GridSpec, geometry: AcquisitionGeometry) -> TraceData:

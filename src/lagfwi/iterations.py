@@ -7,7 +7,6 @@ share the one pipeline of step_scheme,
     (us, v_likes) = solve(m, sources, data, cfg, previous slots)
     m_new = combined_model_update(m, [(v_like, u), ...], step)
     mem   = mem + k (A(m_new) u - b)           (per source; schemes with a memory only)
-    u0s   = A(m_new)^-1 b, all sources         (forward_fields of the new state)
 
 and differ only in their row of _TABLE.  Nine rows are one extended-source
 saddle solve (saddle.solve_saddle) of the sources b extended by s against
@@ -25,11 +24,11 @@ runs on the dense backend (one assembly of H at the step's model, H + mu I
 factored in H's own buffer, one multi-column Cholesky solve; the model
 changes every step, so nothing is kept between steps) or the matrix-free one
 (the sources' Nystrom-preconditioned CGs in lock step); a row without a
-shift makes no sweep for P A^-1 s.  An unscaled scheme keeps v = mu lam in
-`multipliers`, steps by cfg.step_length (1/mu unless alpha is pinned) and
-carries the Lagrange multiplier w (k = mu) in `running_multipliers`.  A
-scaled scheme keeps lam in `scatter_sources`, takes a unit step and carries
-the accumulated constraint error eps = w/mu (k = 1) in `scatter_errors`.
+shift, or with its memory unwritten, makes no sweep for P A^-1 s.  An
+unscaled scheme returns v = mu lam, steps by cfg.step_length (1/mu unless
+alpha is pinned) and carries the Lagrange multiplier w (k = mu).  A scaled
+scheme returns lam, takes a unit step and carries the accumulated
+constraint error eps = w/mu (k = 1).
 
   scheme              s                backend      refresh  scaled  memory
   fwi                 -                -            -        no      -
@@ -66,9 +65,10 @@ stacked Born kernels for the model increment; gauss-seidel linearizes about
 a field refreshed by the previous increment.
 
 The plain forward field u0 depends on the model alone, so it is solved once
-per model, all sources in one batched sweep, by initial_state and at the end
-of each step, and kept in the state's forward_fields for the next step's
-solve and the stopping rule.
+per model, all sources in one batched sweep (with_forward_fields): by
+initial_state, and by run_inversion once it has reduced a step's us and
+v_likes to the log row and dropped them.  It is kept in forward_fields for
+the next step's solve and the stopping rule.
 
 All ten saddle-based rows reach saddle.data_space_multipliers, eight of
 them through solve_saddle, so their agreement is structural, not a numerical
@@ -106,36 +106,36 @@ from .wavecore import (
 
 @dataclass(frozen=True, eq=False)
 class IterationState:
-    """Everything a scheme carries between iterations.
+    """What a scheme carries from one step to the next.
 
-    Per-source tuples have one entry per source.  forward_fields holds the
-    plain forward fields A(model)^-1 b, always set.  initial_state sets the
-    wavefields to them and zero-fills every other slot; a step leaves the
-    slots its scheme does not write as None, so a state is resumed by the
-    scheme that produced it.
-    """
+    Per-source tuples have one entry per source.  forward_fields, the plain
+    forward fields A(model)^-1 b, are set by with_forward_fields.  Of the
+    other slots a step's carry holds what its scheme's next step reads (w
+    or eps; u and lam for refined-direct and refined-rearranged; u for
+    gauss-seidel) and initial_state none: the first step reads u as u0, lam
+    as zero and no memory."""
 
     model: ModelGrid
     model_prev: ModelGrid
-    forward_fields: tuple[Wavefield, ...]                       # u0 = A(model)^-1 b
-    wavefields: tuple[Wavefield, ...] | None = None
-    multipliers: tuple[Wavefield, ...] | None = None            # v, unscaled multiplier
+    forward_fields: tuple[Wavefield, ...] | None = None         # u0 = A(model)^-1 b
+    wavefields: tuple[Wavefield, ...] | None = None             # u, previous wavefield
     running_multipliers: tuple[SourceField, ...] | None = None  # w, AL memory
     scatter_sources: tuple[SourceField, ...] | None = None      # lam, scaled multiplier
     scatter_errors: tuple[SourceField, ...] | None = None       # eps, accumulated constraint error
     iteration: int = 0
 
 
+def with_forward_fields(state: IterationState, sources) -> IterationState:
+    """state with the forward fields A(state.model)^-1 b of every source, one
+    batched sweep; a non-finite field raises DivergenceError."""
+    return replace(state, forward_fields=forward_solves(state.model, sources))
+
+
 def initial_state(model: ModelGrid, sources) -> IterationState:
-    """State at the starting model: forward_fields, also used as the
-    wavefields, and zeros elsewhere.  The first step scatters dm = 0, so its
-    iterates do not depend on the starting wavefields."""
-    spec = model.spec
-    u0 = forward_solves(model, sources)
-    zf = tuple(Wavefield(spec, np.zeros(spec.shape)) for _ in sources)
-    zs = tuple(SourceField(spec, np.zeros(spec.shape)) for _ in sources)
-    return IterationState(model, model, u0, wavefields=u0, multipliers=zf,
-                          running_multipliers=zs, scatter_sources=zs, scatter_errors=zs)
+    """State at the starting model: its forward fields, no other slot.  The
+    first step scatters dm = 0, so its iterates do not depend on the
+    starting wavefields."""
+    return with_forward_fields(IterationState(model, model), sources)
 
 
 def combined_model_update(m: ModelGrid, pairs, alpha: float,
@@ -180,9 +180,9 @@ class _Previous(NamedTuple):
     """What a step's solve may read from the previous iterate, for one source."""
 
     u0: Wavefield              # A(m)^-1 b at the current model
-    u: Wavefield               # previous wavefield
+    u: Wavefield               # previous wavefield, u0 before the first step
     lam: SourceField | None    # previous scaled multiplier, None if unwritten
-    mem: SourceField | None    # w or eps; None for a scheme without memory
+    mem: SourceField | None    # w or eps; None without a memory or before it is written
     dm: np.ndarray             # last model increment m - m_prev
 
 
@@ -200,15 +200,16 @@ def _fwi(m, sources, data, cfg, prevs):
 def _extended(m, sources, data, cfg, prevs, shift=None, matrix_free=False, refresh=True,
               scaled=True):
     """One saddle solve of the sources extended by s = shift(prev, cfg) (s = 0
-    where shift is None) against the plain forward residuals, on the row's
+    where either is None) against the plain forward residuals, on the row's
     backend; with refresh u = A^-1 ((b + lam) + s), without it (split-gn)
     u = u0 and no sweep.  A scaled row keeps lam, an unscaled one
     v = mu lam.  A matrix-free solve that misses cfg.cg_tol raises
     SolverNotConvergedError, so its field never reaches the model update."""
     residuals = _residuals(data, prevs)
     if refresh:
-        shifts = None if shift is None else [shift(prev, cfg) for prev in prevs]
-        us, lams = solve_saddle(m, sources, residuals, cfg, shifts, matrix_free)
+        shifts = shift and [shift(prev, cfg) for prev in prevs]
+        us, lams = solve_saddle(m, sources, residuals, cfg,
+                                shifts if shifts and shifts[0] is not None else None, matrix_free)
     else:
         us = [prev.u0 for prev in prevs]
         lams = data_space_multipliers(m, _shared_geometry(residuals),
@@ -216,17 +217,19 @@ def _extended(m, sources, data, cfg, prevs, shift=None, matrix_free=False, refre
     return us, lams if scaled else [Wavefield(m.spec, cfg.mu * lam.values) for lam in lams]
 
 
-def _al_shift(prev, cfg) -> SourceField:  # -w/mu
-    return SourceField(prev.mem.spec, (-1.0 / cfg.mu) * prev.mem.values)
+def _al_shift(prev, cfg) -> SourceField | None:  # -w/mu
+    return None if prev.mem is None else SourceField(
+        prev.mem.spec, (-1.0 / cfg.mu) * prev.mem.values)
 
 
-def _epsilon_shift(prev, cfg) -> SourceField:  # -eps
-    return SourceField(prev.mem.spec, -prev.mem.values)
+def _epsilon_shift(prev, cfg) -> SourceField | None:  # -eps
+    return None if prev.mem is None else SourceField(prev.mem.spec, -prev.mem.values)
 
 
 def _scattering_shift(prev, cfg) -> SourceField:  # phi - lam_prev
     phi = scattering_source(prev.u, prev.dm)
-    return SourceField(phi.spec, phi.values - prev.lam.values)
+    # x - 0.0 is bitwise x, so an unwritten lam_prev is the scalar 0.0
+    return SourceField(phi.spec, phi.values - (0.0 if prev.lam is None else prev.lam.values))
 
 
 def _refined_direct(m, sources, data, cfg, prevs):
@@ -235,18 +238,20 @@ def _refined_direct(m, sources, data, cfg, prevs):
     It damps the *updated* multiplier, not the bare increment, as the
     extended solve does, which keeps their iterates identical; assembled
     term by term, it checks the extended rows' shifts.  S phi and S lam_prev
-    are one trace-out sweep of 2k columns."""
+    are one trace-out sweep of 2k columns; an unwritten lam_prev is swept
+    as a zero field."""
     spec = m.spec
     geometry = _shared_geometry(data)
     phis = [scattering_source(prev.u, prev.dm) for prev in prevs]
-    sampled = forward_traces(m, phis + [prev.lam for prev in prevs], geometry)
+    olds = [prev.lam or SourceField(spec, np.zeros(spec.shape)) for prev in prevs]
+    sampled = forward_traces(m, phis + olds, geometry)
     rhs = [delta_d.values - s_phi.values + s_lam.values for delta_d, s_phi, s_lam
            in zip(_residuals(data, prevs), sampled, sampled[len(prevs):])]
-    lams = [SourceField(spec, prev.lam.values + (lam.values - prev.lam.values))
-            for prev, lam in zip(prevs, data_space_multipliers(m, geometry, rhs, cfg))]
+    lams = [SourceField(spec, old.values + (lam.values - old.values))
+            for old, lam in zip(olds, data_space_multipliers(m, geometry, rhs, cfg))]
     us = forward_solves(m, [
-        SourceField(spec, add_source(b, phi.values) + lam.values - prev.lam.values)
-        for b, phi, lam, prev in zip(sources, phis, lams, prevs)])
+        SourceField(spec, add_source(b, phi.values) + lam.values - old.values)
+        for b, phi, lam, old in zip(sources, phis, lams, olds)])
     return us, lams
 
 
@@ -254,36 +259,36 @@ def _born_step(state: IterationState, sources, data, damping: float, lagged: boo
     """Damped Gauss-Newton on the stacked Born kernels (dense assembly, so
     workbench scale only).  lagged (gauss-seidel) linearizes around the fields
     re-solved with the previous model increment injected as a scattering
-    source, one batched sweep; on the first iteration those are the plain
-    forward fields.  damping is penalty.mu, unscaled to the Born kernel J, as
-    the delta of (J^T J + delta I): on the two-scatterer benchmark and on a
-    15 x 13 x 60 2D grid both schemes diverge after one step for every
-    delta from 1e-4 to 1e12."""
+    source, one batched sweep, and carries them; on the first iteration those
+    are the plain forward fields.  damping is penalty.mu, unscaled to the
+    Born kernel J, as the delta of (J^T J + delta I): on the two-scatterer
+    benchmark and on a 15 x 13 x 60 2D grid both schemes diverge after one
+    step for every delta from 1e-4 to 1e12."""
     m = state.model
     us = state.forward_fields
     if lagged:
         dm_prev = m.values - state.model_prev.values
         us = forward_solves(m, [
             SourceField(m.spec, add_source(b, scattering_source(u_prev, dm_prev).values))
-            for b, u_prev in zip(sources, state.wavefields)])
+            for b, u_prev in zip(sources, state.wavefields or us)])
     blocks = [assemble_born_kernel(m, u, d.geometry).matrix for u, d in zip(us, data)]
     rhs = [_residual_traces(d, u0).values.ravel() for d, u0 in zip(data, state.forward_fields)]
     dm = damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping)
-    m_new = updated_model(m, -1.0, dm)
-    return IterationState(m_new, m, forward_solves(m_new, sources), wavefields=tuple(us),
-                          iteration=state.iteration + 1)
+    carry = IterationState(updated_model(m, -1.0, dm), m, iteration=state.iteration + 1,
+                           wavefields=tuple(us) if lagged else None)
+    return carry, tuple(us), None
 
 
 def _row(shift=None, matrix_free=False, refresh=True, scaled=True, memory=False):
     """The _TABLE entry of an extended-source row."""
     solve = partial(_extended, shift=shift, matrix_free=matrix_free, refresh=refresh,
                     scaled=scaled)
-    return solve, scaled, memory
+    return solve, scaled, memory, shift is _scattering_shift
 
 
-# name -> (solve, scaled, memory); None marks the Born least-squares step
+# name -> (solve, scaled, memory, carries u and lam); None: Born least squares
 _TABLE = {
-    "fwi": (_fwi, False, False),
+    "fwi": (_fwi, False, False, False),
     "penalty-wavefield": _row(matrix_free=True, scaled=False),
     "penalty-multiplier": _row(scaled=False),
     "wri-scaled": _row(),
@@ -293,7 +298,7 @@ _TABLE = {
     "gauss-seidel": None,
     "split-gn": _row(refresh=False),
     "split-gs": _row(),
-    "refined-direct": (_refined_direct, True, False),
+    "refined-direct": (_refined_direct, True, False, True),
     "refined-rearranged": _row(_scattering_shift),
     "refined-epsilon": _row(_epsilon_shift, memory=True),
 }
@@ -302,34 +307,35 @@ SCHEMES = tuple(_TABLE)
 
 
 def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyConfig,
-                update_mode: str = "sum-terms") -> IterationState:
-    """One iteration of the named scheme (see the module docstring)."""
+                update_mode: str = "sum-terms"):
+    """One iteration of the named scheme (see the module docstring): the
+    carry at the new model, without forward fields, and the step's us and
+    vs (None for gauss-*)."""
     if scheme not in _TABLE:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if _TABLE[scheme] is None:
         return _born_step(state, sources, data, cfg.mu, lagged=scheme == "gauss-seidel")
-    solve, scaled, memory = _TABLE[scheme]
+    solve, scaled, memory, carries = _TABLE[scheme]
     m = state.model
     n = len(sources)
     dm = m.values - state.model_prev.values
     mem_slot = "scatter_errors" if scaled else "running_multipliers"
-    mems = getattr(state, mem_slot) if memory else (None,) * n
-    lams = state.scatter_sources or (None,) * n
+    mems = (getattr(state, mem_slot) if memory else None) or (None,) * n
     prevs = [_Previous(u0, u_prev, lam, mem, dm) for u0, u_prev, lam, mem
-             in zip(state.forward_fields, state.wavefields, lams, mems)]
+             in zip(state.forward_fields, state.wavefields or state.forward_fields,
+                    state.scatter_sources or (None,) * n, mems)]
     us, vs = solve(m, sources, data, cfg, prevs)
     step = 1.0 if scaled else cfg.step_length
     m_new = combined_model_update(m, list(zip(vs, us)), step, update_mode)
-    slots = {"wavefields": tuple(us), "scatter_sources" if scaled else "multipliers": tuple(vs)}
+    slots = {"wavefields": tuple(us), "scatter_sources": tuple(vs)} if carries else {}
     if memory:
         k = 1.0 if scaled else cfg.mu
         slots[mem_slot] = tuple(
-            SourceField(m.spec, mem.values
+            SourceField(m.spec, (0.0 if mem is None else mem.values)  # as zeros, bitwise
                         + k * subtract_source(apply_wave_operator(m_new, u).values, b))
             for b, u, mem in zip(sources, us, mems)
         )
-    return IterationState(m_new, m, forward_solves(m_new, sources),
-                          iteration=state.iteration + 1, **slots)
+    return IterationState(m_new, m, iteration=state.iteration + 1, **slots), tuple(us), tuple(vs)
 
 
 def reduced_objective_and_gradient(m: ModelGrid, sources, data):
@@ -360,11 +366,11 @@ class Diagnostics:
     """One row of the convergence log.
 
     model_error is relative (||m - m_true|| / ||m_true||), NaN when no true
-    model is available.  seconds is the wall time of the step, including
-    its forward solves at the new model (row 0: initial_state), taken before
-    this row's diagnostics; it is excluded from any determinism or
-    regression comparison.  constraint, v_norm and w_norm are sums of
-    squares streamed through row-sized pieces of each field, never whole
+    model is available.  seconds is the wall time of the step and its
+    forward sweep at the new model (row 0: initial_state), not of this
+    row's diagnostics, which run between the two; it is excluded from any
+    determinism or regression comparison.  constraint, v_norm and w_norm
+    are sums of squares streamed through row-sized pieces of each field, never whole
     temporaries; their pieces add up in another order than one whole-array
     sum, so they may differ from it at round-off.
     """
@@ -405,16 +411,16 @@ def _misfit(fields, data) -> float:
     return misfit
 
 
-def _diagnostics(state: IterationState, sources, data, true_model: ModelGrid | None,
+def _diagnostics(state: IterationState, us, vs, sources, data, true_model: ModelGrid | None,
                  seconds: float) -> Diagnostics:
     m = state.model
-    constraint = sum(residual_sum_of_squares(m, u, b) for b, u in zip(sources, state.wavefields))
+    constraint = sum(residual_sum_of_squares(m, u, b) for b, u in zip(sources, us))
     model_error = float("nan") if true_model is None else (
         float(np.linalg.norm(m.values - true_model.values))
         / float(np.linalg.norm(true_model.values)))
-    v_norm = np.sqrt(_norm_sq(state.multipliers) + _norm_sq(state.scatter_sources))
+    v_norm = np.sqrt(_norm_sq(vs))
     w_norm = np.sqrt(_norm_sq(state.running_multipliers) + _norm_sq(state.scatter_errors))
-    return Diagnostics(iteration=state.iteration, misfit=_misfit(state.wavefields, data),
+    return Diagnostics(iteration=state.iteration, misfit=_misfit(us, data),
                        constraint=np.sqrt(constraint), model_error=model_error,
                        v_norm=float(v_norm), w_norm=float(w_norm), seconds=seconds)
 
@@ -430,9 +436,10 @@ def run_inversion(
     them.  true_model (when given, e.g. from build_model_values on the
     config's true-model descriptor) only feeds the model_error column.
 
-    History always has an iteration-0 row evaluated at initial_state, whose
-    wavefields are the plain forward fields, before any stepping.  Stopping
-    rules:
+    History always has an iteration-0 row evaluated at initial_state, with
+    the plain forward fields as wavefields, before any stepping.  A step's
+    fields are dropped once reduced to its row, before the forward sweep
+    at the new model.  Stopping rules, checked after that sweep:
 
       * reduced data misfit 0.5*||P A(m)^-1 b - d||^2 at the current model
         falls to stop.misfit_tol times the data energy 0.5*||d||^2.  The
@@ -443,8 +450,8 @@ def run_inversion(
       * relative constraint norm (against ||b||) <= stop.constraint_tol,
         checked from iteration 1 on (iteration 0 has exact-solve fields)
       * iteration count reaching stop.max_iter
-      * divergence (non-finite diagnostics or a failed update) aborts with
-        the last valid state and status "diverged"
+      * divergence (non-finite diagnostics or fields, or a failed update)
+        aborts with the last valid state and status "diverged"
       * an iterative solve that misses its tolerance aborts the same way
         with status "solver_not_converged", and a Cholesky factorization of
         H + mu I that fails with status "singular_system"
@@ -463,7 +470,8 @@ def run_inversion(
     cfg = config.penalty
     t0 = time.perf_counter()
     state = initial_state(m0, sources)
-    history = [_diagnostics(state, sources, data, true_model, time.perf_counter() - t0)]
+    history = [_diagnostics(state, state.forward_fields, None, sources, data, true_model,
+                            time.perf_counter() - t0)]
     data_energy = 0.5 * sum(float(np.sum(d.values**2)) for d in data)
     source_scale = np.sqrt(_norm_sq(sources))
 
@@ -475,8 +483,13 @@ def run_inversion(
     for _ in range(config.stop.max_iter):
         t_iter = time.perf_counter()
         try:
-            new_state = step_scheme(config.scheme, state, sources, data, cfg,
-                                    update_mode=config.update_mode)
+            carry, us, vs = step_scheme(config.scheme, state, sources, data, cfg,
+                                        update_mode=config.update_mode)
+            diag = _diagnostics(carry, us, vs, sources, data, true_model,
+                                time.perf_counter() - t_iter)
+            del us, vs  # the log row is all the run keeps of the step's fields
+            t_sweep = time.perf_counter()
+            carry = with_forward_fields(carry, sources)
         except DivergenceError:
             status = "diverged"
             break
@@ -486,12 +499,11 @@ def run_inversion(
         except SingularSystemError:
             status = "singular_system"
             break
-        diag = _diagnostics(new_state, sources, data, true_model, time.perf_counter() - t_iter)
         if not np.isfinite(diag.misfit) or not np.isfinite(diag.constraint):
             status = "diverged"
             break
-        state = new_state
-        history.append(diag)
+        state = carry
+        history.append(replace(diag, seconds=diag.seconds + time.perf_counter() - t_sweep))
         if _misfit(state.forward_fields, data) <= config.stop.misfit_tol * data_energy:
             status = "misfit_tol"
             break

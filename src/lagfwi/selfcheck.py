@@ -397,7 +397,8 @@ def _run_iterates(scheme: str, m0, sources, data, cfg, n):
     state = iterations.initial_state(m0, sources)
     out = []
     for _ in range(n):
-        state = iterations.step_scheme(scheme, state, sources, data, cfg)
+        state = iterations.with_forward_fields(
+            iterations.step_scheme(scheme, state, sources, data, cfg)[0], sources)
         out.append(state)
     return out
 
@@ -422,7 +423,8 @@ def _check_wri_oracle(faults) -> CheckResult:
     m_ref = m0
     worst = 0.0
     for _ in range(3):
-        state = iterations.step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
+        state = iterations.with_forward_fields(iterations.step_scheme(
+            "penalty-wavefield", state, sources[:1], data[:1], cfg)[0], sources[:1])
         [u_ref], _ = solve_saddle(m_ref, sources[:1], _residuals(m_ref, sources[:1], data[:1]),
                                   cfg, matrix_free=True)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
@@ -445,7 +447,7 @@ def _check_fixed_points(faults) -> CheckResult:
     state = iterations.initial_state(m_true, sources)
     worst, worst_name = 0.0, ""
     for scheme in iterations.SCHEMES:
-        stepped = iterations.step_scheme(scheme, state, sources, data, cfg)
+        stepped, _, _ = iterations.step_scheme(scheme, state, sources, data, cfg)
         err = _rel(stepped.model.values, m_true.values)
         if err > worst:
             worst, worst_name = err, scheme

@@ -18,6 +18,7 @@ from lagfwi.fileio import (
 from lagfwi.grids import (
     AcquisitionGeometry,
     GridSpec,
+    ModelGrid,
     TraceData,
     Wavefield,
     build_model,
@@ -147,3 +148,32 @@ def test_bad_log_header_raises(tmp_path):
         f.write("iteration,cost\n0,1.0\n")
     with pytest.raises(FileFormatError):
         read_log(path)
+
+
+def test_array_files_match_the_per_value_format(tmp_path, rng):
+    """Model, field and trace files are byte for byte the text of one
+    "%.17g" % v per value, with -0.0 (not in a model), the smallest
+    subnormal 5e-324 and 1e300 among the values."""
+    spec = GridSpec(ndim=2, nx=3, nz=3, dx=10.0, dz=5.0, nt=4, dt=0.003)
+    specials = (-0.0, 5e-324, 1e300)
+    field = rng.standard_normal(spec.shape)
+    field[:3, 1] = specials
+    model = rng.random(spec.n_space) + 1e-7
+    model[:2] = specials[1:]
+    geometry = AcquisitionGeometry((0,), (1, 4))
+    traces = field[[1, 4], :].copy()
+    traces[1, :3] = specials
+    cases = [
+        (save_model, ModelGrid(spec, model), model.reshape(1, -1)),
+        (save_field, Wavefield(spec, field), field.T),
+        (save_traces, TraceData(spec, geometry, traces), traces.T),
+    ]
+    for save, obj, rows in cases:
+        path = str(tmp_path / f"{save.__name__}.dat")
+        save(path, obj)
+        with open(path) as handle:
+            body = handle.read().split("\n", 1)[1]
+        assert body == "".join(" ".join("%.17g" % v for v in row) + "\n" for row in rows)
+        tokens = body.split()
+        assert "4.9406564584124654e-324" in tokens and "1.0000000000000001e+300" in tokens
+        assert save is save_model or "-0" in tokens

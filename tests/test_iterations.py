@@ -19,6 +19,8 @@ from lagfwi.config import (
     ExperimentConfig,
     ModelDescriptor,
     StopRules,
+    build_model_values,
+    build_sources,
     make_observed_data,
     true_model_grid,
 )
@@ -52,6 +54,7 @@ from lagfwi.iterations import (
     initial_state,
     run_inversion,
     step_scheme,
+    with_forward_fields,
 )
 
 from conftest import al_shifts, forward_residuals, random_model
@@ -73,12 +76,20 @@ def tiny_problem(seed=108, n_sources=2):
     return spec, geom, m_true, m0, sources, data
 
 
+def advance(scheme, state, sources, data, cfg, update_mode="sum-terms"):
+    """One step as run_inversion takes it: (carry with its forward fields at
+    the new model, us, vs)."""
+    carry, us, vs = step_scheme(scheme, state, sources, data, cfg, update_mode=update_mode)
+    return with_forward_fields(carry, sources), us, vs
+
+
 def iterate(scheme, m0, sources, data, cfg, n, update_mode="sum-terms"):
-    state = initial_state(m0, sources)
+    """The first n steps from initial_state, each as advance returns it."""
     out = []
+    state = initial_state(m0, sources)
     for _ in range(n):
-        state = step_scheme(scheme, state, sources, data, cfg, update_mode=update_mode)
-        out.append(state)
+        out.append(advance(scheme, state, sources, data, cfg, update_mode))
+        state = out[-1][0]
     return out
 
 
@@ -112,7 +123,7 @@ def test_all_schemes_fix_the_true_model():
     cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
     state = initial_state(m_true, sources)
     for scheme in SCHEMES:
-        stepped = step_scheme(scheme, state, sources, data, cfg)
+        stepped, _, _ = step_scheme(scheme, state, sources, data, cfg)
         assert rel(stepped.model.values, m_true.values) <= 1e-10, scheme
 
 
@@ -136,7 +147,7 @@ def test_scheme_pairs_agree_for_five_iterations(scheme_a, scheme_b):
     cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
     ha = iterate(scheme_a, m0, sources, data, cfg, 5)
     hb = iterate(scheme_b, m0, sources, data, cfg, 5)
-    for a, b in zip(ha, hb):
+    for (a, _, _), (b, _, _) in zip(ha, hb):
         assert rel(a.model.values, b.model.values) <= 1e-8
 
 
@@ -161,40 +172,113 @@ def test_step_solves_each_source_as_if_alone(scheme):
         cfg = PenaltyConfig(mu=1e14)  # Born damping that keeps both steps' models positive
     else:
         cfg = PenaltyConfig(mu=50.0, alpha=1e-6 if scheme == "fwi" else None, cg_tol=1e-13)
-    state = step_scheme(scheme, initial_state(m0, sources), sources, data, cfg)
+    state, _, _ = advance(scheme, initial_state(m0, sources), sources, data, cfg)
     batch = step_scheme(scheme, state, sources, data, cfg)
     for j in range(len(sources)):
         alone = step_scheme(scheme, source_slice(state, j), sources[j:j + 1], data[j:j + 1], cfg)
-        for slot in ("wavefields", "multipliers", "scatter_sources"):
-            if getattr(batch, slot) is None:
-                assert getattr(alone, slot) is None
+        for slot, name in ((1, "us"), (2, "vs")):
+            if batch[slot] is None:
+                assert alone[slot] is None
                 continue
-            got = getattr(alone, slot)[0].values.tobytes()
-            assert got == getattr(batch, slot)[j].values.tobytes(), (slot, j)
+            got = alone[slot][0].values.tobytes()
+            assert got == batch[slot][j].values.tobytes(), (name, j)
 
 
-# (forward sweeps, their columns, data_space_multipliers calls) of one step
-# of each dense extended-source row on tiny_problem (two sources, two
-# receivers): H's assembly sweeps one column per receiver; a shift, the
-# refresh and the new model's forward fields one column per source each.
-# The residuals d - P A^-1 b come from the forward fields the state holds,
-# so no row sweeps b for them.
+# the per-source slots of each scheme's carry besides forward_fields: what
+# its next step reads
+CARRIED = {
+    "fwi": (),
+    "penalty-wavefield": (),
+    "penalty-multiplier": (),
+    "wri-scaled": (),
+    "al-wavefield": ("running_multipliers",),
+    "al-multiplier": ("running_multipliers",),
+    "gauss-newton": (),
+    "gauss-seidel": ("wavefields",),
+    "split-gn": (),
+    "split-gs": (),
+    "refined-direct": ("wavefields", "scatter_sources"),
+    "refined-rearranged": ("wavefields", "scatter_sources"),
+    "refined-epsilon": ("scatter_errors",),
+}
+
+
+def _per_source_slots(state) -> set:
+    return {f.name for f in fields(IterationState) if isinstance(getattr(state, f.name), tuple)}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_carry_holds_only_what_the_next_step_reads(scheme):
+    """A step's carry holds the slots of CARRIED and no forward fields, and
+    the next step reads each of them: without it, that step's model moves."""
+    spec, geom, m_true, m0, sources, data = tiny_problem()
+    if scheme.startswith("gauss-"):
+        cfg = PenaltyConfig(mu=1e14)
+    else:
+        cfg = PenaltyConfig(mu=50.0, alpha=1e-6 if scheme == "fwi" else None, cg_tol=1e-13)
+    assert _per_source_slots(initial_state(m0, sources)) == {"forward_fields"}
+    state, _, _ = advance(scheme, initial_state(m0, sources), sources, data, cfg)
+    assert _per_source_slots(state) == {"forward_fields", *CARRIED[scheme]}
+    carry, _, _ = step_scheme(scheme, state, sources, data, cfg)
+    assert _per_source_slots(carry) == set(CARRIED[scheme])
+    for slot in CARRIED[scheme]:
+        dropped, _, _ = step_scheme(scheme, replace(state, **{slot: None}), sources, data, cfg)
+        assert not np.array_equal(dropped.model.values, carry.model.values), slot
+
+
+def test_fwi_run_holds_two_fields_per_shot():
+    """Two fwi steps on a 2D grid with three shots peak, by tracemalloc,
+    under two fields per shot (the forward and the adjoint fields in a
+    step, the old and the new forward fields in its sweep) plus one field
+    of slack for the sweeps' working blocks and finiteness checks."""
+    config = ExperimentConfig(
+        grid=GridSpec(ndim=2, nx=25, nz=25, dx=10.0, dz=10.0, nt=300, dt=0.0028),
+        true_model=ModelDescriptor(kind="box-anomaly", velocity=2000.0,
+                                   boxes=((10, 14, 10, 16, 2200.0),)),
+        initial_model=ModelDescriptor(kind="uniform", velocity=2000.0),
+        source_nodes=(54, 62, 70),
+        receiver_nodes=tuple(range(26, 49, 3)),
+        scheme="fwi",
+        penalty=PenaltyConfig(mu=100.0, alpha=1e-6),
+        stop=StopRules(max_iter=2),
+    )
+    data = make_observed_data(config)
+    tracemalloc.start()
+    try:
+        result = run_inversion(config, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "max_iter" and len(result.history) == 3
+    field = config.grid.n_space * config.grid.nt * 8
+    assert peak <= (2 * len(config.source_nodes) + 1) * field
+
+
+# (forward sweeps, their columns, data_space_multipliers calls) of the first
+# step of each dense extended-source row on tiny_problem (two sources, two
+# receivers), with the sweep of the new model's forward fields: H's
+# assembly sweeps one column per receiver; a shift, the refresh and the new
+# model's forward fields one column per source each.  The residuals
+# d - P A^-1 b come from the forward fields the state holds, so no row
+# sweeps b for them, and no memory is written before the first step, so the
+# AL rows and refined-epsilon sweep no shift.
 DENSE_ROW_WORK = {
     "penalty-multiplier": (3, 6, 1),
-    "al-multiplier": (4, 8, 1),
+    "al-multiplier": (3, 6, 1),
     "wri-scaled": (3, 6, 1),
     "split-gs": (3, 6, 1),
     "split-gn": (2, 4, 1),
     "refined-rearranged": (4, 8, 1),
-    "refined-epsilon": (4, 8, 1),
+    "refined-epsilon": (3, 6, 1),
 }
 
 
 @pytest.mark.parametrize("scheme", DENSE_ROW_WORK)
 def test_dense_rows_sweep_only_their_shifts(monkeypatch, scheme):
-    """One step of each dense extended-source row makes the forward sweeps
-    and the one multiplier solve of DENSE_ROW_WORK: an unshifted row makes
-    no residual sweep, and split-gn no refresh."""
+    """The first step of each dense extended-source row makes the forward
+    sweeps and the one multiplier solve of DENSE_ROW_WORK: an unshifted row,
+    or one whose memory is unwritten, makes no residual sweep, and split-gn
+    no refresh."""
     spec, geom, m_true, m0, sources, data = tiny_problem()
     state = initial_state(m0, sources)
     sweeps, solves = [], []
@@ -214,23 +298,23 @@ def test_dense_rows_sweep_only_their_shifts(monkeypatch, scheme):
         monkeypatch.setattr(module, "_forward_sweep", counting_sweep)
     for module in (saddle, iterations):
         monkeypatch.setattr(module, "data_space_multipliers", counting_multipliers)
-    step_scheme(scheme, state, sources, data, PenaltyConfig(mu=50.0))
+    advance(scheme, state, sources, data, PenaltyConfig(mu=50.0))
     assert (len(sweeps), sum(sweeps), len(solves)) == DENSE_ROW_WORK[scheme]
 
 
 def _step_or_error(scheme, state, sources, data, cfg, update_mode):
-    """The state after one step, or the type of the error it raised."""
+    """(carry, us, vs) of one step, or the type of the error it raised."""
     try:
         return step_scheme(scheme, state, sources, data, cfg, update_mode=update_mode)
     except Exception as exc:  # compared across source forms, never swallowed
         return type(exc)
 
 
-def _state_bytes(state) -> list:
-    """Every slot of a state: its fields' bytes, the iteration count, or None."""
+def _state_bytes(state, *step_fields) -> list:
+    """Every slot of a state, then each of step_fields (a step's us and vs):
+    its fields' bytes, the iteration count, or None."""
     out = []
-    for slot in fields(IterationState):
-        value = getattr(state, slot.name)
+    for value in [getattr(state, slot.name) for slot in fields(IterationState)] + list(step_fields):
         if isinstance(value, tuple):
             out.append(tuple(f.values.tobytes() for f in value))
         elif value is None or isinstance(value, int):
@@ -252,7 +336,7 @@ def _state_bytes(state) -> list:
 )
 def test_point_sources_step_as_their_dense_fields_bitwise(ndim, nx, nz, nt, n_sources,
                                                            update_mode, seed):
-    """One step of every scheme gives bitwise the same IterationState with
+    """One step of every scheme gives bitwise the same carry, us and vs with
     point sources as one-node TraceData as with the same sources as dense
     SourceFields (or the same error), on random 1D/2D grids with 1-3
     sources, from a state with a nonzero model increment whose memories w
@@ -282,10 +366,8 @@ def test_point_sources_step_as_their_dense_fields_bitwise(ndim, nx, nz, nt, n_so
     assert _state_bytes(initial_state(m0, points)) == _state_bytes(initial_state(m0, dense))
     mems = tuple(signed_zeros() for _ in points)
     state = IterationState(
-        m0, m_prev, u0, wavefields=u0,
-        multipliers=tuple(Wavefield(spec, np.zeros(spec.shape)) for _ in points),
-        running_multipliers=mems, scatter_sources=tuple(signed_zeros() for _ in points),
-        scatter_errors=mems, iteration=1)
+        m0, m_prev, u0, wavefields=u0, running_multipliers=mems,
+        scatter_sources=tuple(signed_zeros() for _ in points), scatter_errors=mems, iteration=1)
     for scheme in SCHEMES:
         if scheme.startswith("gauss-"):
             cfg = PenaltyConfig(mu=1e14)
@@ -296,7 +378,7 @@ def test_point_sources_step_as_their_dense_fields_bitwise(ndim, nx, nz, nt, n_so
         if isinstance(want, type):
             assert got is want, scheme
         else:
-            assert _state_bytes(got) == _state_bytes(want), scheme
+            assert _state_bytes(*got) == _state_bytes(*want), scheme
 
 
 # fwi back-propagates its residuals and gauss-* assemble one Born kernel per
@@ -322,10 +404,10 @@ def test_scaled_and_unscaled_multipliers_track_each_other():
     cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
     href = iterate("refined-epsilon", m0, sources, data, cfg, 5)
     hal = iterate("al-multiplier", m0, sources, data, cfg, 5)
-    for sa, sb in zip(href, hal):
+    for (sa, _, lams), (sb, _, vs) in zip(href, hal):
         for eps, w in zip(sa.scatter_errors, sb.running_multipliers):
             assert rel(eps.values, w.values / mu) <= 1e-12 or np.abs(w.values).max() == 0
-        for lam, v in zip(sa.scatter_sources, sb.multipliers):
+        for lam, v in zip(lams, vs):
             assert rel(lam.values, v.values / mu) <= 1e-12
 
 
@@ -338,7 +420,7 @@ def test_penalty_wavefield_matches_alternation_oracle():
     state = initial_state(m0, sources[:1])
     m_ref = m0
     for _ in range(4):
-        state = step_scheme("penalty-wavefield", state, sources[:1], data[:1], cfg)
+        state, _, _ = advance("penalty-wavefield", state, sources[:1], data[:1], cfg)
         residuals = forward_residuals(m_ref, sources[:1], data[:1])
         [u_ref], _ = solve_saddle(m_ref, sources[:1], residuals, cfg, matrix_free=True)
         m_ref = ModelGrid(spec, quadratic_model_minimizer(u_ref, sources[0], m_ref, mu=mu))
@@ -356,7 +438,7 @@ def test_al_wavefield_matches_admm_oracle():
     m_ref = m0
     w_ref = SourceField(spec, np.zeros(spec.shape))
     for _ in range(4):
-        state = step_scheme("al-wavefield", state, sources[:1], data[:1], cfg)
+        state, _, _ = advance("al-wavefield", state, sources[:1], data[:1], cfg)
         residuals = forward_residuals(m_ref, sources[:1], data[:1])
         [u_ref], _ = solve_saddle(m_ref, sources[:1], residuals, cfg, al_shifts([w_ref], mu),
                                   matrix_free=True)
@@ -376,8 +458,8 @@ def test_split_gn_approaches_fwi_for_large_damping():
     gaps = []
     for mu in (1e6, 1e8):
         cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-        m_split = iterate("split-gn", m0, sources, data, cfg, 1)[0].model.values
-        m_fwi = iterate("fwi", m0, sources, data, cfg, 1)[0].model.values
+        m_split = iterate("split-gn", m0, sources, data, cfg, 1)[0][0].model.values
+        m_fwi = iterate("fwi", m0, sources, data, cfg, 1)[0][0].model.values
         gaps.append(np.linalg.norm(m_split - m_fwi) / np.linalg.norm(m_fwi - m0.values))
     assert gaps[1] < 0.02 * gaps[0]
 
@@ -387,8 +469,8 @@ def test_larger_damping_shrinks_the_multiplier():
     norms = []
     for mu in (1.0, 1e2, 1e4):
         cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
-        state = iterate("split-gn", m0, sources, data, cfg, 1)[0]
-        norms.append(max(np.linalg.norm(lam.values) for lam in state.scatter_sources))
+        _, _, lams = iterate("split-gn", m0, sources, data, cfg, 1)[0]
+        norms.append(max(np.linalg.norm(lam.values) for lam in lams))
     assert norms[0] > norms[1] > norms[2]
 
 
@@ -406,11 +488,22 @@ def test_gauss_newton_localizes_a_weak_scatterer():
     assert result.history[-1].model_error < 0.2 * err0
 
 
+def last_step(config, data):
+    """run_inversion's result and its last step, (carry, us, vs), stepped
+    again from the start: the run keeps only the carry."""
+    result = run_inversion(config, data, true_model=true_model_grid(config))
+    m0 = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
+    steps = iterate(config.scheme, m0, build_sources(config), data, config.penalty,
+                    len(result.history) - 1)
+    assert steps[-1][0].model.values.tobytes() == result.model.values.tobytes()
+    return result, steps[-1]
+
+
 def test_split_gs_multiplier_concentrates_at_the_scatterer():
     config = born_config("split-gs", mu=1e2, max_iter=3)
     data = make_observed_data(config)
-    result = run_inversion(config, data, true_model=true_model_grid(config))
-    lam = result.state.scatter_sources[0].values
+    _, (_, _, lams) = last_step(config, data)
+    lam = lams[0].values
     energy = np.sum(lam**2, axis=1)
     assert int(np.argmax(energy)) == 10
 
@@ -433,14 +526,12 @@ def test_gauss_seidel_converges_with_lagged_linearization():
 # ---------------------------------------------------------- structural claims
 
 
-def structure_residual(state):
-    """How much of the multiplier survives removing its per-node projection
-    onto the wavefield curvature profile."""
-    pairs = list(zip(state.multipliers, state.wavefields))
-    if not any(v.values.any() for v, _ in pairs):
-        pairs = list(zip(state.scatter_sources, state.wavefields))
-    num = np.zeros(state.model.spec.n_space)
-    den = np.zeros(state.model.spec.n_space)
+def structure_residual(us, vs):
+    """How much of a step's multiplier survives removing its per-node
+    projection onto the wavefield curvature profile."""
+    pairs = list(zip(vs, us))
+    num = np.zeros(us[0].spec.n_space)
+    den = np.zeros(us[0].spec.n_space)
     for v, u in pairs:
         n_, d_ = correlation_terms(v, u)
         num += n_
@@ -463,9 +554,9 @@ def test_converged_multiplier_has_scattering_structure(mu):
     wavefield curvature: v ~ -dm * ddu."""
     config = born_config("penalty-multiplier", mu=mu, max_iter=40, misfit_tol=1e-8)
     data = make_observed_data(config)
-    result = run_inversion(config, data, true_model=true_model_grid(config))
+    result, (_, us, vs) = last_step(config, data)
     assert result.status == "misfit_tol"
-    assert structure_residual(result.state) <= 0.1
+    assert structure_residual(us, vs) <= 0.1
 
 
 @pytest.mark.parametrize("scheme", ["al-multiplier", "al-wavefield"])
@@ -602,10 +693,10 @@ def test_update_modes_coincide_for_one_source_and_split_for_two():
     cfg = PenaltyConfig(mu=50.0, alpha=1e-6, cg_tol=1e-13)
     one_t = iterate("fwi", m0, sources[:1], data[:1], cfg, 2, "sum-terms")
     one_u = iterate("fwi", m0, sources[:1], data[:1], cfg, 2, "sum-updates")
-    assert np.array_equal(one_t[-1].model.values, one_u[-1].model.values)
+    assert np.array_equal(one_t[-1][0].model.values, one_u[-1][0].model.values)
     two_t = iterate("fwi", m0, sources, data, cfg, 2, "sum-terms")
     two_u = iterate("fwi", m0, sources, data, cfg, 2, "sum-updates")
-    assert not np.array_equal(two_t[-1].model.values, two_u[-1].model.values)
+    assert not np.array_equal(two_t[-1][0].model.values, two_u[-1][0].model.values)
 
 
 def test_penalty_continuation_tightens_the_constraint():
@@ -619,7 +710,8 @@ def test_penalty_continuation_tightens_the_constraint():
 
 
 def _full_slot_state(seed=5):
-    """A 2D state whose every slot holds random fields, two sources."""
+    """A 2D state whose every slot holds random fields, two sources, and a
+    step's random us and vs."""
     rng = np.random.default_rng(seed)
     spec = GridSpec(ndim=2, nx=61, nz=61, dx=10.0, dz=10.0, nt=300, dt=0.002)
     geom = AcquisitionGeometry((100,), (70, 90, 110))
@@ -630,35 +722,35 @@ def _full_slot_state(seed=5):
 
     state = IterationState(
         m, m, fields_of(Wavefield), wavefields=fields_of(Wavefield),
-        multipliers=fields_of(Wavefield), running_multipliers=fields_of(SourceField),
-        scatter_sources=fields_of(SourceField), scatter_errors=fields_of(SourceField))
+        running_multipliers=fields_of(SourceField), scatter_sources=fields_of(SourceField),
+        scatter_errors=fields_of(SourceField))
+    us, vs = fields_of(Wavefield), fields_of(Wavefield)
     sources = fields_of(SourceField)
     data = [TraceData(spec, geom, rng.standard_normal((3, spec.nt))) for _ in range(2)]
-    return state, sources, data
+    return state, us, vs, sources, data
 
 
 def test_streamed_diagnostics_match_whole_array_sums():
-    state, sources, data = _full_slot_state()
-    diag = _diagnostics(state, sources, data, None, 0.0)
+    state, us, vs, sources, data = _full_slot_state()
+    diag = _diagnostics(state, us, vs, sources, data, None, 0.0)
     m = state.model
     constraint = sum(np.sum((apply_wave_operator(m, u).values - b.values) ** 2)
-                     for b, u in zip(sources, state.wavefields))
+                     for b, u in zip(sources, us))
 
     def norm_sq(*slots):
         return sum(np.sum(f.values**2) for slot in slots for f in slot)
 
     assert diag.constraint == pytest.approx(np.sqrt(constraint), rel=1e-13)
-    assert diag.v_norm == pytest.approx(
-        np.sqrt(norm_sq(state.multipliers, state.scatter_sources)), rel=1e-13)
+    assert diag.v_norm == pytest.approx(np.sqrt(norm_sq(vs)), rel=1e-13)
     assert diag.w_norm == pytest.approx(
         np.sqrt(norm_sq(state.running_multipliers, state.scatter_errors)), rel=1e-13)
 
 
 def test_diagnostics_peak_well_below_one_field():
-    state, sources, data = _full_slot_state()
+    state, us, vs, sources, data = _full_slot_state()
     tracemalloc.start()
     try:
-        _diagnostics(state, sources, data, None, 0.0)
+        _diagnostics(state, us, vs, sources, data, None, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -40,7 +40,8 @@ CASES = tuple((scheme, "sum-terms") for scheme in SCHEMES) + (
 
 
 def case_states(scheme, update_mode):
-    """The first N_STEPS iteration states of a scheme on its pinned inputs."""
+    """The first N_STEPS steps of a scheme on its pinned inputs, each as
+    (carry with its forward fields, us, vs)."""
     if scheme.startswith("gauss-"):
         config = born_config(scheme, mu=1e-4, max_iter=N_STEPS)
         m0 = ModelGrid(config.grid, build_model_values(config.grid, config.initial_model))
@@ -55,7 +56,7 @@ def case_states(scheme, update_mode):
 
 def case_iterates(scheme, update_mode):
     """Model values after each of the first N_STEPS steps, one row per step."""
-    return np.array([s.model.values for s in case_states(scheme, update_mode)])
+    return np.array([state.model.values for state, _, _ in case_states(scheme, update_mode)])
 
 
 def read_pinned(path=PINNED_FILE):
