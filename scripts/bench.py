@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the sweep kernels and the wavefield CG, and write the result as JSON.
 
-    PYTHONPATH=src python3 scripts/bench.py --out bench.json [--sections rss ...]
+    PYTHONPATH=src python3 scripts/bench.py --out bench.json
 
 Times ``wavecore._forward_sweep`` and ``wavecore._adjoint_sweep`` on fixed
 grid shapes, each sweeping a sequence of one field or of three fields as
@@ -38,7 +38,10 @@ steps of ``iterations.run_inversion`` in a fresh process each (this script
 again, with ``--rss-child``), observed data included, and read that
 process's ``ru_maxrss``: ``fwi`` on ``fwi-2d``'s experiment and
 ``al-multiplier`` on the 51 x 51 x 200 2D experiment below; the median of
-RSS_REPEATS processes is kept.  The receiver traces are
+RSS_REPEATS processes is kept.  On Linux a child's ``ru_maxrss`` starts
+at this process's resident size when it is started, so those rows run
+first, before the other rows grow it, and record this process's own peak
+then as the floor no reading can fall below.  The receiver traces are
 timed in two rows: "forward modelling", ``config.make_observed_data`` on
 ``fwi-2d``'s experiment (built here: three point sources on 101 x 101 x 400,
 13 receivers), and "sampled vs full forward sweep", one dense field on that
@@ -51,12 +54,11 @@ the plain forward residuals d - P A^-1 b come from the trace-out solve
 its forward fields, and the AL rows pass the shift s = -w/mu, so a timed
 solve sweeps P A^-1 s, runs the CG and sweeps u = A^-1 ((b + lam) + s).
 Everything else runs in this one process; every process has BLAS/OpenMP
-pinned to one thread.  ``--sections`` picks which groups of rows to run
-(``--sections rss`` for the peak-RSS rows alone).  Each timed case is run
-once untimed, then REPEATS times under ``time.perf_counter``; the file
-holds the minimum and the median of those repeats, the throughput of the
-kernels in space-time points per second (n_space * nt * columns /
-seconds), the CG iterations, the traced peaks and the peak RSS.  It also
+pinned to one thread.  Each timed case is run once untimed, then REPEATS
+times under ``time.perf_counter``; the file holds the minimum and the
+median of those repeats, the throughput of the kernels in space-time
+points per second (n_space * nt * columns / seconds), the CG iterations,
+the traced peaks and the peak RSS.  It also
 records the environment and the git revision of the checkout the
 ``lagfwi`` package was imported from, so that two checkouts can be
 compared with the same script by pointing ``PYTHONPATH`` at each one's
@@ -453,6 +455,7 @@ def rss_child(label: str) -> None:
 
 def rss_rows() -> list[dict]:
     """Peak RSS of two steps of each RSS case, each in fresh processes."""
+    floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rows = []
     for label in RSS_CASES:
         runs = []
@@ -462,38 +465,26 @@ def rss_rows() -> list[dict]:
             runs.append(json.loads(proc.stdout.splitlines()[-1]))
         peaks = [run["peak_rss_mb"] for run in runs]
         rows.append({"layer": "peak RSS", "case": label, "steps": 2,
-                     "status": runs[0]["status"], "repeats": RSS_REPEATS,
+                     "status": runs[0]["status"], "repeats": RSS_REPEATS, "floor_rss_mb": floor,
                      "peak_rss_mb": peaks, "median_peak_rss_mb": statistics.median(peaks)})
         print(f"peak RSS       {label:28s} median {statistics.median(peaks):8.1f} MB  "
               f"({', '.join(f'{p:.1f}' for p in peaks)})")
     return rows
 
 
-SECTIONS = {
-    "kernels": lambda: kernel_rows(np.random.default_rng(0)),
-    "passes": lambda: pass_rows(np.random.default_rng(1)),
-    "variants": lambda: variant_rows(np.random.default_rng(2)),
-    "cg": cg_rows,
-    "hessian": hessian_rows,
-    "sampling": lambda: sampling_rows(np.random.default_rng(3)),
-    "rss": rss_rows,
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--sections", nargs="+", choices=SECTIONS, default=list(SECTIONS),
-                        help="groups of rows to run (default: all)")
-    parser.add_argument("--rss-child", choices=RSS_CASES, help=argparse.SUPPRESS)
+    role = parser.add_mutually_exclusive_group(required=True)
+    role.add_argument("--out", help="JSON file to write")
+    role.add_argument("--rss-child", choices=RSS_CASES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.rss_child:
         rss_child(args.rss_child)
         return 0
-    if not args.out:
-        parser.error("--out is required")
 
-    rows = [row for name in args.sections for row in SECTIONS[name]()]
+    rows = (rss_rows() + kernel_rows(np.random.default_rng(0)) + pass_rows(np.random.default_rng(1))
+            + variant_rows(np.random.default_rng(2)) + cg_rows() + hessian_rows()
+            + sampling_rows(np.random.default_rng(3)))
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
@@ -501,7 +492,6 @@ def main(argv=None) -> int:
                   "Nystrom sketch, the dense Hessian assembly and its Cholesky factorization, "
                   "forward modelling and the sampled forward sweep, the peak RSS of two "
                   "inversion steps"),
-        "sections": args.sections,
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

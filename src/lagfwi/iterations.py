@@ -200,16 +200,15 @@ def _fwi(m, sources, data, cfg, prevs):
 def _extended(m, sources, data, cfg, prevs, shift=None, matrix_free=False, refresh=True,
               scaled=True):
     """One saddle solve of the sources extended by s = shift(prev, cfg) (s = 0
-    where either is None) against the plain forward residuals, on the row's
+    without a shift) against the plain forward residuals, on the row's
     backend; with refresh u = A^-1 ((b + lam) + s), without it (split-gn)
     u = u0 and no sweep.  A scaled row keeps lam, an unscaled one
     v = mu lam.  A matrix-free solve that misses cfg.cg_tol raises
     SolverNotConvergedError, so its field never reaches the model update."""
     residuals = _residuals(data, prevs)
     if refresh:
-        shifts = shift and [shift(prev, cfg) for prev in prevs]
-        us, lams = solve_saddle(m, sources, residuals, cfg,
-                                shifts if shifts and shifts[0] is not None else None, matrix_free)
+        shifts = None if shift is None else [shift(prev, cfg) for prev in prevs]
+        us, lams = solve_saddle(m, sources, residuals, cfg, shifts, matrix_free)
     else:
         us = [prev.u0 for prev in prevs]
         lams = data_space_multipliers(m, _shared_geometry(residuals),
@@ -217,13 +216,12 @@ def _extended(m, sources, data, cfg, prevs, shift=None, matrix_free=False, refre
     return us, lams if scaled else [Wavefield(m.spec, cfg.mu * lam.values) for lam in lams]
 
 
-def _al_shift(prev, cfg) -> SourceField | None:  # -w/mu
-    return None if prev.mem is None else SourceField(
-        prev.mem.spec, (-1.0 / cfg.mu) * prev.mem.values)
+def _al_shift(prev, cfg) -> SourceField:  # -w/mu
+    return SourceField(prev.mem.spec, (-1.0 / cfg.mu) * prev.mem.values)
 
 
-def _epsilon_shift(prev, cfg) -> SourceField | None:  # -eps
-    return None if prev.mem is None else SourceField(prev.mem.spec, -prev.mem.values)
+def _epsilon_shift(prev, cfg) -> SourceField:  # -eps
+    return SourceField(prev.mem.spec, -prev.mem.values)
 
 
 def _scattering_shift(prev, cfg) -> SourceField:  # phi - lam_prev
@@ -320,7 +318,11 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
     n = len(sources)
     dm = m.values - state.model_prev.values
     mem_slot = "scatter_errors" if scaled else "running_multipliers"
-    mems = (getattr(state, mem_slot) if memory else None) or (None,) * n
+    mems = getattr(state, mem_slot) if memory else None
+    if memory and mems is None:  # memory unwritten: s = 0, no P A^-1 s sweep
+        solve = partial(solve, shift=None)
+    if mems is None:
+        mems = (None,) * n
     prevs = [_Previous(u0, u_prev, lam, mem, dm) for u0, u_prev, lam, mem
              in zip(state.forward_fields, state.wavefields or state.forward_fields,
                     state.scatter_sources or (None,) * n, mems)]

@@ -303,9 +303,10 @@ def test_dense_rows_sweep_only_their_shifts(monkeypatch, scheme):
 
 
 def _step_or_error(scheme, state, sources, data, cfg, update_mode):
-    """(carry, us, vs) of one step, or the type of the error it raised."""
+    """(carry with its new forward fields, us, vs) of one step, or the type
+    of the error it raised."""
     try:
-        return step_scheme(scheme, state, sources, data, cfg, update_mode=update_mode)
+        return advance(scheme, state, sources, data, cfg, update_mode=update_mode)
     except Exception as exc:  # compared across source forms, never swallowed
         return type(exc)
 
