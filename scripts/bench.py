@@ -21,15 +21,13 @@ bench does not import the tests) at mu = 1e3 and 1e4, the small-mu cases
 where the unpreconditioned CG needs hundreds of iterations, and for one
 2D penalty-wavefield step (``fwi-2d``'s layout on a 51 x 51 x 200 grid,
 one shot), where a batched sweep of k columns costs about k sweeps and
-not about one as on the 1D grids.  On a checkout whose sweeps step column
-groups and copy node tiles, the 2D three-field sequence sweeps are also
-timed with other values of the group budget ``wavecore._GROUP_BYTES`` and
+not about one as on the 1D grids.  The 2D three-field sequence sweeps are
+also timed with other values of the group budget ``wavecore._GROUP_BYTES`` and
 the copy tile width ``wavecore._TILE`` (the "variants" rows), which is what
 their values rest on.  The dense multiplier path is timed in its two layers,
 ``saddle.assemble_data_space_hessian`` and the Cholesky factorization of
 H + mu I by ``scipy.linalg.cho_factor`` (with H already held; each call
-shifts a fresh copy of H and factors it in place, so the row runs on
-checkouts with and without a Hessian cache alike), on the two-scatterer
+shifts a fresh copy of H and factors it in place), on the two-scatterer
 benchmark's initial model (61 x 256, 4 receivers, its mu = 3e6) and on
 ``born_config``'s (21 x 80, 19 receivers, mu = 1e3); those rows also give
 each layer's tracemalloc peak, from one separate call, which counts what
@@ -46,8 +44,8 @@ timed in two rows: "forward modelling", ``config.make_observed_data`` on
 ``fwi-2d``'s experiment (built here: three point sources on 101 x 101 x 400,
 13 receivers), and "sampled vs full forward sweep", one dense field on that
 grid swept whole and then sampled at those receivers, against the trace-out
-sweep ``wavecore._sampled_sweep`` that writes only the receiver rows (on a
-checkout that has it); both rows give their tracemalloc peak too.  The
+sweep ``wavecore._sampled_sweep`` that writes only the receiver rows; both
+rows give their tracemalloc peak too.  The
 wavefield CG rows call ``saddle.solve_saddle`` in its extended-source form:
 the plain forward residuals d - P A^-1 b come from the trace-out solve
 ``wavecore.forward_traces`` outside the timed call, as a step holds them in
@@ -178,22 +176,13 @@ def _fwi_2d_fields(rng, count):
     return spec, m, [rng.standard_normal(spec.shape) for _ in range(count)]
 
 
-def _constraint_sq(m, u, b) -> float:
-    """||A(m) u - b||^2 as the diagnostics compute it: streamed where the
-    checkout has the streamed reduction, else through the full A(m) u."""
-    streamed = getattr(wavecore, "residual_sum_of_squares", None)
-    if streamed is not None:
-        return streamed(m, u, b)
-    return float(np.sum((wavecore.apply_wave_operator(m, u).values - b.values) ** 2))
-
-
 def pass_rows(rng) -> list[dict]:
     """The streamed full-field passes of a 2D step, at fwi-2d's field size."""
     spec, m, (u, v, b) = _fwi_2d_fields(rng, 3)
     u, v, b = Wavefield(spec, u), Wavefield(spec, v), SourceField(spec, b)
     cases = {
         "correlation_terms": lambda: wavecore.correlation_terms(v, u),
-        "constraint_norm": lambda: _constraint_sq(m, u, b),
+        "constraint_norm": lambda: wavecore.residual_sum_of_squares(m, u, b),
     }
     rows = []
     for name, call in cases.items():
@@ -207,9 +196,7 @@ def pass_rows(rng) -> list[dict]:
 
 def variant_rows(rng) -> list[dict]:
     """The 2D three-field sequence sweeps under other group budgets and copy
-    tile widths; empty on a checkout without them."""
-    if not hasattr(wavecore, "_GROUP_BYTES"):
-        return []
+    tile widths."""
     spec, m, fields = _fwi_2d_fields(rng, 3)
     slab = 8 * spec.n_space  # bytes of one column's time level
     chosen = (wavecore._GROUP_BYTES, wavecore._TILE)
@@ -374,10 +361,9 @@ def sampling_rows(rng) -> list[dict]:
     cases = [("forward modelling", "fwi-2d make_observed_data",
               lambda: make_observed_data(config)),
              ("sampled vs full forward sweep", "full sweep, sampled",
-              lambda: wavecore._forward_sweep(spec, m.values, [field])[0][rec])]
-    if hasattr(wavecore, "_sampled_sweep"):
-        cases.append(("sampled vs full forward sweep", "trace-out sweep",
-                      lambda: wavecore._sampled_sweep(spec, m.values, [field], rec)))
+              lambda: wavecore._forward_sweep(spec, m.values, [field])[0][rec]),
+             ("sampled vs full forward sweep", "trace-out sweep",
+              lambda: wavecore._sampled_sweep(spec, m.values, [field], rec))]
     rows = []
     for layer, case, call in cases:
         best, median = time_call(call)

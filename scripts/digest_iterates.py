@@ -7,8 +7,9 @@ For each of the 13 schemes in both update modes, on the pinned inputs of
 ``tests/test_pinned_iterates.py``, it steps N_STEPS = 3 iterations and
 prints one line per step: scheme, update mode, step, then the sha1 of
 every slot of the step's carry (an ``IterationState`` with its forward
-fields swept) in field order (``-`` for an unwritten slot), then of the
-step's own fields ``us`` and ``vs``.  A per-source slot hashes the bytes
+fields swept) in field order: model, model_prev, forward_fields,
+wavefields, memory, scatter_sources, iteration (``-`` for an unwritten
+slot), then of the step's own fields ``us`` and ``vs``.  A per-source slot hashes the bytes
 of its fields in source order.  That is 78 lines.  Two checkouts compute the same iterates bit for bit exactly
 when they print the same lines, so a refactor that claims unchanged
 iterates is checked by diffing this output on both.

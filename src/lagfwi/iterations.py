@@ -1,10 +1,10 @@
 """Inversion iterations: thirteen schemes around a single saddle point.
 
 Every scheme alternates between (a) estimating a wavefield u and a
-multiplier-like field for each source and (b) updating the model.  Eleven
-share the one pipeline of step_scheme,
+multiplier-like field for each source and (b) updating the model, all in
+the one pipeline of step_scheme,
 
-    (us, v_likes) = solve(m, sources, data, cfg, previous slots)
+    (us, v_likes) = solve(state, sources, data, cfg)
     m_new = combined_model_update(m, [(v_like, u), ...], step)
     mem   = mem + k (A(m_new) u - b)           (per source; schemes with a memory only)
 
@@ -24,29 +24,39 @@ runs on the dense backend (one assembly of H at the step's model, H + mu I
 factored in H's own buffer, one multi-column Cholesky solve; the model
 changes every step, so nothing is kept between steps) or the matrix-free one
 (the sources' Nystrom-preconditioned CGs in lock step); a row without a
-shift, or with its memory unwritten, makes no sweep for P A^-1 s.  An
-unscaled scheme returns v = mu lam, steps by cfg.step_length (1/mu unless
-alpha is pinned) and carries the Lagrange multiplier w (k = mu).  A scaled
-scheme returns lam, takes a unit step and carries the accumulated
-constraint error eps = w/mu (k = 1).
+shift makes no sweep for P A^-1 s.  An unscaled scheme returns v = mu lam,
+steps by cfg.step_length (1/mu unless alpha is pinned) and keeps the
+Lagrange multiplier w in its memory (k = mu).  A scaled scheme returns lam,
+takes a unit step and keeps the accumulated constraint error eps = w/mu
+(k = 1).
 
-  scheme              s                backend      refresh  scaled  memory
+  scheme              s                backend      refresh  scaled  history
   fwi                 -                -            -        no      -
   penalty-wavefield   0                matrix-free  yes      no      -
   penalty-multiplier  0                dense        yes      no      -
   wri-scaled          0                dense        yes      yes     -
-  al-wavefield        -w/mu            matrix-free  yes      no      w
-  al-multiplier       -w/mu            dense        yes      no      w
+  al-wavefield        -w/mu            matrix-free  yes      no      memory w
+  al-multiplier       -w/mu            dense        yes      no      memory w
   split-gn            0                dense        no       yes     -
   split-gs            0                dense        yes      yes     -
-  refined-direct      by hand          dense        yes      yes     -
-  refined-rearranged  phi - lam_prev   dense        yes      yes     -
-  refined-epsilon     -eps             dense        yes      yes     eps
+  refined-direct      by hand          dense        yes      yes     u, lam
+  refined-rearranged  phi - lam_prev   dense        yes      yes     u, lam
+  refined-epsilon     -eps             dense        yes      yes     memory eps
 
 phi = scattering_source(u_prev, m - m_prev).  fwi keeps u = u0 and
 back-propagates P u - d for v.  refined-direct solves for the multiplier
 increment term by term, so its agreement with refined-epsilon checks the
 shifts.
+
+The first-step rule: a row's history is what its next step reads, and
+every multiplier-oriented iteration starts from a zero multiplier and a
+zero model increment, where each shift above is zero.  So while any slot
+of a row's history is unwritten, as in initial_state, step_scheme runs the
+row's unshifted solve on its own backend and scaling: the AL rows and
+refined-epsilon sweep no P A^-1 s, the refined rows take the wri-scaled
+solve, and gauss-seidel linearizes about the forward fields the state
+holds.  The first memory update adds k (A u - b) to the scalar 0.0, whose
+sum has the signed zeros of a zero field's.
 
 Batching does not change an iterate: each column of a batched sweep, of the
 Cholesky solve or of the lock-step CG does the same floating-point
@@ -60,9 +70,10 @@ a dense SourceField; it meets the dense fields of a step (lam, phi, eps,
 A u) only through wavecore.add_source and subtract_source, which give
 bitwise the dense sums, so both forms step to the same bytes.
 
-gauss-newton and gauss-seidel instead solve damped least squares on the
-stacked Born kernels for the model increment; gauss-seidel linearizes about
-a field refreshed by the previous increment.
+gauss-newton and gauss-seidel return no v_likes and instead solve damped
+least squares on the stacked Born kernels about their us for the model
+increment; gauss-seidel's us are refreshed by the previous increment, and
+carried as its history.
 
 The plain forward field u0 depends on the model alone, so it is solved once
 per model, all sources in one batched sweep (with_forward_fields): by
@@ -82,7 +93,6 @@ from __future__ import annotations
 import time
 from dataclasses import astuple, dataclass, replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -109,19 +119,19 @@ class IterationState:
     """What a scheme carries from one step to the next.
 
     Per-source tuples have one entry per source.  forward_fields, the plain
-    forward fields A(model)^-1 b, are set by with_forward_fields.  Of the
-    other slots a step's carry holds what its scheme's next step reads (w
-    or eps; u and lam for refined-direct and refined-rearranged; u for
-    gauss-seidel) and initial_state none: the first step reads u as u0, lam
-    as zero and no memory."""
+    forward fields A(model)^-1 b, are set by with_forward_fields.  The
+    other slots hold a row's history, what its next step reads: the memory
+    (w for an unscaled row, eps for a scaled one); u and lam for
+    refined-direct and refined-rearranged; u for gauss-seidel.  A step's
+    carry writes its row's history and initial_state none, so every row's
+    first step runs its unshifted solve."""
 
     model: ModelGrid
     model_prev: ModelGrid
-    forward_fields: tuple[Wavefield, ...] | None = None         # u0 = A(model)^-1 b
-    wavefields: tuple[Wavefield, ...] | None = None             # u, previous wavefield
-    running_multipliers: tuple[SourceField, ...] | None = None  # w, AL memory
-    scatter_sources: tuple[SourceField, ...] | None = None      # lam, scaled multiplier
-    scatter_errors: tuple[SourceField, ...] | None = None       # eps, accumulated constraint error
+    forward_fields: tuple[Wavefield, ...] | None = None     # u0 = A(model)^-1 b
+    wavefields: tuple[Wavefield, ...] | None = None         # u, previous wavefield
+    memory: tuple[SourceField, ...] | None = None           # w (unscaled rows) or eps (scaled)
+    scatter_sources: tuple[SourceField, ...] | None = None  # lam, scaled multiplier
     iteration: int = 0
 
 
@@ -132,9 +142,7 @@ def with_forward_fields(state: IterationState, sources) -> IterationState:
 
 
 def initial_state(model: ModelGrid, sources) -> IterationState:
-    """State at the starting model: its forward fields, no other slot.  The
-    first step scatters dm = 0, so its iterates do not depend on the
-    starting wavefields."""
+    """State at the starting model: its forward fields and no history."""
     return with_forward_fields(IterationState(model, model), sources)
 
 
@@ -172,133 +180,136 @@ def _residual_traces(data: TraceData, u: Wavefield) -> TraceData:
 
 
 # ---------------------------------------------------------------------------
-# per-step solves: (m, sources, data, cfg, previous) -> (us, v_likes)
+# per-step solves: (state, sources, data, cfg) -> (us, v_likes)
 # ---------------------------------------------------------------------------
 
 
-class _Previous(NamedTuple):
-    """What a step's solve may read from the previous iterate, for one source."""
-
-    u0: Wavefield              # A(m)^-1 b at the current model
-    u: Wavefield               # previous wavefield, u0 before the first step
-    lam: SourceField | None    # previous scaled multiplier, None if unwritten
-    mem: SourceField | None    # w or eps; None without a memory or before it is written
-    dm: np.ndarray             # last model increment m - m_prev
-
-
-def _residuals(data, prevs) -> list[TraceData]:
+def _residuals(state: IterationState, data) -> list[TraceData]:
     """delta_d = d - P A^-1 b, the plain forward residual, per source."""
-    return [_residual_traces(d, prev.u0) for d, prev in zip(data, prevs)]
+    return [_residual_traces(d, u0) for d, u0 in zip(data, state.forward_fields)]
 
 
-def _fwi(m, sources, data, cfg, prevs):
+def _scattering_sources(state: IterationState) -> list[SourceField]:
+    """phi = scattering_source(u_prev, m - m_prev), per source."""
+    dm = state.model.values - state.model_prev.values
+    return [scattering_source(u, dm) for u in state.wavefields]
+
+
+def _fwi(state, sources, data, cfg):
     """Reduced-space gradient: adjoint fields against the data residuals,
     whose traces are injected inside the batched adjoint sweep."""
-    return [prev.u0 for prev in prevs], adjoint_solves(m, _residuals(data, prevs))
+    return state.forward_fields, adjoint_solves(state.model, _residuals(state, data))
 
 
-def _extended(m, sources, data, cfg, prevs, shift=None, matrix_free=False, refresh=True,
+def _extended(state, sources, data, cfg, shift=None, matrix_free=False, refresh=True,
               scaled=True):
-    """One saddle solve of the sources extended by s = shift(prev, cfg) (s = 0
-    without a shift) against the plain forward residuals, on the row's
-    backend; with refresh u = A^-1 ((b + lam) + s), without it (split-gn)
-    u = u0 and no sweep.  A scaled row keeps lam, an unscaled one
-    v = mu lam.  A matrix-free solve that misses cfg.cg_tol raises
-    SolverNotConvergedError, so its field never reaches the model update."""
-    residuals = _residuals(data, prevs)
+    """One saddle solve of the sources extended by the shifts s =
+    shift(state, cfg) (s = 0 without a shift) against the plain forward
+    residuals, on the row's backend; with refresh u = A^-1 ((b + lam) + s),
+    without it (split-gn) u = u0 and no sweep.  A scaled row keeps lam, an
+    unscaled one v = mu lam.  A matrix-free solve that misses cfg.cg_tol
+    raises SolverNotConvergedError, so its field never reaches the model
+    update."""
+    m = state.model
+    residuals = _residuals(state, data)
     if refresh:
-        shifts = None if shift is None else [shift(prev, cfg) for prev in prevs]
+        shifts = None if shift is None else shift(state, cfg)
         us, lams = solve_saddle(m, sources, residuals, cfg, shifts, matrix_free)
     else:
-        us = [prev.u0 for prev in prevs]
+        us = state.forward_fields
         lams = data_space_multipliers(m, _shared_geometry(residuals),
                                       [r.values for r in residuals], cfg, matrix_free)
     return us, lams if scaled else [Wavefield(m.spec, cfg.mu * lam.values) for lam in lams]
 
 
-def _al_shift(prev, cfg) -> SourceField:  # -w/mu
-    return SourceField(prev.mem.spec, (-1.0 / cfg.mu) * prev.mem.values)
+def _al_shifts(state, cfg) -> list[SourceField]:  # -w/mu
+    return [SourceField(w.spec, (-1.0 / cfg.mu) * w.values) for w in state.memory]
 
 
-def _epsilon_shift(prev, cfg) -> SourceField:  # -eps
-    return SourceField(prev.mem.spec, -prev.mem.values)
+def _epsilon_shifts(state, cfg) -> list[SourceField]:  # -eps
+    return [SourceField(eps.spec, -eps.values) for eps in state.memory]
 
 
-def _scattering_shift(prev, cfg) -> SourceField:  # phi - lam_prev
-    phi = scattering_source(prev.u, prev.dm)
-    # x - 0.0 is bitwise x, so an unwritten lam_prev is the scalar 0.0
-    return SourceField(phi.spec, phi.values - (0.0 if prev.lam is None else prev.lam.values))
+def _scattering_shifts(state, cfg) -> list[SourceField]:  # phi - lam_prev
+    return [SourceField(phi.spec, phi.values - lam.values)
+            for phi, lam in zip(_scattering_sources(state), state.scatter_sources)]
 
 
-def _refined_direct(m, sources, data, cfg, prevs):
+def _refined_direct(state, sources, data, cfg):
     """Solve for the increment dlam of S dlam = delta_d - S phi, the damping
     centred on lam_prev + dlam; phi = scattering_source(u_prev, m - m_prev).
     It damps the *updated* multiplier, not the bare increment, as the
     extended solve does, which keeps their iterates identical; assembled
     term by term, it checks the extended rows' shifts.  S phi and S lam_prev
-    are one trace-out sweep of 2k columns; an unwritten lam_prev is swept
-    as a zero field."""
-    spec = m.spec
+    are one trace-out sweep of 2k columns.  It runs once u_prev and lam_prev
+    are written; the first step is the unshifted extended solve."""
+    m = state.model
     geometry = _shared_geometry(data)
-    phis = [scattering_source(prev.u, prev.dm) for prev in prevs]
-    olds = [prev.lam or SourceField(spec, np.zeros(spec.shape)) for prev in prevs]
-    sampled = forward_traces(m, phis + olds, geometry)
+    phis = _scattering_sources(state)
+    olds = state.scatter_sources
+    sampled = forward_traces(m, phis + list(olds), geometry)
     rhs = [delta_d.values - s_phi.values + s_lam.values for delta_d, s_phi, s_lam
-           in zip(_residuals(data, prevs), sampled, sampled[len(prevs):])]
-    lams = [SourceField(spec, old.values + (lam.values - old.values))
+           in zip(_residuals(state, data), sampled, sampled[len(olds):])]
+    lams = [SourceField(m.spec, old.values + (lam.values - old.values))
             for old, lam in zip(olds, data_space_multipliers(m, geometry, rhs, cfg))]
     us = forward_solves(m, [
-        SourceField(spec, add_source(b, phi.values) + lam.values - old.values)
+        SourceField(m.spec, add_source(b, phi.values) + lam.values - old.values)
         for b, phi, lam, old in zip(sources, phis, lams, olds)])
     return us, lams
 
 
-def _born_step(state: IterationState, sources, data, damping: float, lagged: bool):
-    """Damped Gauss-Newton on the stacked Born kernels (dense assembly, so
-    workbench scale only).  lagged (gauss-seidel) linearizes around the fields
+def _born_fields(state, sources, data, cfg):
+    """gauss-newton, and gauss-seidel's first step: linearize about the
+    forward fields the state holds; no multiplier."""
+    return state.forward_fields, None
+
+
+def _relinearized(state, sources, data, cfg):
+    """gauss-seidel once its u is written: linearize about the fields
     re-solved with the previous model increment injected as a scattering
-    source, one batched sweep, and carries them; on the first iteration those
-    are the plain forward fields.  damping is penalty.mu, unscaled to the
-    Born kernel J, as the delta of (J^T J + delta I): on the two-scatterer
-    benchmark and on a 15 x 13 x 60 2D grid both schemes diverge after one
-    step for every delta from 1e-4 to 1e12."""
+    source, one batched sweep."""
     m = state.model
-    us = state.forward_fields
-    if lagged:
-        dm_prev = m.values - state.model_prev.values
-        us = forward_solves(m, [
-            SourceField(m.spec, add_source(b, scattering_source(u_prev, dm_prev).values))
-            for b, u_prev in zip(sources, state.wavefields or us)])
+    return forward_solves(m, [SourceField(m.spec, add_source(b, phi.values))
+                              for b, phi in zip(sources, _scattering_sources(state))]), None
+
+
+def _born_update(state: IterationState, us, data, damping: float) -> ModelGrid:
+    """Damped Gauss-Newton on the stacked Born kernels about us (dense
+    assembly, so workbench scale only) against the plain forward residuals.
+    damping is penalty.mu, unscaled to the Born kernel J, as the delta of
+    (J^T J + delta I): on the two-scatterer benchmark and on a 15 x 13 x 60
+    2D grid both gauss-* schemes diverge after one step for every delta
+    from 1e-4 to 1e12."""
+    m = state.model
     blocks = [assemble_born_kernel(m, u, d.geometry).matrix for u, d in zip(us, data)]
-    rhs = [_residual_traces(d, u0).values.ravel() for d, u0 in zip(data, state.forward_fields)]
-    dm = damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping)
-    carry = IterationState(updated_model(m, -1.0, dm), m, iteration=state.iteration + 1,
-                           wavefields=tuple(us) if lagged else None)
-    return carry, tuple(us), None
+    rhs = [r.values.ravel() for r in _residuals(state, data)]
+    return updated_model(m, -1.0, damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping))
 
 
-def _row(shift=None, matrix_free=False, refresh=True, scaled=True, memory=False):
-    """The _TABLE entry of an extended-source row."""
-    solve = partial(_extended, shift=shift, matrix_free=matrix_free, refresh=refresh,
-                    scaled=scaled)
-    return solve, scaled, memory, shift is _scattering_shift
+def _row(shift=None, matrix_free=False, refresh=True, scaled=True, history=()):
+    """The _TABLE entry of an extended-source row; its unshifted solve drops
+    the shift."""
+    unshifted = partial(_extended, matrix_free=matrix_free, refresh=refresh, scaled=scaled)
+    solve = unshifted if shift is None else partial(unshifted, shift=shift)
+    return solve, unshifted, scaled, history
 
 
-# name -> (solve, scaled, memory, carries u and lam); None: Born least squares
+# name -> (solve, its unshifted solve, scaled, history): the history names
+# the carry's slots, which the next step's solve reads
 _TABLE = {
-    "fwi": (_fwi, False, False, False),
+    "fwi": (_fwi, _fwi, False, ()),
     "penalty-wavefield": _row(matrix_free=True, scaled=False),
     "penalty-multiplier": _row(scaled=False),
     "wri-scaled": _row(),
-    "al-wavefield": _row(_al_shift, matrix_free=True, scaled=False, memory=True),
-    "al-multiplier": _row(_al_shift, scaled=False, memory=True),
-    "gauss-newton": None,
-    "gauss-seidel": None,
+    "al-wavefield": _row(_al_shifts, matrix_free=True, scaled=False, history=("memory",)),
+    "al-multiplier": _row(_al_shifts, scaled=False, history=("memory",)),
+    "gauss-newton": (_born_fields, _born_fields, False, ()),
+    "gauss-seidel": (_relinearized, _born_fields, False, ("wavefields",)),
     "split-gn": _row(refresh=False),
     "split-gs": _row(),
-    "refined-direct": (_refined_direct, True, False, True),
-    "refined-rearranged": _row(_scattering_shift),
-    "refined-epsilon": _row(_epsilon_shift, memory=True),
+    "refined-direct": (_refined_direct, _extended, True, ("wavefields", "scatter_sources")),
+    "refined-rearranged": _row(_scattering_shifts, history=("wavefields", "scatter_sources")),
+    "refined-epsilon": _row(_epsilon_shifts, history=("memory",)),
 }
 
 SCHEMES = tuple(_TABLE)
@@ -308,36 +319,30 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
                 update_mode: str = "sum-terms"):
     """One iteration of the named scheme (see the module docstring): the
     carry at the new model, without forward fields, and the step's us and
-    vs (None for gauss-*)."""
+    vs (None for gauss-*).  While a slot of the row's history is unwritten,
+    as in initial_state, the step runs the row's unshifted solve."""
     if scheme not in _TABLE:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if _TABLE[scheme] is None:
-        return _born_step(state, sources, data, cfg.mu, lagged=scheme == "gauss-seidel")
-    solve, scaled, memory, carries = _TABLE[scheme]
+    solve, unshifted, scaled, history = _TABLE[scheme]
+    if any(getattr(state, slot) is None for slot in history):
+        solve = unshifted
     m = state.model
-    n = len(sources)
-    dm = m.values - state.model_prev.values
-    mem_slot = "scatter_errors" if scaled else "running_multipliers"
-    mems = getattr(state, mem_slot) if memory else None
-    if memory and mems is None:  # memory unwritten: s = 0, no P A^-1 s sweep
-        solve = partial(solve, shift=None)
-    if mems is None:
-        mems = (None,) * n
-    prevs = [_Previous(u0, u_prev, lam, mem, dm) for u0, u_prev, lam, mem
-             in zip(state.forward_fields, state.wavefields or state.forward_fields,
-                    state.scatter_sources or (None,) * n, mems)]
-    us, vs = solve(m, sources, data, cfg, prevs)
-    step = 1.0 if scaled else cfg.step_length
-    m_new = combined_model_update(m, list(zip(vs, us)), step, update_mode)
-    slots = {"wavefields": tuple(us), "scatter_sources": tuple(vs)} if carries else {}
-    if memory:
+    us, vs = solve(state, sources, data, cfg)
+    if vs is None:  # gauss-*
+        m_new = _born_update(state, us, data, cfg.mu)
+    else:
+        vs = tuple(vs)
+        step = 1.0 if scaled else cfg.step_length
+        m_new = combined_model_update(m, list(zip(vs, us)), step, update_mode)
+    carry = {"wavefields": us, "scatter_sources": vs}
+    if "memory" in history:
         k = 1.0 if scaled else cfg.mu
-        slots[mem_slot] = tuple(
-            SourceField(m.spec, (0.0 if mem is None else mem.values)  # as zeros, bitwise
-                        + k * subtract_source(apply_wave_operator(m_new, u).values, b))
-            for b, u, mem in zip(sources, us, mems)
-        )
-    return IterationState(m_new, m, iteration=state.iteration + 1, **slots), tuple(us), tuple(vs)
+        olds = [0.0] * len(us) if state.memory is None else [w.values for w in state.memory]
+        carry["memory"] = tuple(  # 0.0 + x gives the signed zeros of zeros + x, bitwise
+            SourceField(m.spec, old + k * subtract_source(apply_wave_operator(m_new, u).values, b))
+            for b, u, old in zip(sources, us, olds))
+    return (IterationState(m_new, m, iteration=state.iteration + 1,
+                           **{slot: carry[slot] for slot in history}), us, vs)
 
 
 def reduced_objective_and_gradient(m: ModelGrid, sources, data):
@@ -421,7 +426,7 @@ def _diagnostics(state: IterationState, us, vs, sources, data, true_model: Model
         float(np.linalg.norm(m.values - true_model.values))
         / float(np.linalg.norm(true_model.values)))
     v_norm = np.sqrt(_norm_sq(vs))
-    w_norm = np.sqrt(_norm_sq(state.running_multipliers) + _norm_sq(state.scatter_errors))
+    w_norm = np.sqrt(_norm_sq(state.memory))
     return Diagnostics(iteration=state.iteration, misfit=_misfit(us, data),
                        constraint=np.sqrt(constraint), model_error=model_error,
                        v_norm=float(v_norm), w_norm=float(w_norm), seconds=seconds)

@@ -71,10 +71,10 @@ from .wavecore import (
     _Traces,
     _adjoint_sweep,
     _forward_sweep,
-    adjoint_solve,
+    adjoint_solves,
     apply_wave_operator,
     apply_wave_operator_transpose,
-    forward_solve,
+    forward_solves,
     forward_traces,
     sample,
     scattering_source,
@@ -133,8 +133,8 @@ def _check_adjoint_dot(faults) -> CheckResult:
         m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
         b = SourceField(spec, rng.standard_normal(spec.shape))
         r = SourceField(spec, rng.standard_normal(spec.shape))
-        u = forward_solve(m, b)
-        v = adjoint_solve(m, r)
+        (u,) = forward_solves(m, [b])
+        (v,) = adjoint_solves(m, [r])
         if "perturb-adjoint" in faults:
             v = Wavefield(spec, v.values * (1.0 + 1e-6))
         lhs = float(np.sum(u.values * r.values))
@@ -176,7 +176,7 @@ def _check_dense_agreement(faults) -> CheckResult:
     rng, spec, geom, m_true, m0, sources, data = _tiny_setup(104)
     dense = assemble_dense_operator(m_true)
     b = sources[0]
-    u_sweep = forward_solve(m_true, b)
+    (u_sweep,) = forward_solves(m_true, [b])
     u_dense = dense.solve(b)
     err = _rel(u_sweep.values, u_dense.values)
     return CheckResult("dense-operator-agreement", err <= 1e-10, f"rel {err:.3e} (tol 1e-10)")
@@ -464,7 +464,7 @@ def _check_file_roundtrip(faults) -> CheckResult:
         p = os.path.join(tmp, "m.dat")
         fileio.save_model(p, m_true)
         ok &= np.array_equal(fileio.load_model(p).values, m_true.values)
-        u = forward_solve(m_true, sources[0])
+        (u,) = forward_solves(m_true, sources[:1])
         p = os.path.join(tmp, "u.dat")
         fileio.save_field(p, u)
         ok &= np.array_equal(fileio.load_field(p).values, u.values)

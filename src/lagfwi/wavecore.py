@@ -99,10 +99,8 @@ from .grids import (
 __all__ = [
     "apply_wave_operator",
     "apply_wave_operator_transpose",
-    "forward_solve",
     "forward_solves",
     "forward_traces",
-    "adjoint_solve",
     "adjoint_solves",
     "sample",
     "operator_time_curvature",
@@ -467,26 +465,18 @@ def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
         raise DivergenceError(f"{name} solve produced non-finite values") from exc
 
 
-def forward_solve(m: ModelGrid, b: SourceField) -> Wavefield:
-    """Solve A(m) u = b by explicit time stepping.
-
-    The CFL bound is re-checked here because inversion loops update the
-    model between solves; a non-finite result raises DivergenceError.
-    """
-    (u,) = _solve(_forward_sweep, "forward", m, [b])
-    return u
-
-
 def forward_solves(m: ModelGrid, sources) -> tuple[Wavefield, ...]:
-    """forward_solve for every source, as one batched sweep.  A source is a
-    SourceField, or TraceData standing for its injection P^T d (a point
-    source), which is injected inside the sweep."""
+    """Solve A(m) u = b for every source b by explicit time stepping, as one
+    batched sweep.  A source is a SourceField, or TraceData standing for its
+    injection P^T d (a point source), which is injected inside the sweep.
+    The CFL bound is re-checked here because inversion loops update the
+    model between solves; a non-finite result raises DivergenceError."""
     return _solve(_forward_sweep, "forward", m, sources)
 
 
 def forward_traces(m: ModelGrid, sources, geometry: AcquisitionGeometry) -> tuple[TraceData, ...]:
-    """sample(forward_solve(m, b), geometry) for every source b, bitwise, as
-    one batched sweep that writes only the receiver rows: no field is
+    """sample(u, geometry) of each u in forward_solves(m, sources), bitwise,
+    as one batched sweep that writes only the receiver rows: no field is
     allocated.  Non-finite traces raise DivergenceError."""
     geometry.validate_for(m.spec)
     traces = _sampled_sweep(m.spec, m.values, _columns(m, sources),
@@ -497,16 +487,11 @@ def forward_traces(m: ModelGrid, sources, geometry: AcquisitionGeometry) -> tupl
         raise DivergenceError("forward solve produced non-finite values") from exc
 
 
-def adjoint_solve(m: ModelGrid, r: SourceField) -> Wavefield:
-    """Solve A(m)^T v = r by reverse time stepping, checked as forward_solve."""
-    (v,) = _solve(_adjoint_sweep, "adjoint", m, [r])
-    return v
-
-
 def adjoint_solves(m: ModelGrid, rhs) -> tuple[Wavefield, ...]:
-    """adjoint_solve for every right-hand side, as one batched sweep.  A
-    right-hand side is a SourceField, or TraceData standing for P^T d, which
-    is injected inside the sweep and gives bitwise the same field as the
+    """Solve A(m)^T v = r for every right-hand side r by reverse time
+    stepping, as one batched sweep, checked as forward_solves.  A right-hand
+    side is a SourceField, or TraceData standing for P^T d, which is
+    injected inside the sweep and gives bitwise the same field as the
     adjoint solve of its dense injected field."""
     return _solve(_adjoint_sweep, "adjoint", m, rhs)
 

@@ -39,10 +39,10 @@ from lagfwi.oracle import (
 from lagfwi.saddle import PenaltyConfig, solve_saddle
 from lagfwi.selfcheck import run_battery
 from lagfwi.wavecore import (
-    adjoint_solve,
+    adjoint_solves,
     apply_wave_operator,
     apply_wave_operator_transpose,
-    forward_solve,
+    forward_solves,
     sample,
     scattering_source,
 )
@@ -91,8 +91,8 @@ def test_criterion_01_adjoint_dot_tests():
 
         b = random_source(spec, rng)
         r = random_source(spec, rng)
-        lhs = float(np.vdot(forward_solve(m, b).values, r.values))
-        rhs = float(np.vdot(b.values, adjoint_solve(m, r).values))
+        lhs = float(np.vdot(forward_solves(m, [b])[0].values, r.values))
+        rhs = float(np.vdot(b.values, adjoint_solves(m, [r])[0].values))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
 
         geom = AcquisitionGeometry((1,), (2, spec.n_space - 2))

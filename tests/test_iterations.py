@@ -40,7 +40,6 @@ from lagfwi.saddle import PenaltyConfig, solve_saddle
 from lagfwi.wavecore import (
     apply_wave_operator,
     correlation_terms,
-    forward_solve,
     forward_solves,
     forward_traces,
     operator_time_curvature,
@@ -72,7 +71,7 @@ def tiny_problem(seed=108, n_sources=2):
         values = np.zeros(spec.shape)
         values[node, 2:] = rng.standard_normal(spec.nt - 2)
         sources.append(SourceField(spec, values))
-    data = [sample(forward_solve(m_true, b), geom) for b in sources]
+    data = [sample(forward_solves(m_true, [b])[0], geom) for b in sources]
     return spec, geom, m_true, m0, sources, data
 
 
@@ -191,15 +190,15 @@ CARRIED = {
     "penalty-wavefield": (),
     "penalty-multiplier": (),
     "wri-scaled": (),
-    "al-wavefield": ("running_multipliers",),
-    "al-multiplier": ("running_multipliers",),
+    "al-wavefield": ("memory",),
+    "al-multiplier": ("memory",),
     "gauss-newton": (),
     "gauss-seidel": ("wavefields",),
     "split-gn": (),
     "split-gs": (),
     "refined-direct": ("wavefields", "scatter_sources"),
     "refined-rearranged": ("wavefields", "scatter_sources"),
-    "refined-epsilon": ("scatter_errors",),
+    "refined-epsilon": ("memory",),
 }
 
 
@@ -255,21 +254,24 @@ def test_fwi_run_holds_two_fields_per_shot():
 
 
 # (forward sweeps, their columns, data_space_multipliers calls) of the first
-# step of each dense extended-source row on tiny_problem (two sources, two
-# receivers), with the sweep of the new model's forward fields: H's
-# assembly sweeps one column per receiver; a shift, the refresh and the new
-# model's forward fields one column per source each.  The residuals
-# d - P A^-1 b come from the forward fields the state holds, so no row
-# sweeps b for them, and no memory is written before the first step, so the
-# AL rows and refined-epsilon sweep no shift.
+# step of each dense extended-source row and of gauss-seidel on tiny_problem
+# (two sources, two receivers), with the sweep of the new model's forward
+# fields: H's assembly sweeps one column per receiver; a shift, the refresh
+# and the new model's forward fields one column per source each.  The
+# residuals d - P A^-1 b come from the forward fields the state holds, so no
+# row sweeps b for them, and initial_state holds no history, so the AL rows
+# and the refined ones sweep no shift, and gauss-seidel linearizes about the
+# forward fields without re-solving them.
 DENSE_ROW_WORK = {
     "penalty-multiplier": (3, 6, 1),
     "al-multiplier": (3, 6, 1),
     "wri-scaled": (3, 6, 1),
     "split-gs": (3, 6, 1),
     "split-gn": (2, 4, 1),
-    "refined-rearranged": (4, 8, 1),
+    "refined-direct": (3, 6, 1),
+    "refined-rearranged": (3, 6, 1),
     "refined-epsilon": (3, 6, 1),
+    "gauss-seidel": (1, 2, 0),
 }
 
 
@@ -277,8 +279,9 @@ DENSE_ROW_WORK = {
 def test_dense_rows_sweep_only_their_shifts(monkeypatch, scheme):
     """The first step of each dense extended-source row makes the forward
     sweeps and the one multiplier solve of DENSE_ROW_WORK: an unshifted row,
-    or one whose memory is unwritten, makes no residual sweep, and split-gn
-    no refresh."""
+    or one whose history is unwritten, makes no residual sweep, and split-gn
+    no refresh; gauss-seidel (at damping 1e16) sweeps only the new forward
+    fields."""
     spec, geom, m_true, m0, sources, data = tiny_problem()
     state = initial_state(m0, sources)
     sweeps, solves = [], []
@@ -298,8 +301,31 @@ def test_dense_rows_sweep_only_their_shifts(monkeypatch, scheme):
         monkeypatch.setattr(module, "_forward_sweep", counting_sweep)
     for module in (saddle, iterations):
         monkeypatch.setattr(module, "data_space_multipliers", counting_multipliers)
-    advance(scheme, state, sources, data, PenaltyConfig(mu=50.0))
+    cfg = PenaltyConfig(mu=1e16 if scheme == "gauss-seidel" else 50.0)
+    advance(scheme, state, sources, data, cfg)
     assert (len(sweeps), sum(sweeps), len(solves)) == DENSE_ROW_WORK[scheme]
+
+
+# the first steps from initial_state that give byte-equal models, us and vs:
+# every row whose history is unwritten runs its unshifted solve
+FIRST_STEP_GROUPS = (
+    ("refined-direct", "refined-rearranged", "refined-epsilon", "wri-scaled", "split-gs"),
+    ("al-multiplier", "penalty-multiplier"),
+    ("al-wavefield", "penalty-wavefield"),
+)
+
+
+@pytest.mark.parametrize("group", FIRST_STEP_GROUPS, ids=lambda group: group[0])
+def test_first_steps_are_the_unshifted_solves_bitwise(group):
+    spec, geom, m_true, m0, sources, data = tiny_problem()
+    cfg = PenaltyConfig(mu=50.0, cg_tol=1e-13)
+    state = initial_state(m0, sources)
+    steps = []
+    for scheme in group:
+        carry, us, vs = step_scheme(scheme, state, sources, data, cfg)
+        steps.append([carry.model.values.tobytes(), *(f.values.tobytes() for f in us + vs)])
+    for scheme, step in zip(group[1:], steps[1:]):
+        assert step == steps[0], scheme
 
 
 def _step_or_error(scheme, state, sources, data, cfg, update_mode):
@@ -367,8 +393,8 @@ def test_point_sources_step_as_their_dense_fields_bitwise(ndim, nx, nz, nt, n_so
     assert _state_bytes(initial_state(m0, points)) == _state_bytes(initial_state(m0, dense))
     mems = tuple(signed_zeros() for _ in points)
     state = IterationState(
-        m0, m_prev, u0, wavefields=u0, running_multipliers=mems,
-        scatter_sources=tuple(signed_zeros() for _ in points), scatter_errors=mems, iteration=1)
+        m0, m_prev, u0, wavefields=u0, memory=mems,
+        scatter_sources=tuple(signed_zeros() for _ in points), iteration=1)
     for scheme in SCHEMES:
         if scheme.startswith("gauss-"):
             cfg = PenaltyConfig(mu=1e14)
@@ -406,7 +432,7 @@ def test_scaled_and_unscaled_multipliers_track_each_other():
     href = iterate("refined-epsilon", m0, sources, data, cfg, 5)
     hal = iterate("al-multiplier", m0, sources, data, cfg, 5)
     for (sa, _, lams), (sb, _, vs) in zip(href, hal):
-        for eps, w in zip(sa.scatter_errors, sb.running_multipliers):
+        for eps, w in zip(sa.memory, sb.memory):
             assert rel(eps.values, w.values / mu) <= 1e-12 or np.abs(w.values).max() == 0
         for lam, v in zip(lams, vs):
             assert rel(lam.values, v.values / mu) <= 1e-12
@@ -449,7 +475,7 @@ def test_al_wavefield_matches_admm_oracle():
         resid = apply_wave_operator(m_ref, u_ref).values - sources[0].values
         w_ref = SourceField(spec, w_ref.values + mu * resid)
         assert rel(state.model.values, m_ref.values) <= 1e-8
-        assert rel(state.running_multipliers[0].values, w_ref.values) <= 1e-8
+        assert rel(state.memory[0].values, w_ref.values) <= 1e-8
 
 
 def test_split_gn_approaches_fwi_for_large_damping():
@@ -723,8 +749,7 @@ def _full_slot_state(seed=5):
 
     state = IterationState(
         m, m, fields_of(Wavefield), wavefields=fields_of(Wavefield),
-        running_multipliers=fields_of(SourceField), scatter_sources=fields_of(SourceField),
-        scatter_errors=fields_of(SourceField))
+        memory=fields_of(SourceField), scatter_sources=fields_of(SourceField))
     us, vs = fields_of(Wavefield), fields_of(Wavefield)
     sources = fields_of(SourceField)
     data = [TraceData(spec, geom, rng.standard_normal((3, spec.nt))) for _ in range(2)]
@@ -744,7 +769,7 @@ def test_streamed_diagnostics_match_whole_array_sums():
     assert diag.constraint == pytest.approx(np.sqrt(constraint), rel=1e-13)
     assert diag.v_norm == pytest.approx(np.sqrt(norm_sq(vs)), rel=1e-13)
     assert diag.w_norm == pytest.approx(
-        np.sqrt(norm_sq(state.running_multipliers, state.scatter_errors)), rel=1e-13)
+        np.sqrt(norm_sq(state.memory)), rel=1e-13)
 
 
 def test_diagnostics_peak_well_below_one_field():

@@ -25,10 +25,10 @@ from lagfwi.oracle import (
     quadratic_model_minimizer,
 )
 from lagfwi.wavecore import (
-    adjoint_solve,
+    adjoint_solves,
     apply_wave_operator,
     apply_wave_operator_transpose,
-    forward_solve,
+    forward_solves,
     operator_time_curvature,
     sample,
     scattering_source,
@@ -53,9 +53,9 @@ def test_dense_operator_agrees_with_matrix_free(tiny):
     u = random_wavefield(spec, rng)
     b = random_source(spec, rng)
     assert np.allclose(dense.apply(u).values, apply_wave_operator(m, u).values, rtol=1e-12)
-    assert np.allclose(dense.solve(b).values, forward_solve(m, b).values, rtol=1e-9)
+    assert np.allclose(dense.solve(b).values, forward_solves(m, [b])[0].values, rtol=1e-9)
     assert np.allclose(
-        dense.solve_transpose(b).values, adjoint_solve(m, b).values, rtol=1e-9
+        dense.solve_transpose(b).values, adjoint_solves(m, [b])[0].values, rtol=1e-9
     )
     got_t = apply_wave_operator_transpose(m, b).values.ravel()
     assert np.allclose(got_t, dense.matrix.T @ b.values.ravel(), rtol=1e-12)
@@ -134,12 +134,12 @@ def test_multiplier_routes_match_each_other_and_the_saddle(tiny):
 
 def test_born_kernel_matches_scattering_forward(tiny):
     spec, m, geom, rng = tiny
-    u0 = forward_solve(m, random_source(spec, rng))
+    (u0,) = forward_solves(m, [random_source(spec, rng)])
     kernel = assemble_born_kernel(m, u0, geom)
     assert kernel.matrix.shape == (2 * spec.nt, spec.n_space)
     dm = rng.standard_normal(spec.n_space)
     via_kernel = kernel.matrix @ dm
-    scattered = forward_solve(m, scattering_source(u0, dm))
+    (scattered,) = forward_solves(m, [scattering_source(u0, dm)])
     direct = sample(scattered, geom).values.ravel()
     assert np.max(np.abs(via_kernel - direct)) < 1e-12 * max(np.abs(direct).max(), 1.0)
 
@@ -174,7 +174,7 @@ def test_fd_gradient_matches_adjoint_state(tiny):
     bv[4, :] = wavelet
     b = SourceField(spec, bv)
     true_m = build_model(spec, 2000.0)
-    d = sample(forward_solve(true_m, b), geom)
+    d = sample(forward_solves(true_m, [b])[0], geom)
     _, grad = reduced_objective_and_gradient(m, [b], [d])
     ref = fd_gradient(m, [b], [d], h=1e-6)
     assert np.linalg.norm(grad - ref) <= 1e-5 * np.linalg.norm(ref)

@@ -41,7 +41,7 @@ from lagfwi.saddle import (
     nystrom_sketch,
     solve_saddle,
 )
-from lagfwi.wavecore import _adjoint_sweep, _forward_sweep, forward_solve, sample
+from lagfwi.wavecore import _adjoint_sweep, _forward_sweep, forward_solves, sample
 
 from conftest import al_shifts, forward_residuals, random_model, random_source
 
@@ -520,7 +520,7 @@ def test_damped_multiplier_defining_equation(setup):
 
 def test_consistent_data_gives_zero_multiplier(setup):
     spec, m, geom, b, _, _ = setup
-    u_true = forward_solve(m, b)
+    (u_true,) = forward_solves(m, [b])
     d = sample(u_true, geom)
     for mu in (1.0, 1e3):
         cfg = PenaltyConfig(mu=mu, cg_tol=1e-13)
@@ -535,7 +535,7 @@ def test_consistent_data_gives_zero_multiplier(setup):
 def test_large_mu_recovers_constraint_solution(setup):
     """As mu grows the relaxed wavefield approaches A^-1 b monotonically."""
     spec, m, geom, b, d, _ = setup
-    u0 = forward_solve(m, b).values
+    u0 = forward_solves(m, [b])[0].values
     gaps = []
     for mu in (1.0, 1e2, 1e4, 1e6):
         u, _ = dense_saddle_solve(m, b, d, mu)

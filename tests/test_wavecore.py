@@ -22,12 +22,10 @@ from lagfwi.iterations import combined_model_update
 from lagfwi.oracle import _reference_laplacian, _reference_sweep
 from lagfwi.wavecore import (
     DENOMINATOR_FLOOR_REL,
-    adjoint_solve,
     adjoint_solves,
     apply_wave_operator,
     apply_wave_operator_transpose,
     correlation_terms,
-    forward_solve,
     forward_solves,
     forward_traces,
     operator_time_curvature,
@@ -132,14 +130,14 @@ def test_identity_rows_pass_through_initial_levels(spec1d, model1d, rng):
 
 def test_forward_solve_inverts_operator(spec1d, model1d, rng):
     b = random_source(spec1d, rng)
-    u = forward_solve(model1d, b)
+    (u,) = forward_solves(model1d, [b])
     back = apply_wave_operator(model1d, u)
     assert np.max(np.abs(back.values - b.values)) < 1e-9 * np.abs(b.values).max()
 
 
 def test_adjoint_solve_inverts_transpose(spec1d, model1d, rng):
     r = random_source(spec1d, rng)
-    v = adjoint_solve(model1d, r)
+    (v,) = adjoint_solves(model1d, [r])
     back = apply_wave_operator_transpose(model1d, Wavefield(spec1d, v.values))
     assert np.max(np.abs(back.values - r.values)) < 1e-9 * np.abs(r.values).max()
 
@@ -160,8 +158,8 @@ def test_dot_tests_tight(ndim, rng):
 
     b = random_source(spec, rng)
     r = random_source(spec, rng)
-    lhs = float(np.vdot(forward_solve(m, b).values, r.values))
-    rhs = float(np.vdot(b.values, adjoint_solve(m, r).values))
+    lhs = float(np.vdot(forward_solves(m, [b])[0].values, r.values))
+    rhs = float(np.vdot(b.values, adjoint_solves(m, [r])[0].values))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -195,7 +193,7 @@ def test_laplacian_is_symmetric(spec2d, rng):
 
 
 def test_frozen_forward_field(spec1d, model1d, ricker_source):
-    u = forward_solve(model1d, ricker_source)
+    (u,) = forward_solves(model1d, [ricker_source])
     assert u.values[7, 20] == pytest.approx(-95.86058135327849, rel=1e-13)
     assert u.values[7, 22] == pytest.approx(-120.8670610771004, rel=1e-13)
     assert np.linalg.norm(u.values) == pytest.approx(2753.0022510015806, rel=1e-13)
@@ -299,7 +297,7 @@ def test_updated_model_guards(spec1d, model1d):
 def test_structural_multiplier_inverts_update(spec1d, model1d, rng):
     """A multiplier of the exact scattered form v = -dm * ddu makes the
     unit-step correlation update recover m + dm on every active node."""
-    u = forward_solve(model1d, random_source(spec1d, rng))
+    (u,) = forward_solves(model1d, [random_source(spec1d, rng)])
     dm = 1e-8 * rng.standard_normal(spec1d.n_space)
     ddu = operator_time_curvature(u)
     v = Wavefield(spec1d, -dm[:, None] * ddu)
