@@ -11,6 +11,7 @@ running multiplier removes).
 
 import argparse
 import sys
+from dataclasses import replace
 
 from lagfwi.config import (
     build_sources,
@@ -29,12 +30,8 @@ def main(argv=None) -> int:
 
     config = two_scatterer_benchmark()
     if args.scheme is not None:
-        from dataclasses import replace
-
         config = replace(config, scheme=args.scheme)
     if args.max_iter is not None:
-        from dataclasses import replace
-
         config = replace(config, stop=replace(config.stop, max_iter=args.max_iter))
 
     data = make_observed_data(config)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .config import parse_config_file, true_model_grid, build_acquisition
 from .errors import ConfigurationError, DivergenceError, FileFormatError, LagfwiError
@@ -48,8 +49,6 @@ def cmd_forward(config) -> list[str]:
 def cmd_invert(config, scheme: str | None = None):
     """Invert previously written traces; returns (result, model path, log path)."""
     if scheme is not None:
-        from dataclasses import replace
-
         config = replace(config, scheme=scheme)
     if config.scheme not in iterations.SCHEMES:
         raise ConfigurationError(

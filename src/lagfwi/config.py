@@ -1,10 +1,13 @@
 """Experiment configuration: flat key=value files and synthetic model builders.
 
 Config files are plain text, one `key = value` per line, '#' starts a
-comment.  Keys are dotted; unknown keys are rejected.  The full schema:
+comment.  The table _KEYS is the schema: it maps each key to the field it
+sets and to the parser of its value, and a key not in it is rejected.  The
+keys, with their meanings and units:
 
     grid.ndim grid.nx grid.nz grid.dx grid.dz grid.nt grid.dt
-    model.true.kind  model.init.kind     uniform | box-anomaly |
+                                         1 or 2, node counts, spacings m / s
+    model.true.kind model.init.kind      uniform | box-anomaly |
                                          gaussian-anomaly | two-layer | file
     model.<which>.velocity               background / uniform velocity, m/s
     model.<which>.boxes                  "ix0:ix1:vel" (1D) or
@@ -15,7 +18,7 @@ comment.  Keys are dotted; unknown keys are rejected.  The full schema:
     model.<which>.amplitude              gaussian velocity perturbation, m/s
     model.<which>.interface              first node index of the lower layer
                                          (along x in 1D, along z in 2D)
-    model.<which>.v_top model.<which>.v_bottom
+    model.<which>.v_top model.<which>.v_bottom    layer velocities, m/s
     model.<which>.path                   LAGFWI model file (squared slowness)
     acquisition.sources acquisition.receivers    comma-separated node ids
     wavelet.frequency wavelet.amplitude          Ricker peak Hz / scale
@@ -28,6 +31,8 @@ comment.  Keys are dotted; unknown keys are rejected.  The full schema:
     noise.seed                                   required when noise.std > 0
     paths.work_dir                               output directory
 
+grid.nz (in 2D only), grid.nx/dx/nt/dt, both model kinds and both node
+lists are required; grid.ndim defaults to 1 and grid.dz to grid.dx.
 Relative paths (work_dir, model files) resolve against the directory of the
 config file.  Tolerances: stop.misfit_tol is relative to the observed data
 energy 0.5*||d||^2; stop.constraint_tol is relative to the source norm ||b||.
@@ -274,29 +279,10 @@ def make_observed_data(config: ExperimentConfig) -> list[TraceData]:
 # key=value parsing
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = (
-    "kind", "velocity", "boxes", "center", "sigma", "amplitude",
-    "interface", "v_top", "v_bottom", "path",
-)
-_KNOWN_KEYS = (
-    "grid.ndim", "grid.nx", "grid.nz", "grid.dx", "grid.dz", "grid.nt", "grid.dt",
-    "acquisition.sources", "acquisition.receivers",
-    "wavelet.frequency", "wavelet.amplitude",
-    "scheme", "update_mode", "mu_growth",
-    "penalty.mu", "penalty.alpha", "penalty.cg_tol", "penalty.cg_maxiter",
-    "stop.max_iter", "stop.misfit_tol", "stop.constraint_tol",
-    "noise.std", "noise.seed",
-    "paths.work_dir",
-) + tuple(
-    f"model.{which}.{key}" for which in ("true", "init") for key in _MODEL_KEYS
-)
 
-
-def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigurationError(f"{key}: expected comma-separated integers") from exc
+def _list_of(cast):
+    """Parser of a comma- or space-separated list of cast values."""
+    return lambda raw: tuple(cast(tok) for tok in raw.replace(",", " ").split())
 
 
 def _parse_boxes(raw: str, ndim: int, key: str):
@@ -326,6 +312,46 @@ def _parse_boxes(raw: str, ndim: int, key: str):
     return tuple(boxes)
 
 
+# key -> (ExperimentConfig field it sets, "section.field" if nested; parser), in write order
+_KEYS = {
+    "grid.ndim": ("grid.ndim", int),
+    "grid.nx": ("grid.nx", int),
+    "grid.nz": ("grid.nz", int),
+    "grid.dx": ("grid.dx", float),
+    "grid.dz": ("grid.dz", float),
+    "grid.nt": ("grid.nt", int),
+    "grid.dt": ("grid.dt", float),
+    **{
+        f"model.{which}.{name}": (f"{attr}.{name}", parse)
+        for which, attr in (("true", "true_model"), ("init", "initial_model"))
+        for name, parse in (
+            ("kind", str), ("velocity", float), ("boxes", _parse_boxes),
+            ("center", _list_of(float)), ("sigma", float), ("amplitude", float),
+            ("interface", int), ("v_top", float), ("v_bottom", float), ("path", str),
+        )
+    },
+    "acquisition.sources": ("source_nodes", _list_of(int)),
+    "acquisition.receivers": ("receiver_nodes", _list_of(int)),
+    "wavelet.frequency": ("wavelet_frequency", float),
+    "wavelet.amplitude": ("wavelet_amplitude", float),
+    "scheme": ("scheme", str),
+    "update_mode": ("update_mode", str),
+    "mu_growth": ("mu_growth", float),
+    "penalty.mu": ("penalty.mu", float),
+    "penalty.alpha": ("penalty.alpha", float),
+    "penalty.cg_tol": ("penalty.cg_tol", float),
+    "penalty.cg_maxiter": ("penalty.cg_maxiter", int),
+    "stop.max_iter": ("stop.max_iter", int),
+    "stop.misfit_tol": ("stop.misfit_tol", float),
+    "stop.constraint_tol": ("stop.constraint_tol", float),
+    "noise.std": ("noise.std", float),
+    "noise.seed": ("noise.seed", int),
+    "paths.work_dir": ("work_dir", str),
+}
+_REQUIRED = ("grid.nx", "grid.dx", "grid.nt", "grid.dt", "model.true.kind",
+             "model.init.kind", "acquisition.sources", "acquisition.receivers")
+
+
 def _parse_lines(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -337,30 +363,12 @@ def _parse_lines(text: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
     return entries
-
-
-def _get(entries, key, caster, default=None, required=False):
-    if key not in entries:
-        if required:
-            raise ConfigurationError(f"missing required key {key!r}")
-        return default
-    try:
-        return caster(entries[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"{key}: cannot parse {entries[key]!r}") from exc
-
-
-def _given(entries, prefix: str, **casters) -> dict:
-    """Keyword arguments for the keys prefix + name that entries holds, each
-    parsed by its caster; an omitted key is left to the dataclass default."""
-    return {name: _get(entries, prefix + name, cast) for name, cast in casters.items()
-            if prefix + name in entries}
 
 
 def _default(name: str):
@@ -369,73 +377,45 @@ def _default(name: str):
     return spec.default if spec.default_factory is MISSING else spec.default_factory()
 
 
-def _model_descriptor(entries, which: str, ndim: int, base_dir: str) -> ModelDescriptor:
-    prefix = f"model.{which}."
-    kind = _get(entries, prefix + "kind", str, required=True)
-    boxes = ()
-    if prefix + "boxes" in entries:
-        boxes = _parse_boxes(entries[prefix + "boxes"], ndim, prefix + "boxes")
-    center = None
-    if prefix + "center" in entries:
-        raw = entries[prefix + "center"]
-        try:
-            center = tuple(float(tok) for tok in raw.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigurationError(f"{prefix}center: cannot parse {raw!r}") from exc
-    path = _get(entries, prefix + "path", str)
-    if path is not None and not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    return ModelDescriptor(
-        kind=kind,
-        velocity=_get(entries, prefix + "velocity", float),
-        boxes=boxes,
-        center=center,
-        sigma=_get(entries, prefix + "sigma", float),
-        amplitude=_get(entries, prefix + "amplitude", float),
-        interface=_get(entries, prefix + "interface", int),
-        v_top=_get(entries, prefix + "v_top", float),
-        v_bottom=_get(entries, prefix + "v_bottom", float),
-        path=path,
-    )
-
-
 def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
     entries = _parse_lines(text)
-    ndim = _get(entries, "grid.ndim", int, default=1)
-    dx = _get(entries, "grid.dx", float, required=True)
-    spec = GridSpec(
-        ndim=ndim,
-        nx=_get(entries, "grid.nx", int, required=True),
-        nz=_get(entries, "grid.nz", int, default=1 if ndim == 1 else None,
-                required=(ndim == 2)),
-        dx=dx,
-        dz=_get(entries, "grid.dz", float, default=dx),
-        nt=_get(entries, "grid.nt", int, required=True),
-        dt=_get(entries, "grid.dt", float, required=True),
-    )
-    penalty = replace(_default("penalty"), **_given(
-        entries, "penalty.", mu=float, alpha=float, cg_tol=float, cg_maxiter=int))
-    stop = StopRules(**_given(entries, "stop.", max_iter=int, misfit_tol=float,
-                              constraint_tol=float))
-    noise = NoiseSpec(**_given(entries, "noise.", std=float, seed=int))
-    work_dir = _get(entries, "paths.work_dir", str, default=_default("work_dir"))
-    if not os.path.isabs(work_dir):
-        work_dir = os.path.join(base_dir, work_dir)
-    wavelet = _given(entries, "wavelet.", frequency=float, amplitude=float)
-    sources, receivers = (_parse_int_list(_get(entries, key, str, required=True), key)
-                          for key in ("acquisition.sources", "acquisition.receivers"))
+    for key in _REQUIRED:
+        if key not in entries:
+            raise ConfigurationError(f"missing required key {key!r}")
+    # section ("" for ExperimentConfig's own) -> {field: value}; omitted: default
+    given: dict[str, dict] = {"": {}, "grid": {}}
+    for key, (attr, parse) in _KEYS.items():
+        if key not in entries:
+            continue
+        raw = entries[key]
+        section, _, name = attr.rpartition(".")
+        if parse is _parse_boxes:  # its form follows grid.ndim, parsed before it
+            value = _parse_boxes(raw, given["grid"].get("ndim", 1), key)
+        else:
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ConfigurationError(f"{key}: cannot parse {raw!r}") from exc
+        given.setdefault(section, {})[name] = value
+    grid = given["grid"]
+    grid.setdefault("ndim", 1)
+    if grid["ndim"] == 2 and "nz" not in grid:
+        raise ConfigurationError("missing required key 'grid.nz'")
+    grid.setdefault("nz", 1)
+    grid.setdefault("dz", grid["dx"])
+    for desc in (given["true_model"], given["initial_model"]):
+        if "path" in desc:  # os.path.join keeps an absolute path as it is
+            desc["path"] = os.path.join(base_dir, desc["path"])
+    top = given[""]
+    top["work_dir"] = os.path.join(base_dir, top.get("work_dir", _default("work_dir")))
     return ExperimentConfig(
-        grid=spec,
-        true_model=_model_descriptor(entries, "true", ndim, base_dir),
-        initial_model=_model_descriptor(entries, "init", ndim, base_dir),
-        source_nodes=sources,
-        receiver_nodes=receivers,
-        penalty=penalty,
-        stop=stop,
-        noise=noise,
-        work_dir=work_dir,
-        **{f"wavelet_{name}": value for name, value in wavelet.items()},
-        **_given(entries, "", scheme=str, update_mode=str, mu_growth=float),
+        grid=GridSpec(**grid),
+        true_model=ModelDescriptor(**given["true_model"]),
+        initial_model=ModelDescriptor(**given["initial_model"]),
+        penalty=replace(_default("penalty"), **given.get("penalty", {})),
+        stop=StopRules(**given.get("stop", {})),
+        noise=NoiseSpec(**given.get("noise", {})),
+        **top,
     )
 
 
@@ -451,75 +431,27 @@ def parse_config_file(path: str) -> ExperimentConfig:
 def _format_value(value) -> str:
     if isinstance(value, float):
         return "%.17g" % value
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
     return str(value)
 
 
 def write_config(config: ExperimentConfig) -> str:
-    """Canonical key=value rendering; parse_config round-trips it."""
-    spec = config.grid
-    lines = [
-        "# lagfwi experiment configuration",
-        f"grid.ndim = {spec.ndim}",
-        f"grid.nx = {spec.nx}",
-        f"grid.nz = {spec.nz}",
-        f"grid.dx = {_format_value(spec.dx)}",
-        f"grid.dz = {_format_value(spec.dz)}",
-        f"grid.nt = {spec.nt}",
-        f"grid.dt = {_format_value(spec.dt)}",
-    ]
-
-    def emit_model(which: str, desc: ModelDescriptor):
-        prefix = f"model.{which}."
-        lines.append(f"{prefix}kind = {desc.kind}")
-        if desc.velocity is not None:
-            lines.append(f"{prefix}velocity = {_format_value(desc.velocity)}")
-        if desc.boxes:
-            rendered = []
-            for ix0, ix1, iz0, iz1, vel in desc.boxes:
-                if spec.ndim == 1:
-                    rendered.append(f"{ix0}:{ix1}:{_format_value(vel)}")
-                else:
-                    rendered.append(f"{ix0}:{ix1}:{iz0}:{iz1}:{_format_value(vel)}")
-            lines.append(f"{prefix}boxes = " + ";".join(rendered))
-        if desc.center is not None:
-            lines.append(
-                f"{prefix}center = " + ",".join(_format_value(c) for c in desc.center)
-            )
-        if desc.sigma is not None:
-            lines.append(f"{prefix}sigma = {_format_value(desc.sigma)}")
-        if desc.amplitude is not None:
-            lines.append(f"{prefix}amplitude = {_format_value(desc.amplitude)}")
-        if desc.interface is not None:
-            lines.append(f"{prefix}interface = {desc.interface}")
-        if desc.v_top is not None:
-            lines.append(f"{prefix}v_top = {_format_value(desc.v_top)}")
-        if desc.v_bottom is not None:
-            lines.append(f"{prefix}v_bottom = {_format_value(desc.v_bottom)}")
-        if desc.path is not None:
-            lines.append(f"{prefix}path = {desc.path}")
-
-    emit_model("true", config.true_model)
-    emit_model("init", config.initial_model)
-    lines.append("acquisition.sources = " + ",".join(str(n) for n in config.source_nodes))
-    lines.append("acquisition.receivers = " + ",".join(str(n) for n in config.receiver_nodes))
-    lines.append(f"wavelet.frequency = {_format_value(config.wavelet_frequency)}")
-    lines.append(f"wavelet.amplitude = {_format_value(config.wavelet_amplitude)}")
-    if config.scheme is not None:
-        lines.append(f"scheme = {config.scheme}")
-    lines.append(f"update_mode = {config.update_mode}")
-    lines.append(f"mu_growth = {_format_value(config.mu_growth)}")
-    lines.append(f"penalty.mu = {_format_value(config.penalty.mu)}")
-    if config.penalty.alpha is not None:
-        lines.append(f"penalty.alpha = {_format_value(config.penalty.alpha)}")
-    lines.append(f"penalty.cg_tol = {_format_value(config.penalty.cg_tol)}")
-    lines.append(f"penalty.cg_maxiter = {config.penalty.cg_maxiter}")
-    lines.append(f"stop.max_iter = {config.stop.max_iter}")
-    lines.append(f"stop.misfit_tol = {_format_value(config.stop.misfit_tol)}")
-    lines.append(f"stop.constraint_tol = {_format_value(config.stop.constraint_tol)}")
-    lines.append(f"noise.std = {_format_value(config.noise.std)}")
-    if config.noise.seed is not None:
-        lines.append(f"noise.seed = {config.noise.seed}")
-    lines.append(f"paths.work_dir = {config.work_dir}")
+    """Canonical key=value rendering: every key of _KEYS whose value is set
+    (not None and not empty), in the table's order; parse_config round-trips it."""
+    lines = ["# lagfwi experiment configuration"]
+    for key, (attr, parse) in _KEYS.items():
+        value = config
+        for name in attr.split("."):
+            value = getattr(value, name)
+        if value is None or value == ():
+            continue
+        if parse is _parse_boxes:  # 1D boxes drop their z range
+            boxes = value if config.grid.ndim == 2 else [box[:2] + box[4:] for box in value]
+            text = ";".join(":".join(map(_format_value, box)) for box in boxes)
+        else:
+            text = _format_value(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

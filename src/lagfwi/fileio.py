@@ -30,7 +30,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import ConfigurationError, FileFormatError
 from .grids import AcquisitionGeometry, GridSpec, ModelGrid, TraceData, Wavefield
 
 FILE_KINDS = ("model", "field", "trace")
@@ -101,6 +101,16 @@ def _read(path: str, expected_kind: str):
     return rest, values
 
 
+def _read_grid(path: str, expected_kind: str):
+    """_read, with the header's grid as a GridSpec: (spec, values)."""
+    (ndim, nx, nz, nt, dx, dz, dt), values = _read(path, expected_kind)
+    try:
+        spec = GridSpec(ndim=ndim, nx=nx, nz=nz, dx=dx, dz=dz, nt=nt, dt=dt)
+    except ConfigurationError as exc:
+        raise FileFormatError(f"{path}: invalid grid in header: {exc}") from exc
+    return spec, values
+
+
 def _check_count(path: str, values: np.ndarray, expected: int) -> None:
     if values.size != expected:
         raise FileFormatError(
@@ -115,11 +125,7 @@ def save_model(path: str, m: ModelGrid) -> None:
 
 
 def load_model(path: str) -> ModelGrid:
-    (ndim, nx, nz, nt, dx, dz, dt), values = _read(path, "model")
-    try:
-        spec = GridSpec(ndim=ndim, nx=nx, nz=nz, dx=dx, dz=dz, nt=nt, dt=dt)
-    except Exception as exc:
-        raise FileFormatError(f"{path}: invalid grid in header: {exc}") from exc
+    spec, values = _read_grid(path, "model")
     _check_count(path, values, spec.n_space)
     try:
         return ModelGrid(spec, values)
@@ -134,11 +140,7 @@ def save_field(path: str, field: Wavefield) -> None:
 
 
 def load_field(path: str) -> Wavefield:
-    (ndim, nx, nz, nt, dx, dz, dt), values = _read(path, "field")
-    try:
-        spec = GridSpec(ndim=ndim, nx=nx, nz=nz, dx=dx, dz=dz, nt=nt, dt=dt)
-    except Exception as exc:
-        raise FileFormatError(f"{path}: invalid grid in header: {exc}") from exc
+    spec, values = _read_grid(path, "field")
     _check_count(path, values, spec.n_space * spec.nt)
     return Wavefield(spec, values.reshape(spec.nt, spec.n_space).T.copy())
 
@@ -191,7 +193,7 @@ def read_log(path: str):
     Returns (rows, metadata): rows is a list of Diagnostics, metadata a dict
     of '#'-comment key=value entries (seed parsed back to int when present).
     """
-    from .iterations import Diagnostics  # local import: fileio stays low-level
+    from .iterations import DIAGNOSTIC_FIELDS, Diagnostics  # local import: fileio stays low-level
 
     metadata: dict[str, str | int] = {}
     rows = []
@@ -216,18 +218,10 @@ def read_log(path: str):
         raise FileFormatError(f"{path}: missing log header {LOG_HEADER!r}")
     for line in body[1:]:
         parts = line.split(",")
-        if len(parts) != 7:
+        if len(parts) != len(DIAGNOSTIC_FIELDS):
             raise FileFormatError(f"{path}: malformed log row {line!r}")
         try:
-            rows.append(Diagnostics(
-                iteration=int(parts[0]),
-                misfit=float(parts[1]),
-                constraint=float(parts[2]),
-                model_error=float(parts[3]),
-                v_norm=float(parts[4]),
-                w_norm=float(parts[5]),
-                seconds=float(parts[6]),
-            ))
+            rows.append(Diagnostics(int(parts[0]), *map(float, parts[1:])))
         except ValueError as exc:
             raise FileFormatError(f"{path}: malformed log row {line!r}") from exc
     if "seed" in metadata:

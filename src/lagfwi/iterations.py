@@ -102,6 +102,7 @@ from .config import (
 from .errors import (
     ConfigurationError, DivergenceError, SingularSystemError, SolverNotConvergedError,
 )
+from .fileio import LOG_HEADER
 from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
@@ -394,7 +395,7 @@ class Diagnostics:
         return astuple(self)
 
 
-DIAGNOSTIC_FIELDS = ("iter", "misfit", "constraint", "model_error", "v_norm", "w_norm", "seconds")
+DIAGNOSTIC_FIELDS = tuple(LOG_HEADER.split(","))  # names of as_row() entries: the log columns
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lagfwi.config import (
+    _KEYS,
     ExperimentConfig,
     ModelDescriptor,
     NoiseSpec,
@@ -64,19 +65,78 @@ def test_parse_basic_config(tmp_path):
     assert config.work_dir == os.path.join(str(tmp_path), "lagfwi-out")
 
 
+def all_keys_2d_config() -> ExperimentConfig:
+    """A 2D config that sets every key: both descriptors carry every field,
+    whatever their kind, and no value is left at its default."""
+    grid = GridSpec(ndim=2, nx=15, nz=13, dx=10.0, dz=12.5, nt=60, dt=0.002)
+
+    def descriptor(kind: str, path: str) -> ModelDescriptor:
+        return ModelDescriptor(
+            kind=kind, velocity=2000.0, boxes=((2, 5, 3, 7, 2100.0), (8, 12, 1, 4, 1900.5)),
+            center=(7.0, 6.5), sigma=2.5, amplitude=-150.0, interface=6,
+            v_top=1800.0, v_bottom=2200.0, path=path,
+        )
+
+    return ExperimentConfig(
+        grid=grid,
+        true_model=descriptor("gaussian-anomaly", os.path.abspath("true.dat")),
+        initial_model=descriptor("two-layer", os.path.abspath("init.dat")),
+        source_nodes=(17, 22),
+        receiver_nodes=(16, 19, 26),
+        wavelet_frequency=12.5,
+        wavelet_amplitude=0.75,
+        scheme="penalty-multiplier",
+        penalty=PenaltyConfig(mu=250.0, alpha=1e-3, cg_tol=1e-8, cg_maxiter=500),
+        update_mode="sum-updates",
+        mu_growth=1.5,
+        stop=StopRules(max_iter=7, misfit_tol=1e-9, constraint_tol=1e-4),
+        noise=NoiseSpec(std=0.05, seed=11),
+        work_dir=os.path.abspath("all-keys-out"),
+    )
+
+
+BENCHMARK_TEXT = """\
+# lagfwi experiment configuration
+grid.ndim = 1
+grid.nx = 61
+grid.nz = 1
+grid.dx = 10
+grid.dz = 10
+grid.nt = 256
+grid.dt = 0.0028
+model.true.kind = box-anomaly
+model.true.velocity = 2000
+model.true.boxes = 22:27:2200;38:43:1800
+model.init.kind = uniform
+model.init.velocity = 2000
+acquisition.sources = 6,30,54
+acquisition.receivers = 3,20,40,57
+wavelet.frequency = 10
+wavelet.amplitude = 1
+scheme = al-multiplier
+update_mode = sum-terms
+mu_growth = 1
+penalty.mu = 3000000
+penalty.cg_tol = 1e-10
+penalty.cg_maxiter = 20000
+stop.max_iter = 50
+stop.misfit_tol = 9.9999999999999998e-13
+stop.constraint_tol = 0
+noise.std = 0
+paths.work_dir = benchmark-out
+"""
+
+
 def test_write_parse_round_trip():
-    config = two_scatterer_benchmark()
-    text = write_config(config)
-    back = parse_config(text, base_dir=".")
-    assert back.grid == config.grid
-    assert back.true_model == config.true_model
-    assert back.initial_model == config.initial_model
-    assert back.source_nodes == config.source_nodes
-    assert back.receiver_nodes == config.receiver_nodes
-    assert back.scheme == config.scheme
-    assert back.penalty == config.penalty
-    assert back.stop == config.stop
-    assert back.noise == config.noise
+    """parse_config reads back every field write_config writes (base_dir ""
+    leaves relative paths as they are), and the canonical text is a fixed
+    point of the pair.  The all-keys config writes every key, in table order."""
+    assert write_config(two_scatterer_benchmark()) == BENCHMARK_TEXT
+    for config in (two_scatterer_benchmark(), all_keys_2d_config()):
+        text = write_config(config)
+        assert parse_config(text, base_dir="") == config
+        assert write_config(parse_config(text, base_dir="")) == text
+    assert [line.split(" = ")[0] for line in text.splitlines()[1:]] == list(_KEYS)
 
 
 def test_unknown_duplicate_and_malformed_keys_rejected():
@@ -126,6 +186,14 @@ def test_box_parser_errors():
         parse_config(CONFIG_TEXT.replace("10:11:2010.0", "10:11"))
     with pytest.raises(ConfigurationError):
         parse_config(CONFIG_TEXT.replace("10:11:2010.0", "10:11:fast"))
+    # a box takes the form of the grid's ndim
+    with pytest.raises(ConfigurationError, match="model.true.boxes"):
+        parse_config(CONFIG_TEXT.replace("10:11:2010.0", "10:11:0:1:2010.0"))
+    text_2d = write_config(all_keys_2d_config())
+    with pytest.raises(ConfigurationError, match="model.true.boxes"):
+        parse_config(text_2d.replace("model.true.boxes = 2:5:3:7:", "model.true.boxes = 2:5:"))
+    with pytest.raises(ConfigurationError, match="grid.nz"):
+        parse_config(text_2d.replace("grid.nz = 13\n", ""))
 
 
 def test_cfl_violation_rejected():
