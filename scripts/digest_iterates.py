@@ -3,25 +3,26 @@
 
     PYTHONPATH=src python3 scripts/digest_iterates.py > digest.txt
 
-For each of the 13 schemes in both update modes, on the pinned inputs of
+For each of the 13 schemes, on the pinned inputs of
 ``tests/test_pinned_iterates.py``, it steps N_STEPS = 3 iterations and
-prints one line per step: scheme, update mode, step, then the sha1 of
-every slot of the step's carry (an ``IterationState`` with its forward
-fields swept) in field order: model, model_prev, forward_fields,
-wavefields, memory, scatter_sources, iteration (``-`` for an unwritten
-slot), then of the step's own fields ``us`` and ``vs``.  A per-source slot hashes the bytes
-of its fields in source order.  That is 78 lines.  Two checkouts compute the same iterates bit for bit exactly
-when they print the same lines, so a refactor that claims unchanged
-iterates is checked by diffing this output on both.
+prints one line per step: scheme, step, then the sha1 of every slot of
+the step's carry (an ``IterationState`` with its forward fields swept) in
+field order: model, model_prev, forward_fields, wavefields, memory,
+scatter_sources, iteration (``-`` for an unwritten slot), then of the
+step's own fields ``us`` and ``vs``.  A per-source slot hashes the bytes
+of its fields in source order.  That is 39 lines.  Two checkouts compute
+the same iterates bit for bit exactly when they print the same lines, so
+a refactor that claims unchanged iterates is checked by diffing this
+output on both.
 
 Then it prints one line per ``run_inversion`` of N_STEPS iterations for
-each scheme in both update modes on three experiments whose sources come
-from ``config.build_sources``: ``born_config`` of
-``tests/test_iterations.py`` with two shots, the two-scatterer benchmark,
-and a 15 x 13 x 60 2D grid with two shots (78 more lines): experiment,
-scheme, update mode, the run's status, the sha1 of its history without the
-``seconds`` column, then the sha1 of every slot of its final state (the
-carry; the run keeps no step's us or vs).
+each scheme on three experiments whose sources come from
+``config.build_sources``: ``born_config`` of ``tests/test_iterations.py``
+with two shots, the two-scatterer benchmark, and a 15 x 13 x 60 2D grid
+with two shots (39 more lines): experiment, scheme, the run's status, the
+sha1 of its history without the ``seconds`` column, then the sha1 of
+every slot of its final state (the carry; the run keeps no step's us or
+vs).
 
 BLAS/OpenMP are pinned to one thread before numpy is imported: the
 wavefield CG's dot products go through threaded BLAS, and its iterates
@@ -42,8 +43,8 @@ from dataclasses import fields, replace
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 
 from lagfwi.config import (
-    UPDATE_MODES, ExperimentConfig, ModelDescriptor, StopRules, make_observed_data,
-    true_model_grid, two_scatterer_benchmark,
+    ExperimentConfig, ModelDescriptor, StopRules, make_observed_data, true_model_grid,
+    two_scatterer_benchmark,
 )
 from lagfwi.grids import GridSpec
 from lagfwi.iterations import SCHEMES, IterationState, run_inversion
@@ -96,20 +97,17 @@ def experiments(scheme: str):
 def main() -> None:
     slots = [f.name for f in fields(IterationState)]
     for scheme in SCHEMES:
-        for mode in UPDATE_MODES:
-            for step, (state, us, vs) in enumerate(case_states(scheme, mode), start=1):
-                digests = " ".join([slot_digest(getattr(state, name)) for name in slots]
-                                   + [slot_digest(us), slot_digest(vs)])
-                print(f"{scheme} {mode} {step} {digests}")
+        for step, (state, us, vs) in enumerate(case_states(scheme), start=1):
+            digests = " ".join([slot_digest(getattr(state, name)) for name in slots]
+                               + [slot_digest(us), slot_digest(vs)])
+            print(f"{scheme} {step} {digests}")
     for scheme in SCHEMES:
-        for mode in UPDATE_MODES:
-            for label, config in experiments(scheme):
-                config = replace(config, update_mode=mode)
-                result = run_inversion(config, make_observed_data(config), true_model_grid(config))
-                history = repr([row.as_row()[:-1] for row in result.history])
-                digests = " ".join(slot_digest(getattr(result.state, name)) for name in slots)
-                print(f"{label} {scheme} {mode} {result.status} "
-                      f"{hashlib.sha1(history.encode()).hexdigest()} {digests}")
+        for label, config in experiments(scheme):
+            result = run_inversion(config, make_observed_data(config), true_model_grid(config))
+            history = repr([row.as_row()[:-1] for row in result.history])
+            digests = " ".join(slot_digest(getattr(result.state, name)) for name in slots)
+            print(f"{label} {scheme} {result.status} "
+                  f"{hashlib.sha1(history.encode()).hexdigest()} {digests}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from lagfwi.config import (
     true_model_grid,
     two_scatterer_benchmark,
 )
-from lagfwi.iterations import DIAGNOSTIC_FIELDS, SCHEMES, run_inversion
+from lagfwi.fileio import DIAGNOSTIC_FIELDS
+from lagfwi.iterations import SCHEMES, run_inversion
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,6 @@ keys, with their meanings and units:
     wavelet.frequency wavelet.amplitude          Ricker peak Hz / scale
     scheme                                       iteration scheme name
     penalty.mu penalty.alpha penalty.cg_tol penalty.cg_maxiter
-    update_mode                                  sum-terms | sum-updates
     mu_growth                                    geometric growth factor, 1 = off
     stop.max_iter stop.misfit_tol stop.constraint_tol
     noise.std                                    std relative to clean-trace RMS
@@ -60,7 +59,6 @@ from .saddle import PenaltyConfig
 from .wavecore import forward_traces
 
 MODEL_KINDS = ("uniform", "box-anomaly", "gaussian-anomaly", "two-layer", "file")
-UPDATE_MODES = ("sum-terms", "sum-updates")
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,6 @@ class ExperimentConfig:
     wavelet_amplitude: float = 1.0
     scheme: str | None = None
     penalty: PenaltyConfig = field(default_factory=lambda: PenaltyConfig(mu=100.0))
-    update_mode: str = "sum-terms"
     mu_growth: float = 1.0
     stop: StopRules = field(default_factory=StopRules)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
@@ -131,10 +128,6 @@ class ExperimentConfig:
         AcquisitionGeometry(self.source_nodes, self.receiver_nodes).validate_for(self.grid)
         if self.wavelet_frequency <= 0:
             raise ConfigurationError("wavelet.frequency must be positive")
-        if self.update_mode not in UPDATE_MODES:
-            raise ConfigurationError(
-                f"unknown update_mode {self.update_mode!r}; expected one of {UPDATE_MODES}"
-            )
         if self.mu_growth <= 0:
             raise ConfigurationError("mu_growth must be positive")
 
@@ -335,7 +328,6 @@ _KEYS = {
     "wavelet.frequency": ("wavelet_frequency", float),
     "wavelet.amplitude": ("wavelet_amplitude", float),
     "scheme": ("scheme", str),
-    "update_mode": ("update_mode", str),
     "mu_growth": ("mu_growth", float),
     "penalty.mu": ("penalty.mu", float),
     "penalty.alpha": ("penalty.alpha", float),
@@ -482,7 +474,6 @@ def two_scatterer_benchmark(work_dir: str = "benchmark-out") -> ExperimentConfig
         wavelet_amplitude=1.0,
         scheme="al-multiplier",
         penalty=PenaltyConfig(mu=3e6),
-        update_mode="sum-terms",
         mu_growth=1.0,
         stop=StopRules(max_iter=50, misfit_tol=1e-12, constraint_tol=0.0),
         noise=NoiseSpec(),

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -35,6 +36,34 @@ from .grids import AcquisitionGeometry, GridSpec, ModelGrid, TraceData, Wavefiel
 
 FILE_KINDS = ("model", "field", "trace")
 LOG_HEADER = "iter,misfit,constraint,model_error,v_norm,w_norm,seconds"
+DIAGNOSTIC_FIELDS = tuple(LOG_HEADER.split(","))  # names of as_row() entries: the log columns
+_LOG_ROW = ",".join(["%d"] + ["%.17g"] * (len(DIAGNOSTIC_FIELDS) - 1))
+
+
+@dataclass(frozen=True)
+class Diagnostics:
+    """One row of the convergence log.
+
+    model_error is relative (||m - m_true|| / ||m_true||), NaN when no true
+    model is available.  seconds is the wall time of the step and its
+    forward sweep at the new model (row 0: initial_state), not of this
+    row's diagnostics, which run between the two; it is excluded from any
+    determinism or regression comparison.  constraint, v_norm and w_norm
+    are sums of squares streamed through row-sized pieces of each field, never whole
+    temporaries; their pieces add up in another order than one whole-array
+    sum, so they may differ from it at round-off.
+    """
+
+    iteration: int
+    misfit: float
+    constraint: float
+    model_error: float
+    v_norm: float
+    w_norm: float
+    seconds: float
+
+    def as_row(self) -> tuple:
+        return astuple(self)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -180,10 +209,7 @@ def write_log(path: str, history, seed: int | None = None,
         lines.append(f"# seed={seed}")
     lines.append(LOG_HEADER)
     for diag in history:
-        row = diag.as_row()
-        lines.append(
-            "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row
-        )
+        lines.append(_LOG_ROW % diag.as_row())
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -193,8 +219,6 @@ def read_log(path: str):
     Returns (rows, metadata): rows is a list of Diagnostics, metadata a dict
     of '#'-comment key=value entries (seed parsed back to int when present).
     """
-    from .iterations import DIAGNOSTIC_FIELDS, Diagnostics  # local import: fileio stays low-level
-
     metadata: dict[str, str | int] = {}
     rows = []
     try:

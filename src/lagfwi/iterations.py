@@ -91,18 +91,16 @@ variants track each other) to round-off.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .config import (
-    UPDATE_MODES, ExperimentConfig, build_acquisition, build_model_values, build_sources,
-)
+from .config import ExperimentConfig, build_acquisition, build_model_values, build_sources
 from .errors import (
     ConfigurationError, DivergenceError, SingularSystemError, SolverNotConvergedError,
 )
-from .fileio import LOG_HEADER
+from .fileio import Diagnostics
 from .grids import ModelGrid, SourceField, TraceData, Wavefield
 from .oracle import assemble_born_kernel, damped_ls_solve
 from .saddle import (
@@ -147,32 +145,20 @@ def initial_state(model: ModelGrid, sources) -> IterationState:
     return with_forward_fields(IterationState(model, model), sources)
 
 
-def combined_model_update(m: ModelGrid, pairs, alpha: float,
-                          update_mode: str = "sum-terms") -> ModelGrid:
+def combined_model_update(m: ModelGrid, pairs, alpha: float) -> ModelGrid:
     """Multi-source correlation update.
 
-    pairs is a sequence of (multiplier-like field, wavefield).  In
-    "sum-terms" mode the per-node numerators and denominators are each summed
-    over sources before the floored division; in "sum-updates" the floored
-    per-source ratios are summed instead.  The two agree for a single source
-    and differ (slightly) for several, so both are kept behind one switch.
+    pairs is a sequence of (multiplier-like field, wavefield).  The per-node
+    numerators and denominators are each summed over sources before the
+    floored division.
     """
-    if update_mode not in UPDATE_MODES:
-        raise ConfigurationError(f"unknown update_mode {update_mode!r}")
-    if update_mode == "sum-terms":
-        numerator = np.zeros(m.spec.n_space)
-        denominator = np.zeros(m.spec.n_space)
-        for v_like, u in pairs:
-            num, den = correlation_terms(v_like, u)
-            numerator += num
-            denominator += den
-        update = preconditioned_ratio(numerator, denominator)
-    else:
-        update = np.zeros(m.spec.n_space)
-        for v_like, u in pairs:
-            num, den = correlation_terms(v_like, u)
-            update += preconditioned_ratio(num, den)
-    return updated_model(m, alpha, update)
+    numerator = np.zeros(m.spec.n_space)
+    denominator = np.zeros(m.spec.n_space)
+    for v_like, u in pairs:
+        num, den = correlation_terms(v_like, u)
+        numerator += num
+        denominator += den
+    return updated_model(m, alpha, preconditioned_ratio(numerator, denominator))
 
 
 def _residual_traces(data: TraceData, u: Wavefield) -> TraceData:
@@ -316,8 +302,7 @@ _TABLE = {
 SCHEMES = tuple(_TABLE)
 
 
-def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyConfig,
-                update_mode: str = "sum-terms"):
+def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyConfig):
     """One iteration of the named scheme (see the module docstring): the
     carry at the new model, without forward fields, and the step's us and
     vs (None for gauss-*).  While a slot of the row's history is unwritten,
@@ -334,7 +319,7 @@ def step_scheme(scheme: str, state: IterationState, sources, data, cfg: PenaltyC
     else:
         vs = tuple(vs)
         step = 1.0 if scaled else cfg.step_length
-        m_new = combined_model_update(m, list(zip(vs, us)), step, update_mode)
+        m_new = combined_model_update(m, list(zip(vs, us)), step)
     carry = {"wavefields": us, "scatter_sources": vs}
     if "memory" in history:
         k = 1.0 if scaled else cfg.mu
@@ -367,35 +352,6 @@ def reduced_objective_and_gradient(m: ModelGrid, sources, data):
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    """One row of the convergence log.
-
-    model_error is relative (||m - m_true|| / ||m_true||), NaN when no true
-    model is available.  seconds is the wall time of the step and its
-    forward sweep at the new model (row 0: initial_state), not of this
-    row's diagnostics, which run between the two; it is excluded from any
-    determinism or regression comparison.  constraint, v_norm and w_norm
-    are sums of squares streamed through row-sized pieces of each field, never whole
-    temporaries; their pieces add up in another order than one whole-array
-    sum, so they may differ from it at round-off.
-    """
-
-    iteration: int
-    misfit: float
-    constraint: float
-    model_error: float
-    v_norm: float
-    w_norm: float
-    seconds: float
-
-    def as_row(self) -> tuple:
-        return astuple(self)
-
-
-DIAGNOSTIC_FIELDS = tuple(LOG_HEADER.split(","))  # names of as_row() entries: the log columns
 
 
 @dataclass(frozen=True)
@@ -491,8 +447,7 @@ def run_inversion(
     for _ in range(config.stop.max_iter):
         t_iter = time.perf_counter()
         try:
-            carry, us, vs = step_scheme(config.scheme, state, sources, data, cfg,
-                                        update_mode=config.update_mode)
+            carry, us, vs = step_scheme(config.scheme, state, sources, data, cfg)
             diag = _diagnostics(carry, us, vs, sources, data, true_model,
                                 time.perf_counter() - t_iter)
             del us, vs  # the log row is all the run keeps of the step's fields

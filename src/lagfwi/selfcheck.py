@@ -473,8 +473,8 @@ def _check_file_roundtrip(faults) -> CheckResult:
         ok &= np.array_equal(fileio.load_traces(p, spec, geom).values, data[0].values)
         p = os.path.join(tmp, "log.csv")
         history = [
-            iterations.Diagnostics(0, 1.25, 0.5, float("nan"), 0.0, 0.0, 0.01),
-            iterations.Diagnostics(1, 0.4, 0.25, 0.3, 1.5, 2.5, 0.02),
+            fileio.Diagnostics(0, 1.25, 0.5, float("nan"), 0.0, 0.0, 0.01),
+            fileio.Diagnostics(1, 0.4, 0.25, 0.3, 1.5, 2.5, 0.02),
         ]
         fileio.write_log(p, history, seed=42, scheme="fwi")
         rows, meta = fileio.read_log(p)

@@ -87,7 +87,6 @@ def all_keys_2d_config() -> ExperimentConfig:
         wavelet_amplitude=0.75,
         scheme="penalty-multiplier",
         penalty=PenaltyConfig(mu=250.0, alpha=1e-3, cg_tol=1e-8, cg_maxiter=500),
-        update_mode="sum-updates",
         mu_growth=1.5,
         stop=StopRules(max_iter=7, misfit_tol=1e-9, constraint_tol=1e-4),
         noise=NoiseSpec(std=0.05, seed=11),
@@ -114,7 +113,6 @@ acquisition.receivers = 3,20,40,57
 wavelet.frequency = 10
 wavelet.amplitude = 1
 scheme = al-multiplier
-update_mode = sum-terms
 mu_growth = 1
 penalty.mu = 3000000
 penalty.cg_tol = 1e-10
@@ -350,8 +348,11 @@ def test_geometry_and_scheme_validation():
     geom = build_acquisition(config)
     assert geom.source_nodes == (3,)
     assert geom.receiver_nodes == (5, 15)
-    with pytest.raises(ConfigurationError):
-        parse_config(CONFIG_TEXT + "\nupdate_mode = average\n")
+    # the removed update_mode key is an unknown key, reported with its line
+    text = CONFIG_TEXT + "\nupdate_mode = average\n"
+    lineno = text.splitlines().index("update_mode = average") + 1
+    with pytest.raises(ConfigurationError, match=f"^line {lineno}: unknown key 'update_mode'$"):
+        parse_config(text)
 
 
 def test_benchmark_constants_are_pinned():

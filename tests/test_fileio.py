@@ -5,7 +5,7 @@ import pytest
 
 from lagfwi.errors import FileFormatError
 from lagfwi.fileio import (
-    LOG_HEADER,
+    Diagnostics,
     load_field,
     load_model,
     load_traces,
@@ -23,7 +23,6 @@ from lagfwi.grids import (
     Wavefield,
     build_model,
 )
-from lagfwi.iterations import Diagnostics
 
 from conftest import random_model, random_wavefield
 
@@ -130,8 +129,14 @@ def test_log_round_trip_with_metadata(tmp_path):
     assert len(got) == 2
     for a, b in zip(got, rows):
         assert a.as_row() == b.as_row()
-    text = open(path).read()
-    assert LOG_HEADER in text
+    with open(path, "rb") as handle:
+        assert handle.read() == (
+            b"# scheme=al-multiplier\n"
+            b"# seed=17\n"
+            b"iter,misfit,constraint,model_error,v_norm,w_norm,seconds\n"
+            b"0,1.5,0.25,0.90000000000000002,0,0,0.01\n"
+            b"1,0.5,0.125,0.69999999999999996,3.25,1.5,0.02\n"
+        )
 
 
 def test_log_without_metadata(tmp_path):

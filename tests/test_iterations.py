@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagfwi.config import (
-    UPDATE_MODES,
     ExperimentConfig,
     ModelDescriptor,
     StopRules,
@@ -25,6 +24,7 @@ from lagfwi.config import (
     true_model_grid,
 )
 from lagfwi.errors import ConfigurationError, SolverNotConvergedError
+from lagfwi.fileio import DIAGNOSTIC_FIELDS
 from lagfwi.grids import (
     AcquisitionGeometry,
     GridSpec,
@@ -47,7 +47,6 @@ from lagfwi.wavecore import (
 )
 from lagfwi.iterations import (
     _diagnostics,
-    DIAGNOSTIC_FIELDS,
     SCHEMES,
     IterationState,
     initial_state,
@@ -75,19 +74,19 @@ def tiny_problem(seed=108, n_sources=2):
     return spec, geom, m_true, m0, sources, data
 
 
-def advance(scheme, state, sources, data, cfg, update_mode="sum-terms"):
+def advance(scheme, state, sources, data, cfg):
     """One step as run_inversion takes it: (carry with its forward fields at
     the new model, us, vs)."""
-    carry, us, vs = step_scheme(scheme, state, sources, data, cfg, update_mode=update_mode)
+    carry, us, vs = step_scheme(scheme, state, sources, data, cfg)
     return with_forward_fields(carry, sources), us, vs
 
 
-def iterate(scheme, m0, sources, data, cfg, n, update_mode="sum-terms"):
+def iterate(scheme, m0, sources, data, cfg, n):
     """The first n steps from initial_state, each as advance returns it."""
     out = []
     state = initial_state(m0, sources)
     for _ in range(n):
-        out.append(advance(scheme, state, sources, data, cfg, update_mode))
+        out.append(advance(scheme, state, sources, data, cfg))
         state = out[-1][0]
     return out
 
@@ -328,11 +327,11 @@ def test_first_steps_are_the_unshifted_solves_bitwise(group):
         assert step == steps[0], scheme
 
 
-def _step_or_error(scheme, state, sources, data, cfg, update_mode):
+def _step_or_error(scheme, state, sources, data, cfg):
     """(carry with its new forward fields, us, vs) of one step, or the type
     of the error it raised."""
     try:
-        return advance(scheme, state, sources, data, cfg, update_mode=update_mode)
+        return advance(scheme, state, sources, data, cfg)
     except Exception as exc:  # compared across source forms, never swallowed
         return type(exc)
 
@@ -358,11 +357,9 @@ def _state_bytes(state, *step_fields) -> list:
     nz=st.integers(min_value=3, max_value=4),
     nt=st.integers(min_value=8, max_value=24),
     n_sources=st.integers(min_value=1, max_value=3),
-    update_mode=st.sampled_from(UPDATE_MODES),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_point_sources_step_as_their_dense_fields_bitwise(ndim, nx, nz, nt, n_sources,
-                                                           update_mode, seed):
+def test_point_sources_step_as_their_dense_fields_bitwise(ndim, nx, nz, nt, n_sources, seed):
     """One step of every scheme gives bitwise the same carry, us and vs with
     point sources as one-node TraceData as with the same sources as dense
     SourceFields (or the same error), on random 1D/2D grids with 1-3
@@ -400,7 +397,7 @@ def test_point_sources_step_as_their_dense_fields_bitwise(ndim, nx, nz, nt, n_so
             cfg = PenaltyConfig(mu=1e14)
         else:
             cfg = PenaltyConfig(mu=50.0, alpha=1e-6 if scheme == "fwi" else None, cg_tol=1e-13)
-        got, want = (_step_or_error(scheme, state, sources, data, cfg, update_mode)
+        got, want = (_step_or_error(scheme, state, sources, data, cfg)
                      for sources in (points, dense))
         if isinstance(want, type):
             assert got is want, scheme
@@ -695,7 +692,7 @@ def test_driver_solves_each_model_once(monkeypatch):
     assert len(calls) == 3 and len(set(map(id, calls))) == 3
 
 
-def test_unknown_scheme_and_update_mode_are_rejected():
+def test_unknown_scheme_is_rejected():
     spec, geom, m_true, m0, sources, data = tiny_problem()
     cfg = PenaltyConfig(mu=10.0)
     with pytest.raises(ConfigurationError):
@@ -713,17 +710,6 @@ def test_data_geometry_mismatch_is_rejected():
     wrong = make_observed_data(other)
     with pytest.raises(ConfigurationError):
         run_inversion(config, wrong)
-
-
-def test_update_modes_coincide_for_one_source_and_split_for_two():
-    spec, geom, m_true, m0, sources, data = tiny_problem()
-    cfg = PenaltyConfig(mu=50.0, alpha=1e-6, cg_tol=1e-13)
-    one_t = iterate("fwi", m0, sources[:1], data[:1], cfg, 2, "sum-terms")
-    one_u = iterate("fwi", m0, sources[:1], data[:1], cfg, 2, "sum-updates")
-    assert np.array_equal(one_t[-1][0].model.values, one_u[-1][0].model.values)
-    two_t = iterate("fwi", m0, sources, data, cfg, 2, "sum-terms")
-    two_u = iterate("fwi", m0, sources, data, cfg, 2, "sum-updates")
-    assert not np.array_equal(two_t[-1][0].model.values, two_u[-1][0].model.values)
 
 
 def test_penalty_continuation_tightens_the_constraint():

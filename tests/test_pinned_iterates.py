@@ -10,7 +10,7 @@ pinned step (alpha = 1e-6), and gauss-newton/gauss-seidel run on the weak
 single scatterer of ``born_config`` with damping 1e-4.
 
 Regenerate (only for a deliberate numerical change) the rows of the named
-schemes, in every update mode pinned for them, with
+schemes with
 
     PYTHONPATH=src python tests/test_pinned_iterates.py SCHEME [SCHEME ...]
 
@@ -33,13 +33,9 @@ from test_iterations import born_config, iterate, tiny_problem
 PINNED_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                            "scheme_iterates.txt")
 N_STEPS = 3
-CASES = tuple((scheme, "sum-terms") for scheme in SCHEMES) + (
-    ("fwi", "sum-updates"),
-    ("al-multiplier", "sum-updates"),
-)
 
 
-def case_states(scheme, update_mode):
+def case_states(scheme):
     """The first N_STEPS steps of a scheme on its pinned inputs, each as
     (carry with its forward fields, us, vs)."""
     if scheme.startswith("gauss-"):
@@ -51,33 +47,34 @@ def case_states(scheme, update_mode):
         _, _, _, m0, sources, data = tiny_problem()
         alpha = 1e-6 if scheme == "fwi" else None
         cfg = PenaltyConfig(mu=50.0, alpha=alpha, cg_tol=1e-13)
-    return iterate(scheme, m0, sources, data, cfg, N_STEPS, update_mode)
+    return iterate(scheme, m0, sources, data, cfg, N_STEPS)
 
 
-def case_iterates(scheme, update_mode):
+def case_iterates(scheme):
     """Model values after each of the first N_STEPS steps, one row per step."""
-    return np.array([state.model.values for state, _, _ in case_states(scheme, update_mode)])
+    return np.array([state.model.values for state, _, _ in case_states(scheme)])
 
 
 def read_pinned(path=PINNED_FILE):
-    """(scheme, update_mode) -> array of model iterates, rows in step order."""
+    """scheme -> array of model iterates, rows in step order."""
     pinned = {}
     with open(path) as handle:
         for line in handle:
             if not line.startswith("#"):
-                scheme, mode, _, *values = line.split()
-                pinned.setdefault((scheme, mode), []).append(np.array(values, dtype=float))
-    return {key: np.array(rows) for key, rows in pinned.items()}
+                scheme, _, *values = line.split()
+                pinned.setdefault(scheme, []).append(np.array(values, dtype=float))
+    return {scheme: np.array(rows) for scheme, rows in pinned.items()}
 
 
-@pytest.mark.parametrize("scheme,update_mode", CASES)
-def test_iterates_match_pinned(scheme, update_mode):
-    ref = read_pinned()[(scheme, update_mode)]
-    got = case_iterates(scheme, update_mode)
+# the ids keep the suffix naming the update rule the rows were pinned with
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[f"{s}-sum-terms" for s in SCHEMES])
+def test_iterates_match_pinned(scheme):
+    ref = read_pinned()[scheme]
+    got = case_iterates(scheme)
     assert got.shape == ref.shape
     for step, (g, r) in enumerate(zip(got, ref), start=1):
         err = float(np.linalg.norm(g - r) / np.linalg.norm(r))
-        assert err <= 1e-12, f"{scheme} ({update_mode}) step {step}: rel {err:.2e}"
+        assert err <= 1e-12, f"{scheme} step {step}: rel {err:.2e}"
 
 
 @pytest.mark.parametrize("orientation", ["penalty", "al"])
@@ -86,8 +83,8 @@ def test_pinned_orientations_agree(orientation):
     system, so their pinned iterates must agree to 1e-12; a re-pin cannot
     drift away from the exact saddle solution."""
     pinned = read_pinned()
-    wavefield = pinned[(f"{orientation}-wavefield", "sum-terms")]
-    multiplier = pinned[(f"{orientation}-multiplier", "sum-terms")]
+    wavefield = pinned[f"{orientation}-wavefield"]
+    multiplier = pinned[f"{orientation}-multiplier"]
     for step, (a, b) in enumerate(zip(wavefield, multiplier), start=1):
         err = float(np.linalg.norm(a - b) / np.linalg.norm(b))
         assert err <= 1e-12, f"{orientation} step {step}: rel {err:.2e}"
@@ -101,15 +98,14 @@ def main(argv=None):
     with open(PINNED_FILE) as handle:
         header = handle.readline().rstrip("\n")
         for line in handle:
-            scheme, mode = line.split()[:2]
-            kept.setdefault((scheme, mode), []).append(line.rstrip("\n"))
+            kept.setdefault(line.split()[0], []).append(line.rstrip("\n"))
     lines = [header]
-    for scheme, mode in CASES:
+    for scheme in SCHEMES:
         if scheme not in names:
-            lines.extend(kept[(scheme, mode)])
+            lines.extend(kept[scheme])
             continue
-        for step, values in enumerate(case_iterates(scheme, mode), start=1):
-            lines.append(f"{scheme} {mode} {step} " + " ".join("%.17g" % v for v in values))
+        for step, values in enumerate(case_iterates(scheme), start=1):
+            lines.append(f"{scheme} {step} " + " ".join("%.17g" % v for v in values))
     with open(PINNED_FILE, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     print(f"re-pinned {', '.join(sorted(names))} in {PINNED_FILE}")
