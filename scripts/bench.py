@@ -2,7 +2,10 @@
 """Time the sweep kernels and the wavefield CG, and write the result as JSON.
 
     PYTHONPATH=src python3 scripts/bench.py --out bench.json
+    PYTHONPATH=src python3 scripts/bench.py --out bench.json --rows hproduct cg
 
+``--rows`` runs only the named row groups (see ``ROWS``), in their usual
+order.
 Times ``wavecore._forward_sweep`` and ``wavecore._adjoint_sweep`` on fixed
 grid shapes, each sweeping a sequence of one field or of three fields as
 one batch, and ``wavecore._apply`` on one field; the two streamed passes of a 2D step at
@@ -14,7 +17,11 @@ three sources at the initial model): the matrix-free
 (serial) against one call with all three sources (lock step), each source's
 CG iterations from ``saddle._cg`` on the same preconditioned data-space
 system, and the Nystrom sketch ``saddle.nystrom_sketch`` of that step alone
-(its rank and time).  The same rows are taken for the first solve of the one-source
+(its rank and time).  The "H product" rows time one call of the H products
+that CG and sketch are made of, ``saddle._hessian_products`` on k random
+trace vectors at the initial model: on the two-scatterer grid at k = 3 (a
+step's sources) and k = 8 (a sketch batch), and on the 51 x 51 x 200 grid
+below at k = 1 and k = 3.  The same rows are taken for the first solve of the one-source
 al-wavefield runs on the scheme tests' ``born_config`` experiment (a
 weak single scatterer, 21 x 80 grid, 19 receivers; built here, so the
 bench does not import the tests) at mu = 1e3 and 1e4, the small-mu cases
@@ -336,6 +343,26 @@ def cg_rows() -> list[dict]:
     return rows
 
 
+def hproduct_rows(rng) -> list[dict]:
+    """One H product call, (H + 0 I) on k trace vectors, per case."""
+    rows = []
+    for config, ks in ((two_scatterer_benchmark(), (3, 8)), (_two_d_config(), (1, 3))):
+        spec = config.grid
+        m = ModelGrid(spec, build_model_values(spec, config.initial_model))
+        rec = list(config.receiver_nodes)
+        apply_h = saddle._hessian_products(spec, m.values, rec)
+        n = len(rec) * spec.nt
+        label = f"{spec.ndim}D {spec.nx}x{spec.nz}x{spec.nt}"
+        for k in ks:
+            ys = rng.standard_normal((k, n))
+            best, median = time_call(lambda: apply_h(ys))
+            rows.append({"layer": "H product", "case": label, "k": k, "n": n,
+                         "repeats": REPEATS, "min_s": best, "median_s": median})
+            print(f"H product      {label:20s} k {k}  min {best * 1e3:9.3f} ms  "
+                  f"median {median * 1e3:9.3f} ms")
+    return rows
+
+
 def _fwi_2d_config() -> ExperimentConfig:
     """fwi-2d's experiment: two boxes in a 101 x 101 x 400 grid, three shots
     in row 2 recorded by 13 receivers in row 1."""
@@ -458,24 +485,37 @@ def rss_rows() -> list[dict]:
     return rows
 
 
+# the row groups in the order they run; the peak-RSS rows first (see above)
+ROWS = {
+    "rss": rss_rows,
+    "kernels": lambda: kernel_rows(np.random.default_rng(0)),
+    "passes": lambda: pass_rows(np.random.default_rng(1)),
+    "variants": lambda: variant_rows(np.random.default_rng(2)),
+    "hproduct": lambda: hproduct_rows(np.random.default_rng(4)),
+    "cg": cg_rows,
+    "hessian": hessian_rows,
+    "sampling": lambda: sampling_rows(np.random.default_rng(3)),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     role = parser.add_mutually_exclusive_group(required=True)
     role.add_argument("--out", help="JSON file to write")
     role.add_argument("--rss-child", choices=RSS_CASES, help=argparse.SUPPRESS)
+    parser.add_argument("--rows", nargs="+", choices=ROWS, default=list(ROWS),
+                        help="row groups to run (default: all)")
     args = parser.parse_args(argv)
     if args.rss_child:
         rss_child(args.rss_child)
         return 0
 
-    rows = (rss_rows() + kernel_rows(np.random.default_rng(0)) + pass_rows(np.random.default_rng(1))
-            + variant_rows(np.random.default_rng(2)) + cg_rows() + hessian_rows()
-            + sampling_rows(np.random.default_rng(3)))
+    rows = [row for name in ROWS if name in args.rows for row in ROWS[name]()]
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
-        "layer": ("wavecore sweep kernels, the streamed 2D passes, the wavefield CG and its "
-                  "Nystrom sketch, the dense Hessian assembly and its Cholesky factorization, "
+        "layer": ("wavecore sweep kernels, the streamed 2D passes, the H products, the "
+                  "wavefield CG and its Nystrom sketch, the dense Hessian assembly and its Cholesky factorization, "
                   "forward modelling and the sampled forward sweep, the peak RSS of two "
                   "inversion steps"),
         "environment": {

@@ -38,7 +38,11 @@ y comes from one of two backends, picked by the caller:
   right-hand sides.
 * matrix-free: CG on (H + mu I) y, each H product one adjoint sweep of
   receiver traces and one forward sweep that writes only the receiver
-  rows (trace-out).  H's spectrum decays fast, so a randomized Nystrom
+  rows (trace-out).  The batch's traces enter as one stack, and the
+  adjoint sweep writes its fields time-major into one (k, nt, n_space)
+  stack that the forward sweep reads block by block, so the intermediate
+  fields are never transposed into [node, n] fields
+  (_hessian_products).  H's spectrum decays fast, so a randomized Nystrom
   sketch of H (nystrom_sketch, its rank grown while a chunk of it is
   estimated to save more H products than it costs) preconditions the CG
   and deflates its large eigenvalues; the CG vectors are traces.  A column
@@ -66,7 +70,9 @@ from scipy.linalg.blas import dsyrk
 from .errors import SingularSystemError, SolverNotConvergedError
 from .grids import AcquisitionGeometry, GridSpec, ModelGrid, SourceField
 from .wavecore import (
+    _DenseStack,
     _Traces,
+    _TraceStack,
     _adjoint_sweep,
     _columns,
     _forward_sweep,
@@ -238,16 +244,30 @@ def _cg(apply_op, rhs, tol, maxiter, precondition=None):
     return results
 
 
-def _hessian_products(spec: GridSpec, m_values: np.ndarray, rec: list):
-    """apply_h(ys): H y = P A^-1 A^-T P^T y for each flat trace vector y in
-    the list ys, one batched adjoint sweep of the traces and one batched
-    forward sweep of its fields that writes only the receiver rows rec
-    (trace-out), so the forward half builds no field."""
+def _hessian_products(spec: GridSpec, m_values: np.ndarray, rec: list, between=None):
+    """apply_h(ys): the (k, n) array of H y = P A^-1 A^-T P^T y for the k
+    flat trace vectors y of ys, a (k, n) array or a sequence of them.
+
+    The traces enter one batched adjoint sweep as a _TraceStack on the
+    receiver rows rec, which writes the fields A^-T P^T y into one
+    time-major (k, nt, n_space) _DenseStack; one batched forward sweep
+    reads that stack block by block and writes only the receiver rows
+    (trace-out).  So the intermediate fields, one full field per column,
+    are never built or transposed in [node, n] layout, and the forward half
+    builds no field.  ``between``, when given, is called with the
+    intermediate stack's array between the two sweeps (the selfcheck fault
+    perturb-h-product).  The bytes are those of the per-column composition
+    _sampled_sweep(_adjoint_sweep([_Traces(rec, y) ...]), rec)."""
     shape = (len(rec), spec.nt)
 
     def apply_h(ys):
-        fields = _adjoint_sweep(spec, m_values, [_Traces(rec, y.reshape(shape)) for y in ys])
-        return [traces.ravel() for traces in _sampled_sweep(spec, m_values, fields, rec)]
+        ys = np.asarray(ys)
+        k = len(ys)
+        fields = _DenseStack(np.empty((k, spec.nt, spec.n_space)))
+        _adjoint_sweep(spec, m_values, _TraceStack(rec, ys.reshape((k,) + shape)), fields)
+        if between is not None:
+            between(fields.values)
+        return _sampled_sweep(spec, m_values, fields, rec).reshape(k, -1)
 
     return apply_h
 
@@ -355,7 +375,7 @@ def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, cfg: PenaltyConf
         omega = rng.standard_normal((min(cap - len(core), _SKETCH_CHUNK), n))
         block = np.empty_like(omega)
         for a in range(0, len(omega), width):
-            block[a : a + width] = apply_h(list(omega[a : a + width]))
+            block[a : a + width] = apply_h(omega[a : a + width])
         if not ys:
             nu = n * np.finfo(float).eps * float(np.linalg.norm(block)) / np.sqrt(len(block))
         for i in range(len(block)):  # row by row: no third chunk-sized array
@@ -481,7 +501,8 @@ def assemble_data_space_hessian(
     row 3, so B1 = e_{t=1} + F (2c + L) - (F c delayed one sample).
 
     Hence H = K + B B^T with B = [B0 | B1], and H lives in one n x n buffer:
-    the sweep writes F straight into its (n, n_space) layout, one dsyrk
+    the sweep writes F straight into its (n, n_space) layout (a time-major
+    stack of one Green's function per receiver, _DenseStack), one dsyrk
     computes the upper triangle of C, the cumulative sum runs on the blocks
     on and above the diagonal, the B terms are formed _B_BLOCK_BYTES of z
     rows at a time (_b_terms) and each block is added by a dsyrk with
@@ -503,7 +524,7 @@ def assemble_data_space_hessian(
     impulse = np.zeros((1, nt))
     impulse[0, 2] = 1.0
     _forward_sweep(spec, m.values, [_Traces([node], impulse) for node in rec],
-                   out=list(f.reshape(nr, nt, n_space).transpose(0, 2, 1)))
+                   out=_DenseStack(f.reshape(nr, nt, n_space)))
 
     # dsyrk on the Fortran-ordered transposes: the lower triangle of the
     # Fortran result is the upper triangle of its C-ordered transpose h
@@ -596,7 +617,8 @@ def data_space_multipliers(m: ModelGrid, geometry: AcquisitionGeometry, rhs_trac
     runs the sources' Nystrom-preconditioned CGs in lock step from y0 = 0,
     with one sketch built only if some r is non-zero; a column that misses
     cg_tol, relative to its r, within cg_maxiter raises
-    SolverNotConvergedError.  Then one batched adjoint sweep.  Non-finite traces raise ValueError.  Each
+    SolverNotConvergedError.  Then one batched adjoint sweep of the y as
+    one trace stack.  Non-finite traces raise ValueError.  Each
     column's bytes are those of a call with its traces alone.
     """
     spec = m.spec
@@ -629,7 +651,8 @@ def data_space_multipliers(m: ModelGrid, geometry: AcquisitionGeometry, rhs_trac
         # the rows of a (k, n) array are the columns of its Fortran-ordered transpose
         ys = scipy.linalg.cho_solve(factor, np.array(rhs).T, overwrite_b=True,
                                     check_finite=False).T
-    lams = _adjoint_sweep(spec, m.values, [_Traces(rec, y.reshape(len(rec), spec.nt)) for y in ys])
+    lams = _adjoint_sweep(spec, m.values,
+                          _TraceStack(rec, np.reshape(ys, (len(ys), len(rec), spec.nt))))
     return [SourceField(spec, lam) for lam in lams]
 
 

@@ -25,7 +25,10 @@ dense-oracle comparison;
 preconditions the wavefield orientation's data-space CG by 1e-2 inside its
 dense-oracle check.
 That preconditioner is still SPD, so the solve stays exact and only its
-iteration count exceeds the check's bound.
+iteration count exceeds the check's bound.  "perturb-h-product" scales one
+time level of the matrix-free H products' intermediate stack, the first
+past the forward half's first working block, between the adjoint and the
+forward sweep, inside the data-space Hessian's dense-oracle comparison.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ KNOWN_FAULTS = (
     "perturb-sampled-sweep",
     "perturb-batch-column",
     "perturb-nystrom",
+    "perturb-h-product",
 )
 
 
@@ -261,11 +265,22 @@ def _check_sampled_sweep(faults) -> CheckResult:
 
 
 def _check_hessian_dense(faults) -> CheckResult:
+    # The assembled H and the matrix-free H products of the unit traces,
+    # whose adjoint half sweeps into a time-major stack and whose forward
+    # half sweeps out of it; nt = _BLOCK + 4 crosses a working-block
+    # boundary in both.  The grids are kept tiny: their dense operators set
+    # the check's cost.
     rng = np.random.default_rng(113)
+    nt = _BLOCK + 4
     grids = (
-        (GridSpec(ndim=1, nx=9, nz=1, dx=10.0, dz=10.0, nt=12, dt=0.002), (0, 4)),
-        (GridSpec(ndim=2, nx=5, nz=4, dx=10.0, dz=10.0, nt=10, dt=0.002), (2, 12)),
+        (GridSpec(ndim=1, nx=9, nz=1, dx=10.0, dz=10.0, nt=nt, dt=0.002), (0, 4)),
+        (GridSpec(ndim=2, nx=5, nz=4, dx=10.0, dz=10.0, nt=nt, dt=0.002), (2, 12)),
     )
+
+    def perturb_level(fields):
+        fields[:, 2 + _BLOCK] *= 1.0 + 1e-6  # past the forward's first block
+
+    between = perturb_level if "perturb-h-product" in faults else None
     worst = 0.0
     for spec, receivers in grids:
         geom = AcquisitionGeometry((receivers[0],), receivers)
@@ -273,10 +288,14 @@ def _check_hessian_dense(faults) -> CheckResult:
         h = assemble_data_space_hessian(m, geom).matrix
         if "perturb-hessian" in faults:
             h[: spec.nt, spec.nt :] *= 1.0 + 1e-6
+        # row j of the products is H e_j, that is column j of H
+        products = _hessian_products(spec, m.values, list(receivers), between)(np.eye(len(h)))
         a = assemble_dense_operator(m).matrix
         p = dense_sampling_operator(spec, geom)
         ref = p @ np.linalg.solve(a, np.linalg.solve(a.T, p.T))
-        worst = max(worst, float(np.max(np.abs(h - ref)) / np.max(np.abs(ref))))
+        scale = np.max(np.abs(ref))
+        for got in (h, products.T):
+            worst = max(worst, float(np.max(np.abs(got - ref)) / scale))
     return CheckResult("hessian-vs-dense", worst <= 1e-11, f"rel {worst:.3e} (tol 1e-11)")
 
 

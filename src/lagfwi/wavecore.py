@@ -28,8 +28,9 @@ makes no full-size temporary:
   sources).  The columns are stepped in groups whose time level, (node,
   column), fits _GROUP_BYTES: on a 101 x 101 grid that is one column per
   group, on the 1D grids all of them.  The columns of a group share only
-  its working block, (level, node, column), and each column gets its own
-  contiguous [node, n] result, so no stacked copy of the fields exists.
+  its working block, (level, node, column), and each column of a list
+  gets its own contiguous [node, n] result, so no stacked copy of the
+  fields exists.
   Small grids are bound by the Python cost of each time step, not by
   flops, so one sweep of k columns costs little more than one of a single
   column.
@@ -49,9 +50,25 @@ makes no full-size temporary:
   right-hand side (``_levels``), so the field is never allocated or
   written.  This is how every caller that only samples the field (the
   observed data, the saddle residual, the H products) sweeps.
+* Stacked columns: a batch may also be one array instead of a list of
+  columns, in the same code path (``_load``, ``_store``, ``_levels``).  A
+  ``_DenseStack`` holds k dense columns time-major as one (k, nt, n_space)
+  array, so a working block of every column of a group is copied in or
+  out by one array operation, with no [node, n] field to transpose; the
+  data-space Hessian's Green's functions and the H products' intermediate
+  fields are swept into one.  A ``_TraceStack`` holds k columns of
+  receiver traces that share their rows as one (k, n_rec, nt) array,
+  injected or sampled by one indexed operation per block: the H products'
+  traces, the multipliers' sweep and every trace-out sweep.  ``_Traces``
+  stays for columns with rows of their own (point sources, impulses).
+  Each stacked sweep is bitwise that of its list of columns.
 * The Laplacian of a 2D block adds each x neighbour as one contiguous add
   over the whole block, shifted by one node, and puts back the row-end
   nodes that add must not touch (``_laplacian_into``).
+* Every scalar operand of a per-step ufunc call (the Laplacian's four
+  weights, the recurrence's 2.0) is a 0-d float64 array made once per
+  sweep, so numpy converts no Python float per call; the IEEE products
+  are the same.
 * ``_stencil_rows`` computes the stencil rows of A(m) u one z row of nodes
   at a time, with two rows of scratch.  It has two consumers:
   ``_apply`` (``apply_wave_operator``) writes the rows into its output, and
@@ -81,6 +98,7 @@ misfit (not an O(dt) approximation of it).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -159,6 +177,9 @@ def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
     """
     wx = 1.0 / spec.dx**2
     wz = 1.0 / spec.dz**2
+    # 0-d operands: a ufunc converts a Python float on every call
+    centre_x, side_x = np.array(-2.0 * wx), np.array(wx)
+    centre_z, side_z = np.array(2.0 * wz), np.array(wz)
     if len(out) > 1:
         node = out[0, 0].size  # elements per node
         flat_out, flat_tmp = out.reshape(-1), tmp.reshape(-1)
@@ -172,8 +193,8 @@ def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
     two_d = spec.ndim == 2
 
     def lap(g: np.ndarray) -> None:
-        np.multiply(g, -2.0 * wx, out=out)
-        np.multiply(g, wx, out=tmp)
+        np.multiply(g, centre_x, out=out)
+        np.multiply(g, side_x, out=tmp)
         for target, term, kept in x_terms:
             if kept is None:
                 np.add(target, term, out=target)
@@ -182,10 +203,10 @@ def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
                 np.add(target, term, out=target)
                 np.copyto(kept, edge)
         if two_d:
-            np.multiply(g, 2.0 * wz, out=tmp)
+            np.multiply(g, centre_z, out=tmp)
             np.subtract(out, tmp, out=out)
             if z_terms:
-                np.multiply(g, wz, out=tmp)
+                np.multiply(g, side_z, out=tmp)
                 for target, term in z_terms:
                     np.add(target, term, out=target)
 
@@ -261,37 +282,37 @@ def _apply_transpose(spec: GridSpec, m_values: np.ndarray, v: np.ndarray) -> np.
 def _recurrence(
     spec: GridSpec,
     s: np.ndarray,
-    rhs: list[np.ndarray],
-    out: list[np.ndarray],
+    rhs,
+    out,
     levels: range,
-    prev2: list[np.ndarray],
-    prev1: list[np.ndarray],
+    prev2: np.ndarray,
+    prev1: np.ndarray,
 ) -> None:
     """Write out[j][:, n] = s (rhs[j][:, n] + L p1) + 2 p1 - p2 for every
     column j and every n in ``levels``.
 
-    rhs and out hold k (n_space, nt) fields or _Traces each, and prev2/prev1
-    the columns' two starting levels, dense.  ``levels`` runs forward or
-    backward in time; p1 and p2 are the one and two levels before n in that
-    direction, and prev2/prev1 are the two before the first.  The columns are stepped in groups whose
-    time level fits _GROUP_BYTES, one group after the other; the columns are
-    independent, so grouping changes no result.  Within a group the levels
-    are stepped in time-major blocks of at most _BLOCK levels: each column's
-    block of rhs is copied transposed, _TILE nodes at a time, into one
-    contiguous (level, node, column) buffer, stepped there in place, written
-    back into its own output, and the last two levels are carried into the
-    next block.  A _Traces column of rhs is written into its zero-filled
-    slice of the buffer instead, and a _Traces column of out receives only
-    its rows of each block.  The columns meet only inside the buffer, and
-    the stencil scale is expanded to the buffer's full (nz, nx, k) shape, so
-    every ufunc runs one flat loop.
+    rhs and out are batches of k sweep columns each (a list of (n_space, nt)
+    fields and _Traces, a _DenseStack or a _TraceStack), and prev2/prev1 the
+    columns' two starting levels, dense (n_space, k) arrays.  ``levels``
+    runs forward or backward in time; p1 and p2 are the one and two levels
+    before n in that direction, and prev2/prev1 are the two before the
+    first.  The columns are stepped in groups whose time level fits
+    _GROUP_BYTES, one group after the other; the columns are independent,
+    so grouping changes no result.  Within a group the levels are stepped in
+    time-major blocks of at most _BLOCK levels: each block of rhs is copied
+    into one contiguous (level, node, column) buffer (_load), stepped there
+    in place, written back into out (_store), and the last two levels are
+    carried into the next block.  The columns meet only inside the buffer,
+    and the stencil scale is expanded to the buffer's full (nz, nx, k)
+    shape, so every ufunc runs one flat loop.
     """
     if not levels:
         return
     width = max(1, _GROUP_BYTES // (8 * spec.n_space))
     for first in range(0, len(rhs), width):
         group = slice(first, first + width)
-        _recurrence_group(spec, s, rhs[group], out[group], levels, prev2[group], prev1[group])
+        _recurrence_group(spec, s, rhs[group], out[group], levels, prev2[:, group],
+                          prev1[:, group])
 
 
 def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
@@ -300,38 +321,27 @@ def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
     k = len(rhs)
     size = min(_BLOCK, len(levels))
     buf = np.empty((size + 2, n_space, k))
-    for j in range(k):
-        buf[0, :, j] = prev2[j]
-        buf[1, :, j] = prev1[j]
+    buf[0] = prev2
+    buf[1] = prev1
     work = np.empty((nz, nx, k))
     laplacian = _laplacian_into(spec, work, np.empty_like(work))
     s = np.repeat(s.reshape(nz, nx, 1), k, axis=2)
+    two = np.array(2.0)  # a 0-d operand, as in _laplacian_into
     views = list(buf.reshape(size + 2, nz, nx, k))
-    tiles = [slice(a, a + _TILE) for a in range(0, n_space, _TILE)]
     for first in range(0, len(levels), size):
         part = levels[first : first + size]
         count = len(part)
         lo = min(part[0], part[-1])
         block = buf[2 : 2 + count][:: levels.step]
-        for j, col in enumerate(rhs):
-            if isinstance(col, _Traces):
-                block[:, :, j] = 0.0
-                block[:, col.rows, j] = col.values[:, lo : lo + count].T
-            else:
-                for t in tiles:
-                    block[:, t, j] = col[t, lo : lo + count].T
+        _load(rhs, block, lo)
         for p2, p1, level in zip(views, views[1:], views[2 : 2 + count]):
             laplacian(p1)
             np.add(level, work, out=work)
             np.multiply(work, s, out=work)
-            np.multiply(p1, 2.0, out=level)
+            np.multiply(p1, two, out=level)
             np.add(work, level, out=level)
             np.subtract(level, p2, out=level)
-        for j, col in enumerate(out):
-            if isinstance(col, _Traces):
-                col.values[:, lo : lo + count] = block[:, col.rows, j].T
-            else:
-                col[:, lo : lo + count] = block[..., j].T
+        _store(out, block, lo)
         buf[:2] = buf[count : count + 2]
 
 
@@ -345,67 +355,161 @@ class _Traces(NamedTuple):
     values: np.ndarray
 
 
+@dataclass(frozen=True)
+class _DenseStack:
+    """A batch of k dense sweep columns held time-major as one
+    (k, nt, n_space) array: values[j, n] is level n of column j.  A working
+    block of all k columns is copied in or out by one array operation."""
+
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, group: slice) -> _DenseStack:
+        return _DenseStack(self.values[group])
+
+
+@dataclass(frozen=True)
+class _TraceStack:
+    """A batch of k _Traces columns that share their nodes ``rows``, held as
+    one (k, len(rows), nt) array: values[j] is column j's traces.  A working
+    block of all k columns is injected or sampled by one indexed operation."""
+
+    rows: list
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, group: slice) -> _TraceStack:
+        return _TraceStack(self.rows, self.values[group])
+
+
+def _batch(cols):
+    """A batch of sweep columns: a stack as it is, any other sequence of
+    columns as a list."""
+    return cols if isinstance(cols, (_DenseStack, _TraceStack)) else list(cols)
+
+
+def _load(cols, block: np.ndarray, lo: int) -> None:
+    """Copy levels lo, lo + 1, ... of the batch cols into the working block,
+    (level, node, column).  A [node, n] field is copied transposed, _TILE
+    nodes at a time, so the rows it reads stay in cache until every level of
+    them is used; _Traces are written into their zero-filled columns."""
+    hi = lo + len(block)
+    if isinstance(cols, _DenseStack):
+        block[...] = cols.values[:, lo:hi].transpose(1, 2, 0)
+    elif isinstance(cols, _TraceStack):
+        block[...] = 0.0
+        block[:, cols.rows] = cols.values[:, :, lo:hi].transpose(2, 1, 0)
+    else:
+        for j, col in enumerate(cols):
+            if isinstance(col, _Traces):
+                block[:, :, j] = 0.0
+                block[:, col.rows, j] = col.values[:, lo:hi].T
+            else:
+                for a in range(0, block.shape[1], _TILE):
+                    t = slice(a, a + _TILE)
+                    block[:, t, j] = col[t, lo:hi].T
+
+
+def _store(cols, block: np.ndarray, lo: int) -> None:
+    """Copy the working block back into levels lo, lo + 1, ... of the batch
+    cols; _Traces receive their rows only."""
+    hi = lo + len(block)
+    if isinstance(cols, _DenseStack):
+        cols.values[:, lo:hi] = block.transpose(2, 0, 1)
+    elif isinstance(cols, _TraceStack):
+        cols.values[:, :, lo:hi] = block[:, cols.rows].transpose(2, 1, 0)
+    else:
+        for j, col in enumerate(cols):
+            if isinstance(col, _Traces):
+                col.values[:, lo:hi] = block[:, col.rows, j].T
+            else:
+                col[:, lo:hi] = block[..., j].T
+
+
 def _levels(cols, n: int, n_space: int) -> np.ndarray:
-    """Time level n of every sweep column, dense, as one (n_space, k) array:
-    a field's column, or zeros holding a _Traces column's samples."""
+    """Time level n of every column of the batch cols, dense, as one fresh
+    (n_space, k) array: a field's level, or zeros holding a trace column's
+    samples."""
+    if isinstance(cols, _DenseStack):
+        return cols.values[:, n].T.copy()
     levels = np.zeros((n_space, len(cols)))
-    for j, col in enumerate(cols):
-        if isinstance(col, _Traces):
-            levels[col.rows, j] = col.values[:, n]
-        else:
-            levels[:, j] = col[:, n]
+    if isinstance(cols, _TraceStack):
+        levels[cols.rows] = cols.values[:, :, n].T
+    else:
+        for j, col in enumerate(cols):
+            if isinstance(col, _Traces):
+                levels[col.rows, j] = col.values[:, n]
+            else:
+                levels[:, j] = col[:, n]
     return levels
 
 
-def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None) -> list:
+def _set_levels(cols, n: int, levels: np.ndarray) -> None:
+    """Write time level n of every column of the batch cols from the
+    (n_space, k) array levels; trace columns take their rows only."""
+    if isinstance(cols, _DenseStack):
+        cols.values[:, n] = levels.T
+    elif isinstance(cols, _TraceStack):
+        cols.values[:, :, n] = levels[cols.rows].T
+    else:
+        for j, col in enumerate(cols):
+            if isinstance(col, _Traces):
+                col.values[:, n] = levels[col.rows, j]
+            else:
+                col[:, n] = levels[:, j]
+
+
+def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     """Explicit time stepping, solves A(m) u = rhs.
 
-    rhs is a sequence of k columns, (n_space, nt) arrays or _Traces, swept
-    as one batch into a list of k separate (n_space, nt) arrays.  A _Traces
-    column gives bitwise the result of its dense injected field.  ``out``
-    may name the k columns to write the result into: (n_space, nt) arrays,
-    rhs's own arrays included (each block of rhs is read before the same
-    block of the result is written), or _Traces, which receive the field at
-    their rows only.  The first two levels of u are those of rhs, so they
-    are taken from rhs.
+    rhs is a batch of k columns: a sequence of (n_space, nt) arrays and
+    _Traces, a _DenseStack or a _TraceStack, swept as one batch, by default
+    into a list of k separate (n_space, nt) arrays.  A trace column gives
+    bitwise the result of its dense injected field, and a stack bitwise that
+    of its list of columns.  ``out`` may name the batch to write the result
+    into: (n_space, nt) arrays, rhs's own arrays included (each block of rhs
+    is read before the same block of the result is written), _Traces or
+    either stack; trace columns receive the field at their rows only.  The
+    first two levels of u are those of rhs, so they are taken from rhs.
     """
     _, s = _scales(spec, m_values, 0)
-    n_space = spec.n_space
-    rhs = list(rhs)
-    u = [np.empty(spec.shape) for _ in rhs] if out is None else out
-    start = [_levels(rhs, n, n_space).T for n in (0, 1)]
-    for n, levels in enumerate(start):
-        for uc, level in zip(u, levels):
-            if isinstance(uc, _Traces):
-                uc.values[:, n] = level[uc.rows]
-            else:
-                uc[:, n] = level
-    _recurrence(spec, s, rhs, u, range(2, spec.nt), list(start[0]), list(start[1]))
+    rhs = _batch(rhs)
+    u = [np.empty(spec.shape) for _ in range(len(rhs))] if out is None else out
+    start = [_levels(rhs, n, spec.n_space) for n in (0, 1)]
+    for n, level in enumerate(start):
+        _set_levels(u, n, level)
+    _recurrence(spec, s, rhs, u, range(2, spec.nt), *start)
     return u
 
 
-def _sampled_sweep(spec: GridSpec, m_values: np.ndarray, rhs, rows: list) -> list[np.ndarray]:
-    """P A(m)^-1 f for each column f of the sequence rhs: the (len(rows), nt)
-    traces of the swept field at the nodes ``rows``, bitwise those of
-    _forward_sweep, from one batched sweep that never builds the field."""
-    out = [_Traces(rows, np.empty((len(rows), spec.nt))) for _ in rhs]
-    return [col.values for col in _forward_sweep(spec, m_values, rhs, out)]
+def _sampled_sweep(spec: GridSpec, m_values: np.ndarray, rhs, rows: list) -> np.ndarray:
+    """P A(m)^-1 f for each column f of the batch rhs: the (k, len(rows), nt)
+    traces of the swept fields at the nodes ``rows``, bitwise those of
+    _forward_sweep, from one batched sweep into a _TraceStack that never
+    builds a field."""
+    rhs = _batch(rhs)
+    out = _TraceStack(rows, np.empty((len(rhs), len(rows), spec.nt)))
+    return _forward_sweep(spec, m_values, rhs, out).values
 
 
-def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs) -> list:
-    """Reverse time stepping, solves A(m)^T v = rhs; rhs and the result as
-    in _forward_sweep."""
+def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
+    """Reverse time stepping, solves A(m)^T v = rhs; rhs, out and the result
+    as in _forward_sweep, except that out holds dense columns only (a list
+    of (n_space, nt) arrays or a _DenseStack), since levels 0 and 1 are
+    finished from levels 2 and 3 of the result."""
     nt, n_space = spec.nt, spec.n_space
     c, s = _scales(spec, m_values, 1)
-    rhs = list(rhs)
-    v = [np.empty(spec.shape) for _ in rhs]
-    for vc, level in zip(v, (s * _levels(rhs, nt - 1, n_space)).T):
-        vc[:, nt - 1] = level
+    rhs = _batch(rhs)
+    v = [np.empty(spec.shape) for _ in range(len(rhs))] if out is None else out
+    last = s * _levels(rhs, nt - 1, n_space)
+    _set_levels(v, nt - 1, last)
     # the level after nt - 1 is zero, and x - 0.0 == x, so the first step
     # matches the stencil row that has no v[:, n + 2] term
-    zero = np.zeros(n_space)
-    _recurrence(spec, s, rhs, v, range(nt - 2, 1, -1), [zero] * len(rhs),
-                [vc[:, nt - 1] for vc in v])
+    _recurrence(spec, s, rhs, v, range(nt - 2, 1, -1), np.zeros_like(last), last)
     # levels 0 and 1 meet the identity rows, so no 1/c scaling there; they
     # are finished for the whole batch at once, on (n_space, k) arrays
     v2 = _levels(v, 2, n_space)
@@ -415,9 +519,8 @@ def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs) -> list:
     if nt >= 4:
         t1 = t1 - c * _levels(v, 3, n_space)
     t0 = _levels(rhs, 0, n_space) - c * v2
-    for vc, level1, level0 in zip(v, t1.T, t0.T):
-        vc[:, 1] = level1
-        vc[:, 0] = level0
+    _set_levels(v, 1, t1)
+    _set_levels(v, 0, t0)
     return v
 
 

@@ -205,6 +205,13 @@ def test_selfcheck_catches_injected_sweep_fault(capsys):
     assert failing == ["FAIL sweep-vs-dense"]
 
 
+def test_selfcheck_catches_injected_h_product_fault(capsys):
+    assert main(["selfcheck", "--inject-fault", "perturb-h-product"]) == 1
+    out = capsys.readouterr().out
+    failing = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failing == ["FAIL hessian-vs-dense"]
+
+
 def test_selfcheck_catches_injected_sampled_sweep_fault(capsys):
     assert main(["selfcheck", "--inject-fault", "perturb-sampled-sweep"]) == 1
     out = capsys.readouterr().out

@@ -8,18 +8,21 @@ not against itself.
 """
 
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lagfwi import wavecore
 from lagfwi.errors import DivergenceError
 from lagfwi.grids import (
     AcquisitionGeometry, GridSpec, ModelGrid, SourceField, TraceData, Wavefield, build_model,
 )
 from lagfwi.iterations import combined_model_update
 from lagfwi.oracle import _reference_laplacian, _reference_sweep
+from lagfwi.saddle import _hessian_products
 from lagfwi.wavecore import (
     DENOMINATOR_FLOOR_REL,
     adjoint_solves,
@@ -35,7 +38,9 @@ from lagfwi.wavecore import (
     updated_model,
     _BLOCK,
     _CHUNK_BYTES,
+    _DenseStack,
     _Traces,
+    _TraceStack,
     _adjoint_sweep,
     _apply,
     _forward_sweep,
@@ -399,6 +404,59 @@ def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, see
         for got, rhs in zip(out, sequence):
             assert got.shape == spec.shape and got.flags.c_contiguous
             assert np.array_equal(got, reference(spec, m, rhs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ndim=st.sampled_from([1, 2]),
+    nx=st.integers(min_value=3, max_value=20),
+    nz=st.integers(min_value=3, max_value=14),
+    nt=st.integers(min_value=3, max_value=2 * _BLOCK + 3),
+    k=st.integers(min_value=1, max_value=5),
+    per_group=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# 20 x 14 nodes span two copy tiles, and its five columns three groups
+@example(ndim=2, nx=20, nz=14, nt=_BLOCK + 3, k=5, per_group=2, seed=20)
+def test_stacked_batches_equal_column_lists_bitwise(ndim, nx, nz, nt, k, per_group, seed):
+    """A _DenseStack or a _TraceStack, as the right-hand sides or as the
+    output, sweeps bitwise as its list of columns, forward and adjoint,
+    with per_group columns to a group (the adjoint's output is dense); and
+    the H products through the stacks give the bytes of the per-column
+    composition, trace-out of the adjoint fields of per-column _Traces."""
+    gen = np.random.default_rng(seed)
+    spec = GridSpec(ndim=ndim, nx=nx, nz=nz if ndim == 2 else 1, dx=10.0, dz=10.0, nt=nt,
+                    dt=0.002)
+    m = random_model(spec, gen).values
+    n_space = spec.n_space
+    rec = sorted({0, n_space - 1, *gen.integers(0, n_space, size=3).tolist()})
+    fields = gen.standard_normal((k, nt, n_space))
+    traces = gen.standard_normal((k, len(rec), nt))
+    batches = (([f.T.copy() for f in fields], _DenseStack(fields)),
+               ([_Traces(rec, t) for t in traces], _TraceStack(rec, traces)))
+
+    def dense_out():
+        return _DenseStack(np.empty((k, nt, n_space)))
+
+    with patch.object(wavecore, "_GROUP_BYTES", per_group * 8 * n_space):
+        for columns, stack in batches:
+            for sweep in (_forward_sweep, _adjoint_sweep):
+                want = np.stack(sweep(spec, m, columns)).tobytes()
+                assert np.stack(sweep(spec, m, stack)).tobytes() == want
+                for rhs in (columns, stack):
+                    got = sweep(spec, m, rhs, dense_out()).values.transpose(0, 2, 1)
+                    assert got.tobytes() == want
+            want = np.stack(_forward_sweep(spec, m, columns))[:, rec].tobytes()
+            for rhs in (columns, stack):
+                sampled = _TraceStack(rec, np.empty((k, len(rec), nt)))
+                assert _forward_sweep(spec, m, rhs, sampled).values.tobytes() == want
+        sampled = [_Traces(rec, np.empty((len(rec), nt))) for _ in range(k)]
+        _forward_sweep(spec, m, _adjoint_sweep(spec, m, batches[1][0]), sampled)
+        want = np.stack([col.values for col in sampled]).reshape(k, -1).tobytes()
+        apply_h = _hessian_products(spec, m, rec)
+        ys = traces.reshape(k, -1)
+        assert apply_h(ys).tobytes() == want
+        assert apply_h(list(ys)).tobytes() == want
 
 
 def _injected(d: TraceData) -> np.ndarray:
