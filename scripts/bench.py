@@ -2,10 +2,7 @@
 """Time the sweep kernels and the wavefield CG, and write the result as JSON.
 
     PYTHONPATH=src python3 scripts/bench.py --out bench.json
-    PYTHONPATH=src python3 scripts/bench.py --out bench.json --rows hproduct cg
 
-``--rows`` runs only the named row groups (see ``ROWS``), in their usual
-order.
 Times ``wavecore._forward_sweep`` and ``wavecore._adjoint_sweep`` on fixed
 grid shapes, each sweeping a sequence of one field or of three fields as
 one batch, and ``wavecore._apply`` on one field; the two streamed passes of a 2D step at
@@ -344,7 +341,7 @@ def cg_rows() -> list[dict]:
 
 
 def hproduct_rows(rng) -> list[dict]:
-    """One H product call, (H + 0 I) on k trace vectors, per case."""
+    """One call of the H products on k random trace vectors, per case."""
     rows = []
     for config, ks in ((two_scatterer_benchmark(), (3, 8)), (_two_d_config(), (1, 3))):
         spec = config.grid
@@ -485,39 +482,26 @@ def rss_rows() -> list[dict]:
     return rows
 
 
-# the row groups in the order they run; the peak-RSS rows first (see above)
-ROWS = {
-    "rss": rss_rows,
-    "kernels": lambda: kernel_rows(np.random.default_rng(0)),
-    "passes": lambda: pass_rows(np.random.default_rng(1)),
-    "variants": lambda: variant_rows(np.random.default_rng(2)),
-    "hproduct": lambda: hproduct_rows(np.random.default_rng(4)),
-    "cg": cg_rows,
-    "hessian": hessian_rows,
-    "sampling": lambda: sampling_rows(np.random.default_rng(3)),
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     role = parser.add_mutually_exclusive_group(required=True)
     role.add_argument("--out", help="JSON file to write")
     role.add_argument("--rss-child", choices=RSS_CASES, help=argparse.SUPPRESS)
-    parser.add_argument("--rows", nargs="+", choices=ROWS, default=list(ROWS),
-                        help="row groups to run (default: all)")
     args = parser.parse_args(argv)
     if args.rss_child:
         rss_child(args.rss_child)
         return 0
 
-    rows = [row for name in ROWS if name in args.rows for row in ROWS[name]()]
+    rows = (rss_rows() + kernel_rows(np.random.default_rng(0)) + pass_rows(np.random.default_rng(1))
+            + variant_rows(np.random.default_rng(2)) + hproduct_rows(np.random.default_rng(4))
+            + cg_rows() + hessian_rows() + sampling_rows(np.random.default_rng(3)))
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
         "layer": ("wavecore sweep kernels, the streamed 2D passes, the H products, the "
-                  "wavefield CG and its Nystrom sketch, the dense Hessian assembly and its Cholesky factorization, "
-                  "forward modelling and the sampled forward sweep, the peak RSS of two "
-                  "inversion steps"),
+                  "wavefield CG and its Nystrom sketch, the dense Hessian assembly and its "
+                  "Cholesky factorization, forward modelling and the sampled forward sweep, "
+                  "the peak RSS of two inversion steps"),
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

@@ -415,8 +415,8 @@ def _load(cols, block: np.ndarray, lo: int) -> None:
 
 
 def _store(cols, block: np.ndarray, lo: int) -> None:
-    """Copy the working block back into levels lo, lo + 1, ... of the batch
-    cols; _Traces receive their rows only."""
+    """Copy the working block (level, node, column) into levels lo, lo + 1,
+    ... of the batch cols; trace columns receive their rows only."""
     hi = lo + len(block)
     if isinstance(cols, _DenseStack):
         cols.values[:, lo:hi] = block.transpose(2, 0, 1)
@@ -432,35 +432,11 @@ def _store(cols, block: np.ndarray, lo: int) -> None:
 
 def _levels(cols, n: int, n_space: int) -> np.ndarray:
     """Time level n of every column of the batch cols, dense, as one fresh
-    (n_space, k) array: a field's level, or zeros holding a trace column's
-    samples."""
-    if isinstance(cols, _DenseStack):
-        return cols.values[:, n].T.copy()
-    levels = np.zeros((n_space, len(cols)))
-    if isinstance(cols, _TraceStack):
-        levels[cols.rows] = cols.values[:, :, n].T
-    else:
-        for j, col in enumerate(cols):
-            if isinstance(col, _Traces):
-                levels[col.rows, j] = col.values[:, n]
-            else:
-                levels[:, j] = col[:, n]
-    return levels
-
-
-def _set_levels(cols, n: int, levels: np.ndarray) -> None:
-    """Write time level n of every column of the batch cols from the
-    (n_space, k) array levels; trace columns take their rows only."""
-    if isinstance(cols, _DenseStack):
-        cols.values[:, n] = levels.T
-    elif isinstance(cols, _TraceStack):
-        cols.values[:, :, n] = levels[cols.rows].T
-    else:
-        for j, col in enumerate(cols):
-            if isinstance(col, _Traces):
-                col.values[:, n] = levels[col.rows, j]
-            else:
-                col[:, n] = levels[:, j]
+    (n_space, k) array (_load of that one level): a field's level, or zeros
+    holding a trace column's samples."""
+    level = np.empty((1, n_space, len(cols)))
+    _load(cols, level, n)
+    return level[0]
 
 
 def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
@@ -481,7 +457,7 @@ def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     u = [np.empty(spec.shape) for _ in range(len(rhs))] if out is None else out
     start = [_levels(rhs, n, spec.n_space) for n in (0, 1)]
     for n, level in enumerate(start):
-        _set_levels(u, n, level)
+        _store(u, level[None], n)
     _recurrence(spec, s, rhs, u, range(2, spec.nt), *start)
     return u
 
@@ -506,7 +482,7 @@ def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     rhs = _batch(rhs)
     v = [np.empty(spec.shape) for _ in range(len(rhs))] if out is None else out
     last = s * _levels(rhs, nt - 1, n_space)
-    _set_levels(v, nt - 1, last)
+    _store(v, last[None], nt - 1)
     # the level after nt - 1 is zero, and x - 0.0 == x, so the first step
     # matches the stencil row that has no v[:, n + 2] term
     _recurrence(spec, s, rhs, v, range(nt - 2, 1, -1), np.zeros_like(last), last)
@@ -519,8 +495,8 @@ def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     if nt >= 4:
         t1 = t1 - c * _levels(v, 3, n_space)
     t0 = _levels(rhs, 0, n_space) - c * v2
-    _set_levels(v, 1, t1)
-    _set_levels(v, 0, t0)
+    _store(v, t1[None], 1)
+    _store(v, t0[None], 0)
     return v
 
 
