@@ -226,7 +226,7 @@ def build_sources(config: ExperimentConfig) -> list[TraceData]:
 
     A point source is TraceData on the one-node geometry of its node,
     holding the wavelet as its one (1, nt) trace: it stands for its
-    injection P^T d, which every sweep takes as a trace column, and
+    injection P^T d, which a sweep takes as a column of one trace stack, and
     wavecore.add_source/subtract_source meet it with dense fields.
     """
     spec = config.grid

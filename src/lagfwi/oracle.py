@@ -149,25 +149,25 @@ class DenseOperator:
 
 
 def assemble_dense_operator(m: ModelGrid) -> DenseOperator:
-    """Build A(m) explicitly from the stencil definition."""
+    """Build A(m) explicitly from the stencil definition, each stencil term
+    written into every stencil row (node, tl >= 2) at once through the
+    4-index view a[node, tl, node', tl'] of the matrix."""
     spec = m.spec
     n = _guard(spec)
     nt = spec.nt
     ns = spec.n_space
     lap = dense_laplacian(spec)
     a = np.zeros((n, n))
-    nodes = np.arange(ns)
-    for node in nodes:
-        for tl in (0, 1):
-            a[node * nt + tl, node * nt + tl] = 1.0
-    c = m.values / spec.dt**2
-    for tl in range(2, nt):
-        rows = nodes * nt + tl
-        a[rows, rows] += c
-        a[rows, nodes * nt + tl - 1] += -2.0 * c
-        a[rows, nodes * nt + tl - 2] += c
-        # minus the Laplacian acting on time level tl - 1
-        a[np.ix_(rows, nodes * nt + tl - 1)] -= lap
+    a4 = a.reshape(ns, nt, ns, nt)
+    nodes = np.arange(ns)[:, None]
+    first, tl = np.arange(2), np.arange(2, nt)
+    a4[nodes, first, nodes, first] = 1.0
+    c = (m.values / spec.dt**2)[:, None]
+    a4[nodes, tl, nodes, tl] += c
+    a4[nodes, tl, nodes, tl - 1] += -2.0 * c
+    a4[nodes, tl, nodes, tl - 2] += c
+    # minus the Laplacian acting on time level tl - 1
+    a4[:, tl, :, tl - 1] -= lap
     return DenseOperator(spec, a)
 
 

@@ -71,15 +71,14 @@ from .errors import SingularSystemError, SolverNotConvergedError
 from .grids import AcquisitionGeometry, GridSpec, ModelGrid, SourceField
 from .wavecore import (
     _DenseStack,
-    _Traces,
     _TraceStack,
     _adjoint_sweep,
-    _columns,
     _forward_sweep,
     _sampled_sweep,
     _scales,
     add_source,
     forward_solves,
+    forward_traces,
 )
 
 __all__ = [
@@ -256,8 +255,9 @@ def _hessian_products(spec: GridSpec, m_values: np.ndarray, rec: list, between=N
     are never built or transposed in [node, n] layout, and the forward half
     builds no field.  ``between``, when given, is called with the
     intermediate stack's array between the two sweeps (the selfcheck fault
-    perturb-h-product).  The bytes are those of the per-column composition
-    _sampled_sweep(_adjoint_sweep([_Traces(rec, y) ...]), rec)."""
+    perturb-h-product).  The bytes are those of the per-column composition:
+    the adjoint sweep of each column's dense injected field P^T y, sampled
+    at rec."""
     shape = (len(rec), spec.nt)
 
     def apply_h(ys):
@@ -488,7 +488,8 @@ def assemble_data_space_hessian(
     p_t(S L) S e_x with S = diag(1/c) and p_t a polynomial, and p_t(S L) S
     is symmetric because S and L are.  So F[(r, t), x] is also the response
     at node x to a row-2 impulse at receiver node r, and one batched forward
-    sweep with an impulse per receiver gives all of F.
+    sweep of one _TraceStack on the receiver rows, column r holding the
+    impulse at rec[r], gives all of F.
 
     Toeplitz: rows n >= 2 of A do not depend on n, so the column of G for an
     impulse at (x, n >= 2) is F shifted n - 2 samples later in time.  Their
@@ -521,9 +522,9 @@ def assemble_data_space_hessian(
     nr, nt, n_space = len(rec), spec.nt, spec.n_space
     n = nr * nt
     f = np.empty((n, n_space))  # f[(r, t), x] = F[(r, t), x]
-    impulse = np.zeros((1, nt))
-    impulse[0, 2] = 1.0
-    _forward_sweep(spec, m.values, [_Traces([node], impulse) for node in rec],
+    impulses = np.zeros((nr, nr, nt))
+    impulses[range(nr), range(nr), 2] = 1.0
+    _forward_sweep(spec, m.values, _TraceStack(rec, impulses),
                    out=_DenseStack(f.reshape(nr, nt, n_space)))
 
     # dsyrk on the Fortran-ordered transposes: the lower triangle of the
@@ -664,7 +665,8 @@ def solve_saddle(m: ModelGrid, sources, residuals, cfg: PenaltyConfig, shifts=No
     residuals are the plain forward residuals delta_d = d - P A^-1 b, as
     receiver TraceData sharing their receivers; shifts the SourceFields s
     (None: s = 0 for every source).  r = delta_d - P A^-1 s, one batched
-    trace-out sweep of the shifts, skipped without them; lam =
+    trace-out sweep of the shifts (forward_traces, whose non-finite traces
+    raise DivergenceError), skipped without them; lam =
     data_space_multipliers(r) on the chosen backend (non-finite r raise
     ValueError); u = A^-1 ((b + lam) + s), summed in that order, one
     batched sweep.  v = mu lam, and the AL variants pass s = -w/mu.  A
@@ -675,9 +677,8 @@ def solve_saddle(m: ModelGrid, sources, residuals, cfg: PenaltyConfig, shifts=No
     geometry = _shared_geometry(residuals)
     rhs = [d.values for d in residuals]
     if shifts is not None:
-        sampled = _sampled_sweep(spec, m.values, _columns(m, shifts),
-                                 list(geometry.receiver_nodes))
-        rhs = [r - traces for r, traces in zip(rhs, sampled)]
+        sampled = forward_traces(m, shifts, geometry)
+        rhs = [r - traces.values for r, traces in zip(rhs, sampled)]
     lams = data_space_multipliers(m, geometry, rhs, cfg, matrix_free)
     fields = [add_source(b, lam.values) for b, lam in zip(sources, lams)]
     for field, s in zip(fields, shifts or ()):

@@ -71,7 +71,7 @@ from .saddle import (
 from .wavecore import (
     _BLOCK,
     _TILE,
-    _Traces,
+    _TraceStack,
     _adjoint_sweep,
     _forward_sweep,
     adjoint_solves,
@@ -225,8 +225,8 @@ def _check_sweep_dense(faults) -> CheckResult:
 
 
 def _check_sampled_sweep(faults) -> CheckResult:
-    # Trace-out of one batch of a point source, one-node TraceData that
-    # enters the sweep as its one trace (trace-in), and a dense source,
+    # Trace-out of a point source, one-node TraceData that enters the sweep
+    # as a one-row trace stack, and of a dense source, each its own batch,
     # against the dense solve sampled at receivers on the edges and corners,
     # the point source on the last one.  nt = _BLOCK + 4 crosses a
     # working-block boundary.  The 1D grid meets the dense operator; the 2D
@@ -248,7 +248,8 @@ def _check_sampled_sweep(faults) -> CheckResult:
         wavelet[0, 2:] = rng.standard_normal(nt - 2)
         point = TraceData(spec, AcquisitionGeometry((rec[-1],), (rec[-1],)), wavelet)
         field = rng.standard_normal(spec.shape)
-        traces = [d.values for d in forward_traces(m, [point, SourceField(spec, field)], geom)]
+        traces = [d.values for batch in ([point], [SourceField(spec, field)])
+                  for d in forward_traces(m, batch, geom)]
         if "perturb-sampled-sweep" in faults:
             traces[0][-1, 2 + _BLOCK] *= 1.0 + 1e-6
         rhs = np.zeros(spec.shape + (2,))
@@ -418,7 +419,8 @@ def _check_nystrom(faults) -> CheckResult:
     rhs = (d.values - _forward_sweep(spec, m.values, [shift])[0][rec]).ravel()
     [(y, info)] = _cg(lambda ys: [hy + cfg.mu * y for hy, y in zip(apply_h(ys), ys)], [rhs],
                       cfg.cg_tol, cfg.cg_maxiter, sketch.preconditioner(cfg.mu))
-    [v] = _adjoint_sweep(spec, m.values, [_Traces(rec, cfg.mu * y.reshape(d.values.shape))])
+    ys = cfg.mu * y.reshape((1,) + d.values.shape)
+    [v] = _adjoint_sweep(spec, m.values, _TraceStack(rec, ys))
     _, v_ref = dense_saddle_solve(m, b, d, cfg.mu, w=w)
     err = _rel(v, v_ref.values) if info.converged else math.inf
     return CheckResult(

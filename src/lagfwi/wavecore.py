@@ -23,45 +23,39 @@ makes no full-size temporary:
   writes contiguous memory while the stored layout stays [node, n].  The
   copy in goes _TILE nodes at a time, so the rows it reads stay in cache
   until every level of them is used.
-* A sweep takes a sequence of k right-hand sides at once
+* A sweep takes a batch of k right-hand sides at once
   (``forward_solves``/``adjoint_solves``, the batched solves of a step's
   sources).  The columns are stepped in groups whose time level, (node,
   column), fits _GROUP_BYTES: on a 101 x 101 grid that is one column per
-  group, on the 1D grids all of them.  The columns of a group share only
-  its working block, (level, node, column), and each column of a list
-  gets its own contiguous [node, n] result, so no stacked copy of the
-  fields exists.
-  Small grids are bound by the Python cost of each time step, not by
-  flops, so one sweep of k columns costs little more than one of a single
-  column.
-* Trace-in: a column may be receiver traces instead of a field
-  (``_Traces``; a TraceData right-hand side): P^T d is written into the
-  column's zero-filled slice of the working block during the copy in, so
-  no dense injected field is built, and the sweep is bitwise that of the
-  dense column.  A point source is such a column: TraceData on the
-  one-node geometry of its node, holding its wavelet (config.build_sources).
-  Where a source meets a dense field, ``add_source`` and
+  group, on the 1D grids all of them; the columns of a group share only
+  its working block, (level, node, column).  Small grids are bound by the
+  Python cost of each time step, not by flops, so one sweep of k columns
+  costs little more than one of a single column.
+* A batch, in or out, is one of three kinds, which ``_load`` and
+  ``_store`` copy into and out of the working block:
+  - a list of k [node, n] fields, copied transposed tile by tile; each
+    output column gets its own contiguous field, so no stacked copy
+    of the fields exists;
+  - a ``_DenseStack``, k dense columns held time-major as one
+    (k, nt, n_space) array, copied in or out by one array operation with
+    no [node, n] field to transpose: the data-space Hessian's Green's
+    functions and the H products' intermediate fields;
+  - a ``_TraceStack``, k columns of receiver traces on shared rows, one
+    (k, n_rows, nt) array, injected or sampled by one indexed operation
+    per block.  As a right-hand side it is P^T d, written into the
+    zero-filled block, so no dense injected field is built.  A batch of
+    TraceData is one (``_columns``): point sources (one-node TraceData
+    holding their wavelets, config.build_sources) or data residuals; so
+    are the H products' traces and the Hessian's impulses.
+    As the forward sweep's output it receives P A^-1 f, the swept field at
+    its rows (``forward_traces``, ``_sampled_sweep``): only those rows of
+    each block are written and the first two levels come from the
+    right-hand side (``_levels``), so the field is never allocated.  This
+    is how every caller that only samples the field sweeps.
+  Each stacked sweep is bitwise that of its list of dense columns.  Where
+  a point source meets a dense field, ``add_source`` and
   ``subtract_source`` give bitwise the dense b + x and x - b while touching
   only the source's nodes.
-* Trace-out: an output column of the forward sweep may be a ``_Traces``
-  too, which receives P A^-1 f, the swept field at its rows
-  (``forward_traces``, ``_sampled_sweep``).  The copy out then writes only
-  those rows of each working block, and the first two levels come from the
-  right-hand side (``_levels``), so the field is never allocated or
-  written.  This is how every caller that only samples the field (the
-  observed data, the saddle residual, the H products) sweeps.
-* Stacked columns: a batch may also be one array instead of a list of
-  columns, in the same code path (``_load``, ``_store``, ``_levels``).  A
-  ``_DenseStack`` holds k dense columns time-major as one (k, nt, n_space)
-  array, so a working block of every column of a group is copied in or
-  out by one array operation, with no [node, n] field to transpose; the
-  data-space Hessian's Green's functions and the H products' intermediate
-  fields are swept into one.  A ``_TraceStack`` holds k columns of
-  receiver traces that share their rows as one (k, n_rec, nt) array,
-  injected or sampled by one indexed operation per block: the H products'
-  traces, the multipliers' sweep and every trace-out sweep.  ``_Traces``
-  stays for columns with rows of their own (point sources, impulses).
-  Each stacked sweep is bitwise that of its list of columns.
 * The Laplacian of a 2D block adds each x neighbour as one contiguous add
   over the whole block, shifted by one node, and puts back the row-end
   nodes that add must not touch (``_laplacian_into``).
@@ -99,7 +93,6 @@ misfit (not an O(dt) approximation of it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -292,7 +285,7 @@ def _recurrence(
     column j and every n in ``levels``.
 
     rhs and out are batches of k sweep columns each (a list of (n_space, nt)
-    fields and _Traces, a _DenseStack or a _TraceStack), and prev2/prev1 the
+    fields, a _DenseStack or a _TraceStack), and prev2/prev1 the
     columns' two starting levels, dense (n_space, k) arrays.  ``levels``
     runs forward or backward in time; p1 and p2 are the one and two levels
     before n in that direction, and prev2/prev1 are the two before the
@@ -345,16 +338,6 @@ def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
         buf[:2] = buf[count : count + 2]
 
 
-class _Traces(NamedTuple):
-    """A sweep column that is zero except at the nodes ``rows``, where it
-    holds ``values`` (len(rows), nt): the injection P^T d of receiver traces,
-    never built as a dense field.  As an output column of the forward sweep
-    it receives the rows of the swept field, P u, into ``values``."""
-
-    rows: list
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class _DenseStack:
     """A batch of k dense sweep columns held time-major as one
@@ -372,9 +355,12 @@ class _DenseStack:
 
 @dataclass(frozen=True)
 class _TraceStack:
-    """A batch of k _Traces columns that share their nodes ``rows``, held as
-    one (k, len(rows), nt) array: values[j] is column j's traces.  A working
-    block of all k columns is injected or sampled by one indexed operation."""
+    """A batch of k sweep columns that are zero except at the distinct nodes
+    ``rows``, where column j holds values[j], (len(rows), nt): the injection
+    P^T d of receiver traces, never built as a dense field.  As the output
+    of the forward sweep it receives the rows of the swept fields, P u.  A
+    working block of all k columns is injected or sampled by one indexed
+    operation."""
 
     rows: list
     values: np.ndarray
@@ -394,9 +380,10 @@ def _batch(cols):
 
 def _load(cols, block: np.ndarray, lo: int) -> None:
     """Copy levels lo, lo + 1, ... of the batch cols into the working block,
-    (level, node, column).  A [node, n] field is copied transposed, _TILE
-    nodes at a time, so the rows it reads stay in cache until every level of
-    them is used; _Traces are written into their zero-filled columns."""
+    (level, node, column).  A list's [node, n] fields are copied transposed,
+    _TILE nodes at a time, so the rows it reads stay in cache until every
+    level of them is used; a _TraceStack is written into the zero-filled
+    block at its rows."""
     hi = lo + len(block)
     if isinstance(cols, _DenseStack):
         block[...] = cols.values[:, lo:hi].transpose(1, 2, 0)
@@ -405,18 +392,14 @@ def _load(cols, block: np.ndarray, lo: int) -> None:
         block[:, cols.rows] = cols.values[:, :, lo:hi].transpose(2, 1, 0)
     else:
         for j, col in enumerate(cols):
-            if isinstance(col, _Traces):
-                block[:, :, j] = 0.0
-                block[:, col.rows, j] = col.values[:, lo:hi].T
-            else:
-                for a in range(0, block.shape[1], _TILE):
-                    t = slice(a, a + _TILE)
-                    block[:, t, j] = col[t, lo:hi].T
+            for a in range(0, block.shape[1], _TILE):
+                t = slice(a, a + _TILE)
+                block[:, t, j] = col[t, lo:hi].T
 
 
 def _store(cols, block: np.ndarray, lo: int) -> None:
     """Copy the working block (level, node, column) into levels lo, lo + 1,
-    ... of the batch cols; trace columns receive their rows only."""
+    ... of the batch cols; a _TraceStack receives its rows only."""
     hi = lo + len(block)
     if isinstance(cols, _DenseStack):
         cols.values[:, lo:hi] = block.transpose(2, 0, 1)
@@ -424,16 +407,13 @@ def _store(cols, block: np.ndarray, lo: int) -> None:
         cols.values[:, :, lo:hi] = block[:, cols.rows].transpose(2, 1, 0)
     else:
         for j, col in enumerate(cols):
-            if isinstance(col, _Traces):
-                col.values[:, lo:hi] = block[:, col.rows, j].T
-            else:
-                col[:, lo:hi] = block[..., j].T
+            col[:, lo:hi] = block[..., j].T
 
 
 def _levels(cols, n: int, n_space: int) -> np.ndarray:
     """Time level n of every column of the batch cols, dense, as one fresh
     (n_space, k) array (_load of that one level): a field's level, or zeros
-    holding a trace column's samples."""
+    holding a trace stack's samples."""
     level = np.empty((1, n_space, len(cols)))
     _load(cols, level, n)
     return level[0]
@@ -442,15 +422,15 @@ def _levels(cols, n: int, n_space: int) -> np.ndarray:
 def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     """Explicit time stepping, solves A(m) u = rhs.
 
-    rhs is a batch of k columns: a sequence of (n_space, nt) arrays and
-    _Traces, a _DenseStack or a _TraceStack, swept as one batch, by default
-    into a list of k separate (n_space, nt) arrays.  A trace column gives
-    bitwise the result of its dense injected field, and a stack bitwise that
-    of its list of columns.  ``out`` may name the batch to write the result
-    into: (n_space, nt) arrays, rhs's own arrays included (each block of rhs
-    is read before the same block of the result is written), _Traces or
-    either stack; trace columns receive the field at their rows only.  The
-    first two levels of u are those of rhs, so they are taken from rhs.
+    rhs is a batch of k columns of one kind: a sequence of (n_space, nt)
+    arrays, a _DenseStack or a _TraceStack, swept by default into a list of
+    k separate (n_space, nt) arrays.  A stack gives bitwise the result of
+    its list of dense columns (a _TraceStack that of its injected fields).
+    ``out`` may name the batch to write the result into: (n_space, nt)
+    arrays, rhs's own arrays included (each block of rhs is read before the
+    same block of the result is written), or either stack; a _TraceStack
+    receives the fields at its rows only.  The first two levels of u are
+    those of rhs, so they are taken from rhs.
     """
     _, s = _scales(spec, m_values, 0)
     rhs = _batch(rhs)
@@ -517,21 +497,29 @@ def apply_wave_operator_transpose(m: ModelGrid, f: SourceField) -> Wavefield:
     return Wavefield(f.spec, _apply_transpose(f.spec, m.values, f.values))
 
 
-def _columns(m: ModelGrid, fields) -> list:
-    """The sweep columns of a batch of right-hand sides on m's grid: a
-    SourceField's values, or the _Traces of a TraceData right-hand side,
-    injected at its receivers (P^T d) inside the sweep's working block, so
-    no dense injected field is built."""
-    columns = []
+def _columns(m: ModelGrid, fields):
+    """The sweep batch of right-hand sides on m's grid, all of one kind: the
+    list of SourceFields' values, or TraceData as one _TraceStack on the
+    sorted union of their receiver nodes, column j zero on the rows it does
+    not own, injected (P^T d) inside the sweep's working block, so no dense
+    injected field is built.  A batch that mixes the two raises
+    ValueError."""
+    fields = list(fields)
     for f in fields:
         _check_pair(m, f)
         if isinstance(f, TraceData):
             f.geometry.validate_for(f.spec)
-            columns.append(_Traces(list(f.geometry.receiver_nodes), f.values))
-        else:
-            columns.append(f.values)
     check_cfl(m.spec, m.values)
-    return columns
+    traces = [f for f in fields if isinstance(f, TraceData)]
+    if not traces:
+        return [f.values for f in fields]
+    if len(traces) < len(fields):
+        raise ValueError("a batch mixes SourceField and TraceData right-hand sides")
+    rows = sorted({node for d in traces for node in d.geometry.receiver_nodes})
+    values = np.zeros((len(traces), len(rows), m.spec.nt))
+    for j, d in enumerate(traces):
+        values[j, np.searchsorted(rows, d.geometry.receiver_nodes)] = d.values
+    return _TraceStack(rows, values)
 
 
 def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
@@ -546,17 +534,19 @@ def _solve(sweep, name: str, m: ModelGrid, fields) -> tuple[Wavefield, ...]:
 
 def forward_solves(m: ModelGrid, sources) -> tuple[Wavefield, ...]:
     """Solve A(m) u = b for every source b by explicit time stepping, as one
-    batched sweep.  A source is a SourceField, or TraceData standing for its
-    injection P^T d (a point source), which is injected inside the sweep.
-    The CFL bound is re-checked here because inversion loops update the
-    model between solves; a non-finite result raises DivergenceError."""
+    batched sweep.  The sources are all SourceFields or all TraceData, each
+    standing for its injection P^T d (a point source), which is injected
+    inside the sweep; a batch of both kinds raises ValueError.  The CFL
+    bound is re-checked here because inversion loops update the model
+    between solves; a non-finite result raises DivergenceError."""
     return _solve(_forward_sweep, "forward", m, sources)
 
 
 def forward_traces(m: ModelGrid, sources, geometry: AcquisitionGeometry) -> tuple[TraceData, ...]:
     """sample(u, geometry) of each u in forward_solves(m, sources), bitwise,
     as one batched sweep that writes only the receiver rows: no field is
-    allocated.  Non-finite traces raise DivergenceError."""
+    allocated.  The sources are of one kind, as in forward_solves;
+    non-finite traces raise DivergenceError."""
     geometry.validate_for(m.spec)
     traces = _sampled_sweep(m.spec, m.values, _columns(m, sources),
                             list(geometry.receiver_nodes))
@@ -568,10 +558,10 @@ def forward_traces(m: ModelGrid, sources, geometry: AcquisitionGeometry) -> tupl
 
 def adjoint_solves(m: ModelGrid, rhs) -> tuple[Wavefield, ...]:
     """Solve A(m)^T v = r for every right-hand side r by reverse time
-    stepping, as one batched sweep, checked as forward_solves.  A right-hand
-    side is a SourceField, or TraceData standing for P^T d, which is
-    injected inside the sweep and gives bitwise the same field as the
-    adjoint solve of its dense injected field."""
+    stepping, as one batched sweep, checked as forward_solves.  The
+    right-hand sides are all SourceFields or all TraceData, standing for
+    P^T d, which is injected inside the sweep and gives bitwise the same
+    field as the adjoint solve of its dense injected field."""
     return _solve(_adjoint_sweep, "adjoint", m, rhs)
 
 

@@ -288,7 +288,6 @@ def test_dense_rows_sweep_only_their_shifts(monkeypatch, scheme):
     multipliers = saddle.data_space_multipliers
 
     def counting_sweep(spec, m_values, rhs, out=None):
-        rhs = list(rhs)
         sweeps.append(len(rhs))
         return forward_sweep(spec, m_values, rhs, out)
 

@@ -14,6 +14,7 @@ from lagfwi.config import (
     make_observed_data,
     two_scatterer_benchmark,
 )
+from lagfwi.errors import DivergenceError
 from lagfwi.grids import (
     AcquisitionGeometry,
     GridSpec,
@@ -226,6 +227,17 @@ def test_batched_wavefield_solve_needs_shared_receivers(setup):
     for matrix_free in (True, False):
         with pytest.raises(ValueError, match="share their receivers"):
             solve_saddle(m, [b, b], [d, d2], PenaltyConfig(mu=1.0), matrix_free=matrix_free)
+
+
+def test_non_finite_sampled_shift_raises_divergence(setup):
+    """A shift whose sampled sweep overflows raises DivergenceError (from
+    forward_traces), so a run ends diverged with its history written."""
+    spec, m, geom, b, d, rng = setup
+    huge = SourceField(spec, np.full(spec.shape, 1e308))
+    for matrix_free in (True, False):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite"):
+                solve_saddle(m, [b], [d], PenaltyConfig(mu=1.0), [huge], matrix_free)
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e2, 1e4])

@@ -39,7 +39,6 @@ from lagfwi.wavecore import (
     _BLOCK,
     _CHUNK_BYTES,
     _DenseStack,
-    _Traces,
     _TraceStack,
     _adjoint_sweep,
     _apply,
@@ -406,6 +405,13 @@ def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, see
             assert np.array_equal(got, reference(spec, m, rhs))
 
 
+def _injected(d: TraceData) -> np.ndarray:
+    """P^T d, the traces spread onto their receiver nodes of a zero field."""
+    out = np.zeros(d.spec.shape)
+    out[list(d.geometry.receiver_nodes)] = d.values
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     ndim=st.sampled_from([1, 2]),
@@ -420,10 +426,11 @@ def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, see
 @example(ndim=2, nx=20, nz=14, nt=_BLOCK + 3, k=5, per_group=2, seed=20)
 def test_stacked_batches_equal_column_lists_bitwise(ndim, nx, nz, nt, k, per_group, seed):
     """A _DenseStack or a _TraceStack, as the right-hand sides or as the
-    output, sweeps bitwise as its list of columns, forward and adjoint,
-    with per_group columns to a group (the adjoint's output is dense); and
-    the H products through the stacks give the bytes of the per-column
-    composition, trace-out of the adjoint fields of per-column _Traces."""
+    output, sweeps bitwise as its list of dense columns (a _TraceStack's
+    injected fields), forward and adjoint, with per_group columns to a group
+    (the adjoint's output is dense); and the H products through the stacks
+    give the bytes of the per-column composition, the adjoint fields of the
+    injected traces sampled at the receivers."""
     gen = np.random.default_rng(seed)
     spec = GridSpec(ndim=ndim, nx=nx, nz=nz if ndim == 2 else 1, dx=10.0, dz=10.0, nt=nt,
                     dt=0.002)
@@ -432,8 +439,10 @@ def test_stacked_batches_equal_column_lists_bitwise(ndim, nx, nz, nt, k, per_gro
     rec = sorted({0, n_space - 1, *gen.integers(0, n_space, size=3).tolist()})
     fields = gen.standard_normal((k, nt, n_space))
     traces = gen.standard_normal((k, len(rec), nt))
+    geom = AcquisitionGeometry((0,), tuple(rec))
+    injected = [_injected(TraceData(spec, geom, t)) for t in traces]
     batches = (([f.T.copy() for f in fields], _DenseStack(fields)),
-               ([_Traces(rec, t) for t in traces], _TraceStack(rec, traces)))
+               (injected, _TraceStack(rec, traces)))
 
     def dense_out():
         return _DenseStack(np.empty((k, nt, n_space)))
@@ -450,20 +459,12 @@ def test_stacked_batches_equal_column_lists_bitwise(ndim, nx, nz, nt, k, per_gro
             for rhs in (columns, stack):
                 sampled = _TraceStack(rec, np.empty((k, len(rec), nt)))
                 assert _forward_sweep(spec, m, rhs, sampled).values.tobytes() == want
-        sampled = [_Traces(rec, np.empty((len(rec), nt))) for _ in range(k)]
-        _forward_sweep(spec, m, _adjoint_sweep(spec, m, batches[1][0]), sampled)
-        want = np.stack([col.values for col in sampled]).reshape(k, -1).tobytes()
+        swept = _forward_sweep(spec, m, _adjoint_sweep(spec, m, injected))
+        want = np.stack(swept)[:, rec].reshape(k, -1).tobytes()
         apply_h = _hessian_products(spec, m, rec)
         ys = traces.reshape(k, -1)
         assert apply_h(ys).tobytes() == want
         assert apply_h(list(ys)).tobytes() == want
-
-
-def _injected(d: TraceData) -> np.ndarray:
-    """P^T d, the traces spread onto their receiver nodes of a zero field."""
-    out = np.zeros(d.spec.shape)
-    out[list(d.geometry.receiver_nodes)] = d.values
-    return out
 
 
 @settings(max_examples=30, deadline=None)
@@ -475,14 +476,15 @@ def _injected(d: TraceData) -> np.ndarray:
     n_traces=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-# 91 x 91 nodes span 33 copy tiles, and its columns three groups
+# 91 x 91 nodes span 33 copy tiles, and the solves' columns three groups
 @example(ndim=2, nx=91, nz=91, nt=_BLOCK + 3, n_traces=2, seed=91)
 def test_trace_columns_equal_injected_fields_bitwise(ndim, nx, nz, nt, n_traces, seed):
-    """A sweep column of receiver traces is written into the zero-filled
-    working block and gives bitwise the sweep of its dense injected field,
-    in both sweeps, alone or batched with a field column; adjoint_solves
-    and forward_solves of TraceData give bitwise those of the injected
-    SourceField."""
+    """Columns of receiver traces, one _TraceStack written into the
+    zero-filled working block, give bitwise the sweeps of their dense
+    injected fields, in both sweeps; adjoint_solves and forward_solves of
+    TraceData, with a point source added whose node the traces may not
+    share (one stack on the union of their nodes), give bitwise those of
+    the injected SourceFields."""
     gen = np.random.default_rng(seed)
     spec = GridSpec(ndim=ndim, nx=nx, nz=nz if ndim == 2 else 1, dx=10.0, dz=10.0, nt=nt,
                     dt=0.002)
@@ -493,12 +495,14 @@ def test_trace_columns_equal_injected_fields_bitwise(ndim, nx, nz, nt, n_traces,
     traces = [TraceData(spec, geom, gen.standard_normal((len(rec), nt)))
               for _ in range(n_traces)]
     dense = [_injected(d) for d in traces]
-    field = gen.standard_normal(spec.shape)
-    columns = [_Traces(rec, d.values) for d in traces]
+    stack = _TraceStack(rec, np.stack([d.values for d in traces]))
     for sweep in (_forward_sweep, _adjoint_sweep):
-        for got, want in zip(sweep(spec, m.values, columns + [field]),
-                             sweep(spec, m.values, dense + [field])):
+        for got, want in zip(sweep(spec, m.values, stack), sweep(spec, m.values, dense)):
             assert got.tobytes() == want.tobytes()
+    node = int(gen.integers(0, last + 1))
+    traces.append(TraceData(spec, AcquisitionGeometry((node,), (node,)),
+                            gen.standard_normal((1, nt))))
+    dense.append(_injected(traces[-1]))
     for solves in (forward_solves, adjoint_solves):
         for got, want in zip(solves(m, traces), solves(m, [SourceField(spec, f) for f in dense])):
             assert got.values.tobytes() == want.values.tobytes()
@@ -522,8 +526,9 @@ def _edge_weighted_nodes(gen, n_space, count):
 # 30 x 30 nodes span four copy tiles
 @example(ndim=2, nx=30, nz=30, nt=2 * _BLOCK + 3, seed=30)
 def test_sampled_sweeps_equal_full_sweeps_bitwise(ndim, nx, nz, nt, seed):
-    """Trace-out gives bitwise sample(forward_solves(...)) for a batch that
-    mixes dense, few-row, all-zero, signed-zero and TraceData columns."""
+    """Trace-out gives bitwise sample(forward_solves(...)) for a batch of
+    dense, few-row, all-zero and signed-zero columns and for one of
+    TraceData, each kind its own batch."""
     gen = np.random.default_rng(seed)
     # a 1D line holds as many nodes as the 2D grid
     spec = GridSpec(ndim=ndim, nx=nx if ndim == 2 else nx * nz, nz=nz if ndim == 2 else 1,
@@ -542,10 +547,45 @@ def test_sampled_sweeps_equal_full_sweeps_bitwise(ndim, nx, nz, nt, seed):
     rec_in = tuple(_edge_weighted_nodes(gen, n_space, 3))
     injected = TraceData(spec, AcquisitionGeometry((0,), rec_in),
                          gen.standard_normal((len(rec_in), nt)))
-    batch = sources + [injected]
-    for got, want in zip(forward_traces(m, batch, geom), forward_solves(m, batch)):
-        assert got.geometry == geom
-        assert got.values.tobytes() == sample(want, geom).values.tobytes()
+    for batch in (sources, [injected]):
+        for got, want in zip(forward_traces(m, batch, geom), forward_solves(m, batch)):
+            assert got.geometry == geom
+            assert got.values.tobytes() == sample(want, geom).values.tobytes()
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct-nodes", "one-node"])
+def test_point_source_batches_sweep_as_their_dense_fields_bitwise(ndim, shared, rng):
+    """Point sources on distinct nodes, or two shots on one node, sweep as
+    one stack on the union of their nodes, bitwise as their dense injected
+    fields, through forward_solves, forward_traces and adjoint_solves."""
+    spec = (GridSpec(ndim=1, nx=15, nz=1, dx=10.0, dz=10.0, nt=_BLOCK + 5, dt=0.002)
+            if ndim == 1 else
+            GridSpec(ndim=2, nx=7, nz=5, dx=10.0, dz=10.0, nt=_BLOCK + 5, dt=0.002))
+    m = random_model(spec, rng)
+    last = spec.n_space - 1
+    nodes = (last // 2, last // 2) if shared else (last, 0, last // 2)
+    sources = [TraceData(spec, AcquisitionGeometry((node,), (node,)),
+                         rng.standard_normal((1, spec.nt))) for node in nodes]
+    dense = [SourceField(spec, _injected(b)) for b in sources]
+    geom = AcquisitionGeometry((0,), (0, last // 2 + 1, last))
+    for solves in (forward_solves, adjoint_solves):
+        for got, want in zip(solves(m, sources), solves(m, dense), strict=True):
+            assert got.values.tobytes() == want.values.tobytes()
+    for got, want in zip(forward_traces(m, sources, geom), forward_traces(m, dense, geom),
+                         strict=True):
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_mixed_batches_raise(rng):
+    """A batch holds SourceFields or TraceData, not both."""
+    spec = GridSpec(ndim=1, nx=9, nz=1, dx=10.0, dz=10.0, nt=12, dt=0.002)
+    m = random_model(spec, rng)
+    geom = AcquisitionGeometry((4,), (4,))
+    mixed = [random_source(spec, rng), TraceData(spec, geom, rng.standard_normal((1, spec.nt)))]
+    for solve in (forward_solves, adjoint_solves, lambda m, b: forward_traces(m, b, geom)):
+        with pytest.raises(ValueError, match="mixes"):
+            solve(m, mixed)
 
 
 def test_trace_out_of_point_sources_peaks_below_one_field(rng):
