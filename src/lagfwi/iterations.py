@@ -62,8 +62,8 @@ Batching does not change an iterate: each column of a batched sweep, of the
 Cholesky solve or of the lock-step CG does the same floating-point
 operations as a step of its own source alone, and the CG's preconditioner, a
 Nystrom sketch of H, is built from the model, the receivers and the penalty
-config alone.  The sources of a step that builds H or runs the CG must share
-their receivers.
+config alone.  The sources of a step that builds H, runs the CG or builds
+the Born kernels must share their receivers.
 
 A source b is a point source, one-node TraceData (config.build_sources), or
 a dense SourceField; it meets the dense fields of a step (lam, phi, eps,
@@ -73,7 +73,9 @@ bitwise the dense sums, so both forms step to the same bytes.
 gauss-newton and gauss-seidel return no v_likes and instead solve damped
 least squares on the stacked Born kernels about their us for the model
 increment; gauss-seidel's us are refreshed by the previous increment, and
-carried as its history.
+carried as its history.  The kernels are one batched trace-out sweep of a
+point-source kick per source and node (_born_kernel), and the damped normal
+equations one Cholesky solve; no production step runs the dense oracle.
 
 The plain forward field u0 depends on the model alone, so it is solved once
 per model, all sources in one batched sweep (with_forward_fields): by
@@ -95,21 +97,21 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+import scipy.linalg
 
 from .config import ExperimentConfig, build_acquisition, build_model_values, build_sources
 from .errors import (
     ConfigurationError, DivergenceError, SingularSystemError, SolverNotConvergedError,
 )
 from .fileio import Diagnostics
-from .grids import ModelGrid, SourceField, TraceData, Wavefield
-from .oracle import assemble_born_kernel, damped_ls_solve
+from .grids import AcquisitionGeometry, ModelGrid, SourceField, TraceData, Wavefield
 from .saddle import (
     PenaltyConfig, _shared_geometry, data_space_multipliers, solve_saddle,
 )
 from .wavecore import (
     add_source, adjoint_solves, apply_wave_operator, correlation_terms, forward_solves,
-    forward_traces, preconditioned_ratio, residual_sum_of_squares, sample, scattering_source,
-    subtract_source, sum_of_squares, updated_model,
+    forward_traces, operator_time_curvature, preconditioned_ratio, residual_sum_of_squares,
+    sample, scattering_source, subtract_source, sum_of_squares, updated_model,
 )
 
 
@@ -260,17 +262,47 @@ def _relinearized(state, sources, data, cfg):
                               for b, phi in zip(sources, _scattering_sources(state))]), None
 
 
+def _born_kernel(m: ModelGrid, us, geometry: AcquisitionGeometry) -> np.ndarray:
+    """The stacked Born kernels J of the fields us about m, a (k n_rec nt,
+    n_space) array with rows (source, receiver, t): column x of a source's
+    block is P A(m)^-1 of a point source at x carrying the wavelet -ddu[x],
+    ddu = operator_time_curvature(u), the traces of a unit perturbation of
+    m at x.  The k n_space kicks are one batched trace-out sweep, whose
+    injected stack holds k n_space^2 nt doubles; non-finite traces raise
+    DivergenceError."""
+    n_space = m.spec.n_space
+    kicks = [TraceData(m.spec, AcquisitionGeometry((x,), (x,)), -ddu[x : x + 1])
+             for ddu in map(operator_time_curvature, us) for x in range(n_space)]
+    traces = np.array([d.values for d in forward_traces(m, kicks, geometry)])
+    # C order: the BLAS products of the normal equations, and so the
+    # iterates, depend on the kernel's layout
+    kernel = np.ascontiguousarray(traces.reshape(len(us), n_space, -1).transpose(0, 2, 1))
+    return kernel.reshape(-1, n_space)
+
+
+def _damped_ls_solve(kernel: np.ndarray, rhs: np.ndarray, damping: float) -> np.ndarray:
+    """argmin_x ||K x - rhs||^2 + damping ||x||^2 for damping > 0, by a
+    Cholesky solve of the normal equations (K^T K + damping I) x = K^T rhs;
+    a failed factorization raises SingularSystemError."""
+    normal = kernel.T @ kernel + damping * np.eye(kernel.shape[1])
+    try:
+        factor = scipy.linalg.cho_factor(normal)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"J^T J + delta I failed to factorize: {exc}") from exc
+    return scipy.linalg.cho_solve(factor, kernel.T @ rhs)
+
+
 def _born_update(state: IterationState, us, data, damping: float) -> ModelGrid:
-    """Damped Gauss-Newton on the stacked Born kernels about us (dense
-    assembly, so workbench scale only) against the plain forward residuals.
-    damping is penalty.mu, unscaled to the Born kernel J, as the delta of
+    """Damped Gauss-Newton on the stacked Born kernels about us
+    (_born_kernel) against the plain forward residuals.  damping is
+    penalty.mu, unscaled to the Born kernel J, as the delta of
     (J^T J + delta I): on the two-scatterer benchmark and on a 15 x 13 x 60
     2D grid both gauss-* schemes diverge after one step for every delta
     from 1e-4 to 1e12."""
     m = state.model
-    blocks = [assemble_born_kernel(m, u, d.geometry).matrix for u, d in zip(us, data)]
-    rhs = [r.values.ravel() for r in _residuals(state, data)]
-    return updated_model(m, -1.0, damped_ls_solve(np.vstack(blocks), np.concatenate(rhs), damping))
+    kernel = _born_kernel(m, us, _shared_geometry(data))
+    rhs = np.concatenate([r.values.ravel() for r in _residuals(state, data)])
+    return updated_model(m, -1.0, _damped_ls_solve(kernel, rhs, damping))
 
 
 def _row(shift=None, matrix_free=False, refresh=True, scaled=True, history=()):

@@ -2,14 +2,16 @@
 
 Everything here materializes operators as explicit matrices and leans on
 LAPACK factorizations, so it is only usable on very small problems (the
-size guard enforces that). The dense operator is assembled entry by entry
-from the stencil definition, deliberately not sharing code with the
-vectorized sweeps in wavecore, so the two paths cross-validate each other.
-The Born kernel and the finite-difference gradient step through time with
-``_reference_sweep``, a plain per-level loop written here from the same
-stencil rows; the Born kernel's time curvature and the quadratic model
-minimizer's A(m) u are whole-array formulas written here too, so nothing in
-this module runs a wavecore kernel.
+size guard enforces that).  No production module imports it: the tests
+and ``selfcheck`` compare the fast paths against it.  The dense operator
+is assembled entry by entry from the stencil definition, deliberately not
+sharing code with the vectorized sweeps in wavecore, so the two paths
+cross-validate each other.  The Born kernel and the finite-difference
+gradient step through time with ``_reference_sweep``, a plain per-level
+loop written here from the same stencil rows; the Born kernel's time
+curvature and the quadratic model minimizer's A(m) u are whole-array
+formulas written here too, so nothing in this module runs a wavecore
+kernel.
 
 Space-time vectors are flattened with ``index = node * nt + n`` (time
 fastest), matching ``values.ravel()`` of the field containers; receiver
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OracleSizeError, SingularSystemError
 from .grids import AcquisitionGeometry, GridSpec, ModelGrid, SourceField, TraceData, Wavefield
@@ -29,7 +30,6 @@ from .grids import AcquisitionGeometry, GridSpec, ModelGrid, SourceField, TraceD
 __all__ = [
     "SIZE_GUARD",
     "DenseOperator",
-    "BornKernel",
     "assemble_dense_operator",
     "dense_laplacian",
     "dense_sampling_operator",
@@ -37,7 +37,6 @@ __all__ = [
     "dense_multiplier_source_space",
     "dense_multiplier_data_space",
     "assemble_born_kernel",
-    "damped_ls_solve",
     "fd_gradient",
     "quadratic_model_minimizer",
 ]
@@ -259,21 +258,14 @@ def dense_multiplier_data_space(
     return Wavefield(m.spec, v.reshape(m.spec.shape))
 
 
-@dataclass(frozen=True, eq=False)
-class BornKernel:
-    """Dense single-scattering map from model perturbations to traces."""
-
-    spec: GridSpec
-    geometry: AcquisitionGeometry
-    matrix: np.ndarray  # (n_receivers * nt, n_space)
-
-
 def assemble_born_kernel(
     m: ModelGrid, u: Wavefield, geometry: AcquisitionGeometry
-) -> BornKernel:
-    """Columns are P A(m)^-1 scattering_source(u, e_node) for each node.
+) -> np.ndarray:
+    """The dense single-scattering map from model perturbations to traces,
+    (n_receivers * nt, n_space): column x is P A(m)^-1 scattering_source(u,
+    e_x).
 
-    By bilinearity, BornKernel @ dm equals sampling the forward solve of
+    By bilinearity, the kernel @ dm equals sampling the forward solve of
     scattering_source(u, dm) for any perturbation dm.
     """
     spec = m.spec
@@ -287,35 +279,7 @@ def assemble_born_kernel(
         rhs[node, :, node] = -ddu[node]
     fields = _reference_sweep(spec, m.values, rhs)
     traces = fields[list(geometry.receiver_nodes)]  # (n_rec, nt, ns)
-    matrix = traces.reshape(geometry.n_receivers * spec.nt, ns)
-    return BornKernel(spec, geometry, matrix.copy())
-
-
-def damped_ls_solve(matrix: np.ndarray, rhs: np.ndarray, damping: float) -> np.ndarray:
-    """Solve min_x ||K x - rhs||^2 + damping ||x||^2 densely.
-
-    damping > 0 goes through a Cholesky solve of the regularized normal
-    equations; damping = 0 falls back to the minimum-norm least-squares
-    solution so row-orthonormal kernels reproduce K^T rhs exactly.
-    """
-    if damping < 0:
-        raise ValueError("damping must be non-negative")
-    k = np.asarray(matrix, dtype=float)
-    r = np.asarray(rhs, dtype=float).ravel()
-    if k.shape[0] != r.shape[0]:
-        raise ValueError("matrix and rhs row counts differ")
-    if damping == 0.0:
-        x, _, rank, _ = np.linalg.lstsq(k, r, rcond=None)
-        if rank < min(k.shape):
-            # minimum-norm solution of a rank-deficient problem; still valid
-            pass
-        return x
-    normal = k.T @ k + damping * np.eye(k.shape[1])
-    try:
-        cho = scipy.linalg.cho_factor(normal)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularSystemError(str(exc)) from exc
-    return scipy.linalg.cho_solve(cho, k.T @ r)
+    return traces.reshape(geometry.n_receivers * spec.nt, ns).copy()
 
 
 def _misfit(m: ModelGrid, sources, data) -> float:

@@ -142,39 +142,39 @@ _CG_RECOMPUTE_EVERY = 50
 
 
 class _Column:
-    """One right-hand side's CG state: its iterate, residual, direction and
-    scalars, from x = 0.  ``x`` is replaced, never written in place, so the
-    best iterate is kept by reference."""
+    """One right-hand side's CG state: its iterate, residual and its norm,
+    direction and scalars, from x = 0."""
 
     def __init__(self, index: int, rhs: np.ndarray):
         self.index = index
         self.rhs = rhs
         self.rhs_norm = float(np.linalg.norm(rhs))
-        self.x = self.best_x = np.zeros_like(rhs)
+        self.x = np.zeros_like(rhs)
         self.r = rhs.copy()
-        self.best_res = self.rhs_norm
+        self.res = self.rhs_norm
 
     def info(self, converged: bool, iterations: int) -> SolveInfo:
-        return SolveInfo(converged, iterations, self.best_res / self.rhs_norm)
+        return SolveInfo(converged, iterations, self.res / self.rhs_norm)
 
 
-def _cg(apply_op, rhs, tol, maxiter, precondition=None):
-    """Conjugate gradients on an SPD operator, k right-hand sides in lock step.
+def _cg(apply_op, rhs, tol, maxiter, precondition):
+    """Preconditioned conjugate gradients on an SPD operator, k right-hand
+    sides in lock step.
 
     rhs is a sequence of k flat arrays, each column starts at zero, and
     apply_op maps a list of flat arrays to the list of their products.
-    precondition, when given, maps a list of residuals to the list of M^-1 r
-    for an SPD M, one column at a time; None is M = I and does exactly the
-    unpreconditioned operations.  This is the column-wise form of block CG
-    (O'Leary, Linear Algebra Appl. 29, 1980): every column keeps its own
-    scalars, best iterate (by residual norm), convergence test and exit on
-    loss of positive definiteness, and does the same floating-point
-    operations as a solve of its own.  A column
-    that has finished leaves the batch, so each iteration applies the
-    operator (and the preconditioner) once to the columns still in it.  The
-    convergence test is on the unpreconditioned residual, whose true value
-    is recomputed periodically so the recursion cannot drift.  Returns one
-    (best iterate, SolveInfo) per column.
+    precondition maps a list of residuals to the list of M^-1 r for an SPD
+    M, one column at a time (``lambda rs: rs`` is M = I).  This is the
+    column-wise form of block CG (O'Leary, Linear Algebra Appl. 29, 1980):
+    every column keeps its own scalars, convergence test and exit on loss of
+    positive definiteness, and does the same floating-point operations as a
+    solve of its own.  A column that has finished leaves the batch, so each
+    iteration applies the operator and the preconditioner once to the
+    columns still in it.  The convergence test is on the unpreconditioned
+    residual, whose true value is recomputed periodically so the recursion
+    cannot drift.  Returns one (last iterate, SolveInfo) per column; a
+    converged column's last iterate is the first to meet tol, so it has the
+    smallest residual of its iterates.
     """
     results = [None] * len(rhs)
     live = []
@@ -186,16 +186,13 @@ def _cg(apply_op, rhs, tol, maxiter, precondition=None):
             live.append(column)
 
     def finish(column, converged, iterations):
-        results[column.index] = (column.best_x, column.info(converged, iterations))
+        results[column.index] = (column.x, column.info(converged, iterations))
 
-    def directions(columns, squares, first=False):
+    def directions(columns, first=False):
         """Start (first) or update each column's direction from its
-        preconditioned residual z; squares holds r.r per column, which is
-        r.z when M = I."""
-        zs = [c.r for c in columns] if precondition is None else precondition(
-            [c.r for c in columns])
-        for column, rr, z in zip(columns, squares, zs):
-            rs_new = rr if precondition is None else float(column.r @ z)
+        preconditioned residual z."""
+        for column, z in zip(columns, precondition([c.r for c in columns])):
+            rs_new = float(column.r @ z)
             if first:
                 column.p = z.copy()
             else:
@@ -203,7 +200,7 @@ def _cg(apply_op, rhs, tol, maxiter, precondition=None):
                 np.add(z, column.p, out=column.p)
             column.rs = rs_new
 
-    directions(live, [float(c.r @ c.r) for c in live], first=True)
+    directions(live, first=True)
     it = 0
     for it in range(1, maxiter + 1):
         if not live:
@@ -216,7 +213,7 @@ def _cg(apply_op, rhs, tol, maxiter, precondition=None):
                 finish(column, False, it - 1)
                 continue
             step = column.rs / denom
-            column.x = column.x + step * column.p
+            column.x += step * column.p
             stepped.append(column)
             steps.append((step, ap))
         if it % _CG_RECOMPUTE_EVERY == 0 and stepped:
@@ -225,19 +222,14 @@ def _cg(apply_op, rhs, tol, maxiter, precondition=None):
         else:
             for column, (step, ap) in zip(stepped, steps):
                 column.r -= step * ap
-        live, squares = [], []
+        live = []
         for column in stepped:
-            rr = float(column.r @ column.r)
-            res = np.sqrt(rr)
-            if res < column.best_res:
-                column.best_res = res
-                column.best_x = column.x
-            if res / column.rhs_norm <= tol:
+            column.res = np.sqrt(float(column.r @ column.r))
+            if column.res / column.rhs_norm <= tol:
                 finish(column, True, it)
-                continue
-            live.append(column)
-            squares.append(rr)
-        directions(live, squares)
+            else:
+                live.append(column)
+        directions(live)
     for column in live:
         finish(column, False, it)
     return results
@@ -448,23 +440,12 @@ class DataSpaceHessian:
 
     ``matrix`` is C-contiguous and exactly symmetric: the assembly computes
     one triangle and mirrors it.  The dense backend of data_space_multipliers
-    shifts and factors it in this buffer.  Only the shape is checked here.
-    Its values are guarded elsewhere: cho_factor rejects non-finite entries,
-    and the tests and selfcheck compare H with the dense oracle.
+    shifts and factors it in this buffer.  Its values are guarded
+    elsewhere: cho_factor rejects non-finite entries, and the tests and
+    selfcheck compare H with the dense oracle.
     """
 
-    spec: GridSpec
-    geometry: AcquisitionGeometry
     matrix: np.ndarray
-
-    def __post_init__(self):
-        h = self.matrix
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("Hessian must be square")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 # Bytes of the (n, 2 nodes) block of B terms that one dsyrk adds into H: the
@@ -545,7 +526,7 @@ def assemble_data_space_hessian(
         b = _b_terms(spec, c, f, rec, z0, min(z0 + rows, spec.nz))
         upper = dsyrk(1.0, b.T, beta=1.0, c=upper, trans=1, lower=1, overwrite_c=1)
     _mirror_upper(h)
-    return DataSpaceHessian(spec, geometry, h)
+    return DataSpaceHessian(h)
 
 
 def _b_terms(spec: GridSpec, c: np.ndarray, f: np.ndarray, rec: list, z0: int, z1: int):
@@ -616,11 +597,11 @@ def data_space_multipliers(m: ModelGrid, geometry: AcquisitionGeometry, rhs_trac
     failed factorization raises SingularSystemError) and makes one
     multi-column Cholesky solve.  The matrix-free one (matrix_free=True)
     runs the sources' Nystrom-preconditioned CGs in lock step from y0 = 0,
-    with one sketch built only if some r is non-zero; a column that misses
-    cg_tol, relative to its r, within cg_maxiter raises
-    SolverNotConvergedError.  Then one batched adjoint sweep of the y as
-    one trace stack.  Non-finite traces raise ValueError.  Each
-    column's bytes are those of a call with its traces alone.
+    with one sketch; a column that misses cg_tol, relative to its r, within
+    cg_maxiter raises SolverNotConvergedError.  Then one batched adjoint
+    sweep of the y as one trace stack.  Non-finite traces raise
+    ValueError.  Each column's bytes are those of a call with its traces
+    alone.
     """
     spec = m.spec
     geometry.validate_for(spec)
@@ -629,8 +610,7 @@ def data_space_multipliers(m: ModelGrid, geometry: AcquisitionGeometry, rhs_trac
     mu = cfg.mu
     if matrix_free:
         apply_h = _hessian_products(spec, m.values, rec)
-        precondition = (nystrom_sketch(m, geometry, cfg).preconditioner(mu)
-                        if any(r.any() for r in rhs) else None)
+        precondition = nystrom_sketch(m, geometry, cfg).preconditioner(mu)
         ys = []
         for y, info in _cg(lambda xs: [hx + mu * x for hx, x in zip(apply_h(xs), xs)], rhs,
                            cfg.cg_tol, cfg.cg_maxiter, precondition):

@@ -29,6 +29,8 @@ iteration count exceeds the check's bound.  "perturb-h-product" scales one
 time level of the matrix-free H products' intermediate stack, the first
 past the forward half's first working block, between the adjoint and the
 forward sweep, inside the data-space Hessian's dense-oracle comparison.
+"perturb-born" scales the largest entry of the Gauss-Newton schemes'
+stacked Born kernel inside its dense-oracle comparison.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .grids import (
 )
 from .oracle import (
     _reference_sweep,
+    assemble_born_kernel,
     assemble_dense_operator,
     dense_multiplier_data_space,
     dense_multiplier_source_space,
@@ -93,6 +96,7 @@ KNOWN_FAULTS = (
     "perturb-batch-column",
     "perturb-nystrom",
     "perturb-h-product",
+    "perturb-born",
 )
 
 
@@ -315,6 +319,30 @@ def _check_hessian_dense(faults) -> CheckResult:
     return CheckResult("hessian-vs-dense", worst <= 1e-11, f"rel {worst:.3e} (tol 1e-11)")
 
 
+def _check_born_dense(faults) -> CheckResult:
+    # The stacked Born kernel of two fields, one trace-out sweep of every
+    # node's point-source kick, against the oracle's kernel of each field,
+    # swept by its own stepped reference; nt = _BLOCK + 4 crosses a
+    # working-block boundary.  The grids are sweep-vs-dense's: the oracle's
+    # batched sweep holds n_space^2 nt doubles.
+    rng = np.random.default_rng(118)
+    nt = _BLOCK + 4
+    worst = 0.0
+    for spec, receivers in (
+        (GridSpec(ndim=1, nx=5, nz=1, dx=10.0, dz=10.0, nt=nt, dt=0.002), (0, 4)),
+        (GridSpec(ndim=2, nx=3, nz=3, dx=10.0, dz=10.0, nt=nt, dt=0.002), (2, 6)),
+    ):
+        geom = AcquisitionGeometry((receivers[0],), receivers)
+        m = build_model(spec, 1500.0 + 900.0 * rng.random(spec.n_space))
+        us = [Wavefield(spec, rng.standard_normal(spec.shape)) for _ in range(2)]
+        kernel = iterations._born_kernel(m, us, geom)
+        if "perturb-born" in faults:
+            kernel.flat[np.argmax(np.abs(kernel))] *= 1.0 + 1e-6
+        ref = np.vstack([assemble_born_kernel(m, u, geom) for u in us])
+        worst = max(worst, float(np.max(np.abs(kernel - ref)) / np.max(np.abs(ref))))
+    return CheckResult("born-vs-dense", worst <= 1e-10, f"rel {worst:.3e} (tol 1e-10)")
+
+
 def _check_splitting_identity(faults) -> CheckResult:
     rng, spec, geom, m_true, m0, sources, data = _tiny_setup(105)
     u = Wavefield(spec, rng.standard_normal(spec.shape))
@@ -530,6 +558,7 @@ _CHECKS = (
     _check_sweep_dense,
     _check_sampled_sweep,
     _check_hessian_dense,
+    _check_born_dense,
     _check_splitting_identity,
     _check_guttman,
     _check_saddle_orientations("penalty"),

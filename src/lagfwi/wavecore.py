@@ -372,12 +372,6 @@ class _TraceStack:
         return _TraceStack(self.rows, self.values[group])
 
 
-def _batch(cols):
-    """A batch of sweep columns: a stack as it is, any other sequence of
-    columns as a list."""
-    return cols if isinstance(cols, (_DenseStack, _TraceStack)) else list(cols)
-
-
 def _load(cols, block: np.ndarray, lo: int) -> None:
     """Copy levels lo, lo + 1, ... of the batch cols into the working block,
     (level, node, column).  A list's [node, n] fields are copied transposed,
@@ -422,7 +416,7 @@ def _levels(cols, n: int, n_space: int) -> np.ndarray:
 def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     """Explicit time stepping, solves A(m) u = rhs.
 
-    rhs is a batch of k columns of one kind: a sequence of (n_space, nt)
+    rhs is a batch of k columns of one kind: a list of (n_space, nt)
     arrays, a _DenseStack or a _TraceStack, swept by default into a list of
     k separate (n_space, nt) arrays.  A stack gives bitwise the result of
     its list of dense columns (a _TraceStack that of its injected fields).
@@ -433,7 +427,6 @@ def _forward_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     those of rhs, so they are taken from rhs.
     """
     _, s = _scales(spec, m_values, 0)
-    rhs = _batch(rhs)
     u = [np.empty(spec.shape) for _ in range(len(rhs))] if out is None else out
     start = [_levels(rhs, n, spec.n_space) for n in (0, 1)]
     for n, level in enumerate(start):
@@ -447,7 +440,6 @@ def _sampled_sweep(spec: GridSpec, m_values: np.ndarray, rhs, rows: list) -> np.
     traces of the swept fields at the nodes ``rows``, bitwise those of
     _forward_sweep, from one batched sweep into a _TraceStack that never
     builds a field."""
-    rhs = _batch(rhs)
     out = _TraceStack(rows, np.empty((len(rhs), len(rows), spec.nt)))
     return _forward_sweep(spec, m_values, rhs, out).values
 
@@ -459,7 +451,6 @@ def _adjoint_sweep(spec: GridSpec, m_values: np.ndarray, rhs, out=None):
     finished from levels 2 and 3 of the result."""
     nt, n_space = spec.nt, spec.n_space
     c, s = _scales(spec, m_values, 1)
-    rhs = _batch(rhs)
     v = [np.empty(spec.shape) for _ in range(len(rhs))] if out is None else out
     last = s * _levels(rhs, nt - 1, n_space)
     _store(v, last[None], nt - 1)

@@ -212,6 +212,13 @@ def test_selfcheck_catches_injected_h_product_fault(capsys):
     assert failing == ["FAIL hessian-vs-dense"]
 
 
+def test_selfcheck_catches_injected_born_fault(capsys):
+    assert main(["selfcheck", "--inject-fault", "perturb-born"]) == 1
+    out = capsys.readouterr().out
+    failing = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failing == ["FAIL born-vs-dense"]
+
+
 def test_selfcheck_catches_injected_sampled_sweep_fault(capsys):
     assert main(["selfcheck", "--inject-fault", "perturb-sampled-sweep"]) == 1
     out = capsys.readouterr().out

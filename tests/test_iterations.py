@@ -8,6 +8,7 @@ these grids).
 
 import tracemalloc
 from dataclasses import fields, replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from lagfwi.config import (
     make_observed_data,
     true_model_grid,
 )
-from lagfwi.errors import ConfigurationError, SolverNotConvergedError
+from lagfwi.errors import ConfigurationError, SingularSystemError, SolverNotConvergedError
 from lagfwi.fileio import DIAGNOSTIC_FIELDS
 from lagfwi.grids import (
     AcquisitionGeometry,
@@ -35,9 +36,10 @@ from lagfwi.grids import (
     build_model,
 )
 from lagfwi import iterations, saddle, wavecore
-from lagfwi.oracle import quadratic_model_minimizer
+from lagfwi.oracle import SIZE_GUARD, assemble_born_kernel, quadratic_model_minimizer
 from lagfwi.saddle import PenaltyConfig, solve_saddle
 from lagfwi.wavecore import (
+    _BLOCK,
     apply_wave_operator,
     correlation_terms,
     forward_solves,
@@ -254,9 +256,10 @@ def test_fwi_run_holds_two_fields_per_shot():
 
 # (forward sweeps, their columns, data_space_multipliers calls) of the first
 # step of each dense extended-source row and of gauss-seidel on tiny_problem
-# (two sources, two receivers), with the sweep of the new model's forward
-# fields: H's assembly sweeps one column per receiver; a shift, the refresh
-# and the new model's forward fields one column per source each.  The
+# (two sources, two receivers, nine nodes), with the sweep of the new
+# model's forward fields: H's assembly sweeps one column per receiver; a
+# shift, the refresh and the new model's forward fields one column per
+# source each; the Born kernel one column per source and node.  The
 # residuals d - P A^-1 b come from the forward fields the state holds, so no
 # row sweeps b for them, and initial_state holds no history, so the AL rows
 # and the refined ones sweep no shift, and gauss-seidel linearizes about the
@@ -270,7 +273,7 @@ DENSE_ROW_WORK = {
     "refined-direct": (3, 6, 1),
     "refined-rearranged": (3, 6, 1),
     "refined-epsilon": (3, 6, 1),
-    "gauss-seidel": (1, 2, 0),
+    "gauss-seidel": (2, 20, 0),
 }
 
 
@@ -279,8 +282,8 @@ def test_dense_rows_sweep_only_their_shifts(monkeypatch, scheme):
     """The first step of each dense extended-source row makes the forward
     sweeps and the one multiplier solve of DENSE_ROW_WORK: an unshifted row,
     or one whose history is unwritten, makes no residual sweep, and split-gn
-    no refresh; gauss-seidel (at damping 1e16) sweeps only the new forward
-    fields."""
+    no refresh; gauss-seidel (at damping 1e16) sweeps only its Born
+    kernel's kicks and the new forward fields."""
     spec, geom, m_true, m0, sources, data = tiny_problem()
     state = initial_state(m0, sources)
     sweeps, solves = [], []
@@ -404,9 +407,10 @@ def test_point_sources_step_as_their_dense_fields_bitwise(ndim, nx, nz, nt, n_so
             assert _state_bytes(*got) == _state_bytes(*want), scheme
 
 
-# fwi back-propagates its residuals and gauss-* assemble one Born kernel per
-# source, so only these schemes share one H or one lock-step CG
-SHARED_RECEIVER_SCHEMES = [s for s in SCHEMES if s not in ("fwi", "gauss-newton", "gauss-seidel")]
+# fwi back-propagates each source's residuals on its own receivers; every
+# other scheme samples one batched sweep at shared receivers: H, the
+# lock-step CG or the Born kernel's kicks
+SHARED_RECEIVER_SCHEMES = [s for s in SCHEMES if s != "fwi"]
 
 
 @pytest.mark.parametrize("scheme", SHARED_RECEIVER_SCHEMES)
@@ -509,6 +513,68 @@ def test_gauss_newton_localizes_a_weak_scatterer():
     assert int(np.argmax(np.abs(update))) == 10
     err0 = result.history[0].model_error
     assert result.history[-1].model_error < 0.2 * err0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    ndim=st.sampled_from([1, 2]),
+    nx=st.integers(min_value=3, max_value=8),
+    nz=st.integers(min_value=3, max_value=5),
+    nt=st.integers(min_value=_BLOCK + 1, max_value=2 * _BLOCK + 3),
+    k=st.integers(min_value=1, max_value=3),
+    per_group=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_born_kernel_equals_the_oracle_bitwise(ndim, nx, nz, nt, k, per_group, seed):
+    """The stacked Born kernel of k fields, one trace-out sweep of every
+    node's kick in column groups of per_group kicks, is byte for byte the
+    oracle's kernels stacked, C-ordered as they are, on fields that hold
+    +0.0 and -0.0 among their values."""
+    gen = np.random.default_rng(seed)
+    spec = GridSpec(ndim=ndim, nx=nx, nz=nz if ndim == 2 else 1, dx=10.0, dz=10.0, nt=nt,
+                    dt=0.002)
+    m = random_model(spec, gen)
+    rec = tuple(sorted({0, spec.n_space - 1, *gen.integers(0, spec.n_space, 2).tolist()}))
+    geom = AcquisitionGeometry((0,), rec)
+    us = []
+    for _ in range(k):
+        values = gen.standard_normal(spec.shape)
+        values[gen.random(spec.shape) < 0.3] = 0.0
+        values[gen.random(spec.shape) < 0.2] = -0.0
+        us.append(Wavefield(spec, values))
+    with patch.object(wavecore, "_GROUP_BYTES", per_group * 8 * spec.n_space):
+        kernel = iterations._born_kernel(m, us, geom)
+    want = np.vstack([assemble_born_kernel(m, u, geom) for u in us])
+    assert kernel.flags.c_contiguous and kernel.shape == want.shape
+    assert kernel.tobytes() == want.tobytes()
+
+
+def test_damped_ls_solve_matches_normal_equations(rng):
+    """(K^T K + delta I) x = K^T r, and a factorization that fails (here of
+    a shift past K^T K's spectrum) raises SingularSystemError."""
+    k = rng.standard_normal((8, 5))
+    r = rng.standard_normal(8)
+    damping = 0.37
+    x = iterations._damped_ls_solve(k, r, damping)
+    expected = np.linalg.solve(k.T @ k + damping * np.eye(5), k.T @ r)
+    assert np.allclose(x, expected, rtol=1e-12)
+    with pytest.raises(SingularSystemError):
+        iterations._damped_ls_solve(k, r, -2.0 * np.linalg.norm(k) ** 2)
+
+
+def test_gauss_newton_runs_past_the_oracle_size_guard():
+    """The Born kernel comes from the production sweep, so a gauss-newton
+    step on a grid with more space-time unknowns than the dense references
+    accept runs, and localizes born_config's scatterer on a longer line."""
+    config = replace(born_config("gauss-newton", mu=1e-4, max_iter=1),
+                     grid=GridSpec(ndim=1, nx=101, nz=1, dx=10.0, dz=10.0, nt=256, dt=0.0028),
+                     receiver_nodes=tuple(range(1, 100, 3)))
+    assert config.grid.n_space * config.grid.nt > SIZE_GUARD
+    result = run_inversion(config, make_observed_data(config), true_model=true_model_grid(config))
+    assert result.status == "max_iter" and len(result.history) == 2
+    update = result.model.values - build_model(config.grid, 2000.0).values
+    assert int(np.argmax(np.abs(update))) == 10
+    assert result.history[-1].model_error < result.history[0].model_error
 
 
 def last_step(config, data):

@@ -1,8 +1,12 @@
 """Dense references against the matrix-free kernels and against numpy."""
 
+import ast
+import os
+
 import numpy as np
 import pytest
 
+import lagfwi
 from lagfwi.errors import OracleSizeError
 from lagfwi.grids import (
     AcquisitionGeometry,
@@ -15,7 +19,6 @@ from lagfwi.grids import (
 from lagfwi.oracle import (
     assemble_born_kernel,
     assemble_dense_operator,
-    damped_ls_solve,
     dense_laplacian,
     dense_multiplier_data_space,
     dense_multiplier_source_space,
@@ -59,6 +62,34 @@ def test_dense_operator_agrees_with_matrix_free(tiny):
     )
     got_t = apply_wave_operator_transpose(m, b).values.ravel()
     assert np.allclose(got_t, dense.matrix.T @ b.values.ravel(), rtol=1e-12)
+
+
+def _package_imports(tree):
+    """The lagfwi modules that a parsed module names in its imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:  # relative to the package
+                module = "lagfwi" + (f".{module}" if module else "")
+            names |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return {name.split(".")[1] for name in names if name.startswith("lagfwi.")}
+
+
+def test_only_selfcheck_imports_the_oracle():
+    """No production module depends on the dense references: of the
+    package's modules, selfcheck alone imports oracle."""
+    root = os.path.dirname(lagfwi.__file__)
+    importers = set()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            if "oracle" in _package_imports(tree):
+                importers.add(name[:-3])
+    assert importers == {"selfcheck"}
 
 
 def test_size_guard_rejects_large_grids():
@@ -136,33 +167,12 @@ def test_born_kernel_matches_scattering_forward(tiny):
     spec, m, geom, rng = tiny
     (u0,) = forward_solves(m, [random_source(spec, rng)])
     kernel = assemble_born_kernel(m, u0, geom)
-    assert kernel.matrix.shape == (2 * spec.nt, spec.n_space)
+    assert kernel.shape == (2 * spec.nt, spec.n_space)
     dm = rng.standard_normal(spec.n_space)
-    via_kernel = kernel.matrix @ dm
+    via_kernel = kernel @ dm
     (scattered,) = forward_solves(m, [scattering_source(u0, dm)])
     direct = sample(scattered, geom).values.ravel()
     assert np.max(np.abs(via_kernel - direct)) < 1e-12 * max(np.abs(direct).max(), 1.0)
-
-
-def test_damped_ls_zero_damping_is_min_norm(rng):
-    k = rng.standard_normal((6, 4))
-    k[:, 3] = k[:, 2]  # rank deficient on purpose
-    r = rng.standard_normal(6)
-    x = damped_ls_solve(k, r, 0.0)
-    assert np.allclose(x, np.linalg.pinv(k) @ r, atol=1e-10)
-
-
-def test_damped_ls_positive_damping_solves_normal_equations(rng):
-    k = rng.standard_normal((8, 5))
-    r = rng.standard_normal(8)
-    damping = 0.37
-    x = damped_ls_solve(k, r, damping)
-    expected = np.linalg.solve(k.T @ k + damping * np.eye(5), k.T @ r)
-    assert np.allclose(x, expected, rtol=1e-12)
-    with pytest.raises(ValueError):
-        damped_ls_solve(k, r, -1.0)
-    with pytest.raises(ValueError):
-        damped_ls_solve(k, r[:5], 1.0)
 
 
 def test_fd_gradient_matches_adjoint_state(tiny):
