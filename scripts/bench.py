@@ -17,8 +17,13 @@ system, and the Nystrom sketch ``saddle.nystrom_sketch`` of that step alone
 (its rank and time).  The "H product" rows time one call of the H products
 that CG and sketch are made of, ``saddle._hessian_products`` on k random
 trace vectors at the initial model: on the two-scatterer grid at k = 3 (a
-step's sources) and k = 8 (a sketch batch), and on the 51 x 51 x 200 grid
-below at k = 1 and k = 3.  The same rows are taken for the first solve of the one-source
+step's sources) and at the width of a sketch batch, the columns of
+``saddle._SKETCH_BATCH_BYTES`` on that grid, and on the 51 x 51 x 200 grid
+below at k = 1 and k = 3.  The "sweep level" rows give the cost of one time
+level of a forward sweep on the two-scatterer grid (1D 61 x 256) at k = 1,
+3 and 16, a ``wavecore._DenseStack`` swept into another as the H products
+sweep, in microseconds per level (the sweep's time over its nt - 2 levels).
+The same rows are taken for the first solve of the one-source
 al-wavefield runs on the scheme tests' ``born_config`` experiment (a
 weak single scatterer, 21 x 80 grid, 19 receivers; built here, so the
 bench does not import the tests) at mu = 1e3 and 1e4, the small-mu cases
@@ -342,8 +347,10 @@ def cg_rows() -> list[dict]:
 
 def hproduct_rows(rng) -> list[dict]:
     """One call of the H products on k random trace vectors, per case."""
+    bench = two_scatterer_benchmark()
+    sketch_k = max(1, saddle._SKETCH_BATCH_BYTES // (8 * bench.grid.n_space * bench.grid.nt))
     rows = []
-    for config, ks in ((two_scatterer_benchmark(), (3, 8)), (_two_d_config(), (1, 3))):
+    for config, ks in ((bench, (3, sketch_k)), (_two_d_config(), (1, 3))):
         spec = config.grid
         m = ModelGrid(spec, build_model_values(spec, config.initial_model))
         rec = list(config.receiver_nodes)
@@ -357,6 +364,27 @@ def hproduct_rows(rng) -> list[dict]:
                          "repeats": REPEATS, "min_s": best, "median_s": median})
             print(f"H product      {label:20s} k {k}  min {best * 1e3:9.3f} ms  "
                   f"median {median * 1e3:9.3f} ms")
+    return rows
+
+
+def level_rows(rng) -> list[dict]:
+    """Microseconds per time level of a forward sweep of k dense columns on
+    the two-scatterer grid at its initial model, stack to stack."""
+    config = two_scatterer_benchmark()
+    spec = config.grid
+    m = build_model_values(spec, config.initial_model)
+    rows = []
+    for k in (1, 3, 16):
+        rhs = wavecore._DenseStack(rng.standard_normal((k, spec.nt, spec.n_space)))
+        out = wavecore._DenseStack(np.empty_like(rhs.values))
+        best, median = time_call(lambda: wavecore._forward_sweep(spec, m, rhs, out))
+        levels = spec.nt - 2
+        rows.append({"layer": "sweep level", "case": "1D 61x256", "k": k, "levels": levels,
+                     "repeats": REPEATS, "min_s": best, "median_s": median,
+                     "us_per_level_at_min": best / levels * 1e6,
+                     "us_per_level_at_median": median / levels * 1e6})
+        print(f"sweep level    1D 61x256            k {k:2d} min {best / levels * 1e6:7.2f} us  "
+              f"median {median / levels * 1e6:7.2f} us per level")
     return rows
 
 
@@ -494,11 +522,13 @@ def main(argv=None) -> int:
 
     rows = (rss_rows() + kernel_rows(np.random.default_rng(0)) + pass_rows(np.random.default_rng(1))
             + variant_rows(np.random.default_rng(2)) + hproduct_rows(np.random.default_rng(4))
+            + level_rows(np.random.default_rng(5))
             + cg_rows() + hessian_rows() + sampling_rows(np.random.default_rng(3)))
 
     package_dir = os.path.dirname(os.path.abspath(lagfwi.__file__))
     result = {
         "layer": ("wavecore sweep kernels, the streamed 2D passes, the H products, the "
+                  "cost of a 1D sweep level, the "
                   "wavefield CG and its Nystrom sketch, the dense Hessian assembly and its "
                   "Cholesky factorization, forward modelling and the sampled forward sweep, "
                   "the peak RSS of two inversion steps"),

@@ -43,10 +43,11 @@ def main(argv=None) -> int:
     for row in result.history:
         print(",".join("%.6e" % x if isinstance(x, float) else str(x) for x in row.as_row()))
 
-    source_norm = max(float((b.values**2).sum()) ** 0.5 for b in build_sources(config))
+    # the run's own scale, that of stop.constraint_tol: sqrt(sum_s ||b_s||^2)
+    source_scale = sum(float((b.values**2).sum()) for b in build_sources(config)) ** 0.5
     last = result.history[-1]
     print(f"status={result.status}")
-    print(f"final relative constraint = {last.constraint / source_norm:.3e}")
+    print(f"final relative constraint = {last.constraint / source_scale:.3e}")
     print(f"final relative model error = {last.model_error:.3e}")
     return 0
 

@@ -267,11 +267,14 @@ def _hessian_products(spec: GridSpec, m_values: np.ndarray, rec: list, between=N
 # The Nystrom sketch of H: its Gaussian test vectors come from a generator
 # seeded with _SKETCH_SEED, so every sketch of one H is the same bytes; its
 # rank grows by _SKETCH_CHUNK test vectors at a time; and each batch of H
-# products sweeps at most _SKETCH_BATCH_BYTES of fields per sweep (8 columns
-# of the 61 x 256 benchmark grid).
+# products sweeps at most _SKETCH_BATCH_BYTES of fields per sweep (16 columns
+# of the 61 x 256 benchmark grid, so a chunk is 4 batches).  On that
+# Python-bound grid a sweep level costs 3.6 us for 1 column, 4.1 us for 3
+# and 7.3 us for 16 (scripts/bench.py, BENCH_31.json), and the 2 MB batch
+# adds 1.4 MB to the benchmark's penalty-wavefield peak RSS.
 _SKETCH_SEED = 20230501
 _SKETCH_CHUNK = 64
-_SKETCH_BATCH_BYTES = 1 << 20
+_SKETCH_BATCH_BYTES = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,9 +344,9 @@ def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, cfg: PenaltyConf
     growing once either is at most the chunk's _SKETCH_CHUNK products, or at
     half the data dimension n.  The count is per source because the sketch
     must not depend on the batch.  It is about right where a sweep of k
-    columns costs k sweeps (2D grids) and errs small where a batched sweep
-    costs about one sweep (the Python-bound 1D grids), where a larger sketch
-    would still pay.
+    columns costs k sweeps (2D grids) and errs small on the Python-bound 1D
+    grids, where a batched sweep of 16 columns costs about two sweeps of
+    one, so a larger sketch would still pay.
 
     The shift nu = n eps lambda, with lambda the RMS of the first chunk's
     rows of H Omega (about lambda_max(H)), keeps Omega Y^T positive definite

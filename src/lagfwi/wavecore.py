@@ -22,7 +22,13 @@ makes no full-size temporary:
   operations on reused scratch, and copied back, so each step reads and
   writes contiguous memory while the stored layout stays [node, n].  The
   copy in goes _TILE nodes at a time, so the rows it reads stay in cache
-  until every level of them is used.
+  until every level of them is used.  The level loop
+  (``_recurrence_group``) issues the stencil's ufunc calls itself, on
+  views made once per column group, so stepping a level calls no Python
+  function.  It spells the Laplacian's order a second time, beside
+  ``_laplacian_into``; test_kernels_match_stepped_references_bitwise pins
+  both against the stepped reference, and scripts/digest_iterates.py
+  checks the iterates' bytes.
 * A sweep takes a batch of k right-hand sides at once
   (``forward_solves``/``adjoint_solves``, the batched solves of a step's
   sources).  The columns are stepped in groups whose time level, (node,
@@ -61,8 +67,8 @@ makes no full-size temporary:
   nodes that add must not touch (``_laplacian_into``).
 * Every scalar operand of a per-step ufunc call (the Laplacian's four
   weights, the recurrence's 2.0) is a 0-d float64 array made once per
-  sweep, so numpy converts no Python float per call; the IEEE products
-  are the same.
+  column group, so numpy converts no Python float per call; the IEEE
+  products are the same.
 * ``_stencil_rows`` computes the stencil rows of A(m) u one z row of nodes
   at a time, with two rows of scratch.  It has two consumers:
   ``_apply`` (``apply_wave_operator``) writes the rows into its output, and
@@ -148,6 +154,34 @@ _TILE = 256
 _CHUNK_BYTES = 256 * 1024
 
 
+def _laplacian_operands(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
+    """(weights, x_terms, z_terms, edge): the operands of L g written into
+    ``out`` with the scratch ``tmp``, made once for every g.
+
+    weights are the 0-d centre x, side x, centre z and side z weights (a
+    ufunc converts a Python float on every call).  x_terms holds the left
+    then the right neighbour add as (target, term, kept) views, z_terms the
+    row above then the row below as (target, term) views.  With several x
+    rows (a 2D block), each x add is one contiguous add of ``tmp`` shifted
+    by one node over the whole block, instead of one short loop per row:
+    the node at the row end the add must not touch (``kept``, the first
+    node for the left neighbour, the last for the right) is saved into
+    ``edge`` before the add and restored after it.  One x row (1D, or one
+    row of _stencil_rows) keeps the sliced add, which is contiguous
+    already; its kept and edge are None and it has no z_terms."""
+    wx = 1.0 / spec.dx**2
+    wz = 1.0 / spec.dz**2
+    weights = tuple(np.array(w) for w in (-2.0 * wx, wx, 2.0 * wz, wz))
+    if len(out) == 1:
+        return weights, ((out[:, 1:], tmp[:, :-1], None), (out[:, :-1], tmp[:, 1:], None)), (), None
+    node = out[0, 0].size  # elements per node
+    flat_out, flat_tmp = out.reshape(-1), tmp.reshape(-1)
+    x_terms = ((flat_out[node:], flat_tmp[:-node], out[:, 0]),
+               (flat_out[:-node], flat_tmp[node:], out[:, -1]))
+    z_terms = ((out[1:], tmp[:-1]), (out[:-1], tmp[1:]))
+    return weights, x_terms, z_terms, np.empty_like(out[:, 0])
+
+
 def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
     """Return ``lap(g)``, which writes the zero-Dirichlet Laplacian L g into
     ``out``; out-of-grid neighbours count as zero.
@@ -158,31 +192,11 @@ def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
     neighbours, then the centre z term and the neighbours in the rows above
     and below that lie inside g.  A neighbour product w * g[i] is formed
     once into ``tmp`` and added to both neighbours; it is the same rounded
-    value.
-
-    With several x rows (a 2D block), each neighbour add is one contiguous
-    add of ``tmp`` shifted by one node over the whole block, instead of one
-    short loop per row: the node at the row end the add must not touch (the
-    first node for the left neighbour, the last for the right) is saved
-    before the add and restored after it.  One x row (1D, or one row of
-    _stencil_rows) keeps the sliced add, which is contiguous already.  The
-    views are made here once, because the sweeps call ``lap`` every step.
+    value.  The views (``_laplacian_operands``) are made here once.  The
+    sweeps' level loop (``_recurrence_group``) spells the same calls inline.
     """
-    wx = 1.0 / spec.dx**2
-    wz = 1.0 / spec.dz**2
-    # 0-d operands: a ufunc converts a Python float on every call
-    centre_x, side_x = np.array(-2.0 * wx), np.array(wx)
-    centre_z, side_z = np.array(2.0 * wz), np.array(wz)
-    if len(out) > 1:
-        node = out[0, 0].size  # elements per node
-        flat_out, flat_tmp = out.reshape(-1), tmp.reshape(-1)
-        edge = np.empty_like(out[:, 0])
-        x_terms = ((flat_out[node:], flat_tmp[:-node], out[:, 0]),
-                   (flat_out[:-node], flat_tmp[node:], out[:, -1]))
-        z_terms = ((out[1:], tmp[:-1]), (out[:-1], tmp[1:]))
-    else:
-        x_terms = ((out[:, 1:], tmp[:, :-1], None), (out[:, :-1], tmp[:, 1:], None))
-        z_terms = ()
+    weights, x_terms, z_terms, edge = _laplacian_operands(spec, out, tmp)
+    centre_x, side_x, centre_z, side_z = weights
     two_d = spec.ndim == 2
 
     def lap(g: np.ndarray) -> None:
@@ -297,7 +311,10 @@ def _recurrence(
     in place, written back into out (_store), and the last two levels are
     carried into the next block.  The columns meet only inside the buffer,
     and the stencil scale is expanded to the buffer's full (nz, nx, k)
-    shape, so every ufunc runs one flat loop.
+    shape, so every ufunc runs one flat loop.  A level is stepped by the
+    ufunc calls of _recurrence_group's loop alone, with no Python function
+    call; their order is spelled there and in _laplacian_into, and
+    test_kernels_match_stepped_references_bitwise pins it.
     """
     if not levels:
         return
@@ -309,17 +326,27 @@ def _recurrence(
 
 
 def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
-    """_recurrence for the columns of one group."""
+    """_recurrence for the columns of one group.
+
+    The level loop issues the ufunc calls of L p1 itself, in
+    ``_laplacian_into``'s order (the x terms, then the row above, then the
+    row below), on views and 0-d operands made once here, so stepping a
+    level calls no Python function: on the Python-bound 1D grids a function
+    call per level costs about a tenth of a sweep."""
     nz, nx, n_space = spec.nz, spec.nx, spec.n_space
     k = len(rhs)
     size = min(_BLOCK, len(levels))
     buf = np.empty((size + 2, n_space, k))
     buf[0] = prev2
     buf[1] = prev1
-    work = np.empty((nz, nx, k))
-    laplacian = _laplacian_into(spec, work, np.empty_like(work))
+    work, tmp = np.empty((nz, nx, k)), np.empty((nz, nx, k))
+    weights, x_terms, z_terms, edge = _laplacian_operands(spec, work, tmp)
+    centre_x, side_x, centre_z, side_z = weights
+    (from_left, left_products, row_firsts), (from_right, right_products, row_lasts) = x_terms
+    (from_above, above_products), (from_below, below_products) = z_terms or 2 * ((None, None),)
     s = np.repeat(s.reshape(nz, nx, 1), k, axis=2)
-    two = np.array(2.0)  # a 0-d operand, as in _laplacian_into
+    two = np.array(2.0)  # a 0-d operand, as the weights
+    add, multiply, subtract, copyto = np.add, np.multiply, np.subtract, np.copyto
     views = list(buf.reshape(size + 2, nz, nx, k))
     for first in range(0, len(levels), size):
         part = levels[first : first + size]
@@ -328,12 +355,29 @@ def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
         block = buf[2 : 2 + count][:: levels.step]
         _load(rhs, block, lo)
         for p2, p1, level in zip(views, views[1:], views[2 : 2 + count]):
-            laplacian(p1)
-            np.add(level, work, out=work)
-            np.multiply(work, s, out=work)
-            np.multiply(p1, two, out=level)
-            np.add(work, level, out=level)
-            np.subtract(level, p2, out=level)
+            # the third argument is out: a keyword costs each call a parse
+            multiply(p1, centre_x, work)
+            multiply(p1, side_x, tmp)
+            if edge is None:  # 1D: one x row, no z terms
+                add(from_left, left_products, from_left)
+                add(from_right, right_products, from_right)
+            else:
+                copyto(edge, row_firsts)
+                add(from_left, left_products, from_left)
+                copyto(row_firsts, edge)
+                copyto(edge, row_lasts)
+                add(from_right, right_products, from_right)
+                copyto(row_lasts, edge)
+                multiply(p1, centre_z, tmp)
+                subtract(work, tmp, work)
+                multiply(p1, side_z, tmp)
+                add(from_above, above_products, from_above)
+                add(from_below, below_products, from_below)
+            add(level, work, work)
+            multiply(work, s, work)
+            multiply(p1, two, level)
+            add(work, level, level)
+            subtract(level, p2, level)
         _store(out, block, lo)
         buf[:2] = buf[count : count + 2]
 

@@ -1,8 +1,10 @@
 """End-to-end command-line runs against a temporary working directory."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,11 @@ import scipy.linalg
 
 import lagfwi
 from lagfwi.cli import LOG_FILE, MODEL_FILE, main
+from lagfwi.config import (
+    build_sources, make_observed_data, true_model_grid, two_scatterer_benchmark,
+)
 from lagfwi.fileio import load_model, read_log
+from lagfwi.iterations import run_inversion
 
 
 CONFIG = """
@@ -256,3 +262,21 @@ def test_module_entry_point(config_path):
     )
     assert proc.returncode == 0
     assert "trace files" in proc.stdout
+
+
+def test_run_benchmark_script_prints_the_runs_relative_constraint(capsys):
+    """scripts/run_benchmark.py divides the final constraint by the run's own
+    scale, sqrt(sum_s ||b_s||^2), that of stop.constraint_tol and acceptance
+    criterion 8, not by the largest single source norm."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_benchmark.py")
+    spec = importlib.util.spec_from_file_location("run_benchmark", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--max-iter", "1"]) == 0
+    printed = capsys.readouterr().out.split("final relative constraint = ")[1].split()[0]
+
+    config = two_scatterer_benchmark()
+    config = replace(config, stop=replace(config.stop, max_iter=1))
+    result = run_inversion(config, make_observed_data(config), true_model=true_model_grid(config))
+    scale = np.sqrt(sum(float(np.sum(b.values**2)) for b in build_sources(config)))
+    assert printed == f"{result.history[-1].constraint / scale:.3e}"

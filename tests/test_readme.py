@@ -35,3 +35,14 @@ def test_config_docstring_names_each_key_once():
         for name in re.split(r"\s{2,}", line.strip(), maxsplit=1)[0].split():
             keys += [name.replace("<which>", w) for w in ("true", "init")] if "<which>" in name else [name]
     assert keys and sorted(keys) == sorted(config._KEYS)
+
+
+def test_script_lines_set_the_package_path():
+    """Every `python3 scripts/` line of the `## Scripts` block sets
+    PYTHONPATH=src, so it runs from a checkout without an installed
+    package."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("\n## Scripts\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if "python3 scripts/" in line]
+    assert lines and all(line.startswith("PYTHONPATH=src python3 scripts/") for line in lines)

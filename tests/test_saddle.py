@@ -163,18 +163,23 @@ def test_nystrom_preconditioned_spectrum(mu):
     assert eigs[-1] >= 1.0 + lam[n - k - 1] / mu - 1e-8 * eigs[-1]
 
 
-def test_nystrom_sketch_is_deterministic(setup):
+def test_nystrom_sketch_is_deterministic(setup, monkeypatch):
     """The sketch draws its test vectors from a fixed-seed local generator,
     so two sketches of one H are the same bytes, whatever the global
-    random state."""
+    random state.  Nor do its bytes depend on the batch budget of its H
+    products, _SKETCH_BATCH_BYTES: one column per sweep, three, the
+    default, or the whole 16-vector chunk of this grid in one sweep."""
     spec, m, geom, *_ = setup
     cfg = PenaltyConfig(mu=10.0)
     first = nystrom_sketch(m, geom, cfg)
-    np.random.seed(123)
-    np.random.standard_normal(17)
-    second = nystrom_sketch(m, geom, cfg)
-    assert first.basis.tobytes() == second.basis.tobytes()
-    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    column = 8 * spec.n_space * spec.nt  # bytes of one swept field
+    for budget in (column, 3 * column, saddle._SKETCH_BATCH_BYTES, 16 * column):
+        monkeypatch.setattr(saddle, "_SKETCH_BATCH_BYTES", budget)
+        np.random.seed(123)
+        np.random.standard_normal(17)
+        second = nystrom_sketch(m, geom, cfg)
+        assert first.basis.tobytes() == second.basis.tobytes()
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
     assert 1 <= first.rank <= geom.n_receivers * spec.nt // 2
 
 

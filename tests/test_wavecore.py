@@ -379,6 +379,10 @@ def _whole_array_apply(spec, m_values, u):
 )
 # 91 x 91 nodes span 33 copy tiles, and its three columns three groups
 @example(ndim=2, nx=91, nz=91, nt=_BLOCK + 3, columns=3, seed=91)
+# the pw-1d H products' shape: the benchmark's 61 x 256 line at a lock-step
+# CG's three columns and a Nystrom sketch batch's sixteen
+@example(ndim=1, nx=61, nz=3, nt=256, columns=3, seed=61)
+@example(ndim=1, nx=61, nz=3, nt=256, columns=16, seed=256)
 def test_kernels_match_stepped_references_bitwise(ndim, nx, nz, nt, columns, seed):
     """The blocked sweeps and the row-blocked A(m) do the references'
     floating-point operations in the same order, so they agree exactly,
