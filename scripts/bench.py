@@ -17,8 +17,8 @@ system, and the Nystrom sketch ``saddle.nystrom_sketch`` of that step alone
 (its rank and time).  The "H product" rows time one call of the H products
 that CG and sketch are made of, ``saddle._hessian_products`` on k random
 trace vectors at the initial model: on the two-scatterer grid at k = 3 (a
-step's sources) and at the width of a sketch batch, the columns of
-``saddle._SKETCH_BATCH_BYTES`` on that grid, and on the 51 x 51 x 200 grid
+step's sources) and at the width of a sketch batch on that grid
+(``saddle._sketch_width``), and on the 51 x 51 x 200 grid
 below at k = 1 and k = 3.  The "sweep level" rows give the cost of one time
 level of a forward sweep on the two-scatterer grid (1D 61 x 256) at k = 1,
 3 and 16, a ``wavecore._DenseStack`` swept into another as the H products
@@ -348,7 +348,7 @@ def cg_rows() -> list[dict]:
 def hproduct_rows(rng) -> list[dict]:
     """One call of the H products on k random trace vectors, per case."""
     bench = two_scatterer_benchmark()
-    sketch_k = max(1, saddle._SKETCH_BATCH_BYTES // (8 * bench.grid.n_space * bench.grid.nt))
+    sketch_k = saddle._sketch_width(bench.grid)
     rows = []
     for config, ks in ((bench, (3, sketch_k)), (_two_d_config(), (1, 3))):
         spec = config.grid

@@ -269,12 +269,17 @@ def _hessian_products(spec: GridSpec, m_values: np.ndarray, rec: list, between=N
 # rank grows by _SKETCH_CHUNK test vectors at a time; and each batch of H
 # products sweeps at most _SKETCH_BATCH_BYTES of fields per sweep (16 columns
 # of the 61 x 256 benchmark grid, so a chunk is 4 batches).  On that
-# Python-bound grid a sweep level costs 3.6 us for 1 column, 4.1 us for 3
-# and 7.3 us for 16 (scripts/bench.py, BENCH_31.json), and the 2 MB batch
-# adds 1.4 MB to the benchmark's penalty-wavefield peak RSS.
+# Python-bound grid an H product of 16 columns costs little more than one of
+# 8, so the larger batch nearly halves the sketch's time for a little more
+# peak memory (scripts/bench.py's "H product" rows; BENCH_31.json).
 _SKETCH_SEED = 20230501
 _SKETCH_CHUNK = 64
 _SKETCH_BATCH_BYTES = 2 << 20
+
+
+def _sketch_width(spec: GridSpec) -> int:
+    """Columns per batch of the sketch's H products on ``spec``'s grid."""
+    return max(1, _SKETCH_BATCH_BYTES // (8 * spec.n_space * spec.nt))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +365,7 @@ def nystrom_sketch(m: ModelGrid, geometry: AcquisitionGeometry, cfg: PenaltyConf
     n = len(rec) * spec.nt
     apply_h = _hessian_products(spec, m.values, rec)
     cap = max(1, n // 2)
-    width = max(1, _SKETCH_BATCH_BYTES // (8 * spec.n_space * spec.nt))
+    width = _sketch_width(spec)
     rng = np.random.default_rng(_SKETCH_SEED)
     ys = []  # the rows of Y, one block per chunk
     core = gram = np.zeros((0, 0))  # Omega Y^T and Y Y^T

@@ -22,13 +22,8 @@ makes no full-size temporary:
   operations on reused scratch, and copied back, so each step reads and
   writes contiguous memory while the stored layout stays [node, n].  The
   copy in goes _TILE nodes at a time, so the rows it reads stay in cache
-  until every level of them is used.  The level loop
-  (``_recurrence_group``) issues the stencil's ufunc calls itself, on
-  views made once per column group, so stepping a level calls no Python
-  function.  It spells the Laplacian's order a second time, beside
-  ``_laplacian_into``; test_kernels_match_stepped_references_bitwise pins
-  both against the stepped reference, and scripts/digest_iterates.py
-  checks the iterates' bytes.
+  until every level of them is used.  The level loop issues the
+  stencil's ufunc calls itself (``_recurrence_group``).
 * A sweep takes a batch of k right-hand sides at once
   (``forward_solves``/``adjoint_solves``, the batched solves of a step's
   sources).  The columns are stepped in groups whose time level, (node,
@@ -193,7 +188,7 @@ def _laplacian_into(spec: GridSpec, out: np.ndarray, tmp: np.ndarray):
     and below that lie inside g.  A neighbour product w * g[i] is formed
     once into ``tmp`` and added to both neighbours; it is the same rounded
     value.  The views (``_laplacian_operands``) are made here once.  The
-    sweeps' level loop (``_recurrence_group``) spells the same calls inline.
+    sweeps' level loop spells the same calls inline (``_recurrence_group``).
     """
     weights, x_terms, z_terms, edge = _laplacian_operands(spec, out, tmp)
     centre_x, side_x, centre_z, side_z = weights
@@ -311,10 +306,8 @@ def _recurrence(
     in place, written back into out (_store), and the last two levels are
     carried into the next block.  The columns meet only inside the buffer,
     and the stencil scale is expanded to the buffer's full (nz, nx, k)
-    shape, so every ufunc runs one flat loop.  A level is stepped by the
-    ufunc calls of _recurrence_group's loop alone, with no Python function
-    call; their order is spelled there and in _laplacian_into, and
-    test_kernels_match_stepped_references_bitwise pins it.
+    shape, so every ufunc runs one flat loop (the level loop:
+    _recurrence_group).
     """
     if not levels:
         return
@@ -332,7 +325,11 @@ def _recurrence_group(spec, s, rhs, out, levels, prev2, prev1) -> None:
     ``_laplacian_into``'s order (the x terms, then the row above, then the
     row below), on views and 0-d operands made once here, so stepping a
     level calls no Python function: on the Python-bound 1D grids a function
-    call per level costs about a tenth of a sweep."""
+    call per level costs about a tenth of a sweep.  The order is thus
+    spelled twice, here and in ``_laplacian_into``;
+    test_kernels_match_stepped_references_bitwise pins both against the
+    stepped reference, and scripts/digest_iterates.py checks the iterates'
+    bytes."""
     nz, nx, n_space = spec.nz, spec.nx, spec.n_space
     k = len(rhs)
     size = min(_BLOCK, len(levels))

@@ -167,13 +167,17 @@ def test_nystrom_sketch_is_deterministic(setup, monkeypatch):
     """The sketch draws its test vectors from a fixed-seed local generator,
     so two sketches of one H are the same bytes, whatever the global
     random state.  Nor do its bytes depend on the batch budget of its H
-    products, _SKETCH_BATCH_BYTES: one column per sweep, three, the
-    default, or the whole 16-vector chunk of this grid in one sweep."""
+    products, _SKETCH_BATCH_BYTES.  This grid's chunk is 16 vectors: the
+    default sweeps it whole, one column per sweep takes 16 sweeps, three
+    columns take five full batches and a partial one, and four columns
+    split it into four equal batches, as the benchmark grid's 64-vector
+    chunk is split into four of 16."""
     spec, m, geom, *_ = setup
     cfg = PenaltyConfig(mu=10.0)
     first = nystrom_sketch(m, geom, cfg)
     column = 8 * spec.n_space * spec.nt  # bytes of one swept field
-    for budget in (column, 3 * column, saddle._SKETCH_BATCH_BYTES, 16 * column):
+    assert saddle._sketch_width(spec) >= geom.n_receivers * spec.nt // 2
+    for budget in (saddle._SKETCH_BATCH_BYTES, column, 3 * column, 4 * column):
         monkeypatch.setattr(saddle, "_SKETCH_BATCH_BYTES", budget)
         np.random.seed(123)
         np.random.standard_normal(17)
